@@ -52,11 +52,18 @@ def direct_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 # name -> table builder; names are the ladder rung names used in reports
 GROUPS = {
     "C4": lambda: cyclic_table(4),
+    "C10": lambda: cyclic_table(10),
     "C12": lambda: cyclic_table(12),
+    "C2xC6": lambda: abelian_table([2, 6]),
     "C4xC4": lambda: abelian_table([4, 4]),
+    "C2xC2xC4": lambda: abelian_table([2, 2, 4]),
     "C2xC2xC8": lambda: abelian_table([2, 2, 8]),
+    "D10": lambda: dihedral_table(10),
     "D4xC2": lambda: direct_product(dihedral_table(4), cyclic_table(2)),
+    "D3xC4": lambda: direct_product(dihedral_table(3), cyclic_table(4)),
+    "S3xS3": lambda: direct_product(symmetric_table(3), symmetric_table(3)),
     "D4xC4": lambda: direct_product(dihedral_table(4), cyclic_table(4)),
+    "D6xC2": lambda: direct_product(dihedral_table(6), cyclic_table(2)),
     "S4xC2": lambda: direct_product(symmetric_table(4), cyclic_table(2)),
     "D16": lambda: dihedral_table(16),
     "D32": lambda: dihedral_table(32),

@@ -15,10 +15,16 @@ package from `src`.  Workloads (see BENCHMARK.json for why each was chosen):
 The seed relabels every group's multiplication table and draws the queries.
 Set-up runs three times and reports its median.  Passes of the same
 operations then repeat until the next one would end after `--seconds` (at
-least one pass runs).  `wall_s` is the fastest pass, and the latency
-percentiles are taken over each operation's fastest repetition, so that slow
-phases of a shared host weigh less.  Every answer, exit code and stdout digest
-is checked against `pins.py`.
+least one pass runs).  Every time reported is at the reference pace of
+`pace.py`: a fixed reference computation is timed around each set-up,
+between operations at least every 0.1 s and every 0.1 s while a child process
+runs, and each raw time is rescaled by the references over it, because a
+shared host's CPU speed can drop by a third or more for longer than a run.  An operation's latency is
+the median of its repetitions; the latency percentiles are taken over these,
+and `wall_s` is their sum, the time of one pass.  `setup_s` is the median
+set-up.  The whole benchmark, children included, is pinned to one CPU, so
+that the reference runs where the operations run.  Every answer, exit code
+and stdout digest is checked against `pins.py`.
 
 With `--trace 0` the last line reports the end-to-end metrics; with
 `--trace 1` the passes run inside this process, once untraced and once with
@@ -38,6 +44,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import pace
 from paths import ROOT, WORK, child_env
 
 SETUP_REPEATS = 3
@@ -67,29 +74,40 @@ def peak_rss_mb(in_process: bool) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
 
-def timed_setups(workload, seed: int) -> list[float]:
-    times = []
+def timed_setups(workload, seed: int) -> tuple[list[float], list[float]]:
+    """Raw seconds of each set-up, and the same at the reference pace."""
+    raw = []
+    pacer = pace.Pacer()
     for _ in range(SETUP_REPEATS):
         t0 = perf_counter()
         workload.setup(seed)
-        times.append(perf_counter() - t0)
-    return times
+        raw.append(perf_counter() - t0)
+        pacer.add(raw[-1])
+        pacer.flush()
+    return raw, pacer.paced
 
 
 def run_passes(workload, seconds: float):
     """Repeat passes until the next one would end after `seconds`.
 
-    Returns each pass's duration and outcomes, and the pass-level problems.
+    Returns each pass's raw duration and outcomes, the pass-level problems,
+    and the pacer holding every operation's time at the reference pace.
     """
     passes, outcomes, problems = [], [], []
+    pacer = pace.Pacer()
     start = perf_counter()
     while True:
         t0 = perf_counter()
-        outcomes.append(workload.run_pass())
+        run = []
+        for op in workload.ops(pacer=pacer):
+            run.append(op())
+            pacer.add(run[-1].seconds)
+        pacer.flush()
         passes.append(perf_counter() - t0)
+        outcomes.append(run)
         problems += workload.check_pass()
         if perf_counter() - start + passes[-1] > seconds:
-            return passes, outcomes, problems
+            return passes, outcomes, problems, pacer
 
 
 def interpreter_costs(repeats: int = 5) -> tuple[float, float]:
@@ -119,18 +137,26 @@ def report(correct, attempted, failed, metrics) -> str:
 
 
 def measure(name: str, workload, args) -> int:
-    setups = timed_setups(workload, args.seed)
-    passes, by_pass, problems = run_passes(workload, args.seconds)
-    # every pass repeats the same operations; each one's latency is its
-    # fastest repetition, which discounts slow phases of a shared host
-    latencies = [min(o.seconds for o in repeats) * 1000.0 for repeats in zip(*by_pass)]
+    raw_setups, setups = timed_setups(workload, args.seed)
+    passes, by_pass, problems, pacer = run_passes(workload, args.seconds)
+    # every pass repeats the same operations; each one's latency is the
+    # median of its repetitions at the reference pace
+    n = len(by_pass[0])
+    repeats = zip(*(pacer.paced[i:i + n] for i in range(0, len(pacer.paced), n)))
+    latencies = [statistics.median(times) * 1000.0 for times in repeats]
     outcomes = [o for run in by_pass for o in run]
     failures = [o for o in outcomes if not o.ok]
+    ref_ms = [r * 1000.0 for r in pacer.references]
     print(f"workload {name}: seed {args.seed}, {len(passes)} pass(es) of {len(latencies)} operations")
-    print(f"  pass seconds: {', '.join(f'{p:.3f}' for p in passes)}")
-    print(f"  setup seconds: {', '.join(f'{s:.3f}' for s in setups)}")
-    print(f"  op latency (best of {len(passes)}) over {len(latencies)} operations: "
+    print(f"  pass seconds, references included: {', '.join(f'{p:.3f}' for p in passes)}")
+    print(f"  raw setup seconds: {', '.join(f'{s:.3f}' for s in raw_setups)}")
+    print(f"  reference ms: median {statistics.median(ref_ms):.2f}, range {min(ref_ms):.2f} to "
+          f"{max(ref_ms):.2f} over {len(ref_ms)} (reported times assume "
+          f"{pace.REFERENCE_SECONDS * 1000.0:.2f})")
+    print(f"  op latency (median of {len(passes)}) over {len(latencies)} operations: "
           f"p50 {percentile(latencies, 0.5):.1f} ms, p90 {percentile(latencies, 0.9):.1f} ms")
+    if len(latencies) <= 10:
+        print(f"  op latencies ms: {', '.join(f'{x:.1f}' for x in latencies)}")
     print(f"  failed_share: {len(failures)}/{len(outcomes)}")
     for line in workload.notes():
         print(f"  {line}")
@@ -139,7 +165,7 @@ def measure(name: str, workload, args) -> int:
     for p in problems:
         print(f"  CHECK FAILED {p}")
     print(report(not failures and not problems, len(outcomes), len(failures), {
-        "wall_s": (min(passes), "s"),
+        "wall_s": (sum(latencies) / 1000.0, "s"),
         "op_p50_ms": (percentile(latencies, 0.5), "ms"),
         "op_p90_ms": (percentile(latencies, 0.9), "ms"),
         "setup_s": (statistics.median(setups), "s"),
@@ -217,7 +243,8 @@ def main() -> int:
         print(f"error: unknown workload {args.workload!r}; choose from "
               f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
         return 2
-    print(f"environment of every process: {json.dumps(env, sort_keys=True)}")
+    print(f"environment of every process: {json.dumps(env, sort_keys=True)}; "
+          f"pinned to CPU {pace.pin_to_one_cpu()}")
     workload = workloads.WORKLOADS[args.workload]()
     return (measure_traced if args.trace else measure)(args.workload, workload, args)
 

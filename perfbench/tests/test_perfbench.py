@@ -3,6 +3,7 @@ arithmetic.  Run with `python3 -m pytest perfbench/tests -q`."""
 
 import json
 import random
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import generate
 import layers
+import pace
 import pins
 import scenarios
 import workloads
@@ -116,6 +118,52 @@ def test_queries_are_seeded_cover_every_shape_and_hold():
         assert holds
         detected += found
     assert detected > 0
+
+
+def test_times_are_rescaled_by_the_references_over_them():
+    ref = pace.REFERENCE_SECONDS
+    assert pace.at_pace(3.0, [ref, ref]) == pytest.approx(3.0)
+    # a host running at half speed doubles both the operation and the reference
+    assert pace.at_pace(6.0, [2 * ref, 2 * ref]) == pytest.approx(3.0)
+    assert pace.at_pace(3.0, [ref, 2 * ref, 3 * ref]) == pytest.approx(1.5)
+
+
+def test_pacer_uses_every_reference_from_before_to_after_a_time(monkeypatch):
+    refs = iter([1.0, 2.0, 3.0, 4.0, 5.0])
+    monkeypatch.setattr(pace, "reference", lambda runs=3: next(refs) * pace.REFERENCE_SECONDS)
+    pacer = pace.Pacer()
+    pacer.INTERVAL = float("inf")
+    pacer.add(3.0)
+    pacer.sample()  # taken while the next operation runs
+    pacer.add(9.0)
+    pacer.flush()
+    pacer.INTERVAL = 0.0
+    pacer.add(7.0)
+    pacer.flush()  # nothing pending: no reference taken
+    assert pacer.paced == pytest.approx([1.5, 4.5, 2.0])
+    assert len(pacer.references) == 4
+
+
+@pytest.mark.parametrize("paced", [False, True])
+def test_child_past_its_timeout_is_killed_and_reported(monkeypatch, paced):
+    pacer = None
+    if paced:
+        monkeypatch.setattr(pace, "reference", lambda runs=3: pace.REFERENCE_SECONDS)
+        pacer = pace.Pacer()
+    code, _, err, seconds = workloads.run_child(
+        [sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5, pacer=pacer)
+    assert (code, err) == (None, "timeout")
+    assert seconds < 10
+    if paced:
+        assert len(pacer.references) > 2  # sampled while the child ran
+
+
+def test_reference_imports_nothing_from_the_package():
+    code = ("import sys, pace; assert pace.reference() > 0; "
+            "sys.exit(any(name.startswith('burnloc') for name in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=Path(pace.__file__).parent,
+                          env={"PYTHONPATH": ""}, timeout=60)
+    assert done.returncode == 0
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import json
 import shutil
 import subprocess
 import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -41,35 +40,37 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_child(argv, timeout: float):
+def run_child(argv, timeout: float, pacer=None):
     """(exit code or None on timeout, stdout, stderr, seconds) of one child process.
 
     The wait blocks instead of polling, so the time is not rounded up to a
-    polling interval; a timer kills the child if it overruns.
+    polling interval.  With a `pacer`, it wakes every `pacer.INTERVAL` seconds
+    to sample the reference while the child runs; the time those samples take
+    from the child is not counted as the child's.
     """
-    expired = threading.Event()
     t0 = perf_counter()
+    deadline = t0 + timeout
+    sampled = 0.0
     with subprocess.Popen(argv, cwd=ROOT, env=child_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True) as proc:
+        while True:
+            left = max(deadline - perf_counter(), 0.0)
+            try:
+                stdout, stderr = proc.communicate(
+                    timeout=min(left, pacer.INTERVAL) if pacer else left
+                )
+                break
+            except subprocess.TimeoutExpired:
+                if pacer is None or perf_counter() >= deadline:
+                    proc.kill()
+                    stdout, _ = proc.communicate()
+                    return None, stdout, "timeout", perf_counter() - t0 - sampled
+                sampled += pacer.sample()
+    return proc.returncode, stdout, stderr, perf_counter() - t0 - sampled
 
-        def expire():
-            expired.set()
-            proc.kill()
 
-        timer = threading.Timer(timeout, expire)
-        timer.start()
-        try:
-            stdout, stderr = proc.communicate()
-        finally:
-            timer.cancel()
-    seconds = perf_counter() - t0
-    if expired.is_set():
-        return None, stdout, "timeout", seconds
-    return proc.returncode, stdout, stderr, seconds
-
-
-def run_cli(argv, timeout: float):
-    return run_child([sys.executable, "-m", "burnloc.cli", *argv], timeout)
+def run_cli(argv, timeout: float, pacer=None):
+    return run_child([sys.executable, "-m", "burnloc.cli", *argv], timeout, pacer)
 
 
 def run_cli_inline(argv):
@@ -111,10 +112,11 @@ def load_catalog(data: dict):
 class Workload:
     in_process = False  # operations run in this process rather than in children
 
-    def ops(self, inline: bool = False) -> list:
+    def ops(self, inline: bool = False, pacer=None) -> list:
         """One pass as zero-argument operations, each returning its Outcome.
 
-        `inline` runs CLI commands inside this process instead of a child.
+        `inline` runs CLI commands inside this process instead of a child;
+        `pacer`, if given, samples the reference while a child runs.
         """
         raise NotImplementedError
 
@@ -137,9 +139,7 @@ class Workload:
 class Ladder(Workload):
     """One fresh `burnloc structure --json` process per rung of a group ladder.
 
-    An operation is the whole ladder, the rungs one after the other, since the
-    rungs differ in cost by a factor of up to 40 and a percentile over them
-    would stand for a single rung.
+    Each rung is one operation; a pass runs the rungs one after the other.
     """
 
     process_timeout = 120.0
@@ -177,20 +177,17 @@ class Ladder(Workload):
             return f"{rung}: stdout hash {digest(stdout)} != pinned"
         return ""
 
-    def _ladder(self, inline: bool) -> Outcome:
-        problems = []
-        for rung in self.rungs:
-            argv = self.argv[rung]
-            code, stdout, _, seconds = (
-                run_cli_inline(argv) if inline else run_cli(argv, self.process_timeout)
-            )
-            self.rung_seconds[rung] = seconds
-            problems.append(self._check(rung, code, stdout))
-        detail = "; ".join(p for p in problems if p)
-        return Outcome(sum(self.rung_seconds.values()), not detail, detail)
+    def _rung(self, rung: str, inline: bool, pacer) -> Outcome:
+        argv = self.argv[rung]
+        code, stdout, _, seconds = (
+            run_cli_inline(argv) if inline else run_cli(argv, self.process_timeout, pacer)
+        )
+        self.rung_seconds[rung] = seconds
+        detail = self._check(rung, code, stdout)
+        return Outcome(seconds, not detail, detail)
 
-    def ops(self, inline: bool = False) -> list:
-        return [partial(self._ladder, inline)]
+    def ops(self, inline: bool = False, pacer=None) -> list:
+        return [partial(self._rung, rung, inline, pacer) for rung in self.rungs]
 
     def notes(self) -> list[str]:
         return ["rung seconds: " + ", ".join(f"{r} {s:.3f}" for r, s in self.rung_seconds.items())]
@@ -206,8 +203,9 @@ class Ladder(Workload):
 
 
 QUERY_GROUPS = ("C4xC4", "D4xC2")
-# two full cycles of the (group, query shape) mix per pass
-QUERY_COUNT = 2 * len(QUERY_GROUPS) * len(scenarios.SHAPES)
+# four full cycles of the (group, query shape) mix per pass: fewer draw the
+# latency tail from too few queries, so that it moves with the seed
+QUERY_COUNT = 4 * len(QUERY_GROUPS) * len(scenarios.SHAPES)
 
 
 class BlowupQueries(Workload):
@@ -241,7 +239,7 @@ class BlowupQueries(Workload):
         self.mutants = (self.mutants[0] + tried, self.mutants[1] + detected)
         return Outcome(seconds, holds, "" if holds else f"query {i}: invariance failed")
 
-    def ops(self, inline: bool = False) -> list:
+    def ops(self, inline: bool = False, pacer=None) -> list:
         self.mutants = (0, 0)
         return [partial(self._op, i) for i in range(len(self.queries))]
 
@@ -356,18 +354,21 @@ class CliFixtures(Workload):
             return Outcome(seconds, False, f"{cmd.id}: stderr lacks {cmd.stderr!r}")
         return Outcome(seconds, True)
 
-    def _op(self, cmd: Command, inline: bool) -> Outcome:
-        result = run_cli_inline(cmd.argv) if inline else run_cli(cmd.argv, self.process_timeout)
+    def _op(self, cmd: Command, inline: bool, pacer) -> Outcome:
+        result = (
+            run_cli_inline(cmd.argv) if inline else run_cli(cmd.argv, self.process_timeout, pacer)
+        )
         return self._check(cmd, *result)
 
-    def ops(self, inline: bool = False) -> list:
-        return [partial(self._op, cmd, inline) for cmd in self.commands]
+    def ops(self, inline: bool = False, pacer=None) -> list:
+        return [partial(self._op, cmd, inline, pacer) for cmd in self.commands]
 
 
-# D16 stands in for D32 (order 64), whose ~40 s rung alone would exceed a run
+# rungs of about a second or less, so that every rung repeats several times
+# in a run; the longer S4xC2, D16, D4xC4, C2xC2xC8 and D32 rungs are left out
 LADDERS = {
-    "ladder-abelian": ("C12", "C4xC4", "C2xC2xC8"),
-    "ladder-nonabelian": ("S4xC2", "D4xC4", "D16"),
+    "ladder-abelian": ("C10", "C12", "C2xC6", "C4xC4", "C2xC2xC4"),
+    "ladder-nonabelian": ("D10", "D4xC2", "S3xS3", "D3xC4", "D6xC2"),
 }
 
 WORKLOADS = {

@@ -53,7 +53,7 @@ def normalize_factors(factors) -> tuple[int, ...]:
 class AbelianStructure:
     """Invariant factors plus an explicit coordinate map for an abelian subgroup."""
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of")
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -95,10 +95,25 @@ class AbelianStructure:
         self.basis = tuple(basis)
         self.coords = coords
         self.element_of = {t: x for x, t in coords.items()}
+        self._transport: dict = {}  # g -> transport_matrix(g)
 
     @property
     def order(self) -> int:
         return self.subgroup.order
+
+    def transport_matrix(self, g: int) -> tuple["AbelianStructure", tuple[tuple[int, ...], ...]]:
+        """The structure of gHg^-1, and per basis element x of it the coordinates
+        of g^-1 x g scaled by e/d_j, with e the exponent of H; built once per g."""
+        entry = self._transport.get(g)
+        if entry is None:
+            G = self.subgroup.ambient
+            target = abelian_structure(self.subgroup.conjugate(g))
+            back = G.conj_table()[G.inv(g)]
+            e = self.invariant_factors[-1] if self.invariant_factors else 1
+            scale = tuple(e // d for d in self.invariant_factors)
+            rows = tuple(tuple(a * s for a, s in zip(self.coords[back[x]], scale)) for x in target.basis)
+            entry = self._transport[g] = (target, rows)
+        return entry
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianStructure) and self.subgroup == other.subgroup
@@ -176,7 +191,7 @@ def character_kernel(b: Character) -> Subgroup:
     """Kernel of b, as a subgroup of the ambient group contained in the host."""
     H = b.structure.subgroup
     elems = tuple(x for x in H.elements if b.evaluate(x) == 0)
-    return Subgroup(H.ambient, elems)
+    return Subgroup.trusted(H.ambient, elems)
 
 
 def character_span(*chars: Character) -> frozenset[Character]:
@@ -226,8 +241,13 @@ def restrict_character(b: Character, K: Subgroup) -> Character:
 
 def transport_character(g: int, b: Character) -> Character:
     """The character on gHg^-1 obtained by precomposing b with conjugation by g^-1."""
-    H = b.structure.subgroup
-    G = H.ambient
-    H2 = H.conjugate(g)
-    ginv = G.inv(g)
-    return _character_from_values(abelian_structure(H2), lambda x: b.evaluate(G.conj(ginv, x)))
+    target, rows = b.structure.transport_matrix(g)
+    e = b.structure.invariant_factors[-1] if b.structure.invariant_factors else 1
+    coords = []
+    for row, d in zip(rows, target.invariant_factors):
+        # the value at a basis element x of gHg^-1 is v/e in Q/Z; d * v/e must be whole
+        v = sum(c * a for c, a in zip(b.coords, row)) * d
+        if v % e:
+            raise ValidationError("values do not define a character in these coordinates")
+        coords.append(v // e)
+    return Character(target, tuple(coords))

@@ -43,7 +43,7 @@ class FiniteGroup:
     validated on construction (identity, inverses, associativity).
     """
 
-    __slots__ = ("order", "mul", "identity", "name", "_inv", "_abelian", "_hash")
+    __slots__ = ("order", "mul", "identity", "name", "_inv", "_abelian", "_hash", "_conj")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str = "", bound: int | None = None):
         table = tuple(tuple(int(x) for x in row) for row in mul)
@@ -78,6 +78,7 @@ class FiniteGroup:
         self._inv = tuple(inv)
         self._abelian = all(table[a][b] == table[b][a] for a in rng for b in rng)
         self._hash = hash(table)
+        self._conj = None
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -88,6 +89,12 @@ class FiniteGroup:
     def conj(self, g: int, a: int) -> int:
         """g * a * g^-1."""
         return self.mul[self.mul[g][a]][self._inv[g]]
+
+    def conj_table(self) -> tuple[tuple[int, ...], ...]:
+        """`conj_table()[g][a]` is g * a * g^-1; built on first use."""
+        if self._conj is None:
+            self._conj = tuple(tuple(self.conj(g, a) for a in self.elements()) for g in self.elements())
+        return self._conj
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -229,6 +236,15 @@ class Subgroup:
                     raise ValidationError(f"subgroup not closed under product at ({a},{b})")
 
     @classmethod
+    def trusted(cls, G: FiniteGroup, elements: tuple[int, ...]) -> "Subgroup":
+        """A subgroup the package derived from valid ones, as a sorted tuple; unlike
+        `Subgroup(G, elements)`, which checks input from outside, it checks nothing."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", G)
+        object.__setattr__(sub, "elements", elements)
+        return sub
+
+    @classmethod
     def generated(cls, G: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
         elems = {0}
         frontier = [0]
@@ -248,7 +264,7 @@ class Subgroup:
                             elems.add(c)
                             nxt.append(c)
             frontier = nxt
-        return cls(G, tuple(sorted(elems)))
+        return cls.trusted(G, tuple(sorted(elems)))
 
     @property
     def order(self) -> int:
@@ -279,16 +295,16 @@ class Subgroup:
         return all(G.conj(g, a) in members for g in other.elements for a in self.elements)
 
     def conjugate(self, g: int) -> "Subgroup":
-        G = self.ambient
-        return Subgroup(G, tuple(sorted(G.conj(g, a) for a in self.elements)))
+        row = self.ambient.conj_table()[g]
+        return Subgroup.trusted(self.ambient, tuple(sorted(row[a] for a in self.elements)))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (0,))
+    return Subgroup.trusted(G, (0,))
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(G.elements()))
+    return Subgroup.trusted(G, tuple(G.elements()))
 
 
 def conjugate_subgroup(g: int, H: Subgroup) -> Subgroup:
@@ -297,7 +313,7 @@ def conjugate_subgroup(g: int, H: Subgroup) -> Subgroup:
 
 def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     elems = [g for g in G.elements() if all(G.mul[g][a] == G.mul[a][g] for a in H.elements)]
-    return Subgroup(G, tuple(elems))
+    return Subgroup.trusted(G, tuple(elems))
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -306,7 +322,7 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
         g for g in G.elements()
         if all(G.conj(g, a) in members for a in H.elements)
     ]
-    return Subgroup(G, tuple(elems))
+    return Subgroup.trusted(G, tuple(elems))
 
 
 def _closure(G: FiniteGroup, seed: frozenset) -> frozenset:
@@ -368,7 +384,7 @@ def _abelian_subgroup_sets(G: FiniteGroup) -> tuple[frozenset, ...]:
 
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    return tuple(Subgroup(G, tuple(sorted(s))) for s in _all_subgroup_sets(G))
+    return tuple(Subgroup.trusted(G, tuple(sorted(s))) for s in _all_subgroup_sets(G))
 
 
 def _up_to_conjugacy(G: FiniteGroup, sets: Iterable[frozenset]) -> tuple[Subgroup, ...]:
@@ -382,7 +398,7 @@ def _up_to_conjugacy(G: FiniteGroup, sets: Iterable[frozenset]) -> tuple[Subgrou
         rep = min(orbit, key=lambda s: tuple(sorted(s)))
         reps.append(rep)
     reps.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(Subgroup(G, tuple(sorted(s))) for s in reps)
+    return tuple(Subgroup.trusted(G, tuple(sorted(s))) for s in reps)
 
 
 @lru_cache(maxsize=None)

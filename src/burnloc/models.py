@@ -21,7 +21,7 @@ from .symbols import (
     KIND_SURFACE,
     BurnsideClass,
     Symbol,
-    canonicalize,
+    canonical_form,
     carrier_quotient,
     text_form,
     validate_symbol,
@@ -95,7 +95,7 @@ def stratum_symbol(m: ModelDescription, datum: StratumDatum) -> Symbol:
     problems = validate_symbol(sym, m.group, m.catalog)
     if problems:
         raise ValidationError(f"invalid stratum datum: {'; '.join(problems)}")
-    return canonicalize(sym, m.group, m.catalog)
+    return canonical_form(sym, m.group)
 
 
 def factor_symbol(m: ModelDescription, datum: JacobianFactorDatum) -> Symbol:
@@ -105,27 +105,29 @@ def factor_symbol(m: ModelDescription, datum: JacobianFactorDatum) -> Symbol:
     problems = validate_symbol(sym, m.group, m.catalog)
     if problems:
         raise ValidationError(f"invalid jacobian factor datum: {'; '.join(problems)}")
-    return canonicalize(sym, m.group, m.catalog)
+    return canonical_form(sym, m.group)
 
 
-def validate_model(m: ModelDescription) -> list[str]:
+def _model_symbols(m: ModelDescription) -> tuple[list[Symbol], list[str]]:
+    """The canonical symbol of every datum, each validated once, and the problems found."""
+    symbols: list[Symbol] = []
     problems: list[str] = []
     try:
         ensure_valid_catalog(m.catalog)
     except ValidationError as exc:
-        return [str(exc)]
+        return symbols, [str(exc)]
     for i, datum in enumerate(m.strata):
         expected = 2 if datum.kind == FIXED_CURVE else 1
         if len(datum.weights) != expected:
             problems.append(f"stratum {i}: {datum.kind} data carry exactly {expected} weight(s)")
             continue
         try:
-            stratum_symbol(m, datum)
+            symbols.append(stratum_symbol(m, datum))
         except ValidationError as exc:
             problems.append(f"stratum {i}: {exc}")
     for i, datum in enumerate(m.jacobian_factors):
         try:
-            factor_symbol(m, datum)
+            symbols.append(factor_symbol(m, datum))
         except ValidationError as exc:
             problems.append(f"jacobian factor {i}: {exc}")
     if m.counts is not None and not problems:
@@ -134,25 +136,30 @@ def validate_model(m: ModelDescription) -> list[str]:
             problems.append(
                 f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {derived}"
             )
-    return problems
+    return symbols, problems
+
+
+def validate_model(m: ModelDescription) -> list[str]:
+    return _model_symbols(m)[1]
+
+
+def _invalid_model(problems: list[str]) -> ValidationError:
+    return ValidationError("invalid model:\n  " + "\n  ".join(problems))
 
 
 def ensure_valid_model(m: ModelDescription) -> ModelDescription:
     problems = validate_model(m)
     if problems:
-        raise ValidationError("invalid model:\n  " + "\n  ".join(problems))
+        raise _invalid_model(problems)
     return m
 
 
 def class_of_action(m: ModelDescription) -> BurnsideClass:
     """The sum of canonical symbols contributed by all model data."""
-    ensure_valid_model(m)
-    total = BurnsideClass.zero()
-    for datum in m.strata:
-        total = total + BurnsideClass.of(stratum_symbol(m, datum))
-    for datum in m.jacobian_factors:
-        total = total + BurnsideClass.of(factor_symbol(m, datum))
-    return total
+    symbols, problems = _model_symbols(m)
+    if problems:
+        raise _invalid_model(problems)
+    return sum((BurnsideClass.of(s) for s in symbols), BurnsideClass.zero())
 
 
 @dataclass(frozen=True)

@@ -237,9 +237,6 @@ class IntegerLattice:
                 out[j] += c * u
         return tuple(out)
 
-    def equals(self, other: "IntegerLattice") -> bool:
-        return self.ncols == other.ncols and self.basis == other.basis
-
 
 def rational_rank(rows, ncols: int) -> int:
     """Rank over Q by fraction-free Gaussian elimination."""

@@ -70,7 +70,8 @@ def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
 
 
 def symbol_characters(G: FiniteGroup, sym: Symbol) -> tuple[Character, ...]:
-    struct = abelian_structure(Subgroup(G, sym.h))
+    """The weights of a symbol whose stabilizer is a valid abelian subgroup, as characters."""
+    struct = abelian_structure(Subgroup.trusted(G, tuple(sorted(set(sym.h)))))
     return tuple(Character(struct, w) for w in sym.weights)
 
 
@@ -130,22 +131,6 @@ def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list
     return problems
 
 
-def transport_symbol(sym: Symbol, g: int, G: FiniteGroup) -> Symbol:
-    """Conjugate all symbol data by g (labels denote abstract classes and stay put)."""
-    H = Subgroup(G, sym.h)
-    H2 = H.conjugate(g)
-    Q1 = carrier_quotient(G, sym.h, sym.kind)
-    Q2 = carrier_quotient(G, H2.elements, sym.kind)
-    y2 = tuple(sorted({Q2.coset_of[G.conj(g, Q1.reps[i])] for i in sym.y}))
-    if sym.weights:
-        struct = abelian_structure(H)
-        moved = [transport_character(g, Character(struct, w)) for w in sym.weights]
-        weights2 = tuple(sorted(b.coords for b in moved))
-    else:
-        weights2 = ()
-    return Symbol(sym.kind, H2.elements, y2, sym.action, weights2)
-
-
 def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
     """Weight-sorted form, minimized over all conjugations.
 
@@ -154,8 +139,33 @@ def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
     problems = validate_symbol(sym, G, catalog)
     if problems:
         raise ValidationError(f"cannot canonicalize invalid symbol: {'; '.join(problems)}")
-    sorted_sym = Symbol(sym.kind, sym.h, sym.y, sym.action, tuple(sorted(sym.weights)))
-    return min((transport_symbol(sorted_sym, g, G) for g in G.elements()), key=Symbol.key)
+    return canonical_form(sym, G)
+
+
+def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
+    """`canonicalize` for a symbol that `validate_symbol` has already accepted: its
+    least conjugate, comparing stabilizers, then Y, then sorted weights, each over
+    the g that tie so far.  For abelian G conjugation is trivial, so this is the
+    symbol with h and y sorted and its weights reduced and sorted."""
+    h = tuple(sorted(set(sym.h)))
+    y = tuple(sorted(set(sym.y)))
+    chars = symbol_characters(G, sym) if sym.weights else ()
+    if G.is_abelian():
+        return Symbol(sym.kind, h, y, sym.action, tuple(sorted(b.coords for b in chars)))
+    conj = G.conj_table()
+    best_h, ties = _least(G.elements(), lambda g: tuple(sorted(conj[g][a] for a in h)))
+    Q1 = carrier_quotient(G, h, sym.kind)
+    Q2 = carrier_quotient(G, best_h, sym.kind)
+    best_y, ties = _least(ties, lambda g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})))
+    weights, _ = _least(ties, lambda g: tuple(sorted(transport_character(g, b).coords for b in chars)))
+    return Symbol(sym.kind, best_h, best_y, sym.action, weights)
+
+
+def _least(gs, key):
+    """The least key over the elements gs, and the elements attaining it."""
+    keys = {g: key(g) for g in gs}
+    best = min(keys.values())
+    return best, [g for g, k in keys.items() if k == best]
 
 
 def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str):

@@ -1,13 +1,23 @@
-"""Independent brute-force oracles for the exact linear algebra layer.
+"""Independent brute-force oracles for the exact linear algebra layer and for
+symbol canonicalization.
 
 Nothing here may call into burnloc.normalforms: membership is decided by
 exhaustive bounded-coefficient search or by the integer adjugate, quotients are
 enumerated coset by coset, and invariant factors are recovered from p-torsion
 counts of the enumerated cosets.
+
+Characters are transported by evaluating them in Q/Z with `Fraction`s, and the
+reference canonical form is the minimum over every g in G of the transported
+symbol, with no shortcut for abelian G.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from burnloc.abelian import Character, abelian_structure
+from burnloc.errors import ValidationError
+from burnloc.groups import Subgroup
+from burnloc.symbols import Symbol, carrier_quotient, validate_symbol
 
 
 def exhaustive_member(rows, vec, bound=3):
@@ -186,3 +196,43 @@ def rational_rank_oracle(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def character_from_values(struct, value_at):
+    """The character of `struct` taking the value `value_at(h)` in Q/Z at each basis element h."""
+    coords = []
+    for h, d in zip(struct.basis, struct.invariant_factors):
+        v = value_at(h) * d
+        if v.denominator != 1:
+            raise ValidationError("values do not define a character in these coordinates")
+        coords.append(int(v) % d)
+    return Character(struct, tuple(coords))
+
+
+def reference_transport_character(g, b):
+    """The character on gHg^-1 obtained by precomposing b with conjugation by g^-1."""
+    H = b.structure.subgroup
+    G = H.ambient
+    H2 = Subgroup(G, tuple(G.conj(g, a) for a in H.elements))
+    ginv = G.inv(g)
+    return character_from_values(abelian_structure(H2), lambda x: b.evaluate(G.conj(ginv, x)))
+
+
+def reference_transport_symbol(sym, g, G):
+    """All symbol data conjugated by g; the action label denotes an abstract class and stays put."""
+    H = Subgroup(G, sym.h)
+    H2 = Subgroup(G, tuple(G.conj(g, a) for a in H.elements))
+    Q1 = carrier_quotient(G, H.elements, sym.kind)
+    Q2 = carrier_quotient(G, H2.elements, sym.kind)
+    y2 = tuple(sorted({Q2.coset_of[G.conj(g, Q1.reps[i])] for i in sym.y}))
+    struct = abelian_structure(H) if sym.weights else None
+    weights2 = tuple(sorted(reference_transport_character(g, Character(struct, w)).coords for w in sym.weights))
+    return Symbol(sym.kind, H2.elements, y2, sym.action, weights2)
+
+
+def reference_canonicalize(sym, G, catalog):
+    """The least transported symbol over all of G, by `Symbol.key`."""
+    problems = validate_symbol(sym, G, catalog)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key)

@@ -1,10 +1,12 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
-plus the mutation harness that drops single appended terms."""
+plus the mutation harness that drops single appended terms, and generated
+catalogs for larger groups."""
 
 from dataclasses import replace
 
-from burnloc.catalog import CURVE
-from burnloc.groups import all_subgroups
+from burnloc.abelian import abelian_structure
+from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
+from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups
 from burnloc.models import (
     BlowupCenter,
     JacobianFactorDatum,
@@ -135,3 +137,44 @@ def run_scenarios(rng, pool: ScenarioPool, lattice, count: int):
             if not classes_equal(base, class_of_action(mutated), lattice):
                 mutation_failures[tag] = mutation_failures.get(tag, 0) + 1
     return results, mutation_runs, mutation_failures
+
+
+def generated_catalog(G):
+    """A complete genus-2 catalog for G built from declared data only.
+
+    Labels `triv-C`, `triv-CxP1`, `triv-J` and `c<m>-CxP1`, the Jacobian rule
+    `triv-C -> triv-J`, and one induce rule per nontrivial abelian stabilizer
+    shape with at most two invariant factors and per weight pattern (`equal`
+    and every divisor m >= 2 of |H|).
+    """
+    shapes = {abelian_structure(H).invariant_factors for H in abelian_subgroups_up_to_conjugacy(G)}
+    rules, ms = [], set()
+    for shape in sorted((s for s in shapes if 1 <= len(s) <= 2), key=lambda s: (len(s), s)):
+        order = 1
+        for d in shape:
+            order *= d
+        rules.append({"h": list(shape), "curve_label": "triv-C", "weights": "equal", "target": "triv-CxP1"})
+        for m in range(2, order + 1):
+            if order % m == 0:
+                ms.add(m)
+                rules.append({"h": list(shape), "curve_label": "triv-C", "weights": {"diff_order": m},
+                              "target": f"c{m}-CxP1"})
+    labels = [
+        {"id": "triv-C", "space": "curve", "group_shape": [], "faithful": True, "trivial": True},
+        {"id": "triv-CxP1", "space": "ruled_surface", "group_shape": [], "faithful": True, "trivial": True},
+        {"id": "triv-J", "space": "jacobian", "group_shape": [], "faithful": True, "trivial": True,
+         "from_curve": True, "underlying_curve_action": "triv-C"},
+    ] + [
+        {"id": f"c{m}-CxP1", "space": "ruled_surface", "group_shape": [m], "faithful": True, "trivial": False}
+        for m in sorted(ms)
+    ]
+    data = {
+        "curve": {"id": "C-gen2", "genus": 2, "hyperelliptic": False},
+        "labels": labels,
+        "rules": {
+            "induce": rules,
+            "jacobian_of_curve": [{"source": "triv-C", "target": "triv-J"}],
+            "genus_one_extension": [],
+        },
+    }
+    return ensure_valid_catalog(catalog_from_json(data, name="generated"))

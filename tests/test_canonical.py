@@ -1,0 +1,180 @@
+"""Canonical forms against the reference oracles, on inputs that are not yet
+normalized, and under relabelling of the group's elements."""
+
+import random
+
+import pytest
+
+from burnloc.abelian import Character, abelian_structure, all_characters, transport_character
+from burnloc.cli import load_class
+from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group
+from burnloc.models import JacobianFactorDatum, ModelDescription, StratumDatum, class_of_action
+from burnloc.relations import structure
+from burnloc.symbols import (
+    BurnsideClass,
+    Symbol,
+    canonicalize,
+    carrier_quotient,
+    iter_curve_data,
+    iter_jac_data,
+    iter_surface_data,
+)
+from oracles import (
+    character_from_values,
+    reference_canonicalize,
+    reference_transport_character,
+    reference_transport_symbol,
+)
+from scenarios import _datum, generated_catalog
+
+PERM_GROUPS = {
+    "S3": {"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]},
+    "D4": {"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]},
+    "S3xC2": {"kind": "perm", "degree": 5, "gens": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 4, 3]]},
+    "D4xC2": {"kind": "perm", "degree": 6,
+              "gens": [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]},
+}
+ABELIAN_GROUPS = {
+    "C4xC4": {"kind": "abelian", "factors": [4, 4]},
+    "C2xC6": {"kind": "abelian", "factors": [2, 6]},
+}
+
+
+def _raw_symbols(G, catalog):
+    return [*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "D4xC2"])
+def test_transport_matches_fraction_reference(name):
+    G = build_group(PERM_GROUPS[name])
+    for H in abelian_subgroups_up_to_conjugacy(G):
+        struct = abelian_structure(H)
+        for g in G.elements():
+            for b in all_characters(struct):
+                assert transport_character(g, b) == reference_transport_character(g, b)
+
+
+@pytest.mark.parametrize("name", ["C4xC4", "C2xC6"])
+def test_abelian_shortcut_matches_reference(name):
+    G = build_group(ABELIAN_GROUPS[name])
+    catalog = generated_catalog(G)
+    for sym in _raw_symbols(G, catalog):
+        assert canonicalize(sym, G, catalog) == reference_canonicalize(sym, G, catalog)
+
+
+@pytest.mark.parametrize("name", ["S3xC2", "D4xC2"])
+def test_nonabelian_canonical_form_matches_reference(name):
+    G = build_group(PERM_GROUPS[name])
+    catalog = generated_catalog(G)
+    for sym in _raw_symbols(G, catalog):
+        expected = reference_canonicalize(sym, G, catalog)
+        for g in G.elements():
+            assert canonicalize(reference_transport_symbol(sym, g, G), G, catalog) == expected
+
+
+def test_residual_group_ties_are_broken_before_weights():
+    # in (C3 x C2 x C2) : C2 the involution inverting C3 also swaps two C2s that
+    # centralize it, so over H = C3 it moves Y and the weights together: the
+    # least weights must be taken only over conjugations that give the least Y
+    G = build_group({"kind": "perm", "degree": 7, "gens": [
+        [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 3, 5, 6], [0, 1, 2, 3, 4, 6, 5], [0, 2, 1, 5, 6, 3, 4]]})
+    catalog = generated_catalog(G)
+    for sym in _raw_symbols(G, catalog):
+        assert canonicalize(sym, G, catalog) == reference_canonicalize(sym, G, catalog)
+
+
+# (group, stabilizer as given, the same stabilizer sorted); C2 is abelian, and in
+# S3 the subgroup {0, 2} is conjugate to the smaller {0, 1}
+UNSORTED = [
+    ({"kind": "cyclic", "n": 2}, (1, 0), (0, 1)),
+    (PERM_GROUPS["S3"], (2, 0), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("spec, given, normal", UNSORTED)
+def test_model_data_canonicalize_like_their_normalized_form(spec, given, normal, hyper_cat):
+    G = build_group(spec)
+    raw = ModelDescription(group=G, catalog=hyper_cat, strata=(
+        StratumDatum(kind="fixed_curve", stabilizer=given, residual="triv-C", weights=((3,), (1,))),
+        StratumDatum(kind="ruled_divisor", stabilizer=given, residual="triv-CxP1", weights=((5,),)),
+    ), jacobian_factors=(JacobianFactorDatum(stabilizer=given, residual="triv-J"),))
+    normalized = ModelDescription(group=G, catalog=hyper_cat, strata=(
+        StratumDatum(kind="fixed_curve", stabilizer=normal, residual="triv-C", weights=((1,), (1,))),
+        StratumDatum(kind="ruled_divisor", stabilizer=normal, residual="triv-CxP1", weights=((1,),)),
+    ), jacobian_factors=(JacobianFactorDatum(stabilizer=normal, residual="triv-J"),))
+    cls = class_of_action(raw)
+    assert cls == class_of_action(normalized)
+    for sym in cls.support():
+        assert sym == reference_canonicalize(sym, G, hyper_cat)
+        assert list(sym.h) == sorted(sym.h)
+
+
+@pytest.mark.parametrize("spec, given, normal", UNSORTED)
+def test_cli_symbols_canonicalize_like_their_normalized_form(spec, given, normal, hyper_cat):
+    G = build_group(spec)
+
+    def term(h, weights):
+        return ('{"terms": [{"coeff": 1, "symbol": {"kind": "curve", "h": %s, "action": "triv-C", '
+                '"weights": %s}}]}' % (list(h), weights))
+
+    cls = load_class(term(given, "[[3], [1]]"), G, hyper_cat)
+    assert cls == load_class(term(normal, "[[1], [1]]"), G, hyper_cat)
+    (sym,) = cls.support()
+    assert sym == reference_canonicalize(Symbol("curve", normal, (0,), "triv-C", ((1,), (1,))), G, hyper_cat)
+
+
+def _move_weights(src_group, src_h, dst_group, dst_h, weights, back):
+    """Weights on src_h carried to dst_h along a relabelling; `back` maps dst elements to src."""
+    if not weights:
+        return ()
+    src = abelian_structure(Subgroup(src_group, src_h))
+    dst = abelian_structure(Subgroup(dst_group, dst_h))
+    return tuple(
+        character_from_values(dst, lambda x, b=Character(src, w): b.evaluate(back[x])).coords
+        for w in weights
+    )
+
+
+def test_structure_and_class_survive_relabelling():
+    G = build_group(PERM_GROUPS["D4xC2"])
+    catalog = generated_catalog(G)
+    pools = [list(it(G, catalog)) for it in (iter_curve_data, iter_surface_data, iter_jac_data)]
+    # two fixed curves, a ruled divisor and a Jacobian factor
+    data = [_datum(G, pools[0][-1]), _datum(G, pools[0][len(pools[0]) // 2]),
+            _datum(G, pools[1][-1]), _datum(G, pools[2][-1])]
+    model = ModelDescription(group=G, catalog=catalog, strata=tuple(data[:3]), jacobian_factors=(data[3],))
+    base_structure = structure(G, catalog)
+    base_class = class_of_action(model)
+    for seed in range(3):
+        rest = list(range(1, G.order))
+        random.Random(seed).shuffle(rest)
+        pi = [0] + rest
+        back = {x: i for i, x in enumerate(pi)}
+        table = [[0] * G.order for _ in G.elements()]
+        for a in G.elements():
+            for b in G.elements():
+                table[pi[a]][pi[b]] = pi[G.mul[a][b]]
+        R = build_group({"kind": "table", "mul": table})
+        assert structure(R, catalog) == base_structure
+
+        def moved(d):
+            h = tuple(sorted(pi[x] for x in d.stabilizer))
+            upstairs = tuple(sorted(pi[x] for x in d.residual_group))
+            if isinstance(d, JacobianFactorDatum):
+                return JacobianFactorDatum(stabilizer=h, residual=d.residual, residual_group=upstairs)
+            weights = _move_weights(G, d.stabilizer, R, h, d.weights, back)
+            return StratumDatum(kind=d.kind, stabilizer=h, residual=d.residual, weights=weights,
+                                residual_group=upstairs)
+
+        relabelled = ModelDescription(group=R, catalog=catalog, strata=tuple(moved(d) for d in model.strata),
+                                      jacobian_factors=tuple(moved(d) for d in model.jacobian_factors))
+        pulled_back = BurnsideClass.zero()
+        for sym, coeff in class_of_action(relabelled).terms():
+            h = tuple(sorted(back[x] for x in sym.h))
+            upstairs = carrier_quotient(R, sym.h, sym.kind).preimage(sym.y)
+            y = carrier_quotient(G, h, sym.kind).image(back[x] for x in upstairs)
+            weights = _move_weights(R, sym.h, G, h, sym.weights, pi)
+            pulled_back = pulled_back + BurnsideClass.of(
+                canonicalize(Symbol(sym.kind, h, y, sym.action, weights), G, catalog), coeff
+            )
+        assert pulled_back == base_class

@@ -2,10 +2,12 @@ from itertools import combinations
 
 import pytest
 
+from burnloc.abelian import abelian_structure, all_characters, character_kernel
 from burnloc.errors import ValidationError
 from burnloc.groups import (
     Subgroup,
     abelian_subgroups_up_to_conjugacy,
+    all_subgroups,
     build_group,
     centralizer,
     conjugate_subgroup,
@@ -138,14 +140,15 @@ def test_s3_abelian_subgroup_classes(s3):
 
 
 def test_returned_subgroups_are_closed(s3, d4):
+    # derived subgroups skip the checked constructor, so each must pass it unchanged
     for G in (s3, d4):
-        for H in subgroups_up_to_conjugacy(G):
-            members = set(H.elements)
-            assert 0 in members
-            for a in members:
-                assert G.inv(a) in members
-                for b in members:
-                    assert G.mul[a][b] in members
+        for H in (*all_subgroups(G), *subgroups_up_to_conjugacy(G), *abelian_subgroups_up_to_conjugacy(G)):
+            derived = [H, centralizer(G, H), normalizer(G, H), Subgroup.generated(G, H.elements[-1:])]
+            derived += [H.conjugate(g) for g in G.elements()]
+            if H.is_abelian():
+                derived += [character_kernel(b) for b in all_characters(abelian_structure(H))]
+            for S in derived:
+                assert Subgroup(G, S.elements) == S
 
 
 def test_centralizer_of_full_abelian_group(z2):

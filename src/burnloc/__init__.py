@@ -11,8 +11,6 @@ from .catalog import (
     catalog_from_json,
     catalog_to_json,
     ensure_valid_catalog,
-    induced_surface_action,
-    jacobian_of_curve_action,
     validate_catalog,
 )
 from .errors import CatalogIncompleteError, ValidationError
@@ -33,7 +31,6 @@ from .abelian import (
     Character,
     abelian_structure,
     character_kernel,
-    character_span,
     dual_generated_check,
     restrict_character,
     transport_character,

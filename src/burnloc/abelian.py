@@ -177,10 +177,6 @@ def _same_host(a: Character, b: Character) -> None:
         raise ValidationError("characters live on different host subgroups")
 
 
-def trivial_character(struct: AbelianStructure) -> Character:
-    return Character(struct, tuple(0 for _ in struct.invariant_factors))
-
-
 def all_characters(struct: AbelianStructure):
     """All characters of the host, in lexicographic coordinate order."""
     for tup in product(*(range(d) for d in struct.invariant_factors)) if struct.invariant_factors else [()]:
@@ -194,30 +190,21 @@ def character_kernel(b: Character) -> Subgroup:
     return Subgroup.trusted(H.ambient, elems)
 
 
-def character_span(*chars: Character) -> frozenset[Character]:
-    """The subgroup of the dual generated by the given characters."""
+def dual_generated_check(*chars: Character) -> bool:
+    """Do the given characters generate the full dual group?  They do exactly
+    when no nonidentity element of the host lies in every kernel."""
     if not chars:
-        raise ValidationError("character_span needs at least one character")
-    struct = chars[0].structure
+        raise ValidationError("dual_generated_check needs at least one character")
     for b in chars[1:]:
         _same_host(chars[0], b)
-    seen = {trivial_character(struct)}
-    frontier = [trivial_character(struct)]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in chars:
-                c = b + g
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def dual_generated_check(*chars: Character) -> bool:
-    """Do the given characters generate the full dual group?"""
-    return len(character_span(*chars)) == chars[0].structure.order
+    ds = chars[0].structure.invariant_factors
+    e = ds[-1] if ds else 1
+    # b(x) = sum_j c_j a_j / d_j in Q/Z, so x is in ker b iff sum_j c_j a_j (e/d_j) = 0 mod e
+    rows = [tuple(c * (e // d) for c, d in zip(b.coords, ds)) for b in chars]
+    return not any(
+        all(sum(c * a for c, a in zip(row, x)) % e == 0 for row in rows)
+        for x in chars[0].structure.element_of if any(x)
+    )
 
 
 def _character_from_values(struct: AbelianStructure, value_at) -> Character:

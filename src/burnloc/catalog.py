@@ -172,33 +172,6 @@ class ActionCatalog:
         )
 
 
-def induced_surface_action(catalog: ActionCatalog, H, Y, curve_label: str, b1, b2) -> ActionLabel:
-    """Ruled-surface label for blowing up a curve symbol (H, Y, curve_label, (b1, b2)).
-
-    Looks up the InduceRule for the stabilizer's shape and the weight pattern
-    and cross-checks the declared target order against the constructed group
-    order |Y| * ord(b1 - b2).
-    """
-    from .abelian import abelian_structure
-
-    diff = b1 - b2
-    label = catalog.induced_surface_action(
-        abelian_structure(H).invariant_factors, curve_label, diff.order()
-    )
-    expected = Y.order * diff.order()
-    if label.group_shape.order != expected:
-        raise ValidationError(
-            f"induced label {label.id!r} has group order {label.group_shape.order}, "
-            f"but the construction yields order {expected}"
-        )
-    return label
-
-
-def jacobian_of_curve_action(catalog: ActionCatalog, curve_label: str) -> ActionLabel:
-    """The declared J(C)-action label induced by a curve action (from-curve flagged)."""
-    return catalog.jacobian_of_curve_action(curve_label)
-
-
 def validate_catalog(catalog: ActionCatalog) -> list[str]:
     """All structural invariants, returned as a list of violations (empty = valid)."""
     problems: list[str] = []

@@ -338,83 +338,11 @@ def _closure(G: FiniteGroup, seed: frozenset) -> frozenset:
     return frozenset(elems)
 
 
-@lru_cache(maxsize=None)
-def _all_subgroup_sets(G: FiniteGroup) -> tuple[frozenset, ...]:
+def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All subgroups of G whose elements lie inside the given closed subset,
+    ordered by (order, elements)."""
     # breadth-first closure generation: every subgroup arises by repeatedly
     # adjoining one generator, so this is exhaustive
-    trivial = frozenset({0})
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in G.elements():
-                if g in H:
-                    continue
-                K = _closure(G, H | {g})
-                if K not in seen:
-                    seen.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
-
-
-@lru_cache(maxsize=None)
-def _abelian_subgroup_sets(G: FiniteGroup) -> tuple[frozenset, ...]:
-    # abelian subgroups only: extend an abelian H by elements of its
-    # centralizer, so every generated subgroup stays abelian
-    trivial = frozenset({0})
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            central = [
-                g for g in G.elements()
-                if g not in H and all(G.mul[g][a] == G.mul[a][g] for a in H)
-            ]
-            # H abelian and g central over H means <H, g> is abelian
-            for g in central:
-                K = _closure(G, H | {g})
-                if K not in seen:
-                    seen.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))))
-
-
-def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    return tuple(Subgroup.trusted(G, tuple(sorted(s))) for s in _all_subgroup_sets(G))
-
-
-def _up_to_conjugacy(G: FiniteGroup, sets: Iterable[frozenset]) -> tuple[Subgroup, ...]:
-    pool = set(sets)
-    reps = []
-    while pool:
-        H = min(pool, key=lambda s: (len(s), tuple(sorted(s))))
-        orbit = {frozenset(G.conj(g, a) for a in H) for g in G.elements()}
-        pool -= orbit
-        # deterministic representative: lexicographically minimal element set
-        rep = min(orbit, key=lambda s: tuple(sorted(s)))
-        reps.append(rep)
-    reps.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(Subgroup.trusted(G, tuple(sorted(s))) for s in reps)
-
-
-@lru_cache(maxsize=None)
-def abelian_subgroups_up_to_conjugacy(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """One representative per conjugacy class of abelian subgroups (trivial included)."""
-    return _up_to_conjugacy(G, _abelian_subgroup_sets(G))
-
-
-@lru_cache(maxsize=None)
-def subgroups_up_to_conjugacy(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """One representative per conjugacy class of all subgroups."""
-    return _up_to_conjugacy(G, _all_subgroup_sets(G))
-
-
-def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All subgroups of G whose elements lie inside the given closed subset."""
     allowed = frozenset(universe)
     trivial = frozenset({0})
     seen = {trivial}
@@ -429,6 +357,38 @@ def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[i
                     nxt.append(K)
         frontier = nxt
     return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup of G, ordered by (order, elements)."""
+    return tuple(Subgroup.trusted(G, s) for s in subgroups_within(G, tuple(G.elements())))
+
+
+def _up_to_conjugacy(subgroups: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
+    """One representative per conjugacy class of subgroups given in (order,
+    elements) order and closed under conjugation: the first of each class,
+    which is its lexicographically least member."""
+    reps = []
+    seen: set[tuple[int, ...]] = set()
+    for H in subgroups:
+        if H.elements in seen:
+            continue
+        seen.update(H.conjugate(g).elements for g in H.ambient.elements())
+        reps.append(H)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def abelian_subgroups_up_to_conjugacy(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """One representative per conjugacy class of abelian subgroups (trivial included)."""
+    return _up_to_conjugacy(H for H in all_subgroups(G) if H.is_abelian())
+
+
+@lru_cache(maxsize=None)
+def subgroups_up_to_conjugacy(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """One representative per conjugacy class of all subgroups."""
+    return _up_to_conjugacy(all_subgroups(G))
 
 
 class QuotientGroup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .abelian import Character, abelian_structure, character_kernel, character_span, restrict_character
+from .abelian import Character, abelian_structure, character_kernel, restrict_character
 from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -226,7 +226,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             raise ValidationError("case-2 stabilizers are nontrivial")
         struct = abelian_structure(H)
         b = Character(struct, tuple(weight))
-        if len(character_span(b)) != H.order:
+        if b.order() != H.order:
             raise ValidationError("case-2 weight must generate the stabilizer's character group")
         label = catalog.label(c.curve_label)
         if label.space != CURVE:
@@ -267,7 +267,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
                     weights=(first.coords, second.coords), residual_group=upstairs,
                 ))
         diff = b1 - b2
-        if len(character_span(diff)) != H.order:
+        if diff.order() != H.order:
             h_bar = character_kernel(diff)
             surface_label = catalog.induced_surface_action(
                 struct.invariant_factors, datum.residual, diff.order(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import Character, abelian_structure, character_kernel, character_span, restrict_character, shape_name
+from .abelian import abelian_structure, character_kernel, restrict_character, shape_name
 from .catalog import ActionCatalog, GroupShape, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
@@ -84,7 +84,7 @@ def _b2_terms(G: FiniteGroup, catalog: ActionCatalog, sym: Symbol) -> tuple[Burn
             term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
             theta1 = theta1 + BurnsideClass.of(canonicalize(term, G, catalog))
     diff = b1 - b2
-    if len(character_span(diff)) == H.order:
+    if diff.order() == H.order:
         return theta1, BurnsideClass.zero()
     h_bar = character_kernel(diff)
     label = catalog.induced_surface_action(
@@ -97,22 +97,7 @@ def _b2_terms(G: FiniteGroup, catalog: ActionCatalog, sym: Symbol) -> tuple[Burn
     y_bar = Qbar.image(upstairs)
     weight = restrict_character(b1, h_bar)
     term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,))
-    problems = _validate_b2_surface(G, h_bar, weight)
-    if problems:
-        raise ValidationError(f"induced surface symbol is invalid: {'; '.join(problems)}")
     return theta1, BurnsideClass.of(canonicalize(term, G, catalog))
-
-
-def _validate_b2_surface(G: FiniteGroup, h_bar: Subgroup, weight: Character) -> list[str]:
-    # provable from the curve symbol's own validity; asserted at generation time
-    problems = []
-    if h_bar.is_trivial():
-        problems.append("kernel of the weight difference is trivial")
-    if not h_bar.is_cyclic():
-        problems.append("kernel of the weight difference is not cyclic")
-    if len(character_span(weight)) != h_bar.order:
-        problems.append("restricted weight does not generate the kernel's dual")
-    return problems
 
 
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog) -> tuple[RelationInstance, ...]:
@@ -299,12 +284,8 @@ def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: Act
 
 
 def filtered_structure(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> GroupStructure:
-    symbols = enumerate_symbols(G, catalog)
-    relations = generate_relations(G, catalog)
-    check_filter_closure(f, G, catalog, relations)
-    admitted = tuple(s for s in symbols if f.admits(s, G))
-    vectors = [r.vector for r in relations if all(f.admits(s, G) for s in r.vector.support())]
-    return structure_from(admitted, vectors)
+    admitted = tuple(s for s in enumerate_symbols(G, catalog) if f.admits(s, G))
+    return structure_from(admitted, filtered_relation_vectors(G, catalog, f))
 
 
 def filtered_relation_vectors(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> tuple[BurnsideClass, ...]:

@@ -8,7 +8,8 @@ counts of the enumerated cosets.
 
 Characters are transported by evaluating them in Q/Z with `Fraction`s, and the
 reference canonical form is the minimum over every g in G of the transported
-symbol, with no shortcut for abelian G.
+symbol, with no shortcut for abelian G.  The span of a set of characters is
+enumerated element by element.
 """
 
 from fractions import Fraction
@@ -207,6 +208,25 @@ def character_from_values(struct, value_at):
             raise ValidationError("values do not define a character in these coordinates")
         coords.append(int(v) % d)
     return Character(struct, tuple(coords))
+
+
+def character_span(*chars):
+    """The subgroup of the dual generated by the given characters, closed up
+    from the trivial character by breadth-first search."""
+    struct = chars[0].structure
+    trivial = Character(struct, tuple(0 for _ in struct.invariant_factors))
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for g in chars:
+                c = b + g
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def reference_transport_character(g, b):

@@ -8,7 +8,6 @@ from burnloc.abelian import (
     abelian_structure,
     all_characters,
     character_kernel,
-    character_span,
     dual_generated_check,
     normalize_factors,
     restrict_character,
@@ -17,6 +16,7 @@ from burnloc.abelian import (
 )
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group, full_subgroup
+from oracles import character_span
 
 
 def struct_of(spec):
@@ -115,7 +115,24 @@ def test_span_mismatched_hosts_rejected():
     s2 = struct_of({"kind": "cyclic", "n": 2})
     s4 = struct_of({"kind": "cyclic", "n": 4})
     with pytest.raises(ValidationError, match="different host"):
-        character_span(Character(s2, (1,)), Character(s4, (1,)))
+        dual_generated_check(Character(s2, (1,)), Character(s4, (1,)))
+
+
+@pytest.mark.parametrize("spec", [
+    *({"kind": "cyclic", "n": n} for n in range(2, 13)),
+    *({"kind": "abelian", "factors": f} for f in ([2, 2], [2, 4], [4, 4], [3, 3], [2, 2, 2], [2, 2, 4], [2, 8])),
+    {"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]},  # D4
+])
+def test_dual_generated_check_matches_span_oracle(spec):
+    # every single character and every pair on every abelian subgroup representative
+    for H in abelian_subgroups_up_to_conjugacy(build_group(spec)):
+        chars = list(all_characters(abelian_structure(H)))
+        for b in chars:
+            generates = len(character_span(b)) == H.order
+            assert dual_generated_check(b) == generates
+            assert (b.order() == H.order) == generates
+        for b1, b2 in product(chars, repeat=2):
+            assert dual_generated_check(b1, b2) == (len(character_span(b1, b2)) == H.order)
 
 
 def test_transport_roundtrip_on_nonabelian_groups(s3, d4):

@@ -47,8 +47,7 @@ INVOLUTION_FORMS = [
 
 
 def _clear_engine_caches():
-    burnloc.groups._all_subgroup_sets.cache_clear()
-    burnloc.groups._abelian_subgroup_sets.cache_clear()
+    burnloc.groups.all_subgroups.cache_clear()
     burnloc.groups.abelian_subgroups_up_to_conjugacy.cache_clear()
     burnloc.groups.subgroups_up_to_conjugacy.cache_clear()
     burnloc.groups.quotient.cache_clear()

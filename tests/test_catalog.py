@@ -5,8 +5,6 @@ from burnloc.catalog import (
     catalog_from_json,
     catalog_to_json,
     ensure_valid_catalog,
-    induced_surface_action,
-    jacobian_of_curve_action,
     validate_catalog,
 )
 from burnloc.errors import CatalogIncompleteError, ValidationError
@@ -159,19 +157,18 @@ def test_group_shape_matching():
 
 def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):
     from burnloc.abelian import Character, abelian_structure
-    from burnloc.groups import Subgroup, full_subgroup, trivial_subgroup
     from burnloc.symbols import carrier_quotient
 
-    # involution case: H = G, Y = 1, trivial curve action, b1 = b2 = 1
-    H = full_subgroup(z2)
-    Q = carrier_quotient(z2, H.elements, "curve")
-    Y = Subgroup(Q.group, (0,))
-    b = Character(abelian_structure(H), (1,))
-    assert induced_surface_action(hyper_cat, H, Y, "triv-C", b, b).id == "triv-CxP1"
-    # order-3 analogue
-    H3 = full_subgroup(z3)
-    Q3 = carrier_quotient(z3, H3.elements, "curve")
-    Y3 = Subgroup(Q3.group, (0,))
-    b3 = Character(abelian_structure(H3), (1,))
-    assert induced_surface_action(z3_cat, H3, Y3, "triv-C", b3, b3).id == "triv-CxP1"
-    assert jacobian_of_curve_action(hyper_cat, "inv-C").id == "inv-J"
+    # involution case: H = G, Y = 1, trivial curve action, b1 = b2 = 1;
+    # the order-3 analogue likewise
+    for G, catalog in ((z2, hyper_cat), (z3, z3_cat)):
+        H = full_subgroup(G)
+        Q = carrier_quotient(G, H.elements, "curve")
+        Y = Subgroup(Q.group, (0,))
+        b = Character(abelian_structure(H), (1,))
+        diff = b - b
+        label = catalog.induced_surface_action(abelian_structure(H).invariant_factors, "triv-C", diff.order())
+        assert label.id == "triv-CxP1"
+        # the declared target order is the constructed group order |Y| * ord(b1 - b2)
+        assert label.group_shape.order == Y.order * diff.order()
+    assert hyper_cat.jacobian_of_curve_action("inv-C").id == "inv-J"

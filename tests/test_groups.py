@@ -128,6 +128,23 @@ def test_every_abelian_subgroup_has_exactly_one_representative(spec):
         assert r.elements == min(orbit)
 
 
+@pytest.mark.parametrize("spec,counts", [
+    ({"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]}, (10, 8, 7)),          # D4
+    ({"kind": "perm", "degree": 8, "gens": [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]},
+     (6, 6, 5)),                                                                            # Q8
+    ({"kind": "perm", "degree": 4, "gens": [[1, 2, 0, 3], [0, 2, 3, 1]]}, (10, 5, 4)),          # A4
+    ({"kind": "perm", "degree": 4, "gens": [[1, 0, 2, 3], [1, 2, 3, 0]]}, (30, 11, 7)),         # S4
+    ({"kind": "abelian", "factors": [2, 2, 2]}, (16, 16, 16)),
+    ({"kind": "abelian", "factors": [4, 4]}, (15, 15, 15)),
+    ({"kind": "abelian", "factors": [2, 6]}, (10, 10, 10)),
+])
+def test_subgroup_counts_match_published_values(spec, counts):
+    # (all subgroups, conjugacy classes, conjugacy classes of abelian subgroups)
+    G = build_group(spec)
+    got = (len(all_subgroups(G)), len(subgroups_up_to_conjugacy(G)), len(abelian_subgroups_up_to_conjugacy(G)))
+    assert got == counts
+
+
 def test_trivial_and_full_for_cyclic_groups(z2, z3):
     for G in (z2, z3):
         reps = abelian_subgroups_up_to_conjugacy(G)

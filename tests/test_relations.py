@@ -235,7 +235,8 @@ def test_missing_induce_rule_is_catalog_incomplete(z4, hyper_cat):
 def test_b2_kernel_invariant_holds_on_generated_instances(z4, z4_cat):
     # every generated Theta2 term has a nontrivial cyclic stabilizer whose dual
     # is generated by the restricted weight (checked here independently)
-    from burnloc.abelian import abelian_structure, character_span, Character
+    from burnloc.abelian import abelian_structure, Character
+    from oracles import character_span
 
     for r in generate_relations(z4, z4_cat):
         for s, _ in r.vector.terms():

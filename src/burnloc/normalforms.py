@@ -4,11 +4,19 @@ membership and reduction, integer kernels, and cokernel structure.
 Everything runs on native Python integers, so intermediate entries may grow
 without overflow.  Row convention throughout: the lattice is the set of integer
 combinations of the rows.
+
+The Smith normal form of a relation matrix, a very sparse system of +-1
+entries, is computed in two stages (after Dumas, Saunders & Villard, "On
+efficient sparse integer matrix Smith normal form computations", J. Symb.
+Comput. 32, 2001): +-1 pivots are eliminated on sparse rows, least Markowitz
+cost first, and a dense block-minimum Euclid loop reduces only the residual
+block that has no +-1 entry left.  Hermite forms and lattices stay dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -93,11 +101,13 @@ def _block_min(M, t: int, nrows: int, ncols: int):
     return best
 
 
-def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith normal form (d1 | d2 | ..., all positive)."""
+def _dense_smith_diagonal(rows, ncols: int) -> tuple[int, ...]:
+    """SNF diagonal by a dense block-minimum Euclid loop over the whole matrix.
+
+    `smith_normal_form` runs it on the block that unit-pivot elimination leaves;
+    on a full matrix it is the reference the sparse route is tested against.
+    """
     M = [list(r) for r in rows]
-    if any(len(r) != ncols for r in M):
-        raise ValueError("all rows must have the stated number of columns")
     nrows = len(M)
     diag: list[int] = []
     t = 0
@@ -156,6 +166,83 @@ def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
     return tuple(diag)
 
 
+def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Eliminate +-1 pivots from sparse rows (column -> nonzero entry, changed
+    in place); returns how many were eliminated and the nonzero rows left.
+
+    Each pivot is a +-1 entry of least Markowitz cost (row length - 1) x
+    (column count - 1).  Its column is cleared from the other rows by row
+    operations, then the pivot row is emptied: with a unit pivot,
+    column operations clear the rest of that row without touching any other,
+    so the pivot splits off one invariant factor 1 and the remaining rows,
+    less its column, carry the rest of the Smith form.  Stops when no +-1
+    entry is left.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    # lazy heap: a popped entry that is no longer +-1 is dropped, one whose
+    # cost has grown since it was pushed goes back with its current cost
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, v in row.items() if v in (1, -1)]
+    heapify(heap)
+    eliminated = 0
+    while heap:
+        key, r, c = heappop(heap)
+        pivot_row = rows[r]
+        if pivot_row.get(c) not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now > key:
+            heappush(heap, (now, r, c))
+            continue
+        p = pivot_row[c]
+        for i in col_rows[c] - {r}:
+            row = rows[i]
+            f = row[c] * p  # p is its own inverse
+            for j, v in pivot_row.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = x
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            for j, v in row.items():
+                if v in (1, -1):
+                    heappush(heap, (cost(i, j), i, j))
+        for j in pivot_row:
+            col_rows[j].discard(r)
+        rows[r] = {}
+        eliminated += 1
+    return eliminated, [row for row in rows if row]
+
+
+def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith normal form (d1 | d2 | ..., all positive).
+
+    Unit pivots go first: +-1 entries are eliminated sparsely, cheapest by
+    Markowitz cost first, each giving one invariant factor 1.  The dense
+    Euclid loop then runs only on the residual block, the rows and columns
+    that still hold an entry once no +-1 entry is left.
+    """
+    sparse = []
+    for r in rows:
+        r = tuple(r)
+        if len(r) != ncols:
+            raise ValueError("all rows must have the stated number of columns")
+        sparse.append({j: v for j, v in enumerate(r) if v})
+    eliminated, left = _eliminate_unit_pivots(sparse)
+    cols = sorted({j for row in left for j in row})
+    residual = [[row.get(j, 0) for j in cols] for row in left]
+    return (1,) * eliminated + _dense_smith_diagonal(residual, len(cols))
+
+
 def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
     """(free_rank, torsion) of Z^ncols / row-lattice; torsion ascending, 1s dropped."""
     diag = smith_normal_form(rows, ncols)
@@ -183,12 +270,13 @@ class IntegerLattice:
     basis: tuple[tuple[int, ...], ...]
     transform: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    nspanning: int  # number of original spanning rows, the width of `transform`
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":
         H, U = hermite_normal_form(rows, ncols, with_transform=True)
         pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in H)
-        return cls(ncols=ncols, basis=tuple(H), transform=tuple(U), pivots=pivots)
+        return cls(ncols=ncols, basis=tuple(H), transform=tuple(U), pivots=pivots, nspanning=len(rows))
 
     @property
     def rank(self) -> int:
@@ -230,8 +318,7 @@ class IntegerLattice:
                 w = [x - q * y for x, y in zip(w, row)]
         if any(x != 0 for x in w):
             return None
-        m = len(self.transform[0]) if self.transform else 0
-        out = [0] * m
+        out = [0] * self.nspanning
         for c, urow in zip(coeffs, self.transform):
             for j, u in enumerate(urow):
                 out[j] += c * u

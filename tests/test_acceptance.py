@@ -241,6 +241,7 @@ def test_criterion_7_exact_linear_algebra_oracle():
                 assert lat.contains(vec)
             if lat.contains(vec):
                 coeffs = lat.coefficients(vec)
+                assert len(coeffs) == len(rows)
                 rebuilt = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols))
                 assert rebuilt == tuple(vec)
     assert structure_comparisons >= 150

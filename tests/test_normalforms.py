@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnloc.normalforms import (
     IntegerLattice,
+    _dense_smith_diagonal,
+    _eliminate_unit_pivots,
     cokernel_structure,
     hermite_normal_form,
     kernel_basis,
@@ -31,6 +34,68 @@ def test_snf_diag_2_3():
 def test_snf_zero_and_empty():
     assert smith_normal_form([(0, 0), (0, 0)], 2) == ()
     assert smith_normal_form([], 2) == ()
+    assert smith_normal_form([], 0) == ()
+    assert smith_normal_form([(), ()], 0) == ()
+    assert smith_normal_form([(2, 0), (2, 0), (0, 0)], 2) == (2,)
+    assert smith_normal_form([(1, 1), (1, 1)], 2) == (1,)
+
+
+def _sparse_relation_matrix(rng, units=True):
+    """A matrix shaped like a relation matrix: 10-80 rows, 15-120 columns,
+    1-4 nonzeros per row, entries mostly +-1 (none with `units=False`) and
+    some +-2/+-3, with the odd zero row and repeated row."""
+    nrows, ncols = rng.randint(10, 80), rng.randint(15, 120)
+    values = [1, -1] * 4 + [2, -2, 3, -3] if units else [2, -2, 3, -3]
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.05:
+            rows.append((0,) * ncols)
+        elif roll < 0.1 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            row = [0] * ncols
+            for j in rng.sample(range(ncols), rng.randint(1, 4)):
+                row[j] = rng.choice(values)
+            rows.append(tuple(row))
+    return rows, ncols
+
+
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_snf_matches_dense_oracle_on_sparse_matrices(seed):
+    rows, ncols = _sparse_relation_matrix(random.Random(seed))
+    assert smith_normal_form(rows, ncols) == _dense_smith_diagonal(rows, ncols)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_snf_without_unit_entries_is_the_dense_form(seed):
+    rows, ncols = _sparse_relation_matrix(random.Random(seed), units=False)
+    eliminated, left = _eliminate_unit_pivots(_sparse(rows))
+    assert eliminated == 0
+    assert left == [row for row in _sparse(rows) if row]
+    assert smith_normal_form(rows, ncols) == _dense_smith_diagonal(rows, ncols)
+
+
+def test_snf_full_unit_elimination_leaves_no_residual():
+    # upper unitriangular with a repeated and a zero row: every pivot is +-1,
+    # and the fill-in from the dependent rows cancels to nothing
+    rows = [(1, 2, -1, 0), (0, -1, 3, 1), (0, 0, 1, -2), (0, -1, 3, 1), (0, 0, 0, 0)]
+    eliminated, left = _eliminate_unit_pivots(_sparse(rows))
+    assert (eliminated, left) == (3, [])
+    assert smith_normal_form(rows, 4) == (1, 1, 1) == _dense_smith_diagonal(rows, 4)
+
+
+def test_snf_rejects_wrong_row_length():
+    with pytest.raises(ValueError):
+        smith_normal_form([(1, 0), (1,)], 2)
+    with pytest.raises(ValueError):
+        smith_normal_form([(1,)], 0)
 
 
 def test_hnf_known_value():
@@ -75,6 +140,13 @@ def test_lattice_coefficients_certificate():
     rebuilt = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(3))
     assert rebuilt == vec
     assert lat.coefficients((1, 0, 0)) is None
+
+
+def test_lattice_coefficients_on_rank_zero_lattice():
+    # one coefficient per spanning row even when no HNF row is left
+    assert IntegerLattice.from_rows([(0, 0), (0, 0)], 2).coefficients((0, 0)) == (0, 0)
+    assert IntegerLattice.from_rows([], 2).coefficients((0, 0)) == ()
+    assert IntegerLattice.from_rows([(0, 0)], 2).coefficients((1, 0)) is None
 
 
 def test_kernel_basis_simple():
@@ -177,6 +249,7 @@ def test_membership_matches_exhaustive_search():
                 assert lat.contains(vec)
             if lat.contains(vec):
                 coeffs = lat.coefficients(vec)
+                assert len(coeffs) == len(rows)
                 rebuilt = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
                 assert tuple(rebuilt) == tuple(vec)
 

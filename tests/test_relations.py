@@ -3,7 +3,7 @@ import random
 import pytest
 
 from burnloc.errors import CatalogIncompleteError, ValidationError
-from burnloc.groups import Subgroup
+from burnloc.groups import Subgroup, build_group
 from burnloc.normalforms import IntegerLattice, kernel_basis
 from burnloc.relations import (
     FilterSpec,
@@ -20,6 +20,7 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
+from scenarios import generated_catalog
 
 
 def by_form(G, catalog):
@@ -297,3 +298,22 @@ def test_degenerate_extension_rule_emits_nothing(z2, elliptic_cat):
     from burnloc.catalog import validate_catalog
     assert validate_catalog(extended) == []
     assert {r.vector for r in generate_relations(z2, extended)} ==         {r.vector for r in generate_relations(z2, elliptic_cat)}
+
+
+def _dihedral_spec(n):
+    """Symmetries of the n-gon, order 2n: element r^i s^j has index i + n*j."""
+    def mul(a, b):
+        i, j, k, l = a % n, a // n, b % n, b // n
+        return (i + (k if j == 0 else -k)) % n + n * ((j + l) % 2)
+    return {"kind": "table", "mul": [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]}
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "abelian", "factors": [2, 2, 8]}, (246, (2, 2, 2, 2, 4, 4, 4, 4, 4, 4))),
+    (_dihedral_spec(16), (27, (2, 2, 2, 2, 2, 4, 16))),
+], ids=["C2xC2xC8", "D16"])
+def test_structure_of_order_32_generated_catalogs(spec, expected):
+    # the largest rungs of the benchmark ladders: 516x710 and 81x105 relation matrices
+    G = build_group(spec)
+    s = structure(G, generated_catalog(G))
+    assert (s.free_rank, s.torsion) == expected

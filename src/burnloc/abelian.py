@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import ValidationError
-from .groups import Subgroup, subgroups_within
+from .groups import Subgroup
 
 
 def normalize_factors(factors) -> tuple[int, ...]:
@@ -51,7 +51,16 @@ def normalize_factors(factors) -> tuple[int, ...]:
 
 
 class AbelianStructure:
-    """Invariant factors plus an explicit coordinate map for an abelian subgroup."""
+    """Invariant factors plus an explicit coordinate map for an abelian subgroup.
+
+    The basis is found by peeling off cyclic direct factors: take h, the least
+    element of largest order m (the exponent of what remains), and a complement
+    C of <h>, then continue in C.  C is built greedily: scan the remaining
+    elements in ascending order and adjoin x whenever <C, x>, the union of the
+    cosets C*x^k, still meets <h> only in the identity, until |C| = |remaining|/m.
+    Such a maximal C is a complement because <h> = Z/m is an injective
+    Z/m-module, and adjoining in ascending order gives the lexicographically
+    least complement, so the basis does not depend on how the search runs."""
 
     __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport")
 
@@ -59,25 +68,33 @@ class AbelianStructure:
         if not H.is_abelian():
             raise ValidationError("abelian structure requires an abelian subgroup")
         G = H.ambient
+        mul = G.mul
         factors: list[int] = []
         basis: list[int] = []
         remaining = tuple(H.elements)
-        # peel off a maximal-order cyclic direct factor until the group is exhausted
         while len(remaining) > 1:
             m, h = max((G.element_order(a), -a) for a in remaining)
             h = -h  # minimal element among those of maximal order
             cyc = frozenset(G.power(h, k) for k in range(m))
             target = len(remaining) // m
-            complement = None
-            for cand in subgroups_within(G, remaining):
-                if len(cand) == target and len(frozenset(cand) & cyc) == 1:
-                    complement = cand
+            complement = {0}
+            for x in remaining:
+                if len(complement) == target:
                     break
-            if complement is None:
+                if x in complement:
+                    continue
+                grown = set(complement)
+                p = x
+                while p not in complement:
+                    grown.update(mul[c][p] for c in complement)
+                    p = mul[p][x]
+                if len(grown & cyc) == 1:
+                    complement = grown
+            if len(complement) != target:
                 raise ValidationError("failed to split abelian subgroup (not a group?)")
             factors.append(m)
             basis.append(h)
-            remaining = complement
+            remaining = tuple(sorted(complement))
         factors.reverse()
         basis.reverse()
         coords: dict[int, tuple[int, ...]] = {}

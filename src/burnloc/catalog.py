@@ -336,7 +336,9 @@ def catalog_from_json(data: dict, name: str = "") -> ActionCatalog:
             )
             for r in rules.get("genus_one_extension", [])
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed catalog JSON: {exc!r}") from exc
     return ActionCatalog(
         curve=curve, labels=labels, induce_rules=induce,

@@ -98,7 +98,7 @@ def _symbol_from_json(data: dict, G: FiniteGroup, catalog: ActionCatalog) -> Sym
         y_reps = tuple(int(x) for x in data.get("y_reps", [0]))
         action = str(data["action"])
         weights = tuple(tuple(int(c) for c in w) for w in data.get("weights", []))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed symbol JSON: {exc!r}") from exc
     Q = carrier_quotient(G, h, kind)
     bad = [x for x in y_reps if x not in Q.coset_of]
@@ -110,10 +110,15 @@ def _symbol_from_json(data: dict, G: FiniteGroup, catalog: ActionCatalog) -> Sym
 
 def load_class(arg: str, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
     data = _load_json_arg(arg)
+    if not isinstance(data, dict):
+        raise ValidationError(f"class JSON must be an object with a 'terms' list, got {type(data).__name__}")
+    try:
+        terms = [(int(term.get("coeff", 1)), term["symbol"]) for term in data.get("terms", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed class JSON: {exc!r}") from exc
     total = BurnsideClass.zero()
-    for term in data.get("terms", []):
-        coeff = int(term.get("coeff", 1))
-        total = total + BurnsideClass.of(_symbol_from_json(term["symbol"], G, catalog), coeff)
+    for coeff, symbol in terms:
+        total = total + BurnsideClass.of(_symbol_from_json(symbol, G, catalog), coeff)
     return total
 
 

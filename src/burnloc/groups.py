@@ -4,9 +4,12 @@ quotients with section data, and enumeration of (abelian) subgroups up to
 conjugacy.
 
 Elements are indices 0..order-1 and element 0 is always the identity.  Groups
-are capped at a configurable order bound (default 64, env BURNLOC_ORDER_BOUND):
-every algorithm here is a straight exhaustive enumeration, which is the simplest
-correct strategy at this scale.
+are capped at a configurable order bound (default 64, env BURNLOC_ORDER_BOUND).
+Subgroups are generated by one closure routine, Dimino's coset step (Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): <H, g> is
+found by a breadth-first search of the Cayley graph over the right cosets of H,
+stepping by H's generators and g.  The lattice search keeps a generator tuple
+for every subgroup it finds and adjoins one g per right coset Hg.
 """
 
 from __future__ import annotations
@@ -186,29 +189,34 @@ def build_group(spec: dict, bound: int | None = None) -> FiniteGroup:
         raise ValidationError(f"group description must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     limit = order_bound() if bound is None else bound
-    if kind == "cyclic":
-        n = int(spec["n"])
-        if n < 1:
-            raise ValidationError("cyclic group order must be positive")
-        if n > limit:
-            raise ValidationError(f"group order {n} exceeds bound {limit}")
-        return FiniteGroup(_cyclic_table(n), name=f"C{n}", bound=limit)
-    if kind == "abelian":
-        factors = [int(d) for d in spec["factors"]]
-        if any(d < 1 for d in factors):
-            raise ValidationError("abelian factors must be positive")
-        n = 1
-        for d in factors:
-            n *= d
-        if n > limit:
-            raise ValidationError(f"group order {n} exceeds bound {limit}")
-        name = "x".join(f"C{d}" for d in factors) or "C1"
-        return FiniteGroup(_abelian_table(factors or [1]), name=name, bound=limit)
-    if kind == "table":
-        return FiniteGroup(spec["mul"], name=spec.get("name", ""), bound=limit)
-    if kind == "perm":
-        table = _perm_table(int(spec["degree"]), spec["gens"], limit)
-        return FiniteGroup(table, name=spec.get("name", ""), bound=limit)
+    try:
+        if kind == "cyclic":
+            n = int(spec["n"])
+            if n < 1:
+                raise ValidationError("cyclic group order must be positive")
+            if n > limit:
+                raise ValidationError(f"group order {n} exceeds bound {limit}")
+            return FiniteGroup(_cyclic_table(n), name=f"C{n}", bound=limit)
+        if kind == "abelian":
+            factors = [int(d) for d in spec["factors"]]
+            if any(d < 1 for d in factors):
+                raise ValidationError("abelian factors must be positive")
+            n = 1
+            for d in factors:
+                n *= d
+            if n > limit:
+                raise ValidationError(f"group order {n} exceeds bound {limit}")
+            name = "x".join(f"C{d}" for d in factors) or "C1"
+            return FiniteGroup(_abelian_table(factors or [1]), name=name, bound=limit)
+        if kind == "table":
+            return FiniteGroup(spec["mul"], name=spec.get("name", ""), bound=limit)
+        if kind == "perm":
+            table = _perm_table(int(spec["degree"]), spec["gens"], limit)
+            return FiniteGroup(table, name=spec.get("name", ""), bound=limit)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed group description: {exc!r}") from exc
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -246,25 +254,11 @@ class Subgroup:
 
     @classmethod
     def generated(cls, G: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
-        elems = {0}
-        frontier = [0]
+        gens = tuple(int(g) for g in gens)
         for g in gens:
-            g = int(g)
             if not 0 <= g < G.order:
                 raise ValidationError(f"generator {g} outside the ambient group")
-            if g not in elems:
-                elems.add(g)
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for a in list(frontier):
-                for b in list(elems):
-                    for c in (G.mul[a][b], G.mul[b][a]):
-                        if c not in elems:
-                            elems.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return cls.trusted(G, tuple(sorted(elems)))
+        return cls.trusted(G, tuple(sorted(_extend(G, (0,), gens))))
 
     @property
     def order(self) -> int:
@@ -325,38 +319,53 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup.trusted(G, tuple(elems))
 
 
-def _closure(G: FiniteGroup, seed: frozenset) -> frozenset:
-    elems = set(seed) | {0}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in product(tuple(elems), repeat=2):
-            c = G.mul[a][b]
-            if c not in elems:
-                elems.add(c)
-                changed = True
-    return frozenset(elems)
+def _extend(G: FiniteGroup, base: tuple[int, ...], gens: tuple[int, ...]) -> set[int]:
+    """The elements of <base, gens>, for a subgroup `base` generated by some of
+    `gens`: the union of the right cosets base*r, where each new representative
+    r*s (r a representative, s in gens) that lies in no coset found so far
+    adds its coset.  The union is closed under right multiplication by gens,
+    since (base*r)*s = base*(r*s)."""
+    mul = G.mul
+    elems = set(base)
+    reps = [0]
+    for r in reps:  # grows while it is read
+        row = mul[r]
+        for s in gens:
+            y = row[s]
+            if y not in elems:
+                elems.update(mul[h][y] for h in base)
+                reps.append(y)
+    return elems
 
 
 def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All subgroups of G whose elements lie inside the given closed subset,
     ordered by (order, elements)."""
-    # breadth-first closure generation: every subgroup arises by repeatedly
-    # adjoining one generator, so this is exhaustive
+    # breadth-first over the lattice from the trivial group: every subgroup is
+    # some <H, g> with H found one level up, and <H, h*g> = <H, g> for h in H,
+    # so one g per right coset Hg outside H is tried
+    mul = G.mul
     allowed = frozenset(universe)
+    order = sorted(allowed)
     trivial = frozenset({0})
-    seen = {trivial}
+    found = {trivial: ()}  # subgroup -> a generator tuple
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
-            for g in allowed - H:
-                K = _closure(G, H | {g})
-                if K <= allowed and K not in seen:
-                    seen.add(K)
+            base = tuple(H)
+            gens = found[H]
+            covered = set(H)
+            for g in order:
+                if g in covered:
+                    continue
+                covered.update(mul[h][g] for h in base)
+                K = frozenset(_extend(G, base, gens + (g,)))
+                if K not in found and K <= allowed:
+                    found[K] = gens + (g,)
                     nxt.append(K)
         frontier = nxt
-    return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)

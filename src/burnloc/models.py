@@ -436,7 +436,9 @@ def model_from_json(data: dict, catalog_loader, name: str = "") -> ModelDescript
         counts = tuple(int(x) for x in data["counts"]) if "counts" in data else None
         if counts is not None and len(counts) != 3:
             raise ValidationError("counts must be a triple [I1, I2, I3]")
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model JSON: {exc!r}") from exc
     return ModelDescription(
         group=group, catalog=catalog, strata=strata, jacobian_factors=factors,
@@ -458,5 +460,5 @@ def center_from_json(data: dict) -> BlowupCenter:
             ),
             context_weight=tuple(int(c) for c in context["weight"]) if "weight" in context else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed blow-up center JSON: {exc!r}") from exc

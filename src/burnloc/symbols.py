@@ -157,7 +157,15 @@ def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
     Q1 = carrier_quotient(G, h, sym.kind)
     Q2 = carrier_quotient(G, best_h, sym.kind)
     best_y, ties = _least(ties, lambda g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})))
-    weights, _ = _least(ties, lambda g: tuple(sorted(transport_character(g, b).coords for b in chars)))
+    weights = ()
+    if chars:
+        # a transported character depends only on how g conjugates H, so one
+        # tie per distinct action on H is enough
+        per_action: dict[tuple[int, ...], int] = {}
+        for g in ties:
+            per_action.setdefault(tuple(conj[g][a] for a in h), g)
+        weights, _ = _least(per_action.values(),
+                            lambda g: tuple(sorted(transport_character(g, b).coords for b in chars)))
     return Symbol(sym.kind, best_h, best_y, sym.action, weights)
 
 

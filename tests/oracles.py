@@ -10,6 +10,12 @@ Characters are transported by evaluating them in Q/Z with `Fraction`s, and the
 reference canonical form is the minimum over every g in G of the transported
 symbol, with no shortcut for abelian G.  The span of a set of characters is
 enumerated element by element.
+
+The reference subgroup lattice closes every candidate <H, g> by multiplying all
+pairs of its elements until nothing new appears, for every g outside H, and the
+reference abelian basis takes as complement of each peeled cyclic factor the
+first subgroup of the right order, in (order, elements) order, that meets it
+trivially.
 """
 
 from fractions import Fraction
@@ -256,3 +262,57 @@ def reference_canonicalize(sym, G, catalog):
     if problems:
         raise ValidationError("; ".join(problems))
     return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key)
+
+
+def _pair_closure(G, seed):
+    elems = set(seed) | {0}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in product(tuple(elems), repeat=2):
+            c = G.mul[a][b]
+            if c not in elems:
+                elems.add(c)
+                changed = True
+    return frozenset(elems)
+
+
+def reference_subgroups_within(G, universe):
+    """All subgroups of G inside the closed subset `universe`, ordered by
+    (order, elements): breadth-first from the trivial group, adjoining every
+    element outside each subgroup found."""
+    allowed = frozenset(universe)
+    trivial = frozenset({0})
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in allowed - H:
+                K = _pair_closure(G, H | {g})
+                if K <= allowed and K not in seen:
+                    seen.add(K)
+                    nxt.append(K)
+        frontier = nxt
+    return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
+
+
+def reference_abelian_basis(H):
+    """(invariant_factors, basis) of the abelian subgroup H: repeatedly peel off
+    the least element h of largest order m, continuing in the least complement
+    of <h> found by a search of the whole subgroup lattice."""
+    G = H.ambient
+    factors, basis = [], []
+    remaining = tuple(H.elements)
+    while len(remaining) > 1:
+        m, h = max((G.element_order(a), -a) for a in remaining)
+        h = -h
+        cyc = frozenset(G.power(h, k) for k in range(m))
+        target = len(remaining) // m
+        remaining = next(
+            cand for cand in reference_subgroups_within(G, remaining)
+            if len(cand) == target and len(frozenset(cand) & cyc) == 1
+        )
+        factors.append(m)
+        basis.append(h)
+    return tuple(reversed(factors)), tuple(reversed(basis))

@@ -1,8 +1,11 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
-plus the mutation harness that drops single appended terms, and generated
-catalogs for larger groups."""
+plus the mutation harness that drops single appended terms, generated
+catalogs for larger groups, and multiplication tables of a few group families
+with seeded relabellings."""
 
+import random
 from dataclasses import replace
+from itertools import permutations
 
 from burnloc.abelian import abelian_structure
 from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
@@ -178,3 +181,40 @@ def generated_catalog(G):
         },
     }
     return ensure_valid_catalog(catalog_from_json(data, name="generated"))
+
+
+def cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def dihedral_table(n):
+    """Symmetries of the n-gon, order 2n: element r^i s^j has index i + n*j."""
+    def mul(a, b):
+        i, j, k, l = a % n, a // n, b % n, b // n
+        return (i + (k if j == 0 else -k)) % n + n * ((j + l) % 2)
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+def symmetric_table(k):
+    perms = sorted(permutations(range(k)))  # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(k))] for q in perms] for p in perms]
+
+
+def direct_product(a, b):
+    m = len(b)
+    n = len(a) * m
+    return [[a[x // m][y // m] * m + b[x % m][y % m] for y in range(n)] for x in range(n)]
+
+
+def relabel(table, seed):
+    """The same group with elements 1..n-1 renamed by a seeded shuffle (0 stays the identity)."""
+    n = len(table)
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    pi = [0] + rest
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[pi[a]][pi[b]] = pi[table[a][b]]
+    return out

@@ -33,6 +33,9 @@ PERM_GROUPS = {
     "S3xC2": {"kind": "perm", "degree": 5, "gens": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 4, 3]]},
     "D4xC2": {"kind": "perm", "degree": 6,
               "gens": [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]},
+    # the C4 factor is central, so centralizers are large and many conjugations tie
+    "D3xC4": {"kind": "perm", "degree": 7,
+              "gens": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 5, 6, 3]]},
 }
 ABELIAN_GROUPS = {
     "C4xC4": {"kind": "abelian", "factors": [4, 4]},
@@ -62,7 +65,7 @@ def test_abelian_shortcut_matches_reference(name):
         assert canonicalize(sym, G, catalog) == reference_canonicalize(sym, G, catalog)
 
 
-@pytest.mark.parametrize("name", ["S3xC2", "D4xC2"])
+@pytest.mark.parametrize("name", ["S3xC2", "D4xC2", "D3xC4"])
 def test_nonabelian_canonical_form_matches_reference(name):
     G = build_group(PERM_GROUPS[name])
     catalog = generated_catalog(G)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from burnloc.cli import main
 
 Z2 = '{"kind":"cyclic","n":2}'
@@ -160,3 +162,30 @@ def test_inline_group_and_model_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verdict", "--model", str(path), "--json")
     assert code == 0
     assert json.loads(out)["invariant_I"] == -1
+
+
+_CLASS_TERM = {"coeff": 1, "symbol": {"kind": "curve", "h": [0, 1], "action": "triv-C", "weights": [[1], [1]]}}
+_CLASS_ARGS = ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class", "{file}")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("structure", "--group", '{"kind":"cyclic","n":"x"}', "--catalog", "hyperelliptic-Z2"), None),
+    (("structure", "--group", '{"kind":"cyclic"}', "--catalog", "hyperelliptic-Z2"), None),
+    (("structure", "--group", '{"kind":"perm","degree":3,"gens":[[1,0,"a"]]}', "--catalog", "hyperelliptic-Z2"),
+     None),
+    (("structure", "--group", Z2, "--catalog", "{file}"), {"curve": {"id": "c", "genus": "two"}, "labels": []}),
+    (("verdict", "--model", "{file}"), {
+        "group": {"kind": "cyclic", "n": 2}, "catalog": "hyperelliptic-Z2", "jacobian_factors": [],
+        "strata": [{"kind": "fixed_curve", "stabilizer": ["a"], "residual": "triv-C", "weights": [[1], [1]]}],
+    }),
+    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "symbol": {**_CLASS_TERM["symbol"], "h": "x"}}]}),
+    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": "x"}]}),
+    (_CLASS_ARGS, [_CLASS_TERM]),
+], ids=["cyclic-n-text", "cyclic-n-missing", "perm-entry-text", "catalog-genus-text", "model-stabilizer-text",
+        "class-h-text", "class-coeff-text", "class-list"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, *(str(path) if a == "{file}" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")

@@ -17,6 +17,8 @@ from burnloc.groups import (
     subgroups_up_to_conjugacy,
     trivial_subgroup,
 )
+from oracles import reference_abelian_basis, reference_subgroups_within
+from scenarios import cyclic_table, dihedral_table, direct_product, relabel, symmetric_table
 
 
 def test_cyclic_two_is_addition_mod_two(z2):
@@ -137,12 +139,45 @@ def test_every_abelian_subgroup_has_exactly_one_representative(spec):
     ({"kind": "abelian", "factors": [2, 2, 2]}, (16, 16, 16)),
     ({"kind": "abelian", "factors": [4, 4]}, (15, 15, 15)),
     ({"kind": "abelian", "factors": [2, 6]}, (10, 10, 10)),
+    # 2825 is the sum of the Gaussian binomials [6 choose k]_2; D32 has tau(32) + sigma(32) = 69
+    ({"kind": "abelian", "factors": [2] * 6}, (2825, 2825, 2825)),
+    ({"kind": "table", "mul": dihedral_table(32)}, (69, 17, 10)),
 ])
 def test_subgroup_counts_match_published_values(spec, counts):
     # (all subgroups, conjugacy classes, conjugacy classes of abelian subgroups)
     G = build_group(spec)
     got = (len(all_subgroups(G)), len(subgroups_up_to_conjugacy(G)), len(abelian_subgroups_up_to_conjugacy(G)))
     assert got == counts
+
+
+# the benchmark ladders' rungs, plus D16 and S4xC2
+LATTICE_FAMILY = {
+    "C10": cyclic_table(10),
+    "C12": cyclic_table(12),
+    "C2xC6": direct_product(cyclic_table(2), cyclic_table(6)),
+    "C4xC4": direct_product(cyclic_table(4), cyclic_table(4)),
+    "C2xC2xC4": direct_product(direct_product(cyclic_table(2), cyclic_table(2)), cyclic_table(4)),
+    "D10": dihedral_table(10),
+    "D4xC2": direct_product(dihedral_table(4), cyclic_table(2)),
+    "S3xS3": direct_product(symmetric_table(3), symmetric_table(3)),
+    "D3xC4": direct_product(dihedral_table(3), cyclic_table(4)),
+    "D6xC2": direct_product(dihedral_table(6), cyclic_table(2)),
+    "D16": dihedral_table(16),
+    "S4xC2": direct_product(symmetric_table(4), cyclic_table(2)),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", LATTICE_FAMILY)
+def test_lattice_and_abelian_bases_match_reference(name, seed):
+    # the coset-step lattice search against closing every <H, g> by all products,
+    # and the greedy complement against the least one in the whole lattice
+    G = build_group({"kind": "table", "mul": relabel(LATTICE_FAMILY[name], f"{name}:{seed}")})
+    assert tuple(H.elements for H in all_subgroups(G)) == reference_subgroups_within(G, tuple(G.elements()))
+    for H in all_subgroups(G):
+        if H.is_abelian():
+            s = abelian_structure(H)
+            assert (s.invariant_factors, s.basis) == reference_abelian_basis(H)
 
 
 def test_trivial_and_full_for_cyclic_groups(z2, z3):

@@ -20,7 +20,7 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from scenarios import generated_catalog
+from scenarios import dihedral_table, direct_product, generated_catalog
 
 
 def by_form(G, catalog):
@@ -301,11 +301,7 @@ def test_degenerate_extension_rule_emits_nothing(z2, elliptic_cat):
 
 
 def _dihedral_spec(n):
-    """Symmetries of the n-gon, order 2n: element r^i s^j has index i + n*j."""
-    def mul(a, b):
-        i, j, k, l = a % n, a // n, b % n, b // n
-        return (i + (k if j == 0 else -k)) % n + n * ((j + l) % 2)
-    return {"kind": "table", "mul": [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]}
+    return {"kind": "table", "mul": dihedral_table(n)}
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -314,6 +310,17 @@ def _dihedral_spec(n):
 ], ids=["C2xC2xC8", "D16"])
 def test_structure_of_order_32_generated_catalogs(spec, expected):
     # the largest rungs of the benchmark ladders: 516x710 and 81x105 relation matrices
+    G = build_group(spec)
+    s = structure(G, generated_catalog(G))
+    assert (s.free_rank, s.torsion) == expected
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "table", "mul": direct_product(dihedral_table(4), dihedral_table(4))}, (398, (2,) * 10 + (4,))),
+    (_dihedral_spec(32), (59, (2,) * 15 + (4, 16, 64))),
+], ids=["D4xD4", "D32"])
+def test_structure_of_order_64_generated_catalogs(spec, expected):
+    # the documented order bound, on two nonabelian groups with large subgroup lattices
     G = build_group(spec)
     s = structure(G, generated_catalog(G))
     assert (s.free_rank, s.torsion) == expected

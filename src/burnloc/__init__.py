@@ -44,6 +44,7 @@ from .normalforms import (
 )
 from .symbols import (
     BurnsideClass,
+    BurnsideContext,
     Symbol,
     canonicalize,
     enumerate_symbols,

@@ -278,6 +278,8 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         G = self.ambient
+        if G.is_abelian():
+            return True
         return all(G.mul[a][b] == G.mul[b][a] for a in self.elements for b in self.elements)
 
     def is_cyclic(self) -> bool:
@@ -285,8 +287,11 @@ class Subgroup:
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         G = self.ambient
+        if G.is_abelian():
+            return True
+        conj = G.conj_table()
         members = self._member_set()
-        return all(G.conj(g, a) in members for g in other.elements for a in self.elements)
+        return all(conj[g][a] in members for g in other.elements for a in self.elements)
 
     def conjugate(self, g: int) -> "Subgroup":
         row = self.ambient.conj_table()[g]
@@ -311,11 +316,11 @@ def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+    if G.is_abelian():
+        return full_subgroup(G)
+    conj = G.conj_table()
     members = frozenset(H.elements)
-    elems = [
-        g for g in G.elements()
-        if all(G.conj(g, a) in members for a in H.elements)
-    ]
+    elems = [g for g in G.elements() if all(conj[g][a] in members for a in H.elements)]
     return Subgroup.trusted(G, tuple(elems))
 
 

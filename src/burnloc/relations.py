@@ -4,6 +4,12 @@ equality, filter quotients, and the degree map to Z.
 All linear algebra is exact; relation vectors are canonicalized and
 deduplicated before the lattice is built (deduplication is cosmetic, the
 lattice is unchanged).
+
+`structure`, `filtered_structure` and `relation_lattice` are each one pass:
+they build a `BurnsideContext`, enumerate the symbols once through it and
+generate the relations over those symbols, canonicalizing every relation term
+through its memo.  `generate_relations` called without a context builds its
+own, so it gives the same instances either way.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import abelian_structure, character_kernel, restrict_character, shape_name
-from .catalog import ActionCatalog, GroupShape, ensure_valid_catalog
+from .catalog import ActionCatalog, GroupShape
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
 from .normalforms import IntegerLattice, cokernel_structure
@@ -21,10 +27,9 @@ from .symbols import (
     KIND_JAC,
     KIND_SURFACE,
     BurnsideClass,
+    BurnsideContext,
     Symbol,
-    canonicalize,
     carrier_quotient,
-    enumerate_symbols,
     symbol_characters,
     text_form,
 )
@@ -68,21 +73,22 @@ def _y_as_jac_cosets(G: FiniteGroup, sym: Symbol) -> tuple[int, ...]:
     return Qj.image(Qc.reps[i] for i in sym.y)
 
 
-def _jac_partner(G: FiniteGroup, catalog: ActionCatalog, sym: Symbol) -> Symbol:
+def _jac_partner(context: BurnsideContext, sym: Symbol) -> Symbol:
     """(H, J(C) <- Y) for the curve symbol's residual action, via the catalog."""
-    jac_label = catalog.jacobian_of_curve_action(sym.action)
-    return canonicalize(Symbol(KIND_JAC, sym.h, _y_as_jac_cosets(G, sym), jac_label.id), G, catalog)
+    jac_label = context.catalog.jacobian_of_curve_action(sym.action)
+    return context.canonicalize(Symbol(KIND_JAC, sym.h, _y_as_jac_cosets(context.group, sym), jac_label.id))
 
 
-def _b2_terms(G: FiniteGroup, catalog: ActionCatalog, sym: Symbol) -> tuple[BurnsideClass, BurnsideClass]:
+def _b2_terms(context: BurnsideContext, sym: Symbol) -> tuple[BurnsideClass, BurnsideClass]:
     """(Theta1, Theta2) for a canonical curve symbol."""
+    G, catalog = context.group, context.catalog
     H = Subgroup(G, sym.h)
     b1, b2 = symbol_characters(G, sym)
     theta1 = BurnsideClass.zero()
     if b1 != b2:
         for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
             term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
-            theta1 = theta1 + BurnsideClass.of(canonicalize(term, G, catalog))
+            theta1 = theta1 + BurnsideClass.of(context.canonicalize(term))
     diff = b1 - b2
     if diff.order() == H.order:
         return theta1, BurnsideClass.zero()
@@ -97,13 +103,15 @@ def _b2_terms(G: FiniteGroup, catalog: ActionCatalog, sym: Symbol) -> tuple[Burn
     y_bar = Qbar.image(upstairs)
     weight = restrict_character(b1, h_bar)
     term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,))
-    return theta1, BurnsideClass.of(canonicalize(term, G, catalog))
+    return theta1, BurnsideClass.of(context.canonicalize(term))
 
 
-def generate_relations(G: FiniteGroup, catalog: ActionCatalog) -> tuple[RelationInstance, ...]:
+def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
+                       context: BurnsideContext | None = None) -> tuple[RelationInstance, ...]:
     """All instances of the four blow-up relations over the declared catalog."""
-    ensure_valid_catalog(catalog)
-    symbols = enumerate_symbols(G, catalog)
+    if context is None:
+        context = BurnsideContext(G, catalog)
+    symbols = context.symbols
     instances: list[RelationInstance] = []
     seen_vectors: set[BurnsideClass] = set()
 
@@ -122,12 +130,12 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog) -> tuple[Relation
     for sym in curve_syms:
         b1, b2 = symbol_characters(G, sym)
         if (b1 + b2).is_trivial():
-            vec = BurnsideClass.of(sym) + BurnsideClass.of(_jac_partner(G, catalog, sym))
+            vec = BurnsideClass.of(sym) + BurnsideClass.of(_jac_partner(context, sym))
             emit(vec, "B1", symbol=text_form(sym, G))
 
     for sym in curve_syms:
-        theta1, theta2 = _b2_terms(G, catalog, sym)
-        vec = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(_jac_partner(G, catalog, sym))
+        theta1, theta2 = _b2_terms(context, sym)
+        vec = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(_jac_partner(context, sym))
         emit(vec, "B2", symbol=text_form(sym, G))
 
     for rule in catalog.jacobian_rules:
@@ -138,7 +146,7 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog) -> tuple[Relation
             Q = carrier_quotient(G, (0,), KIND_JAC)
             sym = Symbol(KIND_JAC, (0,), Q.image(Y.elements), rule.target)
             emit(
-                BurnsideClass.of(canonicalize(sym, G, catalog)),
+                BurnsideClass.of(context.canonicalize(sym)),
                 "B3",
                 curve_action=rule.source,
                 y=shape_name(abelian_structure(Y).invariant_factors) if Y.is_abelian() else f"ord{Y.order}",
@@ -163,7 +171,7 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog) -> tuple[Relation
                     f"computed extension has order {h1.order}, expected shape {target_shape}"
                 )
             new_sym = Symbol(KIND_JAC, h1.elements, (0,), rule.target_label)
-            vec = BurnsideClass.of(sym) - BurnsideClass.of(canonicalize(new_sym, G, catalog))
+            vec = BurnsideClass.of(sym) - BurnsideClass.of(context.canonicalize(new_sym))
             emit(vec, "B4", symbol=text_form(sym, G))
 
     return tuple(instances)
@@ -199,16 +207,16 @@ class RelationLattice:
 
 @lru_cache(maxsize=None)
 def relation_lattice(G: FiniteGroup, catalog: ActionCatalog) -> RelationLattice:
-    symbols = enumerate_symbols(G, catalog)
-    relations = generate_relations(G, catalog)
-    return RelationLattice(symbols, [r.vector for r in relations])
+    context = BurnsideContext(G, catalog)
+    relations = generate_relations(G, catalog, context)
+    return RelationLattice(context.symbols, [r.vector for r in relations])
 
 
 def structure(G: FiniteGroup, catalog: ActionCatalog) -> GroupStructure:
     """Free rank and torsion of the symbol group modulo all generated relations."""
-    symbols = enumerate_symbols(G, catalog)
-    relations = generate_relations(G, catalog)
-    return structure_from(symbols, [r.vector for r in relations])
+    context = BurnsideContext(G, catalog)
+    relations = generate_relations(G, catalog, context)
+    return structure_from(context.symbols, [r.vector for r in relations])
 
 
 def structure_from(index, vectors) -> GroupStructure:
@@ -284,12 +292,15 @@ def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: Act
 
 
 def filtered_structure(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> GroupStructure:
-    admitted = tuple(s for s in enumerate_symbols(G, catalog) if f.admits(s, G))
-    return structure_from(admitted, filtered_relation_vectors(G, catalog, f))
+    context = BurnsideContext(G, catalog)
+    vectors = filtered_relation_vectors(G, catalog, f, context)
+    admitted = tuple(s for s in context.symbols if f.admits(s, G))
+    return structure_from(admitted, vectors)
 
 
-def filtered_relation_vectors(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> tuple[BurnsideClass, ...]:
-    relations = generate_relations(G, catalog)
+def filtered_relation_vectors(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec,
+                              context: BurnsideContext | None = None) -> tuple[BurnsideClass, ...]:
+    relations = generate_relations(G, catalog, context)
     check_filter_closure(f, G, catalog, relations)
     return tuple(r.vector for r in relations if all(f.admits(s, G) for s in r.vector.support()))
 

@@ -5,6 +5,13 @@ A symbol is pure data: the stabilizer H as a sorted element tuple of the ambient
 group, the residual group Y as a sorted tuple of coset indices in the carrier
 quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
+
+A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
+checked once, the enumerated symbols, and a memo of the canonical form of
+every raw symbol the pass has met.  The call that runs the pass builds it and
+drops it on return, so the memo holds only the finitely many raw symbols of
+that one pair.  Library calls of `canonicalize` outside a pass are not
+memoized.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .abelian import (
     shape_name,
     transport_character,
 )
-from .catalog import CURVE, JACOBIAN, RULED_SURFACE, ActionCatalog
+from .catalog import CURVE, JACOBIAN, RULED_SURFACE, ActionCatalog, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import (
     FiniteGroup,
@@ -184,6 +191,7 @@ def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str):
 
 def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
     """Raw (unconjugated) curve symbols over stabilizer representatives."""
+    labels = catalog.labels_in(CURVE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial():
             continue
@@ -192,7 +200,7 @@ def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
             continue  # the dual cannot be generated by two characters
         nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
         for Y in _iter_y_options(G, H.elements, KIND_CURVE):
-            for label in catalog.labels_in(CURVE):
+            for label in labels:
                 if not label.group_shape.matches(Y):
                     continue
                 for i, b1 in enumerate(nontrivial):
@@ -203,13 +211,14 @@ def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
 
 
 def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
+    labels = catalog.labels_in(RULED_SURFACE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not H.is_cyclic():
             continue
         struct = abelian_structure(H)
         generators = [b for b in all_characters(struct) if not b.is_trivial() and dual_generated_check(b)]
         for Y in _iter_y_options(G, H.elements, KIND_SURFACE):
-            for label in catalog.labels_in(RULED_SURFACE):
+            for label in labels:
                 if not label.group_shape.matches(Y):
                     continue
                 for b in generators:
@@ -218,9 +227,10 @@ def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
 
 def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
     genus = catalog.curve.genus
+    labels = catalog.labels_in(JACOBIAN)
     for H in subgroups_up_to_conjugacy(G):
         for Y in _iter_y_options(G, H.elements, KIND_JAC):
-            for label in catalog.labels_in(JACOBIAN):
+            for label in labels:
                 if not label.group_shape.matches(Y):
                     continue
                 if genus >= 2 and not label.faithful:
@@ -230,12 +240,44 @@ def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
                 yield Symbol(KIND_JAC, H.elements, Y.elements, label.id)
 
 
-def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol, ...]:
+def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
+                      context: BurnsideContext | None = None) -> tuple[Symbol, ...]:
     """Every valid symbol for (G, catalog), canonicalized, deduplicated, in total order."""
+    if context is None:
+        context = BurnsideContext(G, catalog)
     seen: set[Symbol] = set()
     for raw in (*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)):
-        seen.add(canonicalize(raw, G, catalog))
+        seen.add(context.canonicalize(raw))
     return tuple(sorted(seen, key=Symbol.key))
+
+
+class BurnsideContext:
+    """The derived state of one pass over (G, catalog), built by the call that
+    runs the pass.  The constructor checks the catalog; `canonicalize` looks up
+    a raw symbol it has met before and sends a new one through the module-level
+    `canonicalize`, which validates it in full; `symbols` runs
+    `enumerate_symbols` once, on first use."""
+
+    __slots__ = ("group", "catalog", "_forms", "_symbols")
+
+    def __init__(self, G: FiniteGroup, catalog: ActionCatalog):
+        ensure_valid_catalog(catalog)
+        self.group = G
+        self.catalog = catalog
+        self._forms: dict[Symbol, Symbol] = {}
+        self._symbols: tuple[Symbol, ...] | None = None
+
+    def canonicalize(self, sym: Symbol) -> Symbol:
+        form = self._forms.get(sym)
+        if form is None:
+            form = self._forms[sym] = canonicalize(sym, self.group, self.catalog)
+        return form
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        if self._symbols is None:
+            self._symbols = enumerate_symbols(self.group, self.catalog, self)
+        return self._symbols
 
 
 def _group_display(G: FiniteGroup, sub: Subgroup) -> str:

@@ -1,12 +1,16 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
-catalogs for larger groups, and multiplication tables of a few group families
-with seeded relabellings."""
+catalogs for larger groups, multiplication tables of a few group families
+with seeded relabellings, and a reset of the engine caches."""
 
 import random
 from dataclasses import replace
 from itertools import permutations
 
+import burnloc.abelian
+import burnloc.groups
+import burnloc.relations
+import burnloc.symbols
 from burnloc.abelian import abelian_structure
 from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups
@@ -181,6 +185,17 @@ def generated_catalog(G):
         },
     }
     return ensure_valid_catalog(catalog_from_json(data, name="generated"))
+
+
+def clear_engine_caches():
+    """Empty the package's group-keyed caches, so the next call computes cold."""
+    burnloc.groups.all_subgroups.cache_clear()
+    burnloc.groups.abelian_subgroups_up_to_conjugacy.cache_clear()
+    burnloc.groups.subgroups_up_to_conjugacy.cache_clear()
+    burnloc.groups.quotient.cache_clear()
+    burnloc.abelian.abelian_structure.cache_clear()
+    burnloc.symbols.carrier_quotient.cache_clear()
+    burnloc.relations.relation_lattice.cache_clear()
 
 
 def cyclic_table(n):

@@ -7,10 +7,6 @@ All comparisons are exact; the only tolerances are the stated runtime budgets.
 import random
 import time
 
-import burnloc.abelian
-import burnloc.groups
-import burnloc.relations
-import burnloc.symbols
 from burnloc.fixtures import fixture_catalog, fixture_center, fixture_model
 from burnloc.groups import build_group
 from burnloc.models import verdict, verify_blowup_invariance
@@ -35,7 +31,7 @@ from oracles import (
     quotient_invariant_factors,
     rational_rank_oracle,
 )
-from scenarios import ScenarioPool, run_scenarios
+from scenarios import ScenarioPool, clear_engine_caches, run_scenarios
 
 INVOLUTION_FORMS = [
     "curve[H=C2{0,1};Y=1{0};act=triv-C;w=(1),(1)]",      # s1
@@ -44,16 +40,6 @@ INVOLUTION_FORMS = [
     "jac[H=1{0};Y=C2{0,1};act=inv-J]",                   # s4
     "jac[H=C2{0,1};Y=1{0};act=triv-J]",                  # s3
 ]
-
-
-def _clear_engine_caches():
-    burnloc.groups.all_subgroups.cache_clear()
-    burnloc.groups.abelian_subgroups_up_to_conjugacy.cache_clear()
-    burnloc.groups.subgroups_up_to_conjugacy.cache_clear()
-    burnloc.groups.quotient.cache_clear()
-    burnloc.abelian.abelian_structure.cache_clear()
-    burnloc.symbols.carrier_quotient.cache_clear()
-    burnloc.relations.relation_lattice.cache_clear()
 
 
 def involution_symbols():
@@ -69,7 +55,7 @@ def involution_symbols():
 
 
 def test_criterion_1_involution_group_structure():
-    _clear_engine_caches()
+    clear_engine_caches()
     t0 = time.monotonic()
     G = build_group({"kind": "cyclic", "n": 2})
     catalog = fixture_catalog("hyperelliptic-Z2")

@@ -12,6 +12,7 @@ from burnloc.models import JacobianFactorDatum, ModelDescription, StratumDatum, 
 from burnloc.relations import structure
 from burnloc.symbols import (
     BurnsideClass,
+    BurnsideContext,
     Symbol,
     canonicalize,
     carrier_quotient,
@@ -25,7 +26,7 @@ from oracles import (
     reference_transport_character,
     reference_transport_symbol,
 )
-from scenarios import _datum, generated_catalog
+from scenarios import _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, symmetric_table
 
 PERM_GROUPS = {
     "S3": {"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]},
@@ -40,6 +41,20 @@ PERM_GROUPS = {
 ABELIAN_GROUPS = {
     "C4xC4": {"kind": "abelian", "factors": [4, 4]},
     "C2xC6": {"kind": "abelian", "factors": [2, 6]},
+}
+
+# the rungs of the two benchmark ladders
+LADDER_GROUPS = {
+    "C10": {"kind": "cyclic", "n": 10},
+    "C12": {"kind": "cyclic", "n": 12},
+    "C2xC6": ABELIAN_GROUPS["C2xC6"],
+    "C4xC4": ABELIAN_GROUPS["C4xC4"],
+    "C2xC2xC4": {"kind": "abelian", "factors": [2, 2, 4]},
+    "D10": {"kind": "table", "mul": dihedral_table(10)},
+    "D4xC2": PERM_GROUPS["D4xC2"],
+    "S3xS3": {"kind": "table", "mul": direct_product(symmetric_table(3), symmetric_table(3))},
+    "D3xC4": PERM_GROUPS["D3xC4"],
+    "D6xC2": {"kind": "table", "mul": direct_product(dihedral_table(6), cyclic_table(2))},
 }
 
 
@@ -63,6 +78,17 @@ def test_abelian_shortcut_matches_reference(name):
     catalog = generated_catalog(G)
     for sym in _raw_symbols(G, catalog):
         assert canonicalize(sym, G, catalog) == reference_canonicalize(sym, G, catalog)
+
+
+@pytest.mark.parametrize("name", LADDER_GROUPS)
+def test_context_canonical_forms_match_canonicalize(name):
+    G = build_group(LADDER_GROUPS[name])
+    catalog = generated_catalog(G)
+    context = BurnsideContext(G, catalog)
+    for sym in _raw_symbols(G, catalog):
+        form = context.canonicalize(sym)
+        assert form == canonicalize(sym, G, catalog)
+        assert context.canonicalize(sym) is form
 
 
 @pytest.mark.parametrize("name", ["S3xC2", "D4xC2", "D3xC4"])

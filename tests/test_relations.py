@@ -1,7 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
+import burnloc.relations
+import burnloc.symbols
+from burnloc.catalog import catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import CatalogIncompleteError, ValidationError
 from burnloc.groups import Subgroup, build_group
 from burnloc.normalforms import IntegerLattice, kernel_basis
@@ -20,7 +24,14 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from scenarios import dihedral_table, direct_product, generated_catalog
+from scenarios import (
+    clear_engine_caches,
+    cyclic_table,
+    dihedral_table,
+    direct_product,
+    generated_catalog,
+    relabel,
+)
 
 
 def by_form(G, catalog):
@@ -324,3 +335,76 @@ def test_structure_of_order_64_generated_catalogs(spec, expected):
     G = build_group(spec)
     s = structure(G, generated_catalog(G))
     assert (s.free_rank, s.torsion) == expected
+
+
+D4XC2 = {"kind": "table", "mul": direct_product(dihedral_table(4), cyclic_table(2))}
+
+
+def _record_calls(monkeypatch, module, name, calls):
+    """Wrap `module.name` in the symbols and relations modules, wherever they
+    hold it, appending each call's positional arguments and result to `calls`."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    for holder in (burnloc.symbols, burnloc.relations):
+        if getattr(holder, name, None) is real:
+            monkeypatch.setattr(holder, name, wrapper)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "abelian", "factors": [4, 4]}, D4XC2], ids=["C4xC4", "D4xC2"])
+def test_structure_enumerates_once_and_canonicalizes_each_raw_symbol_once(spec, monkeypatch):
+    G = build_group(spec)
+    catalog = generated_catalog(G)
+    enumerations, canonicalizations = [], []
+    _record_calls(monkeypatch, burnloc.symbols, "enumerate_symbols", enumerations)
+    _record_calls(monkeypatch, burnloc.symbols, "canonicalize", canonicalizations)
+    structure(G, catalog)
+    assert len(enumerations) == 1
+    per_symbol = Counter(args[0] for args, _ in canonicalizations)
+    assert per_symbol and max(per_symbol.values()) == 1
+
+
+def test_generate_relations_without_context_matches_the_structure_pass(monkeypatch):
+    G = build_group(D4XC2)
+    catalog = generated_catalog(G)
+    in_pass = []
+    _record_calls(monkeypatch, burnloc.relations, "generate_relations", in_pass)
+    structure(G, catalog)
+    monkeypatch.undo()
+    ((_, relations),) = in_pass
+    alone = generate_relations(G, catalog)
+    assert [(r.rule, r.params, r.vector) for r in alone] == [(r.rule, r.params, r.vector) for r in relations]
+
+
+def test_induce_target_of_the_wrong_shape_fails_structure():
+    # the catalog check only compares orders, so a C2xC2 target for a C4 quotient
+    # passes it; the induced surface term must still be refused when first seen
+    G = build_group({"kind": "abelian", "factors": [2, 4]})
+    data = catalog_to_json(generated_catalog(G))
+    data["labels"].append(
+        {"id": "v4-CxP1", "space": "ruled_surface", "group_shape": [2, 2], "faithful": True, "trivial": False}
+    )
+    for rule in data["rules"]["induce"]:
+        if rule["weights"] == {"diff_order": 4}:
+            rule["target"] = "v4-CxP1"
+    catalog = ensure_valid_catalog(catalog_from_json(data, name="wrong-shape"))
+    with pytest.raises(ValidationError) as info:
+        structure(G, catalog)
+    assert str(info.value) == (
+        "cannot canonicalize invalid symbol: residual group of order 4 does not match declared shape C2xC2"
+    )
+
+
+def test_relabelled_structure_is_the_same_with_cold_and_warm_caches():
+    G = build_group(D4XC2)
+    catalog = generated_catalog(G)
+    expected = structure(G, catalog)
+    R = build_group({"kind": "table", "mul": relabel(D4XC2["mul"], 5)})
+    clear_engine_caches()
+    cold = structure(R, catalog)
+    warm = structure(R, catalog)
+    assert cold == warm == expected

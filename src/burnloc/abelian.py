@@ -200,10 +200,20 @@ def all_characters(struct: AbelianStructure):
         yield Character(struct, tup)
 
 
+def _scaled(b: Character) -> tuple[tuple[int, ...], int]:
+    """(row, e) with e the exponent of b's host: b(x) = sum_j row_j a_j / e in Q/Z
+    for x with coordinates a, so x is in ker b iff sum_j row_j a_j = 0 mod e."""
+    ds = b.structure.invariant_factors
+    e = ds[-1] if ds else 1
+    return tuple(c * (e // d) for c, d in zip(b.coords, ds)), e
+
+
 def character_kernel(b: Character) -> Subgroup:
     """Kernel of b, as a subgroup of the ambient group contained in the host."""
     H = b.structure.subgroup
-    elems = tuple(x for x in H.elements if b.evaluate(x) == 0)
+    coords = b.structure.coords
+    row, e = _scaled(b)
+    elems = tuple(x for x in H.elements if sum(c * a for c, a in zip(row, coords[x])) % e == 0)
     return Subgroup.trusted(H.ambient, elems)
 
 
@@ -214,25 +224,13 @@ def dual_generated_check(*chars: Character) -> bool:
         raise ValidationError("dual_generated_check needs at least one character")
     for b in chars[1:]:
         _same_host(chars[0], b)
-    ds = chars[0].structure.invariant_factors
-    e = ds[-1] if ds else 1
-    # b(x) = sum_j c_j a_j / d_j in Q/Z, so x is in ker b iff sum_j c_j a_j (e/d_j) = 0 mod e
-    rows = [tuple(c * (e // d) for c, d in zip(b.coords, ds)) for b in chars]
+    scaled = [_scaled(b) for b in chars]
+    e = scaled[0][1]
+    rows = [row for row, _ in scaled]
     return not any(
         all(sum(c * a for c, a in zip(row, x)) % e == 0 for row in rows)
         for x in chars[0].structure.element_of if any(x)
     )
-
-
-def _character_from_values(struct: AbelianStructure, value_at) -> Character:
-    # reconstruct coordinates from values on the basis; denominators must fit
-    coords = []
-    for h, d in zip(struct.basis, struct.invariant_factors):
-        v = value_at(h) * d
-        if v.denominator != 1:
-            raise ValidationError("values do not define a character in these coordinates")
-        coords.append(int(v) % d)
-    return Character(struct, tuple(coords))
 
 
 def restrict_character(b: Character, K: Subgroup) -> Character:
@@ -240,7 +238,16 @@ def restrict_character(b: Character, K: Subgroup) -> Character:
     host = b.structure.subgroup
     if not set(K.elements) <= set(host.elements):
         raise ValidationError("restriction target is not contained in the host subgroup")
-    return _character_from_values(abelian_structure(K), b.evaluate)
+    target = abelian_structure(K)
+    row, e = _scaled(b)
+    coords = []
+    for h, d in zip(target.basis, target.invariant_factors):
+        # b(h) = v/e in Q/Z and h has order d in K, so d * v/e must be whole
+        v = sum(c * a for c, a in zip(row, b.structure.coords[h])) * d
+        if v % e:
+            raise ValidationError("values do not define a character in these coordinates")
+        coords.append(v // e)
+    return Character(target, tuple(coords))
 
 
 def transport_character(g: int, b: Character) -> Character:

@@ -11,6 +11,7 @@ rule is a hard error rather than a silent invention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import abelian_structure, normalize_factors, shape_name
 from .errors import CatalogIncompleteError, ValidationError
@@ -131,6 +132,9 @@ class GenusOneExtensionRule:
 
 @dataclass(frozen=True)
 class ActionCatalog:
+    """The ledger itself.  It is immutable, so its label index and its
+    violations are derived once per object, on first use."""
+
     curve: CurveProfile
     labels: tuple[ActionLabel, ...]
     induce_rules: tuple[InduceRule, ...] = ()
@@ -138,14 +142,29 @@ class ActionCatalog:
     extension_rules: tuple[GenusOneExtensionRule, ...] = ()
     name: str = ""
 
-    def label(self, label_id: str) -> ActionLabel:
+    @cached_property
+    def _label_index(self) -> dict[str, ActionLabel]:
+        # the first label of each id, as a scan of `labels` would find it
+        index: dict[str, ActionLabel] = {}
         for lab in self.labels:
-            if lab.id == label_id:
-                return lab
-        raise ValidationError(f"unknown action label {label_id!r}")
+            index.setdefault(lab.id, lab)
+        return index
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(validate_catalog(self))
+
+    def label(self, label_id: str) -> ActionLabel:
+        try:
+            return self._label_index[label_id]
+        except (KeyError, TypeError):
+            raise ValidationError(f"unknown action label {label_id!r}") from None
 
     def has_label(self, label_id: str) -> bool:
-        return any(lab.id == label_id for lab in self.labels)
+        try:
+            return label_id in self._label_index
+        except TypeError:
+            return False
 
     def labels_in(self, space: str) -> tuple[ActionLabel, ...]:
         return tuple(lab for lab in self.labels if lab.space == space)
@@ -287,7 +306,9 @@ def validate_catalog(catalog: ActionCatalog) -> list[str]:
 
 
 def ensure_valid_catalog(catalog: ActionCatalog) -> ActionCatalog:
-    problems = validate_catalog(catalog)
+    """The catalog itself, or a ValidationError listing every violation; the
+    check runs once per catalog object."""
+    problems = catalog._problems
     if problems:
         raise ValidationError("invalid catalog:\n  " + "\n  ".join(problems))
     return catalog

@@ -8,7 +8,9 @@ of the intermediate Jacobian.  Geometry enters only through this declared data.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .abelian import Character, abelian_structure, character_kernel, restrict_character
 from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
@@ -52,12 +54,19 @@ class JacobianFactorDatum:
 
 @dataclass(frozen=True)
 class ModelDescription:
+    """A model's declared data.  It is immutable, so its data are validated and
+    canonicalized once per object, on first use."""
+
     group: FiniteGroup
     catalog: ActionCatalog
     strata: tuple[StratumDatum, ...] = ()
     jacobian_factors: tuple[JacobianFactorDatum, ...] = ()
     counts: tuple[int, int, int] | None = None
     name: str = ""
+
+    @cached_property
+    def _checked(self) -> tuple[tuple[Symbol, ...], tuple[str, ...]]:
+        return _model_symbols(self)
 
 
 def _resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str,
@@ -108,14 +117,14 @@ def factor_symbol(m: ModelDescription, datum: JacobianFactorDatum) -> Symbol:
     return canonical_form(sym, m.group)
 
 
-def _model_symbols(m: ModelDescription) -> tuple[list[Symbol], list[str]]:
+def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, ...]]:
     """The canonical symbol of every datum, each validated once, and the problems found."""
     symbols: list[Symbol] = []
     problems: list[str] = []
     try:
         ensure_valid_catalog(m.catalog)
     except ValidationError as exc:
-        return symbols, [str(exc)]
+        return (), (str(exc),)
     for i, datum in enumerate(m.strata):
         expected = 2 if datum.kind == FIXED_CURVE else 1
         if len(datum.weights) != expected:
@@ -136,14 +145,14 @@ def _model_symbols(m: ModelDescription) -> tuple[list[Symbol], list[str]]:
             problems.append(
                 f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {derived}"
             )
-    return symbols, problems
+    return tuple(symbols), tuple(problems)
 
 
 def validate_model(m: ModelDescription) -> list[str]:
-    return _model_symbols(m)[1]
+    return list(m._checked[1])
 
 
-def _invalid_model(problems: list[str]) -> ValidationError:
+def _invalid_model(problems: Sequence[str]) -> ValidationError:
     return ValidationError("invalid model:\n  " + "\n  ".join(problems))
 
 
@@ -156,7 +165,7 @@ def ensure_valid_model(m: ModelDescription) -> ModelDescription:
 
 def class_of_action(m: ModelDescription) -> BurnsideClass:
     """The sum of canonical symbols contributed by all model data."""
-    symbols, problems = _model_symbols(m)
+    symbols, problems = m._checked
     if problems:
         raise _invalid_model(problems)
     return sum((BurnsideClass.of(s) for s in symbols), BurnsideClass.zero())

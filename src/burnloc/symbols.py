@@ -48,7 +48,7 @@ _KIND_RANK = {KIND_CURVE: 0, KIND_SURFACE: 1, KIND_JAC: 2}
 _KIND_SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Symbol:
     kind: str
     h: tuple[int, ...]

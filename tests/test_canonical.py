@@ -5,9 +5,16 @@ import random
 
 import pytest
 
-from burnloc.abelian import Character, abelian_structure, all_characters, transport_character
+from burnloc.abelian import (
+    Character,
+    abelian_structure,
+    all_characters,
+    character_kernel,
+    restrict_character,
+    transport_character,
+)
 from burnloc.cli import load_class
-from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group
+from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, build_group
 from burnloc.models import JacobianFactorDatum, ModelDescription, StratumDatum, class_of_action
 from burnloc.relations import structure
 from burnloc.symbols import (
@@ -70,6 +77,24 @@ def test_transport_matches_fraction_reference(name):
         for g in G.elements():
             for b in all_characters(struct):
                 assert transport_character(g, b) == reference_transport_character(g, b)
+
+
+@pytest.mark.parametrize("name", LADDER_GROUPS)
+def test_kernel_and_restriction_match_evaluate_reference(name):
+    # the integer congruence against the Q/Z values of Character.evaluate, on
+    # every character of every abelian subgroup and every subgroup of its host
+    G = build_group(LADDER_GROUPS[name])
+    subgroups = all_subgroups(G)
+    for H in subgroups:
+        if not H.is_abelian():
+            continue
+        host = set(H.elements)
+        inside = [K for K in subgroups if host.issuperset(K.elements)]
+        for b in all_characters(abelian_structure(H)):
+            assert character_kernel(b).elements == tuple(x for x in H.elements if b.evaluate(x) == 0)
+            for K in inside:
+                want = character_from_values(abelian_structure(K), b.evaluate)
+                assert restrict_character(b, K) == want
 
 
 @pytest.mark.parametrize("name", ["C4xC4", "C2xC6"])

@@ -1,6 +1,9 @@
 import pytest
 
 from burnloc.catalog import (
+    ActionCatalog,
+    ActionLabel,
+    CurveProfile,
     GroupShape,
     catalog_from_json,
     catalog_to_json,
@@ -172,3 +175,75 @@ def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):
         # the declared target order is the constructed group order |Y| * ord(b1 - b2)
         assert label.group_shape.order == Y.order * diff.order()
     assert hyper_cat.jacobian_of_curve_action("inv-C").id == "inv-J"
+
+
+def test_validate_catalog_runs_once_per_catalog_object(monkeypatch):
+    # a criterion-6-style loop: random models, their blow-ups and classes
+    import random
+
+    import burnloc.catalog
+    from scenarios import ScenarioPool, run_scenarios
+    from burnloc.relations import relation_lattice
+
+    calls = []
+    real = burnloc.catalog.validate_catalog
+
+    def counting(catalog):
+        calls.append(catalog)
+        return real(catalog)
+
+    monkeypatch.setattr(burnloc.catalog, "validate_catalog", counting)
+    G = build_group({"kind": "cyclic", "n": 2})
+    catalog = catalog_from_json(base_json(), name="hyperelliptic-Z2")  # a fresh, unchecked object
+    pool = ScenarioPool(G, catalog)
+    lattice = relation_lattice(G, catalog)
+    results, runs, _ = run_scenarios(random.Random(20250812), pool, lattice, 60)
+    assert all(results) and sum(runs.values()) > 0
+    assert len(calls) == 1 and calls[0] is catalog
+    # the pure function still runs on every call
+    assert burnloc.catalog.validate_catalog(catalog) == [] and len(calls) == 2
+
+
+def test_invalid_catalog_reported_once_checked_on_every_call(monkeypatch):
+    import burnloc.catalog
+
+    calls = []
+    real = burnloc.catalog.validate_catalog
+    monkeypatch.setattr(burnloc.catalog, "validate_catalog", lambda c: calls.append(c) or real(c))
+    data = base_json()
+    data["curve"].update(genus=0, hyperelliptic=False)
+    catalog = catalog_from_json(data)
+    for _ in range(3):
+        with pytest.raises(ValidationError) as info:
+            ensure_valid_catalog(catalog)
+        assert str(info.value) == "invalid catalog:\n  curve 'C-hyp2': genus must be >= 1, got 0"
+    assert len(calls) == 1
+
+
+def test_label_lookup_keeps_first_of_duplicate_ids():
+    shape = GroupShape.abelian([2])
+    first = ActionLabel(id="dup-C", space="curve", group_shape=shape)
+    second = ActionLabel(id="dup-C", space="ruled_surface", group_shape=shape)
+    catalog = ActionCatalog(
+        curve=CurveProfile(id="C", genus=2),
+        labels=(first, second, ActionLabel(id="other-J", space="jacobian", group_shape=shape)),
+    )
+    assert catalog.label("dup-C") is first
+    assert catalog.label("other-J").space == "jacobian"
+    assert catalog.has_label("dup-C") and not catalog.has_label("nope")
+    assert any("duplicate label id 'dup-C'" in p for p in validate_catalog(catalog))
+    for bad in ("nope", 7, ["dup-C"]):
+        with pytest.raises(ValidationError, match=r"^unknown action label"):
+            catalog.label(bad)
+    assert not catalog.has_label(["dup-C"])
+
+
+def test_unhashable_reference_is_dangling_not_a_crash():
+    # JSON may carry a list where a label id belongs; it names no label
+    data = base_json()
+    data["labels"].append({
+        "id": "odd-J", "space": "jacobian", "group_shape": [], "faithful": True, "trivial": True,
+        "from_curve": True, "underlying_curve_action": ["triv-C"],
+    })
+    problems = validate_catalog(catalog_from_json(data))
+    assert "label 'odd-J': dangling underlying_curve_action" in problems

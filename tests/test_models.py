@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from burnloc.errors import ValidationError
@@ -236,3 +238,65 @@ def test_model_curve_field_must_match_catalog():
     data["curve"] = {"id": "other-curve"}
     with pytest.raises(ValidationError, match="does not match"):
         model_from_json(data, fixture_catalog)
+
+
+def _count_model_symbols(monkeypatch):
+    import burnloc.models
+
+    calls = []
+    real = burnloc.models._model_symbols
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(burnloc.models, "_model_symbols", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, center", [
+    ("quadric-bundle", BlowupCenter(case=3, stratum=0)),
+    ("elliptic-empty", BlowupCenter(case=1, curve_label="transl-C", y_reps=(1,))),
+    ("elliptic-empty", "elliptic-bullet2"),
+])
+def test_class_after_blowup_checks_each_model_once(monkeypatch, name, center):
+    if isinstance(center, str):
+        center = fixture_center(center)
+    calls = _count_model_symbols(monkeypatch)
+    m = fixture_model(name)
+    out = blowup(m, center)
+    lattice = relation_lattice(m.group, m.catalog)
+    for _ in range(3):
+        assert classes_equal(class_of_action(m), class_of_action(out), lattice)
+        assert validate_model(out) == []
+    assert len(calls) == 2 and calls[0] is m and calls[1] is out
+    # a fresh object with the same fields is checked afresh, to the same answer
+    again = replace(out)
+    assert again is not out and again == out
+    assert class_of_action(again) == class_of_action(out)
+    assert validate_model(again) == validate_model(out)
+    assert len(calls) == 3 and calls[2] is again
+
+
+def test_invalid_model_reports_the_same_problems_on_every_call(monkeypatch):
+    from burnloc.catalog import catalog_from_json, catalog_to_json
+    from burnloc.fixtures import fixture_catalog
+
+    data = catalog_to_json(fixture_catalog("hyperelliptic-Z2"))
+    data["curve"].update(genus=0, hyperelliptic=False)
+    bad_catalog = catalog_from_json(data)
+    m = replace(fixture_model("sxp1-involution"), catalog=bad_catalog)
+    message = "invalid catalog:\n  curve 'C-hyp2': genus must be >= 1, got 0"
+    calls = _count_model_symbols(monkeypatch)
+    for _ in range(3):
+        assert validate_model(m) == [message]
+        with pytest.raises(ValidationError) as info:
+            class_of_action(m)
+        assert str(info.value) == "invalid model:\n  " + message
+        with pytest.raises(ValidationError, match="invalid model"):
+            blowup(m, BlowupCenter(case=3, stratum=0))
+    # the caller's list is a copy; emptying it leaves the model invalid
+    validate_model(m).clear()
+    assert validate_model(m) == [message]
+    assert calls == [m]
+    assert validate_model(replace(m)) == [message]

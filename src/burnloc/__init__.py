@@ -1,5 +1,12 @@
 """Exact symbolic calculator for curve-localized equivariant Burnside groups
-of finite group actions on rationally connected threefolds."""
+of finite group actions on rationally connected threefolds.
+
+The model layer (`burnloc.models`: model descriptions, blow-ups, verdicts) is
+imported on first use, so that commands which never touch a model do not pay
+for it at start-up.  Its public names are still attributes of this package
+and listed in `__all__`; the first lookup of one of them (or of `models`)
+imports the module through `__getattr__` (PEP 562).
+"""
 
 __version__ = "0.1.0"
 
@@ -65,19 +72,30 @@ from .relations import (
     relation_lattice,
     structure,
 )
-from .models import (
-    BlowupCenter,
-    JacobianFactorDatum,
-    ModelDescription,
-    StratumDatum,
-    VerdictReport,
-    blowup,
-    class_of_action,
-    invariant_I,
-    invariant_counts,
-    validate_model,
-    verdict,
-    verify_blowup_invariance,
+
+_MODEL_NAMES = (
+    "BlowupCenter",
+    "JacobianFactorDatum",
+    "ModelDescription",
+    "StratumDatum",
+    "VerdictReport",
+    "blowup",
+    "class_of_action",
+    "invariant_I",
+    "invariant_counts",
+    "validate_model",
+    "verdict",
+    "verify_blowup_invariance",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    if name == "models" or name in _MODEL_NAMES:
+        from importlib import import_module
+
+        models = import_module(f"{__name__}.models")
+        return models if name == "models" else getattr(models, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"models", *_MODEL_NAMES})

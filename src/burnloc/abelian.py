@@ -2,14 +2,13 @@
 
 An AbelianStructure fixes, once per subgroup, a decomposition H = C_{d1} x ... x C_{dk}
 with d1 | d2 | ... | dk and an explicit coordinate bijection.  Characters live in
-those coordinates, so all character arithmetic is componentwise modular; rational
-numbers appear only when a character is evaluated in Q/Z.
+those coordinates, so all character arithmetic is componentwise modular and no
+value in Q/Z is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
@@ -151,29 +150,19 @@ def shape_name(factors: tuple[int, ...]) -> str:
     return "x".join(f"C{d}" for d in factors) if factors else "1"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "structure coords")):
     """A character of an abelian subgroup, as coordinates against its structure."""
 
-    structure: AbelianStructure
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ds = self.structure.invariant_factors
-        if len(self.coords) != len(ds):
+    def __new__(cls, structure: AbelianStructure, coords: tuple[int, ...]):
+        ds = structure.invariant_factors
+        if len(coords) != len(ds):
             raise ValidationError("character coordinates do not match the structure")
-        object.__setattr__(self, "coords", tuple(c % d for c, d in zip(self.coords, ds)))
+        return super().__new__(cls, structure, tuple(c % d for c, d in zip(coords, ds)))
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def evaluate(self, element: int) -> Fraction:
-        """Value in Q/Z, represented in [0, 1)."""
-        a = self.structure.coords.get(element)
-        if a is None:
-            raise ValidationError(f"element {element} is not in the character's host subgroup")
-        total = sum(Fraction(c * x, d) for c, x, d in zip(self.coords, a, self.structure.invariant_factors))
-        return total - (total.numerator // total.denominator)
 
     def order(self) -> int:
         return lcm(*(d // gcd(c, d) for c, d in zip(self.coords, self.structure.invariant_factors))) if self.coords else 1

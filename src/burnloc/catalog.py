@@ -10,7 +10,7 @@ rule is a hard error rather than a silent invention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .abelian import abelian_structure, normalize_factors, shape_name
@@ -23,16 +23,15 @@ JACOBIAN = "jacobian"
 SPACES = (CURVE, RULED_SURFACE, JACOBIAN)
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(namedtuple("GroupShape", "factors order")):
     """Declared isomorphism type of an acting group.
 
-    Abelian shapes carry invariant factors; nonabelian ones are matched only by
-    order (a deliberate coarse escape hatch, since no finer data is consumed).
+    Abelian shapes carry invariant factors; nonabelian ones (factors None) are
+    matched only by order (a deliberate coarse escape hatch, since no finer data
+    is consumed).
     """
 
-    factors: tuple[int, ...] | None
-    order: int
+    __slots__ = ()
 
     @classmethod
     def abelian(cls, factors) -> "GroupShape":
@@ -71,76 +70,54 @@ class GroupShape:
         return shape_name(self.factors)
 
 
-@dataclass(frozen=True)
-class CurveProfile:
-    id: str
-    genus: int
-    hyperelliptic: bool = False
+CurveProfile = namedtuple("CurveProfile", "id genus hyperelliptic", defaults=(False,))
 
 
-@dataclass(frozen=True)
-class ActionLabel:
+class ActionLabel(namedtuple(
+    "ActionLabel", "id space group_shape faithful trivial from_curve underlying_curve_action",
+    defaults=(True, False, False, None),
+)):
     """One equivalence class of actions on k(C), k(C x P1) or J(C)."""
 
-    id: str
-    space: str
-    group_shape: GroupShape
-    faithful: bool = True
-    trivial: bool = False
-    from_curve: bool = False
-    underlying_curve_action: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InduceRule:
+class InduceRule(namedtuple("InduceRule", "h_factors curve_label weights target")):
     """Declares the ruled-surface label produced by the action construction.
 
-    Matches a stabilizer shape, a curve action, and a weight pattern: "equal"
-    (the two weights coincide) or a positive diff_order (the order of their
-    difference in the dual).
+    Matches a stabilizer shape, a curve action, and a weight pattern `weights`:
+    "equal" (the two weights coincide) or a diff order, an int >= 2 (the order
+    of their difference in the dual).
     """
 
-    h_factors: tuple[int, ...]
-    curve_label: str
-    weights: str | int  # "equal" or diff order (int >= 2)
-    target: str
+    __slots__ = ()
 
     def pattern_str(self) -> str:
         return "equal" if self.weights == "equal" else f"diff_order={self.weights}"
 
 
-@dataclass(frozen=True)
-class JacobianOfCurveRule:
-    source: str
-    target: str
+JacobianOfCurveRule = namedtuple("JacobianOfCurveRule", "source target")
 
 
-@dataclass(frozen=True)
-class GenusOneExtensionRule:
+class GenusOneExtensionRule(namedtuple(
+    "GenusOneExtensionRule", "h_factors source_label trivial_part target_h_factors target_label",
+)):
     """Rewrites (H, J <- Y) to (H1, J <- Y/Y1) when Y1 <= Y acts trivially (genus 1).
 
     trivial_part is "all" (the label is a trivial action, Y1 = Y) or "none"
     (faithful label, Y1 = 1); those are the only cases a label determines.
     """
 
-    h_factors: tuple[int, ...]
-    source_label: str
-    trivial_part: str
-    target_h_factors: tuple[int, ...]
-    target_label: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ActionCatalog:
+class ActionCatalog(namedtuple(
+    "ActionCatalog", "curve labels induce_rules jacobian_rules extension_rules name",
+    defaults=((), (), (), ""),
+)):
     """The ledger itself.  It is immutable, so its label index and its
-    violations are derived once per object, on first use."""
-
-    curve: CurveProfile
-    labels: tuple[ActionLabel, ...]
-    induce_rules: tuple[InduceRule, ...] = ()
-    jacobian_rules: tuple[JacobianOfCurveRule, ...] = ()
-    extension_rules: tuple[GenusOneExtensionRule, ...] = ()
-    name: str = ""
+    violations are derived once per object, on first use (kept in the
+    instance `__dict__`, which is why the class declares no `__slots__`)."""
 
     @cached_property
     def _label_index(self) -> dict[str, ActionLabel]:

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 validation error (including bad usage), 3 catalog
 incomplete.  Identical inputs produce byte-identical reports, modulo the
 version banner (suppressible with --no-banner; JSON output never carries it).
+
+The model layer is imported by the commands that use it (`class`,
+`invariant`, `verdict`, `verify-blowup`), so `structure`, `relations`, `equal`
+and `phi` run without it.
 """
 
 from __future__ import annotations
@@ -24,16 +28,6 @@ from .fixtures import (
     model_names,
 )
 from .groups import FiniteGroup, Subgroup, build_group
-from .models import (
-    ModelDescription,
-    center_from_json,
-    class_of_action,
-    invariant_I,
-    invariant_counts,
-    model_from_json,
-    verdict,
-    verify_blowup_invariance,
-)
 from .relations import (
     FilterSpec,
     classes_equal,
@@ -77,9 +71,11 @@ def load_catalog(arg: str) -> ActionCatalog:
     return ensure_valid_catalog(catalog_from_json(data, name=arg))
 
 
-def load_model(arg: str) -> ModelDescription:
+def load_model(arg: str):
     if arg in model_names():
         return fixture_model(arg)
+    from .models import model_from_json
+
     data = _fixture_or_json(arg, "model", model_names)
     return model_from_json(data, fixture_catalog)
 
@@ -87,6 +83,8 @@ def load_model(arg: str) -> ModelDescription:
 def load_center(arg: str):
     if arg in center_names():
         return fixture_center(arg)
+    from .models import center_from_json
+
     data = _fixture_or_json(arg, "center", center_names)
     return center_from_json(data)
 
@@ -178,6 +176,8 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_class(args) -> int:
+    from .models import class_of_action
+
     m = load_model(args.model)
     cls = class_of_action(m)
     payload = {"model": m.name or "(inline)", "class": _class_json(cls, m.group)}
@@ -209,6 +209,8 @@ def _parse_counts(raw: str) -> tuple[int, int, int]:
 
 
 def _cmd_invariant(args) -> int:
+    from .models import invariant_I, invariant_counts
+
     if (args.counts is None) == (args.model is None):
         raise ValidationError("invariant takes exactly one of --counts or --model")
     if args.counts is not None:
@@ -230,12 +232,16 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
+    from .models import verdict
+
     report = verdict(load_model(args.model))
     _emit(args, report.to_json(), report.to_text().splitlines())
     return 0
 
 
 def _cmd_verify_blowup(args) -> int:
+    from .models import verify_blowup_invariance
+
     m = load_model(args.model)
     center = load_center(args.center)
     holds = verify_blowup_invariance(m, center)

@@ -1,28 +1,29 @@
 """Named built-in fixtures: catalogs, models and blow-up centers shipped as
-JSON files inside this package."""
+JSON files in this package's directory (read as plain files: the
+`importlib.resources` machinery would cost more start-up time than a fixture
+command's own work).  The model layer is imported by the loaders that need it."""
 
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 
 from ..catalog import ActionCatalog, catalog_from_json, ensure_valid_catalog
 from ..errors import ValidationError
-from ..models import BlowupCenter, ModelDescription, center_from_json, model_from_json
 
-_ROOT = resources.files("burnloc.fixtures")
+_ROOT = os.path.dirname(os.path.abspath(__file__))
 
 
 def _names(subdir: str) -> tuple[str, ...]:
-    folder = _ROOT / subdir
-    return tuple(sorted(p.name[: -len(".json")] for p in folder.iterdir() if p.name.endswith(".json")))
+    files = os.listdir(os.path.join(_ROOT, subdir))
+    return tuple(sorted(f[: -len(".json")] for f in files if f.endswith(".json")))
 
 
 def _load(subdir: str, name: str) -> dict:
-    path = _ROOT / subdir / f"{name}.json"
     try:
-        text = path.read_text()
+        with open(os.path.join(_ROOT, subdir, f"{name}.json"), encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ValidationError(
             f"unknown {subdir[:-1]} fixture {name!r}; available: {', '.join(_names(subdir))}"
@@ -47,9 +48,13 @@ def fixture_catalog(name: str) -> ActionCatalog:
     return ensure_valid_catalog(catalog_from_json(_load("catalogs", name), name=name))
 
 
-def fixture_model(name: str) -> ModelDescription:
+def fixture_model(name: str):
+    from ..models import model_from_json
+
     return model_from_json(_load("models", name), fixture_catalog, name=name)
 
 
-def fixture_center(name: str) -> BlowupCenter:
+def fixture_center(name: str):
+    from ..models import center_from_json
+
     return center_from_json(_load("centers", name))

@@ -15,10 +15,10 @@ for every subgroup it finds and adjoins one g per right coset Hg.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -220,16 +220,18 @@ def build_group(spec: dict, bound: int | None = None) -> FiniteGroup:
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "ambient elements")):
     """A subgroup of an ambient group, stored as a sorted element tuple."""
 
-    ambient: FiniteGroup
-    elements: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, ambient: FiniteGroup, elements: Iterable[int]):
+        sub = super().__new__(cls, ambient, tuple(sorted(set(elements))))
+        sub.__post_init__()
+        return sub
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
+        elems = self.elements
         G = self.ambient
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup must contain the identity")
@@ -247,10 +249,7 @@ class Subgroup:
     def trusted(cls, G: FiniteGroup, elements: tuple[int, ...]) -> "Subgroup":
         """A subgroup the package derived from valid ones, as a sorted tuple; unlike
         `Subgroup(G, elements)`, which checks input from outside, it checks nothing."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient", G)
-        object.__setattr__(sub, "elements", elements)
-        return sub
+        return tuple.__new__(cls, (G, elements))
 
     @classmethod
     def generated(cls, G: FiniteGroup, gens: Iterable[int]) -> "Subgroup":

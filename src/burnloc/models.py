@@ -8,6 +8,7 @@ of the intermediate Jacobian.  Geometry enters only through this declared data.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,20 +37,8 @@ OBSTRUCTED = "OBSTRUCTED (not linearizable, not projectively linearizable)"
 NO_OBSTRUCTION = "NO OBSTRUCTION FROM THIS INVARIANT"
 
 
-@dataclass(frozen=True)
-class StratumDatum:
-    kind: str
-    stabilizer: tuple[int, ...]
-    residual: str
-    weights: tuple[tuple[int, ...], ...]
-    residual_group: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class JacobianFactorDatum:
-    stabilizer: tuple[int, ...]
-    residual: str
-    residual_group: tuple[int, ...] | None = None
+StratumDatum = namedtuple("StratumDatum", "kind stabilizer residual weights residual_group", defaults=(None,))
+JacobianFactorDatum = namedtuple("JacobianFactorDatum", "stabilizer residual residual_group", defaults=(None,))
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,10 @@ def class_of_action(m: ModelDescription) -> BurnsideClass:
     return sum((BurnsideClass.of(s) for s in symbols), BurnsideClass.zero())
 
 
-@dataclass(frozen=True)
-class BlowupCenter:
+class BlowupCenter(namedtuple(
+    "BlowupCenter", "case stratum curve_label y_reps context_stabilizer context_weight",
+    defaults=(None, None, (), None, None),
+)):
     """Blow-up center data for the three cases.
 
     Case 1: orbit of a curve with trivial generic stabilizer; carries the curve
@@ -182,12 +173,7 @@ class BlowupCenter:
     Case 3: a fixed-curve stratum, all data read from it.
     """
 
-    case: int
-    stratum: int | None = None
-    curve_label: str | None = None
-    y_reps: tuple[int, ...] = ()
-    context_stabilizer: tuple[int, ...] | None = None
-    context_weight: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
 def _case2_divisor_data(m: ModelDescription, c: BlowupCenter) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -328,17 +314,12 @@ def invariant_I(i1: int, i2: int, i3: int) -> int:
     return -i1 - 2 * i2 + i3
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    model: str
-    counts: tuple[int, int, int]
-    invariant: int
-    phi: int
-    consistent: bool
-    obstructed: bool
-    verdict: str
-    class_terms: tuple[tuple[str, int], ...]
-    notes: tuple[str, ...]
+class VerdictReport(namedtuple(
+    "VerdictReport", "model counts invariant phi consistent obstructed verdict class_terms notes",
+)):
+    """What `verdict` found for one model, as JSON or as text."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,7 @@ block that has no +-1 entry left.  Hermite forms and lattices stay dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -258,19 +258,16 @@ def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     return [row[ncols:] for row in H if all(x == 0 for x in row[:ncols])]
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots nspanning")):
     """A row lattice in Z^ncols held in Hermite normal form.
 
     Supports exact membership, canonical coset reduction, and membership
-    certificates in terms of the original spanning rows.
+    certificates in terms of the original spanning rows.  `basis` holds the HNF
+    rows and `pivots` their pivot columns; `transform` expresses each basis row
+    over the `nspanning` original spanning rows.
     """
 
-    ncols: int
-    basis: tuple[tuple[int, ...], ...]
-    transform: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    nspanning: int  # number of original spanning rows, the width of `transform`
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":

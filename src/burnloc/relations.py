@@ -14,7 +14,7 @@ own, so it gives the same instances either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import abelian_structure, character_kernel, restrict_character, shape_name
@@ -35,13 +35,10 @@ from .symbols import (
 )
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(namedtuple("RelationInstance", "vector rule params")):
     """One asserted-zero combination of canonical symbols, with provenance."""
 
-    vector: BurnsideClass
-    rule: str
-    params: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     def describe(self, G: FiniteGroup) -> str:
         params = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -52,12 +49,10 @@ class RelationInstance:
         return f"{self.rule}({params}): {terms} = 0"
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(namedtuple("GroupStructure", "free_rank torsion")):
     """Cokernel shape: free rank plus torsion d1 | d2 | ... (no 1s)."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -236,16 +231,14 @@ def reduce(a: BurnsideClass, lattice: RelationLattice) -> BurnsideClass:
     return lattice.reduce(a)
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
     """Admitted (H, Y) pairs up to conjugacy.
 
     Each pair is stored as (H elements, preimage-of-Y elements), both inside the
     ambient group, which makes matching independent of the symbol kind.
     """
 
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    name: str = ""
+    __slots__ = ()
 
     @classmethod
     def max_stabilizer(cls, G: FiniteGroup) -> "FilterSpec":

@@ -16,7 +16,7 @@ memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import (
@@ -48,19 +48,25 @@ _KIND_RANK = {KIND_CURVE: 0, KIND_SURFACE: 1, KIND_JAC: 2}
 _KIND_SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
 
 
-@dataclass(frozen=True, order=False, slots=True)
-class Symbol:
-    kind: str
-    h: tuple[int, ...]
-    y: tuple[int, ...]
-    action: str
-    weights: tuple[tuple[int, ...], ...] = ()
+class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
+    """Symbols order by `key`, not by their fields as plain tuples would."""
+
+    __slots__ = ()
 
     def key(self):
         return (_KIND_RANK[self.kind], len(self.h), self.h, self.y, self.action, self.weights)
 
     def __lt__(self, other: "Symbol") -> bool:
         return self.key() < other.key()
+
+    def __le__(self, other: "Symbol") -> bool:
+        return self.key() <= other.key()
+
+    def __gt__(self, other: "Symbol") -> bool:
+        return self.key() > other.key()
+
+    def __ge__(self, other: "Symbol") -> bool:
+        return self.key() >= other.key()
 
 
 @lru_cache(maxsize=None)

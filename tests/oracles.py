@@ -6,7 +6,9 @@ exhaustive bounded-coefficient search or by the integer adjugate, quotients are
 enumerated coset by coset, and invariant factors are recovered from p-torsion
 counts of the enumerated cosets.
 
-Characters are transported by evaluating them in Q/Z with `Fraction`s, and the
+Characters are evaluated in Q/Z with `Fraction`s (`reference_evaluate`, the
+definition the integer kernels, restrictions and transports of burnloc.abelian
+are tested against) and transported through those values, and the
 reference canonical form is the minimum over every g in G of the transported
 symbol, with no shortcut for abelian G.  The span of a set of characters is
 enumerated element by element.
@@ -205,6 +207,15 @@ def rational_rank_oracle(rows, ncols):
     return rank
 
 
+def reference_evaluate(b, x):
+    """The value of the character b at the element x of its host, in Q/Z, represented in [0, 1)."""
+    a = b.structure.coords.get(x)
+    if a is None:
+        raise ValidationError(f"element {x} is not in the character's host subgroup")
+    total = sum(Fraction(c * v, d) for c, v, d in zip(b.coords, a, b.structure.invariant_factors))
+    return total - (total.numerator // total.denominator)
+
+
 def character_from_values(struct, value_at):
     """The character of `struct` taking the value `value_at(h)` in Q/Z at each basis element h."""
     coords = []
@@ -241,7 +252,7 @@ def reference_transport_character(g, b):
     G = H.ambient
     H2 = Subgroup(G, tuple(G.conj(g, a) for a in H.elements))
     ginv = G.inv(g)
-    return character_from_values(abelian_structure(H2), lambda x: b.evaluate(G.conj(ginv, x)))
+    return character_from_values(abelian_structure(H2), lambda x: reference_evaluate(b, G.conj(ginv, x)))
 
 
 def reference_transport_symbol(sym, g, G):

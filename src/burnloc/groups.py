@@ -10,6 +10,17 @@ Subgroups are generated by one closure routine, Dimino's coset step (Butler,
 found by a breadth-first search of the Cayley graph over the right cosets of H,
 stepping by H's generators and g.  The lattice search keeps a generator tuple
 for every subgroup it finds and adjoins one g per right coset Hg.
+
+A table from outside is checked once, when its `FiniteGroup` is built; its
+associativity by Light's test over a greedy generating set.  Quotient tables
+N/H, built from a checked group and a subgroup found normal, are trusted.
+Each group owns the subgroup facts derived from it, built on first use and
+dropped with it (Holt, Eick & O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 4): the element sets that have passed the `Subgroup`
+check, so each set is checked once per group; the least member of each
+conjugacy class of subgroups with the transporter of every member to it, one
+sweep over G per class; and the symbol layer's frame memo.  All are keyed by
+checked subgroups, so they are bounded by the subgroup lattice.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -44,12 +56,20 @@ class FiniteGroup:
 
     `mul[a][b]` is the index of a*b; index 0 is the identity.  The table is
     validated on construction (identity, inverses, associativity).
+
+    The group owns the subgroup facts derived from it, built on first use and
+    dropped with it: the element sets that have passed the `Subgroup` check,
+    the conjugacy class entries of `subgroup_class`, and `frames`, where the
+    symbol layer keeps the conjugation frame of each (kind, h, y) it has
+    canonicalized.  Each is keyed by checked subgroups, so each is bounded by
+    the subgroup lattice, whatever the stream of calls.
     """
 
-    __slots__ = ("order", "mul", "identity", "name", "_inv", "_abelian", "_hash", "_conj")
+    __slots__ = ("order", "mul", "identity", "name", "_inv", "_abelian", "_hash", "_conj",
+                 "_checked", "_classes", "frames")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str = "", bound: int | None = None):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        table = tuple(tuple(map(int, row)) for row in mul)
         n = len(table)
         limit = order_bound() if bound is None else bound
         if n == 0:
@@ -59,29 +79,52 @@ class FiniteGroup:
         if any(len(row) != n for row in table):
             raise ValidationError("multiplication table must be square")
         rng = range(n)
-        if any(x not in rng for row in table for x in row):
+        if any(min(row) < 0 or max(row) >= n for row in table):
             raise ValidationError("table entries must be element indices")
         if any(table[0][a] != a or table[a][0] != a for a in rng):
             raise ValidationError("element 0 must be a two-sided identity")
-        inv = [-1] * n
-        for a in rng:
-            for b in rng:
-                if table[a][b] == 0 and table[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValidationError(f"element {a} has no two-sided inverse")
-        for a, b, c in product(rng, repeat=3):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValidationError(f"table is not associative at ({a},{b},{c})")
-        self.order = n
+        inv = []
+        for a, row in enumerate(table):
+            try:  # the least b with a*b = b*a = 0
+                b = row.index(0)
+                while table[b][a] != 0:
+                    b = row.index(0, b + 1)
+            except ValueError:
+                raise ValidationError(f"element {a} has no two-sided inverse") from None
+            inv.append(b)
+        if not _light_associative(table):
+            # name the first failing (a, b, c): row a*b against row a read at the columns b*c
+            through = [itemgetter(*row) for row in table]
+            for a, b in product(rng, repeat=2):
+                left, right = table[table[a][b]], through[b](table[a])
+                if left != right:
+                    c = next(c for c in rng if left[c] != right[c])
+                    raise ValidationError(f"table is not associative at ({a},{b},{c})")
+        self._adopt(table, name, tuple(inv))
+
+    @classmethod
+    def trusted(cls, table: Sequence[Sequence[int]], name: str = "") -> "FiniteGroup":
+        """A group whose table the package derived from a valid group, such as
+        N/H for a subgroup H already found normal in N; unlike `FiniteGroup(table)`,
+        which checks input from outside, it checks nothing."""
+        G = object.__new__(cls)
+        table = tuple(tuple(row) for row in table)
+        G._adopt(table, name, tuple(row.index(0) for row in table))
+        return G
+
+    def _adopt(self, table: tuple[tuple[int, ...], ...], name: str, inv: tuple[int, ...]) -> None:
+        rng = range(len(table))
+        self.order = len(table)
         self.mul = table
         self.identity = 0
         self.name = name
-        self._inv = tuple(inv)
+        self._inv = inv
         self._abelian = all(table[a][b] == table[b][a] for a in rng for b in rng)
         self._hash = hash(table)
         self._conj = None
+        self._checked = set()  # element tuples that passed the Subgroup check
+        self._classes = {}  # element tuple -> (least conjugate, transporter to it)
+        self.frames = {}
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -98,6 +141,26 @@ class FiniteGroup:
         if self._conj is None:
             self._conj = tuple(tuple(self.conj(g, a) for a in self.elements()) for g in self.elements())
         return self._conj
+
+    def subgroup_class(self, h: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rep, transporter) for the sorted element tuple h of a checked
+        subgroup: rep is the least conjugate of h and transporter the ascending
+        x with x*h*x^-1 = rep.  One sweep over G fills the entry of every
+        conjugate of h: if g*h*g^-1 = k, the transporter of k is that of h times g^-1."""
+        entry = self._classes.get(h)
+        if entry is None:
+            conj = self.conj_table()
+            images: dict[tuple[int, ...], list[int]] = {}
+            for g in self.elements():
+                images.setdefault(tuple(sorted(conj[g][a] for a in h)), []).append(g)
+            rep = min(images)
+            to_rep = images[rep]
+            mul = self.mul
+            for k, gs in images.items():
+                back = self._inv[gs[0]]
+                self._classes[k] = (rep, tuple(sorted(mul[t][back] for t in to_rep)))
+            entry = self._classes[h]
+        return entry
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -129,6 +192,46 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
+
+
+def _light_associative(table: tuple[tuple[int, ...], ...]) -> bool:
+    """Is the table, which has a two-sided identity 0, associative?  Light's test
+    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2): the
+    s with (x*s)*y = x*(s*y) for all x, y are closed under products, so it is
+    enough to test every s of a set S that generates the table.  S is found
+    greedily: an x not yet reached as a product s1*s2*...*sk, taken from the
+    left, joins S.  That is n*n*|S| comparisons instead of n**3."""
+    n = len(table)
+    reached = [False] * n
+    reached[0] = True
+    found = [0]
+    gens: list[int] = []
+    for x in range(n):
+        if reached[x]:
+            continue
+        gens.append(x)
+        start = len(found)
+        for r in found[:start]:
+            y = table[r][x]
+            if not reached[y]:
+                reached[y] = True
+                found.append(y)
+        i = start
+        while i < len(found):  # grows while it is read
+            row = table[found[i]]
+            i += 1
+            for s in gens:
+                y = row[s]
+                if not reached[y]:
+                    reached[y] = True
+                    found.append(y)
+    for s in gens:
+        # row x of the table, read at the columns s*y, is x*(s*y) for every y
+        through_s = itemgetter(*table[s])
+        for row in table:
+            if table[row[s]] != through_s(row):
+                return False
+    return True
 
 
 def _cyclic_table(n: int) -> list[list[int]]:
@@ -221,13 +324,20 @@ def build_group(spec: dict, bound: int | None = None) -> FiniteGroup:
 
 
 class Subgroup(namedtuple("Subgroup", "ambient elements")):
-    """A subgroup of an ambient group, stored as a sorted element tuple."""
+    """A subgroup of an ambient group, stored as a sorted element tuple.
+
+    `Subgroup(G, elements)` checks its input once per (group, element set): the
+    set is recorded in G's check table after it has passed, and a later call
+    with the same set skips the check.  A set that fails is not recorded, so it
+    fails with the same message on every call."""
 
     __slots__ = ()
 
     def __new__(cls, ambient: FiniteGroup, elements: Iterable[int]):
         sub = super().__new__(cls, ambient, tuple(sorted(set(elements))))
-        sub.__post_init__()
+        if sub.elements not in ambient._checked:
+            sub.__post_init__()
+            ambient._checked.add(sub.elements)
         return sub
 
     def __post_init__(self):
@@ -236,9 +346,10 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup must contain the identity")
         members = set(elems)
-        for a in elems:
+        for a in elems:  # before any product is looked up
             if a not in G.elements():
                 raise ValidationError(f"element {a} outside the ambient group")
+        for a in elems:
             if G.inv(a) not in members:
                 raise ValidationError(f"subgroup not closed under inverse at {a}")
             for b in elems:
@@ -381,15 +492,10 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 def _up_to_conjugacy(subgroups: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
     """One representative per conjugacy class of subgroups given in (order,
     elements) order and closed under conjugation: the first of each class,
-    which is its lexicographically least member."""
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for H in subgroups:
-        if H.elements in seen:
-            continue
-        seen.update(H.conjugate(g).elements for g in H.ambient.elements())
-        reps.append(H)
-    return tuple(reps)
+    which is its lexicographically least member, read from the ambient group's
+    class table.  In an abelian group every subgroup is its own class."""
+    return tuple(H for H in subgroups
+                 if H.ambient.is_abelian() or H.ambient.subgroup_class(H.elements)[0] == H.elements)
 
 
 @lru_cache(maxsize=None)
@@ -434,7 +540,7 @@ class QuotientGroup:
                 coset_of[G.mul[x][h]] = idx
         k = len(reps)
         table = [[coset_of[G.mul[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-        self.group = FiniteGroup(table, name=f"quotient[{len(N.elements)}/{len(H.elements)}]", bound=k)
+        self.group = FiniteGroup.trusted(table, name=f"quotient[{len(N.elements)}/{len(H.elements)}]")
         self.sub = N
         self.kernel = H
         self.coset_of = coset_of

@@ -24,10 +24,9 @@ from .symbols import (
     KIND_SURFACE,
     BurnsideClass,
     Symbol,
-    canonical_form,
     carrier_quotient,
     text_form,
-    validate_symbol,
+    validated_form,
 )
 
 FIXED_CURVE = "fixed_curve"
@@ -90,20 +89,20 @@ def stratum_symbol(m: ModelDescription, datum: StratumDatum) -> Symbol:
     label = m.catalog.label(datum.residual)
     y = _resolve_residual_group(m.group, datum.stabilizer, kind, label, datum.residual_group)
     sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(tuple(w) for w in datum.weights))
-    problems = validate_symbol(sym, m.group, m.catalog)
+    form, problems = validated_form(sym, m.group, m.catalog)
     if problems:
         raise ValidationError(f"invalid stratum datum: {'; '.join(problems)}")
-    return canonical_form(sym, m.group)
+    return form
 
 
 def factor_symbol(m: ModelDescription, datum: JacobianFactorDatum) -> Symbol:
     label = m.catalog.label(datum.residual)
     y = _resolve_residual_group(m.group, datum.stabilizer, KIND_JAC, label, datum.residual_group)
     sym = Symbol(KIND_JAC, datum.stabilizer, y, datum.residual)
-    problems = validate_symbol(sym, m.group, m.catalog)
+    form, problems = validated_form(sym, m.group, m.catalog)
     if problems:
         raise ValidationError(f"invalid jacobian factor datum: {'; '.join(problems)}")
-    return canonical_form(sym, m.group)
+    return form
 
 
 def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, ...]]:

@@ -6,6 +6,13 @@ group, the residual group Y as a sorted tuple of coset indices in the carrier
 quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
+Validating a symbol checks H and Y through the check tables of G and of the
+carrier quotient, so each element set is checked once per group; a failure is
+never recorded and gives the same message on every call.  The canonical form
+reads H's least conjugate and its transporter from G's class table, and the
+least Y with one conjugation per distinct action on H from G's frame memo,
+keyed by (kind, h, y); only the weights are transported per symbol.
+
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
 every raw symbol the pass has met.  The call that runs the pass builds it and
@@ -90,22 +97,27 @@ def symbol_characters(G: FiniteGroup, sym: Symbol) -> tuple[Character, ...]:
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
     """Diagnostics for the kind-specific invariants; an empty list means valid."""
+    return _check_symbol(sym, G, catalog)[0]
+
+
+def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[list[str], tuple[Character, ...]]:
+    """`validate_symbol`'s diagnostics, and the weights as characters once they are valid."""
     problems: list[str] = []
     if sym.kind not in _KIND_RANK:
-        return [f"unknown symbol kind {sym.kind!r}"]
+        return [f"unknown symbol kind {sym.kind!r}"], ()
     try:
         H = Subgroup(G, sym.h)
     except ValidationError as exc:
-        return [f"stabilizer: {exc}"]
+        return [f"stabilizer: {exc}"], ()
     if not catalog.has_label(sym.action):
-        return [f"unknown action label {sym.action!r}"]
+        return [f"unknown action label {sym.action!r}"], ()
     label = catalog.label(sym.action)
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     try:
         Y = y_subgroup(G, sym)
     except ValidationError as exc:
-        return problems + [f"residual group: {exc}"]
+        return problems + [f"residual group: {exc}"], ()
     if not label.group_shape.matches(Y):
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
 
@@ -116,32 +128,32 @@ def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list
             problems.append("genus >= 2 jacobian actions must be faithful")
         if catalog.curve.genus == 1 and not label.from_curve:
             problems.append("genus-1 jacobian actions must come from a curve action")
-        return problems
+        return problems, ()
 
     if H.is_trivial():
         problems.append("stabilizer must be nontrivial")
-        return problems
+        return problems, ()
     if not H.is_abelian():
         problems.append("stabilizer must be abelian")
-        return problems
+        return problems, ()
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
         problems.append(f"{sym.kind} symbols carry exactly {expected} weight(s)")
-        return problems
+        return problems, ()
     try:
-        chars = symbol_characters(G, sym)
+        chars = tuple(Character(struct, w) for w in sym.weights)
     except ValidationError as exc:
         problems.append(f"weights: {exc}")
-        return problems
+        return problems, ()
     if any(b.is_trivial() for b in chars):
         problems.append("weights must be nontrivial characters")
-        return problems
+        return problems, ()
     if not dual_generated_check(*chars):
         problems.append("weights must generate the full character group of the stabilizer")
     if sym.kind == KIND_SURFACE and not H.is_cyclic():
         problems.append("surface symbols need a cyclic stabilizer")
-    return problems
+    return problems, chars
 
 
 def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
@@ -149,37 +161,58 @@ def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
 
     Idempotent, and constant on orbits of the weight-permutation and
     conjugation moves."""
-    problems = validate_symbol(sym, G, catalog)
+    form, problems = validated_form(sym, G, catalog)
     if problems:
         raise ValidationError(f"cannot canonicalize invalid symbol: {'; '.join(problems)}")
-    return canonical_form(sym, G)
+    return form
 
 
-def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
-    """`canonicalize` for a symbol that `validate_symbol` has already accepted: its
-    least conjugate, comparing stabilizers, then Y, then sorted weights, each over
-    the g that tie so far.  For abelian G conjugation is trivial, so this is the
-    symbol with h and y sorted and its weights reduced and sorted."""
+def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol | None, list[str]]:
+    """(canonical form, []) for a valid symbol and (None, diagnostics) for an
+    invalid one; the weights are read as characters once, for both steps."""
+    problems, chars = _check_symbol(sym, G, catalog)
+    if problems:
+        return None, problems
+    return canonical_form(sym, G, chars), problems
+
+
+def canonical_form(sym: Symbol, G: FiniteGroup, chars: tuple[Character, ...]) -> Symbol:
+    """The least conjugate of a valid symbol with weights `chars`, comparing
+    stabilizers, then Y, then sorted weights, each over the g that tie so far.
+    The first two stages depend only on (kind, h, y) and are read from G's
+    frame memo, so only the weights are transported per symbol.  For abelian G
+    conjugation is trivial, so this is the symbol with h and y sorted and its
+    weights reduced and sorted."""
     h = tuple(sorted(set(sym.h)))
     y = tuple(sorted(set(sym.y)))
-    chars = symbol_characters(G, sym) if sym.weights else ()
     if G.is_abelian():
         return Symbol(sym.kind, h, y, sym.action, tuple(sorted(b.coords for b in chars)))
-    conj = G.conj_table()
-    best_h, ties = _least(G.elements(), lambda g: tuple(sorted(conj[g][a] for a in h)))
-    Q1 = carrier_quotient(G, h, sym.kind)
-    Q2 = carrier_quotient(G, best_h, sym.kind)
-    best_y, ties = _least(ties, lambda g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})))
+    best_h, best_y, actions = _frame(G, sym.kind, h, y)
     weights = ()
     if chars:
-        # a transported character depends only on how g conjugates H, so one
-        # tie per distinct action on H is enough
+        weights = min(tuple(sorted(transport_character(g, b).coords for b in chars)) for g in actions)
+    return Symbol(sym.kind, best_h, best_y, sym.action, weights)
+
+
+def _frame(G: FiniteGroup, kind: str, h: tuple[int, ...], y: tuple[int, ...]):
+    """(best_h, best_y, actions) for a valid (kind, h, y) over nonabelian G, kept
+    in `G.frames`: best_h is h's least conjugate (from G's class table), best_y
+    the least image of Y over the g that carry h to best_h, and actions one g
+    per distinct action on h among the g that also carry Y to best_y (a
+    transported character depends only on that action)."""
+    key = (kind, h, y)
+    frame = G.frames.get(key)
+    if frame is None:
+        conj = G.conj_table()
+        best_h, ties = G.subgroup_class(h)
+        Q1 = carrier_quotient(G, h, kind)
+        Q2 = carrier_quotient(G, best_h, kind)
+        best_y, ties = _least(ties, lambda g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})))
         per_action: dict[tuple[int, ...], int] = {}
         for g in ties:
             per_action.setdefault(tuple(conj[g][a] for a in h), g)
-        weights, _ = _least(per_action.values(),
-                            lambda g: tuple(sorted(transport_character(g, b).coords for b in chars)))
-    return Symbol(sym.kind, best_h, best_y, sym.action, weights)
+        frame = G.frames[key] = (best_h, best_y, tuple(per_action.values()))
+    return frame
 
 
 def _least(gs, key):
@@ -351,7 +384,7 @@ class BurnsideClass:
         return isinstance(other, BurnsideClass) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(((s, c) for s, c in self._terms.items()), key=lambda t: t[0].key())))
+        return hash(frozenset(self._terms.items()))
 
     def to_vector(self, index: dict[Symbol, int], length: int) -> tuple[int, ...]:
         vec = [0] * length

@@ -13,6 +13,10 @@ reference canonical form is the minimum over every g in G of the transported
 symbol, with no shortcut for abelian G.  The span of a set of characters is
 enumerated element by element.
 
+The reference group check runs the table checks in the order the checked
+constructor reports them and tests associativity on all n**3 triples, in
+lexicographic order, so it names the first failing triple.
+
 The reference subgroup lattice closes every candidate <H, g> by multiplying all
 pairs of its elements until nothing new appears, for every g outside H, and the
 reference abelian basis takes as complement of each peeled cyclic factor the
@@ -327,3 +331,20 @@ def reference_abelian_basis(H):
         factors.append(m)
         basis.append(h)
     return tuple(reversed(factors)), tuple(reversed(basis))
+
+
+def reference_group_problem(table):
+    """The message `FiniteGroup(table)` must raise for a square table of element
+    indices, or None if the table is a group: identity, then two-sided inverses,
+    then associativity over every triple (a, b, c) in lexicographic order."""
+    n = len(table)
+    rng = range(n)
+    if any(table[0][a] != a or table[a][0] != a for a in rng):
+        return "element 0 must be a two-sided identity"
+    for a in rng:
+        if not any(table[a][b] == 0 and table[b][a] == 0 for b in rng):
+            return f"element {a} has no two-sided inverse"
+    for a, b, c in product(rng, repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"table is not associative at ({a},{b},{c})"
+    return None

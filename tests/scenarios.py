@@ -1,7 +1,8 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups, multiplication tables of a few group families
-with seeded relabellings, and a reset of the engine caches."""
+with seeded relabellings, a reset of the engine caches, and a check that the
+subgroup tables a group owns hold checked subgroups only."""
 
 import random
 from dataclasses import replace
@@ -13,6 +14,7 @@ import burnloc.relations
 import burnloc.symbols
 from burnloc.abelian import abelian_structure
 from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
+from burnloc.errors import ValidationError
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups
 from burnloc.models import (
     BlowupCenter,
@@ -23,6 +25,8 @@ from burnloc.models import (
 )
 from burnloc.symbols import (
     KIND_CURVE,
+    KIND_JAC,
+    KIND_SURFACE,
     Symbol,
     carrier_quotient,
     iter_curve_data,
@@ -196,6 +200,28 @@ def clear_engine_caches():
     burnloc.abelian.abelian_structure.cache_clear()
     burnloc.symbols.carrier_quotient.cache_clear()
     burnloc.relations.relation_lattice.cache_clear()
+
+
+def assert_tables_bounded(G):
+    """Every subgroup table of G and of its carrier quotients is keyed by checked
+    subgroups only: the check and class tables by members of G's lattice, the
+    frame memo by (kind, h, y) with y in the lattice of h's carrier quotient."""
+    lattice = {H.elements for H in all_subgroups(G)}
+    assert set(G._checked) <= lattice
+    assert set(G._classes) <= lattice
+    frame_bound = 0
+    for h in lattice:
+        for kind in (KIND_CURVE, KIND_SURFACE, KIND_JAC):
+            try:
+                Q = carrier_quotient(G, h, kind)
+            except ValidationError:
+                continue  # no centralizer quotient over a nonabelian h
+            y_lattice = {Y.elements for Y in all_subgroups(Q.group)}
+            frame_bound += len(y_lattice)
+            assert set(Q.group._checked) <= y_lattice
+            assert all(y in y_lattice for k, h2, y in G.frames if (k, h2) == (kind, h))
+    assert all(h in lattice for _, h, _ in G.frames)
+    assert len(G.frames) <= frame_bound
 
 
 def cyclic_table(n):

@@ -34,7 +34,16 @@ from oracles import (
     reference_transport_character,
     reference_transport_symbol,
 )
-from scenarios import _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, symmetric_table
+from scenarios import (
+    _datum,
+    assert_tables_bounded,
+    cyclic_table,
+    dihedral_table,
+    direct_product,
+    generated_catalog,
+    relabel,
+    symmetric_table,
+)
 
 PERM_GROUPS = {
     "S3": {"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]},
@@ -117,14 +126,31 @@ def test_context_canonical_forms_match_canonicalize(name):
         assert context.canonicalize(sym) is form
 
 
-@pytest.mark.parametrize("name", ["S3xC2", "D4xC2", "D3xC4"])
-def test_nonabelian_canonical_form_matches_reference(name):
-    G = build_group(PERM_GROUPS[name])
-    catalog = generated_catalog(G)
+def _conjugates_match_reference(G, catalog):
     for sym in _raw_symbols(G, catalog):
         expected = reference_canonicalize(sym, G, catalog)
         for g in G.elements():
             assert canonicalize(reference_transport_symbol(sym, g, G), G, catalog) == expected
+
+
+NONABELIAN = {
+    "S3xC2": PERM_GROUPS["S3xC2"],
+    "D4xC2": PERM_GROUPS["D4xC2"],
+    "D3xC4": PERM_GROUPS["D3xC4"],
+    "S3xS3": LADDER_GROUPS["S3xS3"],
+    "D6xC2": LADDER_GROUPS["D6xC2"],
+}
+
+
+@pytest.mark.parametrize("name", NONABELIAN)
+def test_nonabelian_canonical_form_matches_reference(name):
+    # the forms come from the group's class table and frame memo, which the
+    # conjugates fill in every order; two seeded relabellings as well
+    base = build_group(NONABELIAN[name])
+    for G in (base, *(build_group({"kind": "table", "mul": relabel(base.mul, seed)}) for seed in (1, 2))):
+        catalog = generated_catalog(G)
+        _conjugates_match_reference(G, catalog)
+        assert_tables_bounded(G)
 
 
 def test_residual_group_ties_are_broken_before_weights():
@@ -134,8 +160,8 @@ def test_residual_group_ties_are_broken_before_weights():
     G = build_group({"kind": "perm", "degree": 7, "gens": [
         [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 3, 5, 6], [0, 1, 2, 3, 4, 6, 5], [0, 2, 1, 5, 6, 3, 4]]})
     catalog = generated_catalog(G)
-    for sym in _raw_symbols(G, catalog):
-        assert canonicalize(sym, G, catalog) == reference_canonicalize(sym, G, catalog)
+    _conjugates_match_reference(G, catalog)
+    assert_tables_bounded(G)
 
 
 # (group, stabilizer as given, the same stabilizer sorted); C2 is abelian, and in

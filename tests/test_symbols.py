@@ -147,6 +147,10 @@ def test_burnside_class_arithmetic(z2, hyper_cat):
     assert a.coefficient(syms[1]) == 2
     vec = a.to_vector({s: i for i, s in enumerate(syms)}, len(syms))
     assert vec == (1, 2, 0, 0, 0)
+    # equal classes hash alike whatever order their terms were added in
+    c = BurnsideClass.of(syms[1], 2) + BurnsideClass.of(syms[0]) + BurnsideClass.of(syms[2], 0)
+    assert c == a and hash(c) == hash(a)
+    assert {a, c, -a} == {a, -a}
 
 
 def test_class_vector_rejects_foreign_symbol(z2, z3, hyper_cat, z3_cat):

@@ -46,7 +46,6 @@ from .normalforms import (
     IntegerLattice,
     cokernel_structure,
     hermite_normal_form,
-    kernel_basis,
     smith_normal_form,
 )
 from .symbols import (

@@ -59,9 +59,13 @@ class AbelianStructure:
     cosets C*x^k, still meets <h> only in the identity, until |C| = |remaining|/m.
     Such a maximal C is a complement because <h> = Z/m is an injective
     Z/m-module, and adjoining in ascending order gives the lexicographically
-    least complement, so the basis does not depend on how the search runs."""
+    least complement, so the basis does not depend on how the search runs.
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport")
+    The structure owns two memos over its host: `transport_matrix` per
+    conjugating g, and `dual_generated_check` per tuple of character
+    coordinates."""
+
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport", "_dual")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -112,6 +116,7 @@ class AbelianStructure:
         self.coords = coords
         self.element_of = {t: x for x, t in coords.items()}
         self._transport: dict = {}  # g -> transport_matrix(g)
+        self._dual: dict = {}  # tuple of character coordinates -> dual_generated_check's answer
 
     @property
     def order(self) -> int:
@@ -208,18 +213,26 @@ def character_kernel(b: Character) -> Subgroup:
 
 def dual_generated_check(*chars: Character) -> bool:
     """Do the given characters generate the full dual group?  They do exactly
-    when no nonidentity element of the host lies in every kernel."""
+    when no nonidentity element of the host lies in every kernel.  The answer
+    depends only on the host and the coordinates, so it is kept in the host
+    structure's `_dual` memo, keyed by the tuple of coordinates; an empty call
+    or mixed hosts raise before the memo is read."""
     if not chars:
         raise ValidationError("dual_generated_check needs at least one character")
     for b in chars[1:]:
         _same_host(chars[0], b)
-    scaled = [_scaled(b) for b in chars]
-    e = scaled[0][1]
-    rows = [row for row, _ in scaled]
-    return not any(
-        all(sum(c * a for c, a in zip(row, x)) % e == 0 for row in rows)
-        for x in chars[0].structure.element_of if any(x)
-    )
+    struct = chars[0].structure
+    key = tuple(b.coords for b in chars)
+    answer = struct._dual.get(key)
+    if answer is None:
+        scaled = [_scaled(b) for b in chars]
+        e = scaled[0][1]
+        rows = [row for row, _ in scaled]
+        answer = struct._dual[key] = not any(
+            all(sum(c * a for c, a in zip(row, x)) % e == 0 for row in rows)
+            for x in struct.element_of if any(x)
+        )
+    return answer
 
 
 def restrict_character(b: Character, K: Subgroup) -> Character:

@@ -408,10 +408,6 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
         return Subgroup.trusted(self.ambient, tuple(sorted(row[a] for a in self.elements)))
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup.trusted(G, (0,))
-
-
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup.trusted(G, tuple(G.elements()))
 
@@ -515,10 +511,12 @@ class QuotientGroup:
 
     `group` is the quotient as a FiniteGroup; coset 0 is H itself.  `coset_of`
     maps an N-element to its coset index and `reps` picks the minimal
-    representative of each coset.
+    representative of each coset.  `resolved` is the model layer's memo of
+    the residual groups it has resolved in this quotient, keyed by (declared
+    shape, declared generators or None); only successes are kept.
     """
 
-    __slots__ = ("group", "sub", "kernel", "coset_of", "reps")
+    __slots__ = ("group", "sub", "kernel", "coset_of", "reps", "resolved")
 
     def __init__(self, N: Subgroup, H: Subgroup):
         G = N.ambient
@@ -545,6 +543,7 @@ class QuotientGroup:
         self.kernel = H
         self.coset_of = coset_of
         self.reps = tuple(reps)
+        self.resolved = {}
 
     def image(self, elements: Iterable[int]) -> tuple[int, ...]:
         """Coset indices of the given N-elements (sorted, deduplicated)."""

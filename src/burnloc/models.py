@@ -59,49 +59,49 @@ class ModelDescription:
 
 def _resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str,
                             label: ActionLabel, residual_group) -> tuple[int, ...]:
-    """Concrete Y as coset indices: explicit generators, or the unique shape match."""
+    """Concrete Y as coset indices: explicit generators, or the unique shape match.
+
+    Y depends only on the carrier quotient, the label's shape and the
+    generators, so it is kept in the quotient's `resolved` memo, keyed by
+    (shape, generators or None).  A failure is not kept: it raises the same
+    message on every call."""
     Q = carrier_quotient(G, h, kind)
-    if residual_group is not None:
-        bad = [x for x in residual_group if x not in Q.coset_of]
+    gens = None if residual_group is None else tuple(residual_group)
+    y = Q.resolved.get((label.group_shape, gens))
+    if y is not None:
+        return y
+    if gens is not None:
+        bad = [x for x in gens if x not in Q.coset_of]
         if bad:
             raise ValidationError(
                 f"residual_group elements {bad} do not centralize/normalize the stabilizer {h}"
             )
-        gens = Q.image(residual_group)
-        return Subgroup.generated(Q.group, gens).elements
-    matches = [S for S in all_subgroups(Q.group) if label.group_shape.matches(S)]
-    if not matches:
-        raise ValidationError(
-            f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}"
-        )
-    if len(matches) > 1:
-        raise ValidationError(
-            f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
-            "declare residual_group explicitly"
-        )
-    return matches[0].elements
+        y = Subgroup.generated(Q.group, Q.image(gens)).elements
+    else:
+        matches = [S for S in all_subgroups(Q.group) if label.group_shape.matches(S)]
+        if not matches:
+            raise ValidationError(
+                f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}"
+            )
+        if len(matches) > 1:
+            raise ValidationError(
+                f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
+                "declare residual_group explicitly"
+            )
+        y = matches[0].elements
+    Q.resolved[label.group_shape, gens] = y
+    return y
 
 
-def stratum_symbol(m: ModelDescription, datum: StratumDatum) -> Symbol:
-    if datum.kind not in (FIXED_CURVE, RULED_DIVISOR):
-        raise ValidationError(f"unknown stratum kind {datum.kind!r}")
-    kind = KIND_CURVE if datum.kind == FIXED_CURVE else KIND_SURFACE
+def _datum_symbol(m: ModelDescription, kind: str, datum, weights: tuple = ()) -> Symbol:
+    """The canonical symbol of a stratum or Jacobian factor datum."""
     label = m.catalog.label(datum.residual)
     y = _resolve_residual_group(m.group, datum.stabilizer, kind, label, datum.residual_group)
-    sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(tuple(w) for w in datum.weights))
+    sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(tuple(w) for w in weights))
     form, problems = validated_form(sym, m.group, m.catalog)
     if problems:
-        raise ValidationError(f"invalid stratum datum: {'; '.join(problems)}")
-    return form
-
-
-def factor_symbol(m: ModelDescription, datum: JacobianFactorDatum) -> Symbol:
-    label = m.catalog.label(datum.residual)
-    y = _resolve_residual_group(m.group, datum.stabilizer, KIND_JAC, label, datum.residual_group)
-    sym = Symbol(KIND_JAC, datum.stabilizer, y, datum.residual)
-    form, problems = validated_form(sym, m.group, m.catalog)
-    if problems:
-        raise ValidationError(f"invalid jacobian factor datum: {'; '.join(problems)}")
+        what = "jacobian factor" if kind == KIND_JAC else "stratum"
+        raise ValidationError(f"invalid {what} datum: {'; '.join(problems)}")
     return form
 
 
@@ -119,12 +119,15 @@ def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, 
             problems.append(f"stratum {i}: {datum.kind} data carry exactly {expected} weight(s)")
             continue
         try:
-            symbols.append(stratum_symbol(m, datum))
+            if datum.kind not in (FIXED_CURVE, RULED_DIVISOR):
+                raise ValidationError(f"unknown stratum kind {datum.kind!r}")
+            kind = KIND_CURVE if datum.kind == FIXED_CURVE else KIND_SURFACE
+            symbols.append(_datum_symbol(m, kind, datum, datum.weights))
         except ValidationError as exc:
             problems.append(f"stratum {i}: {exc}")
     for i, datum in enumerate(m.jacobian_factors):
         try:
-            symbols.append(factor_symbol(m, datum))
+            symbols.append(_datum_symbol(m, KIND_JAC, datum))
         except ValidationError as exc:
             problems.append(f"jacobian factor {i}: {exc}")
     if m.counts is not None and not problems:

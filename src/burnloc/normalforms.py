@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, row-lattice
-membership and reduction, integer kernels, and cokernel structure.
+membership and reduction, and cokernel structure.
 
 Everything runs on native Python integers, so intermediate entries may grow
 without overflow.  Row convention throughout: the lattice is the set of integer
@@ -10,14 +10,15 @@ entries, is computed in two stages (after Dumas, Saunders & Villard, "On
 efficient sparse integer matrix Smith normal form computations", J. Symb.
 Comput. 32, 2001): +-1 pivots are eliminated on sparse rows, least Markowitz
 cost first, and a dense block-minimum Euclid loop reduces only the residual
-block that has no +-1 entry left.  Hermite forms and lattices stay dense.
+block that has no +-1 entry left.  Hermite forms are computed dense; a
+lattice keeps each Hermite row as sparse (column, value) pairs keyed by its
+pivot and reduces membership, coset and certificate queries on those rows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -38,13 +39,17 @@ def hermite_normal_form(rows, ncols: int, with_transform: bool = False):
 
     Returns the nonzero HNF rows (echelon, positive pivots, entries above each
     pivot reduced into [0, pivot)).  With `with_transform`, also returns for
-    each HNF row its coefficient vector over the input rows.
+    each HNF row its coefficient vector over the input rows: each input row
+    carries its unit vector in m extra columns, which every row operation
+    updates along with it.
     """
     m = len(rows)
     M = [list(r) for r in rows]
     if any(len(r) != ncols for r in M):
         raise ValueError("all rows must have the stated number of columns")
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    if with_transform:
+        for i, row in enumerate(M):
+            row.extend(1 if i == j else 0 for j in range(m))
     r = 0
     for col in range(ncols):
         pivot = None
@@ -55,38 +60,31 @@ def hermite_normal_form(rows, ncols: int, with_transform: bool = False):
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        U[r], U[pivot] = U[pivot], U[r]
         for i in range(r + 1, m):
             while M[i][col] != 0:
                 a, b = M[r][col], M[i][col]
                 if b % a == 0:
                     q = b // a
                     M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
                 else:
                     g, x, y = _xgcd(a, b)
                     # unimodular 2x2 block: det = (x*a/g ... ) = +/-1
                     new_r = [x * p + y * q_ for p, q_ in zip(M[r], M[i])]
                     new_i = [(-b // g) * p + (a // g) * q_ for p, q_ in zip(M[r], M[i])]
                     M[r], M[i] = new_r, new_i
-                    new_ur = [x * p + y * q_ for p, q_ in zip(U[r], U[i])]
-                    new_ui = [(-b // g) * p + (a // g) * q_ for p, q_ in zip(U[r], U[i])]
-                    U[r], U[i] = new_ur, new_ui
         if M[r][col] < 0:
             M[r] = [-x for x in M[r]]
-            U[r] = [-x for x in U[r]]
         d = M[r][col]
         for i in range(r):
             q = M[i][col] // d
             if q:
                 M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
         if r == m:
             break
-    H = [tuple(row) for row in M[:r]]
+    H = [tuple(row[:ncols]) for row in M[:r]]
     if with_transform:
-        return H, [tuple(u) for u in U[:r]]
+        return H, [tuple(row[ncols:]) for row in M[:r]]
     return H
 
 
@@ -250,21 +248,15 @@ def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
     return ncols - len(diag), torsion
 
 
-def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the left kernel {c : c * M = 0} of the matrix with the given rows."""
-    m = len(rows)
-    augmented = [tuple(rows[i]) + tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    H = hermite_normal_form(augmented, ncols + m)
-    return [row[ncols:] for row in H if all(x == 0 for x in row[:ncols])]
-
-
-class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots nspanning")):
+class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots nspanning pivot_rows")):
     """A row lattice in Z^ncols held in Hermite normal form.
 
     Supports exact membership, canonical coset reduction, and membership
     certificates in terms of the original spanning rows.  `basis` holds the HNF
     rows and `pivots` their pivot columns; `transform` expresses each basis row
-    over the `nspanning` original spanning rows.
+    over the `nspanning` original spanning rows.  `pivot_rows[j]` is the basis row
+    with pivot j as (column, value) pairs, pivot first, or None when column j
+    holds no pivot; all three queries reduce on these sparse rows.
     """
 
     __slots__ = ()
@@ -273,71 +265,64 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots 
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":
         H, U = hermite_normal_form(rows, ncols, with_transform=True)
         pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in H)
-        return cls(ncols=ncols, basis=tuple(H), transform=tuple(U), pivots=pivots, nspanning=len(rows))
+        sparse = [None] * ncols
+        for row, p in zip(H, pivots):
+            sparse[p] = tuple((j, x) for j, x in enumerate(row) if x)
+        return cls(ncols=ncols, basis=tuple(H), transform=tuple(U), pivots=pivots,
+                   nspanning=len(rows), pivot_rows=tuple(sparse))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
-        w = list(vec)
-        if len(w) != self.ncols:
+    def _reduce(self, vec, exact: bool):
+        """Reduce vec by the basis, least nonzero column first (Cohen, *A Course
+        in Computational Algebraic Number Theory*, 1993, 2.4.3): each pivot
+        column's entry is divided by the pivot and that multiple of its row
+        subtracted, which only changes later columns.  Returns the entries left
+        and the multiple taken per pivot column; with `exact`, None as soon as a
+        nonzero entry is left, i.e. vec is not in the lattice."""
+        vec = tuple(vec)
+        if len(vec) != self.ncols:
             raise ValueError("vector has the wrong length")
-        for row, p in zip(self.basis, self.pivots):
-            if w[p] % row[p] != 0:
-                return False
-            q = w[p] // row[p]
+        w = {j: x for j, x in enumerate(vec) if x}
+        heap = list(w)  # ascending, so already a heap
+        left: dict[int, int] = {}
+        multiples: dict[int, int] = {}
+        while heap:
+            j = heappop(heap)
+            x = w.pop(j)
+            row = self.pivot_rows[j]
+            q, r = divmod(x, row[0][1]) if row else (0, x)
+            if r:
+                if exact:
+                    return None
+                left[j] = r
             if q:
-                w = [x - q * y for x, y in zip(w, row)]
-        return all(x == 0 for x in w)
+                multiples[j] = q
+                for c, v in row[1:]:
+                    if c not in w:
+                        heappush(heap, c)
+                    w[c] = w.get(c, 0) - q * v
+        return left, multiples
+
+    def contains(self, vec) -> bool:
+        return self._reduce(vec, exact=True) is not None
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical coset representative: pivot coordinates land in [0, pivot)."""
-        w = list(vec)
-        if len(w) != self.ncols:
-            raise ValueError("vector has the wrong length")
-        for row, p in zip(self.basis, self.pivots):
-            q = w[p] // row[p]
-            if q:
-                w = [x - q * y for x, y in zip(w, row)]
-        return tuple(w)
+        left, _ = self._reduce(vec, exact=False)
+        return tuple(left.get(j, 0) for j in range(self.ncols))
 
     def coefficients(self, vec) -> tuple[int, ...] | None:
         """Coefficients over the ORIGINAL spanning rows expressing vec, or None."""
-        w = list(vec)
-        coeffs = [0] * len(self.basis)
-        for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
-            if w[p] % row[p] != 0:
-                return None
-            q = w[p] // row[p]
-            coeffs[i] = q
-            if q:
-                w = [x - q * y for x, y in zip(w, row)]
-        if any(x != 0 for x in w):
+        reduced = self._reduce(vec, exact=True)
+        if reduced is None:
             return None
         out = [0] * self.nspanning
-        for c, urow in zip(coeffs, self.transform):
-            for j, u in enumerate(urow):
-                out[j] += c * u
+        for p, urow in zip(self.pivots, self.transform):
+            c = reduced[1].get(p)
+            if c:
+                for j, u in enumerate(urow):
+                    out[j] += c * u
         return tuple(out)
-
-
-def rational_rank(rows, ncols: int) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    M = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    while rank < len(M) and col < ncols:
-        piv = next((i for i in range(rank, len(M)) if M[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for i in range(rank + 1, len(M)):
-            if M[i][col] != 0:
-                a, b = M[rank][col], M[i][col]
-                g = gcd(a, b)
-                M[i] = [(a // g) * x - (b // g) * y for x, y in zip(M[i], M[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -1,10 +1,17 @@
 """Independent brute-force oracles for the exact linear algebra layer and for
-symbol canonicalization.
+symbol canonicalization, plus dense reference routines and helpers that only
+the tests use.
 
-Nothing here may call into burnloc.normalforms: membership is decided by
-exhaustive bounded-coefficient search or by the integer adjugate, quotients are
-enumerated coset by coset, and invariant factors are recovered from p-torsion
-counts of the enumerated cosets.
+The brute-force oracles never call into burnloc.normalforms: membership is
+decided by exhaustive bounded-coefficient search or by the integer adjugate,
+quotients are enumerated coset by coset, and invariant factors are recovered
+from p-torsion counts of the enumerated cosets.
+
+The dense references are the lattice queries on full-length Hermite rows
+(membership, coset reduction and certificates, pivot by pivot in basis order),
+against which the sparse reduction of `IntegerLattice` is tested.  The helpers
+are the left-kernel basis read off the Hermite form of [M | I], fraction-free
+rank (cross-checked against the `Fraction` rank) and the trivial subgroup.
 
 Characters are evaluated in Q/Z with `Fraction`s (`reference_evaluate`, the
 definition the integer kernels, restrictions and transports of burnloc.abelian
@@ -26,10 +33,12 @@ trivially.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from burnloc.abelian import Character, abelian_structure
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup
+from burnloc.normalforms import hermite_normal_form
 from burnloc.symbols import Symbol, carrier_quotient, validate_symbol
 
 
@@ -209,6 +218,88 @@ def rational_rank_oracle(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def rational_rank(rows, ncols):
+    """Rank over Q by fraction-free Gaussian elimination."""
+    M = [list(r) for r in rows]
+    rank = 0
+    col = 0
+    while rank < len(M) and col < ncols:
+        piv = next((i for i in range(rank, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            if M[i][col] != 0:
+                a, b = M[rank][col], M[i][col]
+                g = gcd(a, b)
+                M[i] = [(a // g) * x - (b // g) * y for x, y in zip(M[i], M[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def kernel_basis(rows, ncols):
+    """Basis of the left kernel {c : c * M = 0} of the matrix with the given rows."""
+    m = len(rows)
+    augmented = [tuple(rows[i]) + tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    H = hermite_normal_form(augmented, ncols + m)
+    return [row[ncols:] for row in H if all(x == 0 for x in row[:ncols])]
+
+
+def _dense_vector(lattice, vec):
+    w = list(vec)
+    if len(w) != lattice.ncols:
+        raise ValueError("vector has the wrong length")
+    return w
+
+
+def dense_contains(lattice, vec):
+    """`IntegerLattice.contains` on the dense Hermite rows."""
+    w = _dense_vector(lattice, vec)
+    for row, p in zip(lattice.basis, lattice.pivots):
+        if w[p] % row[p] != 0:
+            return False
+        q = w[p] // row[p]
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    return all(x == 0 for x in w)
+
+
+def dense_reduce(lattice, vec):
+    """`IntegerLattice.reduce` on the dense Hermite rows."""
+    w = _dense_vector(lattice, vec)
+    for row, p in zip(lattice.basis, lattice.pivots):
+        q = w[p] // row[p]
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def dense_coefficients(lattice, vec):
+    """`IntegerLattice.coefficients` on the dense Hermite rows."""
+    w = _dense_vector(lattice, vec)
+    coeffs = [0] * len(lattice.basis)
+    for i, (row, p) in enumerate(zip(lattice.basis, lattice.pivots)):
+        if w[p] % row[p] != 0:
+            return None
+        q = w[p] // row[p]
+        coeffs[i] = q
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    if any(x != 0 for x in w):
+        return None
+    out = [0] * lattice.nspanning
+    for c, urow in zip(coeffs, lattice.transform):
+        for j, u in enumerate(urow):
+            out[j] += c * u
+    return tuple(out)
+
+
+def trivial_subgroup(G):
+    return Subgroup.trusted(G, (0,))
 
 
 def reference_evaluate(b, x):

@@ -1,8 +1,9 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups, multiplication tables of a few group families
-with seeded relabellings, a reset of the engine caches, and a check that the
-subgroup tables a group owns hold checked subgroups only."""
+with seeded relabellings, the specs of the benchmark ladder's groups, a reset
+of the engine caches, and a check that the tables a group and its derived
+objects own stay bounded."""
 
 import random
 from dataclasses import replace
@@ -12,7 +13,7 @@ import burnloc.abelian
 import burnloc.groups
 import burnloc.relations
 import burnloc.symbols
-from burnloc.abelian import abelian_structure
+from burnloc.abelian import abelian_structure, all_characters
 from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups
@@ -202,13 +203,23 @@ def clear_engine_caches():
     burnloc.relations.relation_lattice.cache_clear()
 
 
-def assert_tables_bounded(G):
+def assert_tables_bounded(G, catalog=None):
     """Every subgroup table of G and of its carrier quotients is keyed by checked
     subgroups only: the check and class tables by members of G's lattice, the
-    frame memo by (kind, h, y) with y in the lattice of h's carrier quotient."""
+    frame memo by (kind, h, y) with y in the lattice of h's carrier quotient.
+    The memos of derived objects stay bounded too: each abelian structure's
+    dual-generation memo by k-tuples of its characters, k <= 2, and each
+    carrier quotient's resolved residual groups by members of its lattice,
+    keyed by shapes the catalog declares (when a catalog is given)."""
     lattice = {H.elements for H in all_subgroups(G)}
     assert set(G._checked) <= lattice
     assert set(G._classes) <= lattice
+    for H in all_subgroups(G):
+        if H.is_abelian():
+            struct = abelian_structure(H)
+            characters = {b.coords for b in all_characters(struct)}
+            assert all(1 <= len(key) <= 2 and set(key) <= characters for key in struct._dual)
+    shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
     frame_bound = 0
     for h in lattice:
         for kind in (KIND_CURVE, KIND_SURFACE, KIND_JAC):
@@ -220,6 +231,8 @@ def assert_tables_bounded(G):
             frame_bound += len(y_lattice)
             assert set(Q.group._checked) <= y_lattice
             assert all(y in y_lattice for k, h2, y in G.frames if (k, h2) == (kind, h))
+            assert set(Q.resolved.values()) <= y_lattice
+            assert shapes is None or {shape for shape, _ in Q.resolved} <= shapes
     assert all(h in lattice for _, h, _ in G.frames)
     assert len(G.frames) <= frame_bound
 
@@ -259,3 +272,33 @@ def relabel(table, seed):
         for b in range(n):
             out[pi[a]][pi[b]] = pi[table[a][b]]
     return out
+
+
+PERM_GROUPS = {
+    "S3": {"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]},
+    "D4": {"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]},
+    "S3xC2": {"kind": "perm", "degree": 5, "gens": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 4, 3]]},
+    "D4xC2": {"kind": "perm", "degree": 6,
+              "gens": [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]},
+    # the C4 factor is central, so centralizers are large and many conjugations tie
+    "D3xC4": {"kind": "perm", "degree": 7,
+              "gens": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 5, 6, 3]]},
+}
+ABELIAN_GROUPS = {
+    "C4xC4": {"kind": "abelian", "factors": [4, 4]},
+    "C2xC6": {"kind": "abelian", "factors": [2, 6]},
+}
+
+# the rungs of the two benchmark ladders
+LADDER_GROUPS = {
+    "C10": {"kind": "cyclic", "n": 10},
+    "C12": {"kind": "cyclic", "n": 12},
+    "C2xC6": ABELIAN_GROUPS["C2xC6"],
+    "C4xC4": ABELIAN_GROUPS["C4xC4"],
+    "C2xC2xC4": {"kind": "abelian", "factors": [2, 2, 4]},
+    "D10": {"kind": "table", "mul": dihedral_table(10)},
+    "D4xC2": PERM_GROUPS["D4xC2"],
+    "S3xS3": {"kind": "table", "mul": direct_product(symmetric_table(3), symmetric_table(3))},
+    "D3xC4": PERM_GROUPS["D3xC4"],
+    "D6xC2": {"kind": "table", "mul": direct_product(dihedral_table(6), cyclic_table(2))},
+}

@@ -10,7 +10,7 @@ import time
 from burnloc.fixtures import fixture_catalog, fixture_center, fixture_model
 from burnloc.groups import build_group
 from burnloc.models import verdict, verify_blowup_invariance
-from burnloc.normalforms import IntegerLattice, cokernel_structure, kernel_basis
+from burnloc.normalforms import IntegerLattice, cokernel_structure
 from burnloc.relations import (
     FilterSpec,
     filtered_relation_vectors,
@@ -28,6 +28,7 @@ from oracles import (
     det_int,
     enumerate_cosets,
     exhaustive_member,
+    kernel_basis,
     quotient_invariant_factors,
     rational_rank_oracle,
 )

@@ -35,44 +35,14 @@ from oracles import (
     reference_transport_symbol,
 )
 from scenarios import (
+    ABELIAN_GROUPS,
+    LADDER_GROUPS,
+    PERM_GROUPS,
     _datum,
     assert_tables_bounded,
-    cyclic_table,
-    dihedral_table,
-    direct_product,
     generated_catalog,
     relabel,
-    symmetric_table,
 )
-
-PERM_GROUPS = {
-    "S3": {"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]},
-    "D4": {"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]},
-    "S3xC2": {"kind": "perm", "degree": 5, "gens": [[1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 4, 3]]},
-    "D4xC2": {"kind": "perm", "degree": 6,
-              "gens": [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]},
-    # the C4 factor is central, so centralizers are large and many conjugations tie
-    "D3xC4": {"kind": "perm", "degree": 7,
-              "gens": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 5, 6, 3]]},
-}
-ABELIAN_GROUPS = {
-    "C4xC4": {"kind": "abelian", "factors": [4, 4]},
-    "C2xC6": {"kind": "abelian", "factors": [2, 6]},
-}
-
-# the rungs of the two benchmark ladders
-LADDER_GROUPS = {
-    "C10": {"kind": "cyclic", "n": 10},
-    "C12": {"kind": "cyclic", "n": 12},
-    "C2xC6": ABELIAN_GROUPS["C2xC6"],
-    "C4xC4": ABELIAN_GROUPS["C4xC4"],
-    "C2xC2xC4": {"kind": "abelian", "factors": [2, 2, 4]},
-    "D10": {"kind": "table", "mul": dihedral_table(10)},
-    "D4xC2": PERM_GROUPS["D4xC2"],
-    "S3xS3": {"kind": "table", "mul": direct_product(symmetric_table(3), symmetric_table(3))},
-    "D3xC4": PERM_GROUPS["D3xC4"],
-    "D6xC2": {"kind": "table", "mul": direct_product(dihedral_table(6), cyclic_table(2))},
-}
 
 
 def _raw_symbols(G, catalog):
@@ -150,7 +120,7 @@ def test_nonabelian_canonical_form_matches_reference(name):
     for G in (base, *(build_group({"kind": "table", "mul": relabel(base.mul, seed)}) for seed in (1, 2))):
         catalog = generated_catalog(G)
         _conjugates_match_reference(G, catalog)
-        assert_tables_bounded(G)
+        assert_tables_bounded(G, catalog)
 
 
 def test_residual_group_ties_are_broken_before_weights():
@@ -161,7 +131,7 @@ def test_residual_group_ties_are_broken_before_weights():
         [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 3, 5, 6], [0, 1, 2, 3, 4, 6, 5], [0, 2, 1, 5, 6, 3, 4]]})
     catalog = generated_catalog(G)
     _conjugates_match_reference(G, catalog)
-    assert_tables_bounded(G)
+    assert_tables_bounded(G, catalog)
 
 
 # (group, stabilizer as given, the same stabilizer sorted); C2 is abelian, and in

@@ -15,9 +15,8 @@ from burnloc.groups import (
     normalizer,
     quotient,
     subgroups_up_to_conjugacy,
-    trivial_subgroup,
 )
-from oracles import reference_abelian_basis, reference_subgroups_within
+from oracles import reference_abelian_basis, reference_subgroups_within, trivial_subgroup
 from scenarios import cyclic_table, dihedral_table, direct_product, relabel, symmetric_table
 
 
@@ -223,6 +222,7 @@ def test_quotient_c4_by_c2(z4):
     assert Q.coset_of[0] == 0 and Q.coset_of[2] == 0
     assert Q.coset_of[1] == 1 and Q.coset_of[3] == 1
     assert Q.reps == (0, 1)
+    assert quotient(full_subgroup(z4), trivial_subgroup(z4)).group.order == 4
 
 
 def test_quotient_requires_normality(s3):

@@ -3,22 +3,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnloc.errors import ValidationError
 from burnloc.normalforms import (
     IntegerLattice,
     _dense_smith_diagonal,
     _eliminate_unit_pivots,
     cokernel_structure,
     hermite_normal_form,
-    kernel_basis,
-    rational_rank,
     smith_normal_form,
 )
+from burnloc.relations import relation_lattice
+from burnloc.symbols import BurnsideClass, Symbol
 from oracles import (
     SquareLatticeOracle,
+    dense_coefficients,
+    dense_contains,
+    dense_reduce,
     det_int,
     enumerate_cosets,
     exhaustive_member,
+    kernel_basis,
     quotient_invariant_factors,
+    rational_rank,
     rational_rank_oracle,
 )
 
@@ -147,6 +153,71 @@ def test_lattice_coefficients_on_rank_zero_lattice():
     assert IntegerLattice.from_rows([(0, 0), (0, 0)], 2).coefficients((0, 0)) == (0, 0)
     assert IntegerLattice.from_rows([], 2).coefficients((0, 0)) == ()
     assert IntegerLattice.from_rows([(0, 0)], 2).coefficients((1, 0)) is None
+
+
+def _lattice_queries(rng, rows, lat):
+    """Random query vectors, half of them lattice members built as random
+    combinations of the spanning rows; the others are sparse vectors, half of
+    them put off a member by a unit on a pivot column."""
+    ncols = lat.ncols
+    queries = []
+    for k in range(12):
+        member = [0] * ncols
+        for row in rng.sample(rows, min(len(rows), rng.randint(1, 4))):
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            member = [x + c * y for x, y in zip(member, row)]
+        if k % 2 == 0:
+            queries.append((tuple(member), True))
+            continue
+        vec = [0] * ncols if k % 4 == 1 else member
+        columns = lat.pivots if lat.pivots and rng.random() < 0.5 else range(ncols)
+        for j in rng.sample(columns, min(len(columns), rng.randint(1, 3))):
+            vec[j] += rng.choice([-2, -1, 1, 2])
+        queries.append((tuple(vec), None))
+    return queries
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_sparse_reduction_matches_the_dense_reference(seed):
+    rng = random.Random(seed)
+    rows, ncols = _sparse_relation_matrix(rng)
+    lat = IntegerLattice.from_rows(rows, ncols)
+    for vec, member in _lattice_queries(rng, rows, lat):
+        found = lat.contains(vec)
+        assert found == dense_contains(lat, vec)
+        assert member is None or found == member
+        assert lat.reduce(vec) == dense_reduce(lat, vec)
+        assert lat.coefficients(vec) == dense_coefficients(lat, vec)
+
+
+def test_sparse_rows_are_the_basis_rows_by_pivot():
+    rows, ncols = _sparse_relation_matrix(random.Random(3))
+    lat = IntegerLattice.from_rows(rows, ncols)
+    for j, sparse in enumerate(lat.pivot_rows):
+        if j in lat.pivots:
+            dense = lat.basis[lat.pivots.index(j)]
+            assert sparse == tuple((c, x) for c, x in enumerate(dense) if x)
+            assert sparse[0] == (j, dense[j])
+        else:
+            assert sparse is None
+
+
+def test_lattice_queries_reject_the_wrong_length():
+    lat = IntegerLattice.from_rows([(2, 0), (0, 3)], 2)
+    for query in (lat.contains, lat.reduce, lat.coefficients):
+        for vec in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match="vector has the wrong length"):
+                query(vec)
+
+
+def test_relation_lattice_rejects_a_symbol_outside_its_index(z2, hyper_cat):
+    lattice = relation_lattice(z2, hyper_cat)
+    stray = Symbol("jac", (0,), (0,), "no-such-label")
+    for query in (lattice.contains, lattice.reduce):
+        with pytest.raises(ValidationError) as exc:
+            query(BurnsideClass.of(stray))
+        assert str(exc.value) == f"symbol outside index: {stray}"
 
 
 def test_kernel_basis_simple():

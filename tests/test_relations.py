@@ -8,7 +8,7 @@ import burnloc.symbols
 from burnloc.catalog import catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import CatalogIncompleteError, ValidationError
 from burnloc.groups import Subgroup, build_group
-from burnloc.normalforms import IntegerLattice, kernel_basis
+from burnloc.normalforms import IntegerLattice
 from burnloc.relations import (
     FilterSpec,
     check_filter_closure,
@@ -24,6 +24,7 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
+from oracles import kernel_basis
 from scenarios import (
     clear_engine_caches,
     cyclic_table,

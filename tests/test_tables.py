@@ -1,13 +1,25 @@
 """The subgroup facts a group owns: the check table behind `Subgroup(G, ...)`,
 the conjugacy class table and the canonical frame memo that `canonicalize`
-reads, and the associativity test of the checked group constructor."""
+reads, and the associativity test of the checked group constructor; and the
+facts derived objects own: each abelian structure's dual-generation memo and
+each carrier quotient's resolved residual groups."""
 
 import random
+from itertools import product
 
 import pytest
 
+from burnloc.abelian import Character, abelian_structure, all_characters, dual_generated_check
+from burnloc.catalog import ActionLabel, GroupShape
 from burnloc.errors import ValidationError
-from burnloc.groups import FiniteGroup, Subgroup, all_subgroups, build_group
+from burnloc.groups import (
+    FiniteGroup,
+    Subgroup,
+    abelian_subgroups_up_to_conjugacy,
+    all_subgroups,
+    build_group,
+)
+from burnloc.models import _resolve_residual_group
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
@@ -21,8 +33,10 @@ from burnloc.symbols import (
     iter_surface_data,
     validate_symbol,
 )
-from oracles import reference_canonicalize, reference_group_problem
+from oracles import character_span, reference_canonicalize, reference_group_problem
 from scenarios import (
+    LADDER_GROUPS,
+    _datum,
     assert_tables_bounded,
     clear_engine_caches,
     cyclic_table,
@@ -97,7 +111,7 @@ def test_invalid_h_or_y_fails_with_the_same_message_on_every_call(sym, problem):
     # a valid symbol afterwards still canonicalizes, and nothing invalid was kept
     good = next(iter_curve_data(G, catalog))
     assert canonicalize(good, G, catalog) == reference_canonicalize(good, G, catalog)
-    assert_tables_bounded(G)
+    assert_tables_bounded(G, catalog)
 
 
 def test_subgroup_check_runs_once_per_element_set():
@@ -182,3 +196,107 @@ def test_quotient_tables_pass_the_checked_constructor(name):
             assert checked == Q
             assert [checked.inv(a) for a in checked.elements()] == [Q.inv(a) for a in Q.elements()]
             assert checked.is_abelian() == Q.is_abelian()
+
+
+def _dual_answers(G, answer):
+    """`answer` on every character and every ordered pair of characters of
+    every abelian subgroup representative, keyed by (H, coordinates)."""
+    answers = {}
+    for H in abelian_subgroups_up_to_conjugacy(G):
+        chars = list(all_characters(abelian_structure(H)))
+        for group in (*((b,) for b in chars), *product(chars, repeat=2)):
+            answers[H.elements, tuple(b.coords for b in group)] = answer(H, group)
+    return answers
+
+
+def _memo_answer(H, group):
+    return dual_generated_check(*group)
+
+
+def _span_answer(H, group):
+    return len(character_span(*group)) == H.order
+
+
+@pytest.mark.parametrize("name", LADDER_GROUPS)
+def test_dual_memo_matches_span_oracle_cold_warm_and_relabelled(name):
+    base = build_group(LADDER_GROUPS[name])
+    for spec in (LADDER_GROUPS[name], {"kind": "table", "mul": relabel(base.mul, 6)}):
+        clear_engine_caches()
+        G = build_group(spec)
+        assert all(not abelian_structure(H)._dual for H in abelian_subgroups_up_to_conjugacy(G))
+        expected = _dual_answers(G, _span_answer)
+        assert _dual_answers(G, _memo_answer) == expected  # cold: computed and recorded
+        assert _dual_answers(G, _memo_answer) == expected  # warm: read from the memo
+        assert_tables_bounded(G)
+
+
+def test_dual_memo_records_no_failed_call():
+    G = build_group(LADDER_GROUPS["C4xC4"])
+    hosts = [abelian_structure(H) for H in abelian_subgroups_up_to_conjugacy(G) if H.order > 1]
+    small, large = hosts[0], hosts[-1]
+    before = (dict(small._dual), dict(large._dual))
+    mixed = (Character(small, (1,) * len(small.invariant_factors)),
+             Character(large, (1,) * len(large.invariant_factors)))
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="characters live on different host subgroups"):
+            dual_generated_check(*mixed)
+        with pytest.raises(ValidationError, match="dual_generated_check needs at least one character"):
+            dual_generated_check()
+    assert (small._dual, large._dual) == before
+
+
+def _resolved_ys(G, catalog):
+    """((raw symbol, generators), Y) for every raw symbol, with Y resolved from
+    its datum's explicit generators and, where the label's shape matches
+    exactly one subgroup, from the shape alone (generators None)."""
+    out = []
+    for sym in _raw_symbols(G, catalog):
+        datum = _datum(G, sym)
+        label = catalog.label(sym.action)
+        for gens in (datum.residual_group, None):
+            try:
+                y = _resolve_residual_group(G, sym.h, sym.kind, label, gens)
+            except ValidationError as exc:
+                assert gens is None and "ambiguous" in str(exc)
+                continue
+            out.append(((sym, gens), y))
+    return out
+
+
+def test_resolved_residual_groups_agree_cold_and_warm():
+    spec = {"kind": "table", "mul": relabel(TABLES["D4xC2"](), 3)}
+    warm = build_group(spec)
+    catalog = generated_catalog(warm)
+    warm_ys = _resolved_ys(warm, catalog)
+    assert warm_ys and warm_ys == _resolved_ys(warm, catalog)
+    for (sym, gens), y in warm_ys:
+        clear_engine_caches()
+        cold = build_group(spec)
+        assert not carrier_quotient(cold, sym.h, sym.kind).resolved
+        assert _resolve_residual_group(cold, sym.h, sym.kind, catalog.label(sym.action), gens) == y
+        assert y == sym.y or gens is None
+    assert_tables_bounded(warm, catalog)
+
+
+def test_resolve_failures_repeat_their_message_and_are_never_recorded():
+    # over D4 x C2: the reflection 8 does not commute with the rotation 2, and
+    # the trivial stabilizer's quotient is G itself, with several subgroups of
+    # order 2 and none of order 3
+    G = build_group({"kind": "table", "mul": TABLES["D4xC2"]()})
+    c2 = ActionLabel("c2-C", "curve", GroupShape.abelian([2]), True, False)
+    c3 = ActionLabel("c3-C", "curve", GroupShape.abelian([3]), True, False)
+    cases = [
+        ((0, 8), c2, (1, 2),
+         "residual_group elements [2] do not centralize/normalize the stabilizer (0, 8)"),
+        ((0,), c3, None, "no residual subgroup of shape C3 exists for stabilizer (0,)"),
+        ((0,), c2, None,
+         "residual group for label 'c2-C' over stabilizer (0,) is ambiguous; declare residual_group explicitly"),
+    ]
+    for h, label, gens, message in cases:
+        Q = carrier_quotient(G, h, KIND_CURVE)
+        before = dict(Q.resolved)
+        for _ in range(3):
+            with pytest.raises(ValidationError) as exc:
+                _resolve_residual_group(G, h, KIND_CURVE, label, gens)
+            assert str(exc.value) == message
+        assert Q.resolved == before

@@ -4,12 +4,16 @@ An AbelianStructure fixes, once per subgroup, a decomposition H = C_{d1} x ... x
 with d1 | d2 | ... | dk and an explicit coordinate bijection.  Characters live in
 those coordinates, so all character arithmetic is componentwise modular and no
 value in Q/Z is ever formed.
+
+Each structure is built once per subgroup and kept in its ambient group's
+`structures` table by element tuple; it owns two memos over its host,
+`transport_matrix` per conjugating g and `dual_generated_check` per tuple of
+character coordinates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -59,11 +63,7 @@ class AbelianStructure:
     cosets C*x^k, still meets <h> only in the identity, until |C| = |remaining|/m.
     Such a maximal C is a complement because <h> = Z/m is an injective
     Z/m-module, and adjoining in ascending order gives the lexicographically
-    least complement, so the basis does not depend on how the search runs.
-
-    The structure owns two memos over its host: `transport_matrix` per
-    conjugating g, and `dual_generated_check` per tuple of character
-    coordinates."""
+    least complement, so the basis does not depend on how the search runs."""
 
     __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport", "_dual")
 
@@ -146,9 +146,11 @@ class AbelianStructure:
         return f"AbelianStructure{self.invariant_factors}"
 
 
-@lru_cache(maxsize=None)
 def abelian_structure(H: Subgroup) -> AbelianStructure:
-    return AbelianStructure(H)
+    struct = H.ambient.structures.get(H.elements)
+    if struct is None:
+        struct = H.ambient.structures[H.elements] = AbelianStructure(H)
+    return struct
 
 
 def shape_name(factors: tuple[int, ...]) -> str:

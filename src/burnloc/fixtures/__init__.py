@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
 
 from ..catalog import ActionCatalog, catalog_from_json, ensure_valid_catalog
 from ..errors import ValidationError
@@ -43,7 +42,6 @@ def center_names() -> tuple[str, ...]:
     return _names("centers")
 
 
-@lru_cache(maxsize=None)
 def fixture_catalog(name: str) -> ActionCatalog:
     return ensure_valid_catalog(catalog_from_json(_load("catalogs", name), name=name))
 

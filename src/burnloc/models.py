@@ -8,7 +8,7 @@ of the intermediate Jacobian.  Geometry enters only through this declared data.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -159,7 +159,7 @@ def class_of_action(m: ModelDescription) -> BurnsideClass:
     symbols, problems = m._checked
     if problems:
         raise _invalid_model(problems)
-    return sum((BurnsideClass.of(s) for s in symbols), BurnsideClass.zero())
+    return BurnsideClass(Counter(symbols))
 
 
 class BlowupCenter(namedtuple(

@@ -15,7 +15,6 @@ own, so it gives the same instances either way.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .abelian import abelian_structure, character_kernel, restrict_character, shape_name
 from .catalog import ActionCatalog, GroupShape
@@ -200,7 +199,6 @@ class RelationLattice:
         return self.lattice.basis
 
 
-@lru_cache(maxsize=None)
 def relation_lattice(G: FiniteGroup, catalog: ActionCatalog) -> RelationLattice:
     context = BurnsideContext(G, catalog)
     relations = generate_relations(G, catalog, context)

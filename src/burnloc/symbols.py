@@ -6,12 +6,13 @@ group, the residual group Y as a sorted tuple of coset indices in the carrier
 quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
+The carrier quotient of each (h, kind) is kept in G's `carriers` table.
 Validating a symbol checks H and Y through the check tables of G and of the
 carrier quotient, so each element set is checked once per group; a failure is
-never recorded and gives the same message on every call.  The canonical form
-reads H's least conjugate and its transporter from G's class table, and the
-least Y with one conjugation per distinct action on H from G's frame memo,
-keyed by (kind, h, y); only the weights are transported per symbol.
+never recorded.  The canonical form reads H's least conjugate and its
+transporter from G's class table, and the least Y with one conjugation per
+distinct action on H from G's `frames` table, keyed by (kind, h, y); only the
+weights are transported per symbol.
 
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
@@ -24,7 +25,6 @@ memoized.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .abelian import (
     Character,
@@ -76,12 +76,15 @@ class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
         return self.key() >= other.key()
 
 
-@lru_cache(maxsize=None)
 def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientGroup:
-    """The quotient housing Y: Z_G(H)/H for curve/surface symbols, N_G(H)/H for jacobian ones."""
-    H = Subgroup(G, h)
-    ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
-    return quotient(ambient, H)
+    """The quotient housing Y: Z_G(H)/H for curve/surface symbols, N_G(H)/H for
+    jacobian ones; kept in `G.carriers` by (h, kind)."""
+    Q = G.carriers.get((h, kind))
+    if Q is None:
+        H = Subgroup(G, h)
+        ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
+        Q = G.carriers[h, kind] = quotient(ambient, H)
+    return Q
 
 
 def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
@@ -222,10 +225,8 @@ def _least(gs, key):
     return best, [g for g, k in keys.items() if k == best]
 
 
-def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str):
-    Q = carrier_quotient(G, h, kind)
-    for Y in all_subgroups(Q.group):
-        yield Y
+def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str) -> tuple[Subgroup, ...]:
+    return all_subgroups(carrier_quotient(G, h, kind).group)
 
 
 def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):

@@ -9,14 +9,10 @@ import random
 from dataclasses import replace
 from itertools import permutations
 
-import burnloc.abelian
-import burnloc.groups
-import burnloc.relations
-import burnloc.symbols
 from burnloc.abelian import abelian_structure, all_characters
 from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
-from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups
+from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
 from burnloc.models import (
     BlowupCenter,
     JacobianFactorDatum,
@@ -193,20 +189,17 @@ def generated_catalog(G):
 
 
 def clear_engine_caches():
-    """Empty the package's group-keyed caches, so the next call computes cold."""
-    burnloc.groups.all_subgroups.cache_clear()
-    burnloc.groups.abelian_subgroups_up_to_conjugacy.cache_clear()
-    burnloc.groups.subgroups_up_to_conjugacy.cache_clear()
-    burnloc.groups.quotient.cache_clear()
-    burnloc.abelian.abelian_structure.cache_clear()
-    burnloc.symbols.carrier_quotient.cache_clear()
-    burnloc.relations.relation_lattice.cache_clear()
+    """Empty the package's one process-wide cache.  Every other derived fact
+    is kept by the group it depends on, so a group freshly built from a table
+    computes cold with no table warm anywhere."""
+    subgroups_up_to_conjugacy.cache_clear()
 
 
 def assert_tables_bounded(G, catalog=None):
     """Every subgroup table of G and of its carrier quotients is keyed by checked
-    subgroups only: the check and class tables by members of G's lattice, the
-    frame memo by (kind, h, y) with y in the lattice of h's carrier quotient.
+    subgroups only: the check, class, abelian structure, quotient and carrier
+    quotient tables by members of G's lattice, the frame memo by (kind, h, y)
+    with y in the lattice of h's carrier quotient.
     The memos of derived objects stay bounded too: each abelian structure's
     dual-generation memo by k-tuples of its characters, k <= 2, and each
     carrier quotient's resolved residual groups by members of its lattice,
@@ -214,6 +207,8 @@ def assert_tables_bounded(G, catalog=None):
     lattice = {H.elements for H in all_subgroups(G)}
     assert set(G._checked) <= lattice
     assert set(G._classes) <= lattice
+    assert set(G.structures) <= lattice and {h for h, _ in G.carriers} <= lattice
+    assert all(n in lattice and k in lattice for n, k in G._quotients)
     for H in all_subgroups(G):
         if H.is_abelian():
             struct = abelian_structure(H)

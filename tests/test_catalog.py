@@ -185,6 +185,7 @@ def test_validate_catalog_runs_once_per_catalog_object(monkeypatch):
     from scenarios import ScenarioPool, run_scenarios
     from burnloc.relations import relation_lattice
 
+    data = base_json()  # loading the fixture checks the fixture's own catalog object
     calls = []
     real = burnloc.catalog.validate_catalog
 
@@ -194,7 +195,7 @@ def test_validate_catalog_runs_once_per_catalog_object(monkeypatch):
 
     monkeypatch.setattr(burnloc.catalog, "validate_catalog", counting)
     G = build_group({"kind": "cyclic", "n": 2})
-    catalog = catalog_from_json(base_json(), name="hyperelliptic-Z2")  # a fresh, unchecked object
+    catalog = catalog_from_json(data, name="hyperelliptic-Z2")  # a fresh, unchecked object
     pool = ScenarioPool(G, catalog)
     lattice = relation_lattice(G, catalog)
     results, runs, _ = run_scenarios(random.Random(20250812), pool, lattice, 60)
@@ -207,10 +208,10 @@ def test_validate_catalog_runs_once_per_catalog_object(monkeypatch):
 def test_invalid_catalog_reported_once_checked_on_every_call(monkeypatch):
     import burnloc.catalog
 
+    data = base_json()  # loading the fixture checks the fixture's own catalog object
     calls = []
     real = burnloc.catalog.validate_catalog
     monkeypatch.setattr(burnloc.catalog, "validate_catalog", lambda c: calls.append(c) or real(c))
-    data = base_json()
     data["curve"].update(genus=0, hyperelliptic=False)
     catalog = catalog_from_json(data)
     for _ in range(3):

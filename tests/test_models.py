@@ -55,6 +55,14 @@ def test_class_is_additive_over_disjoint_unions():
     assert class_of_action(doubled) == class_of_action(m) + class_of_action(m)
 
 
+def test_a_repeated_datum_counts_twice():
+    for name in ("sxp1-involution", "three-nodal-cubic"):
+        m = fixture_model(name)
+        twice = replace(m, strata=m.strata * 2, jacobian_factors=m.jacobian_factors * 2, counts=None)
+        [(sym, coeff)] = class_of_action(m).terms()
+        assert coeff == 1 and class_of_action(twice).terms() == [(sym, 2)]
+
+
 def test_case3_blowup_replaces_stratum():
     m = fixture_model("elliptic-fixed-curve")
     out = blowup(m, BlowupCenter(case=3, stratum=0))

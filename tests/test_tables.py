@@ -1,14 +1,20 @@
 """The subgroup facts a group owns: the check table behind `Subgroup(G, ...)`,
 the conjugacy class table and the canonical frame memo that `canonicalize`
-reads, and the associativity test of the checked group constructor; and the
+reads, the quotient intern map that lets equal quotient tables share one
+lattice, and the associativity test of the checked group constructor; the
 facts derived objects own: each abelian structure's dual-generation memo and
-each carrier quotient's resolved residual groups."""
+each carrier quotient's resolved residual groups; and that all of them are
+freed with the group."""
 
+import gc
 import random
+import sys
 from itertools import product
 
 import pytest
 
+import burnloc.cli  # with burnloc.models below, loads every package module for the cache scan
+import burnloc.groups
 from burnloc.abelian import Character, abelian_structure, all_characters, dual_generated_check
 from burnloc.catalog import ActionLabel, GroupShape
 from burnloc.errors import ValidationError
@@ -18,8 +24,10 @@ from burnloc.groups import (
     abelian_subgroups_up_to_conjugacy,
     all_subgroups,
     build_group,
+    subgroups_up_to_conjugacy,
 )
 from burnloc.models import _resolve_residual_group
+from burnloc.relations import relation_lattice, structure
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
@@ -300,3 +308,43 @@ def test_resolve_failures_repeat_their_message_and_are_never_recorded():
                 _resolve_residual_group(G, h, KIND_CURVE, label, gens)
             assert str(exc.value) == message
         assert Q.resolved == before
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC4", "D6xC2"])
+def test_one_lattice_per_distinct_quotient_table(name, monkeypatch):
+    # carrier quotients with equal tables share one interned group, G itself
+    # for the quotients by the trivial subgroup, so a structure pass builds
+    # one lattice per distinct table
+    catalog = generated_catalog(build_group(LADDER_GROUPS[name]))
+    clear_engine_caches()
+    G = build_group(LADDER_GROUPS[name])
+    runs = []
+    real = burnloc.groups.subgroups_within
+
+    def counting(group, universe):
+        runs.append(group.mul)
+        return real(group, universe)
+
+    monkeypatch.setattr(burnloc.groups, "subgroups_within", counting)
+    structure(G, catalog)
+    tables = {G.mul} | {Q.group.mul for Q in G.carriers.values()}
+    assert len(G.carriers) > len(tables) and len(runs) == len(tables)
+    assert set(runs) == tables
+
+
+def test_a_group_and_its_tables_are_freed_with_it():
+    G = build_group(LADDER_GROUPS["D6xC2"])
+    catalog = generated_catalog(G)
+    structure(G, catalog)
+    relation_lattice(G, catalog)
+    mul = G.mul
+    del G
+    subgroups_up_to_conjugacy.cache_clear()
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, FiniteGroup) and obj.mul == mul]
+    cached = {
+        value for module_name, module in list(sys.modules.items())
+        if module is not None and module_name.split(".")[0] == "burnloc"
+        for value in vars(module).values() if callable(value) and hasattr(value, "cache_info")
+    }
+    assert cached == {subgroups_up_to_conjugacy}

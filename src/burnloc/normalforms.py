@@ -10,15 +10,24 @@ entries, is computed in two stages (after Dumas, Saunders & Villard, "On
 efficient sparse integer matrix Smith normal form computations", J. Symb.
 Comput. 32, 2001): +-1 pivots are eliminated on sparse rows, least Markowitz
 cost first, and a dense block-minimum Euclid loop reduces only the residual
-block that has no +-1 entry left.  Hermite forms are computed dense; a
-lattice keeps each Hermite row as sparse (column, value) pairs keyed by its
-pivot and reduces membership, coset and certificate queries on those rows.
+block that has no +-1 entry left.
+
+Hermite forms are built by sparse row insertion: each row is reduced against
+a table of echelon rows keyed by pivot column, subtracting a multiple where
+the pivot divides its entry and taking a unimodular gcd step where it does
+not, until it lands on a free pivot or vanishes; the entries above each pivot
+are then reduced, last pivot first, by the coset reduction the lattice
+queries use (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+2.4).  A lattice keeps only these sparse pivot rows and its spanning rows; the
+dense Hermite rows and the transform over the spanning rows, which only
+certificates read, are built on first read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -34,58 +43,152 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _sparse_rows(rows, ncols: int) -> list[dict[int, int]]:
+    """Each dense row as {column: nonzero entry}."""
+    columns = range(ncols)
+    out = []
+    for r in rows:
+        r = tuple(r)
+        if len(r) != ncols:
+            raise ValueError("all rows must have the stated number of columns")
+        out.append({j: r[j] for j in compress(columns, r)})
+    return out
+
+
+def _combine(s: int, p: dict[int, int], t: int, r: dict[int, int]) -> dict[int, int]:
+    """The sparse row s*p + t*r."""
+    out = {c: s * v for c, v in p.items()} if s else {}
+    if t:
+        for c, v in r.items():
+            x = out.get(c, 0) + t * v
+            if x:
+                out[c] = x
+            else:
+                del out[c]
+    return out
+
+
+def _insert(table: dict[int, dict[int, int]], row: dict[int, int], ncols: int) -> None:
+    """Add a sparse row to the echelon table {pivot column: row}, least column
+    first: where the pivot divides the row's entry, that multiple of the pivot
+    row is subtracted; otherwise a unimodular 2x2 step puts the gcd in the
+    pivot row and clears the row's entry.  The row becomes the pivot row of
+    the first column below ncols that holds no pivot, made positive there, or
+    is dropped once no entry below ncols is left (columns from ncols on are
+    carried along, never pivots)."""
+    heap = sorted(row)  # ascending, so already a heap
+    while heap:
+        j = heappop(heap)
+        b = row.get(j)
+        if not b:
+            continue
+        if j >= ncols:
+            return
+        pivot = table.get(j)
+        if pivot is None:
+            table[j] = row if b > 0 else {c: -v for c, v in row.items()}
+            return
+        a = pivot[j]
+        q, r = divmod(b, a)
+        if r:
+            g, x, y = _xgcd(a, b)
+            table[j] = _combine(x, pivot, y, row)
+            row = _combine(-b // g, pivot, a // g, row)
+            heap = sorted(row)
+            continue
+        for c, v in pivot.items():
+            x = row.get(c, 0) - q * v
+            if x:
+                if c not in row:
+                    heappush(heap, c)
+                row[c] = x
+            else:
+                del row[c]
+
+
+def _hermite(rows: list[dict[int, int]], ncols: int) -> list:
+    """Row-style HNF of sparse rows by insertion: the list over columns
+    0..ncols-1 of the HNF row with that pivot as (column, value) pairs,
+    ascending, or None where no row has its pivot.
+
+    Rows are inserted one at a time into an echelon table (`_insert`); then,
+    from the last pivot to the first, each echelon row is reduced by the rows
+    already final (pivots after its own) as a coset reduction (`_reduce`),
+    which leaves every entry above a pivot in [0, pivot).  The form is unique,
+    so insertion order does not change it.  Columns from ncols on are carried
+    along as they are reduced, which is how a transform is tracked."""
+    table: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _insert(table, dict(row), ncols)
+    basis = [None] * ncols
+    for p in sorted(table, reverse=True):
+        row = table[p]
+        d = row.pop(p)
+        left, _ = _reduce(basis, row, exact=False)
+        basis[p] = ((p, d), *left.items())
+    return basis
+
+
+def _reduce(pivot_rows, w: dict[int, int], exact: bool):
+    """Reduce the sparse vector w (consumed) by the HNF rows `pivot_rows[j]`,
+    least nonzero column first (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, 2.4.3): each pivot column's entry is divided by the
+    pivot and that multiple of its row subtracted, which only changes later
+    columns; columns past the end of `pivot_rows` hold no pivot.  Returns the
+    entries left, ascending, and the multiple taken per pivot column; with
+    `exact`, None as soon as a nonzero entry is left, i.e. w is not in the
+    lattice."""
+    n = len(pivot_rows)
+    heap = sorted(w)
+    left: dict[int, int] = {}
+    multiples: dict[int, int] = {}
+    while heap:
+        j = heappop(heap)
+        x = w.pop(j)
+        row = pivot_rows[j] if j < n else None
+        q, r = divmod(x, row[0][1]) if row else (0, x)
+        if r:
+            if exact:
+                return None
+            left[j] = r
+        if q:
+            multiples[j] = q
+            for c, v in row[1:]:
+                if c not in w:
+                    heappush(heap, c)
+                w[c] = w.get(c, 0) - q * v
+    return left, multiples
+
+
+def _dense(pairs, length: int) -> tuple[int, ...]:
+    vec = [0] * length
+    for c, x in pairs:
+        vec[c] = x
+    return tuple(vec)
+
+
+def _tracked_hermite(rows: list[dict[int, int]], ncols: int):
+    """`_hermite` of the rows, each carrying its unit vector in extra columns
+    from ncols on: the dense HNF rows, and each one's coefficients over `rows`."""
+    m = len(rows)
+    basis = [row for row in _hermite([{**row, ncols + i: 1} for i, row in enumerate(rows)], ncols) if row]
+    H = [_dense(((c, x) for c, x in row if c < ncols), ncols) for row in basis]
+    U = [_dense(((c - ncols, x) for c, x in row if c >= ncols), m) for row in basis]
+    return H, U
+
+
 def hermite_normal_form(rows, ncols: int, with_transform: bool = False):
     """Row-style HNF of the lattice spanned by `rows`.
 
     Returns the nonzero HNF rows (echelon, positive pivots, entries above each
     pivot reduced into [0, pivot)).  With `with_transform`, also returns for
-    each HNF row its coefficient vector over the input rows: each input row
-    carries its unit vector in m extra columns, which every row operation
-    updates along with it.
+    each HNF row its coefficient vector over the input rows.  Computed on
+    sparse rows by `_hermite`.
     """
-    m = len(rows)
-    M = [list(r) for r in rows]
-    if any(len(r) != ncols for r in M):
-        raise ValueError("all rows must have the stated number of columns")
+    sparse = _sparse_rows(rows, ncols)
     if with_transform:
-        for i, row in enumerate(M):
-            row.extend(1 if i == j else 0 for j in range(m))
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, m):
-            if M[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        for i in range(r + 1, m):
-            while M[i][col] != 0:
-                a, b = M[r][col], M[i][col]
-                if b % a == 0:
-                    q = b // a
-                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    # unimodular 2x2 block: det = (x*a/g ... ) = +/-1
-                    new_r = [x * p + y * q_ for p, q_ in zip(M[r], M[i])]
-                    new_i = [(-b // g) * p + (a // g) * q_ for p, q_ in zip(M[r], M[i])]
-                    M[r], M[i] = new_r, new_i
-        if M[r][col] < 0:
-            M[r] = [-x for x in M[r]]
-        d = M[r][col]
-        for i in range(r):
-            q = M[i][col] // d
-            if q:
-                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    H = [tuple(row[:ncols]) for row in M[:r]]
-    if with_transform:
-        return H, [tuple(row[ncols:]) for row in M[:r]]
-    return H
+        return _tracked_hermite(sparse, ncols)
+    return [_dense(row, ncols) for row in _hermite(sparse, ncols) if row]
 
 
 def _block_min(M, t: int, nrows: int, ncols: int):
@@ -229,13 +332,7 @@ def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
     Euclid loop then runs only on the residual block, the rows and columns
     that still hold an entry once no +-1 entry is left.
     """
-    sparse = []
-    for r in rows:
-        r = tuple(r)
-        if len(r) != ncols:
-            raise ValueError("all rows must have the stated number of columns")
-        sparse.append({j: v for j, v in enumerate(r) if v})
-    eliminated, left = _eliminate_unit_pivots(sparse)
+    eliminated, left = _eliminate_unit_pivots(_sparse_rows(rows, ncols))
     cols = sorted({j for row in left for j in row})
     residual = [[row.get(j, 0) for j in cols] for row in left]
     return (1,) * eliminated + _dense_smith_diagonal(residual, len(cols))
@@ -248,63 +345,60 @@ def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
     return ncols - len(diag), torsion
 
 
-class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots nspanning pivot_rows")):
+class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows spanning derived")):
     """A row lattice in Z^ncols held in Hermite normal form.
 
     Supports exact membership, canonical coset reduction, and membership
-    certificates in terms of the original spanning rows.  `basis` holds the HNF
-    rows and `pivots` their pivot columns; `transform` expresses each basis row
-    over the `nspanning` original spanning rows.  `pivot_rows[j]` is the basis row
-    with pivot j as (column, value) pairs, pivot first, or None when column j
-    holds no pivot; all three queries reduce on these sparse rows.
+    certificates in terms of the original spanning rows.  `pivot_rows[j]` is
+    the HNF row with pivot j as (column, value) pairs, pivot first, or None
+    when column j holds no pivot, and `pivots` lists the pivot columns; all
+    three queries reduce on these sparse rows.  `spanning` holds the original
+    rows as {column: entry}.  The dense HNF rows `basis`, and the `transform`
+    expressing each of them over the spanning rows, are built on first read
+    and kept in `derived`.  A query vector is a dense sequence of length
+    ncols or a dict {column: entry}.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":
-        H, U = hermite_normal_form(rows, ncols, with_transform=True)
-        pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in H)
-        sparse = [None] * ncols
-        for row, p in zip(H, pivots):
-            sparse[p] = tuple((j, x) for j, x in enumerate(row) if x)
-        return cls(ncols=ncols, basis=tuple(H), transform=tuple(U), pivots=pivots,
-                   nspanning=len(rows), pivot_rows=tuple(sparse))
+        spanning = _sparse_rows(rows, ncols)
+        pivot_rows = tuple(_hermite(spanning, ncols))
+        pivots = tuple(p for p, row in enumerate(pivot_rows) if row)
+        return cls(ncols, pivots, pivot_rows, tuple(spanning), {})
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def nspanning(self) -> int:
+        return len(self.spanning)
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        basis = self.derived.get("basis")
+        if basis is None:
+            basis = self.derived["basis"] = tuple(_dense(self.pivot_rows[p], self.ncols) for p in self.pivots)
+        return basis
+
+    @property
+    def transform(self) -> tuple[tuple[int, ...], ...]:
+        transform = self.derived.get("transform")
+        if transform is None:
+            transform = self.derived["transform"] = tuple(_tracked_hermite(self.spanning, self.ncols)[1])
+        return transform
 
     def _reduce(self, vec, exact: bool):
-        """Reduce vec by the basis, least nonzero column first (Cohen, *A Course
-        in Computational Algebraic Number Theory*, 1993, 2.4.3): each pivot
-        column's entry is divided by the pivot and that multiple of its row
-        subtracted, which only changes later columns.  Returns the entries left
-        and the multiple taken per pivot column; with `exact`, None as soon as a
-        nonzero entry is left, i.e. vec is not in the lattice."""
+        if isinstance(vec, dict):
+            if any(not 0 <= j < self.ncols for j in vec):
+                raise ValueError("vector has a column outside the lattice")
+            return _reduce(self.pivot_rows, dict(vec), exact)
         vec = tuple(vec)
         if len(vec) != self.ncols:
             raise ValueError("vector has the wrong length")
-        w = {j: x for j, x in enumerate(vec) if x}
-        heap = list(w)  # ascending, so already a heap
-        left: dict[int, int] = {}
-        multiples: dict[int, int] = {}
-        while heap:
-            j = heappop(heap)
-            x = w.pop(j)
-            row = self.pivot_rows[j]
-            q, r = divmod(x, row[0][1]) if row else (0, x)
-            if r:
-                if exact:
-                    return None
-                left[j] = r
-            if q:
-                multiples[j] = q
-                for c, v in row[1:]:
-                    if c not in w:
-                        heappush(heap, c)
-                    w[c] = w.get(c, 0) - q * v
-        return left, multiples
+        return _reduce(self.pivot_rows, {j: vec[j] for j in compress(range(self.ncols), vec)}, exact)
 
     def contains(self, vec) -> bool:
         return self._reduce(vec, exact=True) is not None
@@ -312,7 +406,7 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols basis transform pivots 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical coset representative: pivot coordinates land in [0, pivot)."""
         left, _ = self._reduce(vec, exact=False)
-        return tuple(left.get(j, 0) for j in range(self.ncols))
+        return _dense(left.items(), self.ncols)
 
     def coefficients(self, vec) -> tuple[int, ...] | None:
         """Coefficients over the ORIGINAL spanning rows expressing vec, or None."""

@@ -179,20 +179,17 @@ class RelationLattice:
     def __init__(self, index: tuple[Symbol, ...], vectors):
         self.index = tuple(index)
         self.position = {s: i for i, s in enumerate(self.index)}
-        rows = [self._to_row(v) for v in vectors]
+        rows = [v.to_vector(self.position, len(self.index)) for v in vectors]
         self.lattice = IntegerLattice.from_rows(rows, len(self.index))
-
-    def _to_row(self, cls: BurnsideClass) -> tuple[int, ...]:
-        return cls.to_vector(self.position, len(self.index))
 
     def class_from_row(self, row) -> BurnsideClass:
         return BurnsideClass({s: c for s, c in zip(self.index, row)})
 
     def contains(self, cls: BurnsideClass) -> bool:
-        return self.lattice.contains(self._to_row(cls))
+        return self.lattice.contains(cls.columns(self.position))
 
     def reduce(self, cls: BurnsideClass) -> BurnsideClass:
-        return self.class_from_row(self.lattice.reduce(self._to_row(cls)))
+        return self.class_from_row(self.lattice.reduce(cls.columns(self.position)))
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:

@@ -229,8 +229,8 @@ def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str) -> tuple[Subg
     return all_subgroups(carrier_quotient(G, h, kind).group)
 
 
-def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
-    """Raw (unconjugated) curve symbols over stabilizer representatives."""
+def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
+    """(raw curve symbol, its weights as characters) over stabilizer representatives."""
     labels = catalog.labels_in(CURVE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial():
@@ -239,18 +239,17 @@ def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
         if len(struct.invariant_factors) > 2:
             continue  # the dual cannot be generated by two characters
         nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
+        pairs = [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:]
+                 if dual_generated_check(b1, b2)]
         for Y in _iter_y_options(G, H.elements, KIND_CURVE):
             for label in labels:
                 if not label.group_shape.matches(Y):
                     continue
-                for i, b1 in enumerate(nontrivial):
-                    for b2 in nontrivial[i:]:
-                        if not dual_generated_check(b1, b2):
-                            continue
-                        yield Symbol(KIND_CURVE, H.elements, Y.elements, label.id, (b1.coords, b2.coords))
+                for b1, b2 in pairs:
+                    yield Symbol(KIND_CURVE, H.elements, Y.elements, label.id, (b1.coords, b2.coords)), (b1, b2)
 
 
-def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
+def _surface_data(G: FiniteGroup, catalog: ActionCatalog):
     labels = catalog.labels_in(RULED_SURFACE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not H.is_cyclic():
@@ -262,10 +261,10 @@ def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
                 if not label.group_shape.matches(Y):
                     continue
                 for b in generators:
-                    yield Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b.coords,))
+                    yield Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b.coords,)), (b,)
 
 
-def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
+def _jac_data(G: FiniteGroup, catalog: ActionCatalog):
     genus = catalog.curve.genus
     labels = catalog.labels_in(JACOBIAN)
     for H in subgroups_up_to_conjugacy(G):
@@ -277,17 +276,35 @@ def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
                     continue
                 if genus == 1 and not label.from_curve:
                     continue
-                yield Symbol(KIND_JAC, H.elements, Y.elements, label.id)
+                yield Symbol(KIND_JAC, H.elements, Y.elements, label.id), ()
+
+
+def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
+    """Raw (unconjugated) curve symbols over stabilizer representatives."""
+    return (sym for sym, _ in _curve_data(G, catalog))
+
+
+def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
+    return (sym for sym, _ in _surface_data(G, catalog))
+
+
+def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
+    return (sym for sym, _ in _jac_data(G, catalog))
 
 
 def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
                       context: BurnsideContext | None = None) -> tuple[Symbol, ...]:
-    """Every valid symbol for (G, catalog), canonicalized, deduplicated, in total order."""
+    """Every valid symbol for (G, catalog), canonicalized, deduplicated, in total order.
+
+    Each raw symbol is valid by construction (a nontrivial abelian stabilizer,
+    cyclic for surfaces; a Y of the label's shape; nontrivial weights that
+    generate the dual), so it goes straight to `canonical_form` with the
+    characters its enumerator built, without `validate_symbol`'s checks."""
     if context is None:
         context = BurnsideContext(G, catalog)
     seen: set[Symbol] = set()
-    for raw in (*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)):
-        seen.add(context.canonicalize(raw))
+    for raw, chars in (*_curve_data(G, catalog), *_surface_data(G, catalog), *_jac_data(G, catalog)):
+        seen.add(context.enumerated_form(raw, chars))
     return tuple(sorted(seen, key=Symbol.key))
 
 
@@ -295,8 +312,9 @@ class BurnsideContext:
     """The derived state of one pass over (G, catalog), built by the call that
     runs the pass.  The constructor checks the catalog; `canonicalize` looks up
     a raw symbol it has met before and sends a new one through the module-level
-    `canonicalize`, which validates it in full; `symbols` runs
-    `enumerate_symbols` once, on first use."""
+    `canonicalize`, which validates it in full; `enumerated_form` fills the
+    same memo for a raw symbol the enumerators built, straight from
+    `canonical_form`; `symbols` runs `enumerate_symbols` once, on first use."""
 
     __slots__ = ("group", "catalog", "_forms", "_symbols")
 
@@ -311,6 +329,12 @@ class BurnsideContext:
         form = self._forms.get(sym)
         if form is None:
             form = self._forms[sym] = canonicalize(sym, self.group, self.catalog)
+        return form
+
+    def enumerated_form(self, sym: Symbol, chars: tuple[Character, ...]) -> Symbol:
+        form = self._forms.get(sym)
+        if form is None:
+            form = self._forms[sym] = canonical_form(sym, self.group, chars)
         return form
 
     @property
@@ -387,12 +411,19 @@ class BurnsideClass:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def to_vector(self, index: dict[Symbol, int], length: int) -> tuple[int, ...]:
-        vec = [0] * length
+    def columns(self, index: dict[Symbol, int]) -> dict[int, int]:
+        """{position of the symbol in `index`: coefficient} over the support."""
+        out = {}
         for s, c in self._terms.items():
             pos = index.get(s)
             if pos is None:
                 raise ValidationError(f"symbol outside index: {s}")
+            out[pos] = c
+        return out
+
+    def to_vector(self, index: dict[Symbol, int], length: int) -> tuple[int, ...]:
+        vec = [0] * length
+        for pos, c in self.columns(index).items():
             vec[pos] = c
         return tuple(vec)
 

@@ -7,9 +7,12 @@ decided by exhaustive bounded-coefficient search or by the integer adjugate,
 quotients are enumerated coset by coset, and invariant factors are recovered
 from p-torsion counts of the enumerated cosets.
 
-The dense references are the lattice queries on full-length Hermite rows
-(membership, coset reduction and certificates, pivot by pivot in basis order),
-against which the sparse reduction of `IntegerLattice` is tested.  The helpers
+The dense references are the Hermite form by column-by-column elimination on
+full rows, with the transform carried in m extra columns (the reference for
+the sparse insertion form of burnloc.normalforms), and the lattice queries on
+full-length Hermite rows (membership, coset reduction and certificates, pivot
+by pivot in basis order), against which the sparse reduction of
+`IntegerLattice` is tested.  The helpers
 are the left-kernel basis read off the Hermite form of [M | I], fraction-free
 rank (cross-checked against the `Fraction` rank) and the trivial subgroup.
 
@@ -38,7 +41,6 @@ from math import gcd
 from burnloc.abelian import Character, abelian_structure
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup
-from burnloc.normalforms import hermite_normal_form
 from burnloc.symbols import Symbol, carrier_quotient, validate_symbol
 
 
@@ -241,11 +243,65 @@ def rational_rank(rows, ncols):
     return rank
 
 
+def _bezout(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g > 0, for b != 0."""
+    if b == 0:
+        return (a, 1, 0) if a > 0 else (-a, -1, 0)
+    g, x, y = _bezout(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def dense_hermite_normal_form(rows, ncols, with_transform=False):
+    """Row-style HNF by dense elimination, one column at a time: the nonzero
+    rows (echelon, positive pivots, entries above each pivot in [0, pivot)),
+    and with `with_transform` each row's coefficients over the input rows,
+    carried as a unit vector in m extra columns that every row operation
+    updates along with it."""
+    m = len(rows)
+    M = [list(r) for r in rows]
+    if any(len(r) != ncols for r in M):
+        raise ValueError("all rows must have the stated number of columns")
+    if with_transform:
+        for i, row in enumerate(M):
+            row.extend(1 if i == j else 0 for j in range(m))
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, m) if M[i][col] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        for i in range(r + 1, m):
+            while M[i][col] != 0:
+                a, b = M[r][col], M[i][col]
+                if b % a == 0:
+                    q = b // a
+                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
+                else:
+                    g, x, y = _bezout(a, b)
+                    new_r = [x * p + y * q_ for p, q_ in zip(M[r], M[i])]
+                    new_i = [(-b // g) * p + (a // g) * q_ for p, q_ in zip(M[r], M[i])]
+                    M[r], M[i] = new_r, new_i
+        if M[r][col] < 0:
+            M[r] = [-x for x in M[r]]
+        d = M[r][col]
+        for i in range(r):
+            q = M[i][col] // d
+            if q:
+                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
+        r += 1
+        if r == m:
+            break
+    H = [tuple(row[:ncols]) for row in M[:r]]
+    if with_transform:
+        return H, [tuple(row[ncols:]) for row in M[:r]]
+    return H
+
+
 def kernel_basis(rows, ncols):
     """Basis of the left kernel {c : c * M = 0} of the matrix with the given rows."""
     m = len(rows)
     augmented = [tuple(rows[i]) + tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    H = hermite_normal_form(augmented, ncols + m)
+    H = dense_hermite_normal_form(augmented, ncols + m)
     return [row[ncols:] for row in H if all(x == 0 for x in row[:ncols])]
 
 

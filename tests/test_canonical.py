@@ -14,6 +14,7 @@ from burnloc.abelian import (
     transport_character,
 )
 from burnloc.cli import load_class
+from burnloc.fixtures import fixture_catalog
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, build_group
 from burnloc.models import JacobianFactorDatum, ModelDescription, StratumDatum, class_of_action
 from burnloc.relations import structure
@@ -21,11 +22,16 @@ from burnloc.symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
+    _curve_data,
+    _jac_data,
+    _surface_data,
+    canonical_form,
     canonicalize,
     carrier_quotient,
     iter_curve_data,
     iter_jac_data,
     iter_surface_data,
+    validate_symbol,
 )
 from oracles import (
     character_from_values,
@@ -40,6 +46,8 @@ from scenarios import (
     PERM_GROUPS,
     _datum,
     assert_tables_bounded,
+    dihedral_table,
+    direct_product,
     generated_catalog,
     relabel,
 )
@@ -47,6 +55,39 @@ from scenarios import (
 
 def _raw_symbols(G, catalog):
     return [*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)]
+
+
+ORDER_64 = {
+    "D32": {"kind": "table", "mul": dihedral_table(32)},
+    "D4xD4": {"kind": "table", "mul": direct_product(dihedral_table(4), dihedral_table(4))},
+}
+FIXTURE_PAIRS = {
+    "hyperelliptic-Z2": 2, "nonhyperelliptic-Z2-exotic": 2, "elliptic-Z2": 2, "Z3-basic": 3,
+}
+
+
+def _trusted_cases():
+    for name, spec in {**LADDER_GROUPS, **ORDER_64}.items():
+        yield pytest.param(spec, None, id=name)
+    for catalog, n in FIXTURE_PAIRS.items():
+        yield pytest.param({"kind": "cyclic", "n": n}, catalog, id=catalog)
+
+
+@pytest.mark.parametrize("spec, fixture", _trusted_cases())
+def test_enumerated_symbols_are_valid_and_their_trusted_form_is_canonicalize(spec, fixture):
+    # enumerate_symbols hands each raw symbol to canonical_form with the characters
+    # its enumerator built and skips validate_symbol; that holds only if every raw
+    # symbol is valid and canonicalize, on a cold group, gives the same form
+    G = build_group(spec)
+    catalog = generated_catalog(G) if fixture is None else fixture_catalog(fixture)
+    data = [*_curve_data(G, catalog), *_surface_data(G, catalog), *_jac_data(G, catalog)]
+    assert [raw for raw, _ in data] == _raw_symbols(G, catalog)
+    trusted = [canonical_form(raw, G, chars) for raw, chars in data]
+    cold = build_group(spec)
+    for (raw, chars), form in zip(data, trusted):
+        assert tuple(b.coords for b in chars) == raw.weights
+        assert validate_symbol(raw, cold, catalog) == []
+        assert canonicalize(raw, cold, catalog) == form
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "D4xC2"])

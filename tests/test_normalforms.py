@@ -12,12 +12,14 @@ from burnloc.normalforms import (
     hermite_normal_form,
     smith_normal_form,
 )
-from burnloc.relations import relation_lattice
-from burnloc.symbols import BurnsideClass, Symbol
+from burnloc.groups import build_group
+from burnloc.relations import RelationLattice, generate_relations, relation_lattice
+from burnloc.symbols import BurnsideClass, Symbol, enumerate_symbols
 from oracles import (
     SquareLatticeOracle,
     dense_coefficients,
     dense_contains,
+    dense_hermite_normal_form,
     dense_reduce,
     det_int,
     enumerate_cosets,
@@ -27,6 +29,7 @@ from oracles import (
     rational_rank,
     rational_rank_oracle,
 )
+from scenarios import LADDER_GROUPS, generated_catalog, relabel
 
 
 def test_snf_identity():
@@ -123,6 +126,68 @@ def test_hnf_pivot_reduction_shape():
             assert 0 <= H[k][p] < row[p]
 
 
+def _matrix_with_dependencies(rng):
+    """Up to 6 random rows of 1-6 columns, entries in [-6, 6], plus zero rows,
+    repeated rows and integer combinations of two rows, shuffled."""
+    ncols = rng.randint(1, 6)
+    rows = [tuple(rng.randint(-6, 6) for _ in range(ncols)) for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        if roll < 0.3 or not rows:
+            rows.append((0,) * ncols)
+        elif roll < 0.6:
+            rows.append(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append(tuple(p * x + q * y for x, y in zip(a, b)))
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _times(coeffs, rows, ncols):
+    return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_insertion_hnf_matches_the_dense_elimination(seed):
+    rng = random.Random(seed)
+    rows, ncols = _matrix_with_dependencies(rng) if seed % 2 else _sparse_relation_matrix(rng)
+    expected = dense_hermite_normal_form(rows, ncols)
+    lat = IntegerLattice.from_rows(rows, ncols)
+    assert list(lat.basis) == hermite_normal_form(rows, ncols) == expected
+    assert lat.rank == len(expected)
+    H, U = hermite_normal_form(rows, ncols, with_transform=True)
+    assert H == expected
+    # a transform is not unique when rows are dependent; each must rebuild the basis
+    for transform in (U, lat.transform):
+        assert [_times(u, rows, ncols) for u in transform] == expected
+
+
+@pytest.mark.parametrize("name", LADDER_GROUPS)
+def test_relation_lattice_hnf_matches_the_dense_elimination_on_every_ladder_rung(name):
+    G = build_group({"kind": "table", "mul": relabel(build_group(LADDER_GROUPS[name]).mul, 7)})
+    catalog = generated_catalog(G)
+    symbols = enumerate_symbols(G, catalog)
+    vectors = [r.vector for r in generate_relations(G, catalog)]
+    position = {s: i for i, s in enumerate(symbols)}
+    rows = [v.to_vector(position, len(symbols)) for v in vectors]
+    lattice = RelationLattice(symbols, vectors)
+    assert list(lattice.basis) == dense_hermite_normal_form(rows, len(symbols))
+    assert lattice.basis == relation_lattice(G, catalog).basis
+
+
+def test_lattice_builds_no_dense_rows_until_read():
+    lat = IntegerLattice.from_rows([(2, 1, 0), (0, 4, 1), (2, 5, 1)], 3)
+    assert lat.derived == {}
+    assert lat.contains((2, 5, 1)) and lat.reduce((3, 0, 0)) == (1, 3, 1)
+    assert lat.derived == {}
+    assert lat.coefficients((2, 5, 1)) is not None
+    assert set(lat.derived) == {"transform"}
+    assert lat.basis == ((2, 1, 0), (0, 4, 1))
+
+
 def test_cokernel_structure_examples():
     assert cokernel_structure([(2, 0), (0, 3)], 2) == (0, (6,))
     assert cokernel_structure([(2, 0)], 2) == (1, (2,))
@@ -188,7 +253,14 @@ def test_sparse_reduction_matches_the_dense_reference(seed):
         assert found == dense_contains(lat, vec)
         assert member is None or found == member
         assert lat.reduce(vec) == dense_reduce(lat, vec)
-        assert lat.coefficients(vec) == dense_coefficients(lat, vec)
+        coeffs = lat.coefficients(vec)
+        assert coeffs == dense_coefficients(lat, vec)
+        assert coeffs is None or _times(coeffs, rows, ncols) == vec
+        # the same queries on {column: entry} vectors
+        sparse = {j: x for j, x in enumerate(vec) if x}
+        assert lat.contains(sparse) == found
+        assert lat.reduce(sparse) == dense_reduce(lat, vec)
+        assert lat.coefficients(sparse) == coeffs
 
 
 def test_sparse_rows_are_the_basis_rows_by_pivot():
@@ -208,6 +280,9 @@ def test_lattice_queries_reject_the_wrong_length():
     for query in (lat.contains, lat.reduce, lat.coefficients):
         for vec in ((1,), (1, 0, 0)):
             with pytest.raises(ValueError, match="vector has the wrong length"):
+                query(vec)
+        for vec in ({2: 1}, {-1: 1}):
+            with pytest.raises(ValueError, match="vector has a column outside the lattice"):
                 query(vec)
 
 

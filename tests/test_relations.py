@@ -338,6 +338,19 @@ def test_structure_of_order_64_generated_catalogs(spec, expected):
     assert (s.free_rank, s.torsion) == expected
 
 
+def test_relation_lattice_of_order_64_c4_cubed():
+    # the documented order bound on the largest abelian lattice: the Hermite form
+    # of 2052 relation rows over 2845 symbols, built on sparse pivot rows
+    G = build_group({"kind": "abelian", "factors": [4, 4, 4]})
+    lattice = relation_lattice(G, generated_catalog(G))
+    assert (lattice.lattice.rank, len(lattice.index)) == (1660, 2845)
+    a = BurnsideClass({s: 1 for s in lattice.index[:40]})
+    b = reduce(a, lattice)
+    assert b != a and classes_equal(a, b, lattice)
+    free = next(s for s in lattice.index if not lattice.contains(BurnsideClass.of(s)))
+    assert not classes_equal(a, b + BurnsideClass.of(free), lattice)
+
+
 D4XC2 = {"kind": "table", "mul": direct_product(dihedral_table(4), cyclic_table(2))}
 
 
@@ -362,7 +375,9 @@ def test_structure_enumerates_once_and_canonicalizes_each_raw_symbol_once(spec, 
     catalog = generated_catalog(G)
     enumerations, canonicalizations = [], []
     _record_calls(monkeypatch, burnloc.symbols, "enumerate_symbols", enumerations)
-    _record_calls(monkeypatch, burnloc.symbols, "canonicalize", canonicalizations)
+    # enumerated symbols reach canonical_form directly and relation terms through
+    # canonicalize, so canonical_form sees every raw symbol of the pass
+    _record_calls(monkeypatch, burnloc.symbols, "canonical_form", canonicalizations)
     structure(G, catalog)
     assert len(enumerations) == 1
     per_symbol = Counter(args[0] for args, _ in canonicalizations)

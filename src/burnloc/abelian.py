@@ -8,7 +8,8 @@ value in Q/Z is ever formed.
 Each structure is built once per subgroup and kept in its ambient group's
 `structures` table by element tuple; it owns two memos over its host,
 `transport_matrix` per conjugating g and `dual_generated_check` per tuple of
-character coordinates.
+character coordinates, which only symbol validation fills: the enumerators
+read dual generation off character kernels and orders.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 from math import gcd, lcm
+from operator import add, mod, mul, neg
 
 from .errors import ValidationError
 from .groups import Subgroup
@@ -166,7 +168,7 @@ class Character(namedtuple("Character", "structure coords")):
         ds = structure.invariant_factors
         if len(coords) != len(ds):
             raise ValidationError("character coordinates do not match the structure")
-        return super().__new__(cls, structure, tuple(c % d for c, d in zip(coords, ds)))
+        return super().__new__(cls, structure, tuple(map(mod, coords, ds)))
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -176,10 +178,10 @@ class Character(namedtuple("Character", "structure coords")):
 
     def __add__(self, other: "Character") -> "Character":
         _same_host(self, other)
-        return Character(self.structure, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Character(self.structure, tuple(map(add, self.coords, other.coords)))
 
     def __neg__(self) -> "Character":
-        return Character(self.structure, tuple(-c for c in self.coords))
+        return Character(self.structure, tuple(map(neg, self.coords)))
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
@@ -209,7 +211,7 @@ def character_kernel(b: Character) -> Subgroup:
     H = b.structure.subgroup
     coords = b.structure.coords
     row, e = _scaled(b)
-    elems = tuple(x for x in H.elements if sum(c * a for c, a in zip(row, coords[x])) % e == 0)
+    elems = tuple(x for x in H.elements if sum(map(mul, row, coords[x])) % e == 0)
     return Subgroup.trusted(H.ambient, elems)
 
 
@@ -231,7 +233,7 @@ def dual_generated_check(*chars: Character) -> bool:
         e = scaled[0][1]
         rows = [row for row, _ in scaled]
         answer = struct._dual[key] = not any(
-            all(sum(c * a for c, a in zip(row, x)) % e == 0 for row in rows)
+            all(sum(map(mul, row, x)) % e == 0 for row in rows)
             for x in struct.element_of if any(x)
         )
     return answer
@@ -247,7 +249,7 @@ def restrict_character(b: Character, K: Subgroup) -> Character:
     coords = []
     for h, d in zip(target.basis, target.invariant_factors):
         # b(h) = v/e in Q/Z and h has order d in K, so d * v/e must be whole
-        v = sum(c * a for c, a in zip(row, b.structure.coords[h])) * d
+        v = sum(map(mul, row, b.structure.coords[h])) * d
         if v % e:
             raise ValidationError("values do not define a character in these coordinates")
         coords.append(v // e)
@@ -261,7 +263,7 @@ def transport_character(g: int, b: Character) -> Character:
     coords = []
     for row, d in zip(rows, target.invariant_factors):
         # the value at a basis element x of gHg^-1 is v/e in Q/Z; d * v/e must be whole
-        v = sum(c * a for c, a in zip(b.coords, row)) * d
+        v = sum(map(mul, b.coords, row)) * d
         if v % e:
             raise ValidationError("values do not define a character in these coordinates")
         coords.append(v // e)

@@ -14,9 +14,9 @@ own, so it gives the same instances either way.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
-from .abelian import abelian_structure, character_kernel, restrict_character, shape_name
+from .abelian import Character, abelian_structure, character_kernel, restrict_character, shape_name
 from .catalog import ActionCatalog, GroupShape
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
@@ -73,43 +73,41 @@ def _jac_partner(context: BurnsideContext, sym: Symbol) -> Symbol:
     return context.canonicalize(Symbol(KIND_JAC, sym.h, _y_as_jac_cosets(context.group, sym), jac_label.id))
 
 
-def _b2_terms(context: BurnsideContext, sym: Symbol) -> tuple[BurnsideClass, BurnsideClass]:
-    """(Theta1, Theta2) for a canonical curve symbol."""
-    G, catalog = context.group, context.catalog
-    H = Subgroup(G, sym.h)
-    b1, b2 = symbol_characters(G, sym)
-    theta1 = BurnsideClass.zero()
-    if b1 != b2:
-        for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
-            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
-            theta1 = theta1 + BurnsideClass.of(context.canonicalize(term))
+def _b2_terms(context: BurnsideContext, sym: Symbol, b1: Character, b2: Character, partner: Symbol | None) -> Counter:
+    """{symbol: coefficient} of sym - Theta1 - Theta2 - partner for a canonical
+    curve symbol with weights b1, b2; the partner is found here if B1 did not."""
+    terms = Counter({sym: 1})
     diff = b1 - b2
-    if diff.order() == H.order:
-        return theta1, BurnsideClass.zero()
-    h_bar = character_kernel(diff)
-    label = catalog.induced_surface_action(
-        abelian_structure(H).invariant_factors, sym.action, diff.order()
-    )
-    # the induced group: (preimage of Y in Z_G(H)) / ker(b1-b2), inside Z_G(ker)/ker
-    Qc = carrier_quotient(G, sym.h, sym.kind)
-    upstairs = Qc.preimage(sym.y)
-    Qbar = carrier_quotient(G, h_bar.elements, KIND_SURFACE)
-    y_bar = Qbar.image(upstairs)
-    weight = restrict_character(b1, h_bar)
-    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,))
-    return theta1, BurnsideClass.of(context.canonicalize(term))
+    if not diff.is_trivial():  # Theta1
+        for first, second in ((b1, -diff), (b2, diff)):
+            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
+            terms[context.canonicalize(term)] -= 1
+    n = diff.order()
+    if n != len(sym.h):  # Theta2
+        h_bar = character_kernel(diff)
+        label = context.catalog.induced_surface_action(b1.structure.invariant_factors, sym.action, n)
+        # the induced group: (preimage of Y in Z_G(H)) / ker(b1-b2), inside Z_G(ker)/ker
+        upstairs = carrier_quotient(context.group, sym.h, sym.kind).preimage(sym.y)
+        y_bar = carrier_quotient(context.group, h_bar.elements, KIND_SURFACE).image(upstairs)
+        weight = restrict_character(b1, h_bar)
+        terms[context.canonicalize(Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,)))] -= 1
+    terms[_jac_partner(context, sym) if partner is None else partner] -= 1
+    return terms
 
 
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                        context: BurnsideContext | None = None) -> tuple[RelationInstance, ...]:
-    """All instances of the four blow-up relations over the declared catalog."""
+    """All instances of the four blow-up relations over the declared catalog,
+    each built as one {symbol: coefficient} dict; a curve symbol's weights,
+    text form and Jacobian partner are found once, for B1 and B2."""
     if context is None:
         context = BurnsideContext(G, catalog)
     symbols = context.symbols
     instances: list[RelationInstance] = []
     seen_vectors: set[BurnsideClass] = set()
 
-    def emit(vector: BurnsideClass, rule: str, **params):
+    def emit(terms: dict[Symbol, int], rule: str, **params):
+        vector = BurnsideClass(terms)
         if vector.is_zero() or vector in seen_vectors:
             return
         neg = -vector
@@ -118,19 +116,18 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
         seen_vectors.add(vector)
         instances.append(RelationInstance(vector, rule, tuple(sorted((k, str(v)) for k, v in params.items()))))
 
-    curve_syms = [s for s in symbols if s.kind == KIND_CURVE]
-    jac_syms = [s for s in symbols if s.kind == KIND_JAC]
-
-    for sym in curve_syms:
+    curves = []
+    for sym in (s for s in symbols if s.kind == KIND_CURVE):
         b1, b2 = symbol_characters(G, sym)
+        text = text_form(sym, G)
+        partner = None
         if (b1 + b2).is_trivial():
-            vec = BurnsideClass.of(sym) + BurnsideClass.of(_jac_partner(context, sym))
-            emit(vec, "B1", symbol=text_form(sym, G))
+            partner = _jac_partner(context, sym)
+            emit({sym: 1, partner: 1}, "B1", symbol=text)
+        curves.append((sym, b1, b2, partner, text))
 
-    for sym in curve_syms:
-        theta1, theta2 = _b2_terms(context, sym)
-        vec = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(_jac_partner(context, sym))
-        emit(vec, "B2", symbol=text_form(sym, G))
+    for sym, b1, b2, partner, text in curves:
+        emit(_b2_terms(context, sym, b1, b2, partner), "B2", symbol=text)
 
     for rule in catalog.jacobian_rules:
         curve_label = catalog.label(rule.source)
@@ -140,12 +137,13 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
             Q = carrier_quotient(G, (0,), KIND_JAC)
             sym = Symbol(KIND_JAC, (0,), Q.image(Y.elements), rule.target)
             emit(
-                BurnsideClass.of(context.canonicalize(sym)),
+                {context.canonicalize(sym): 1},
                 "B3",
                 curve_action=rule.source,
                 y=shape_name(abelian_structure(Y).invariant_factors) if Y.is_abelian() else f"ord{Y.order}",
             )
 
+    jac_syms = [s for s in symbols if s.kind == KIND_JAC]
     for rule in catalog.extension_rules:
         if rule.trivial_part == "none":
             continue  # Y1 = 1 makes the relation degenerate
@@ -164,9 +162,9 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                     f"GenusOneExtensionRule({shape_name(rule.h_factors)},{rule.source_label}): "
                     f"computed extension has order {h1.order}, expected shape {target_shape}"
                 )
-            new_sym = Symbol(KIND_JAC, h1.elements, (0,), rule.target_label)
-            vec = BurnsideClass.of(sym) - BurnsideClass.of(context.canonicalize(new_sym))
-            emit(vec, "B4", symbol=text_form(sym, G))
+            terms = Counter({sym: 1})
+            terms[context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))] -= 1
+            emit(terms, "B4", symbol=text_form(sym, G))
 
     return tuple(instances)
 

@@ -14,6 +14,13 @@ transporter from G's class table, and the least Y with one conjugation per
 distinct action on H from G's `frames` table, keyed by (kind, h, y); only the
 weights are transported per symbol.
 
+The enumerators read a stabilizer's Y options off the labels' shapes: a
+trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
+in the carrier quotient, and only another shape (noncyclic abelian, or
+nonabelian by order) filters the quotient's lattice.  Weights that generate
+the dual are a pair whose kernels meet only in the identity, or a character
+of order |H|; `dual_generated_check` serves validation.
+
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
 every raw symbol the pass has met.  The call that runs the pass builds it and
@@ -27,9 +34,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .abelian import (
+    AbelianStructure,
     Character,
     abelian_structure,
     all_characters,
+    character_kernel,
     dual_generated_check,
     shape_name,
     transport_character,
@@ -225,8 +234,36 @@ def _least(gs, key):
     return best, [g for g, k in keys.items() if k == best]
 
 
-def _iter_y_options(G: FiniteGroup, h: tuple[int, ...], kind: str) -> tuple[Subgroup, ...]:
-    return all_subgroups(carrier_quotient(G, h, kind).group)
+def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
+    """(Y, the labels of Y's shape) for each Y in h's carrier quotient that
+    some label's shape matches, in (order, elements) order (see above)."""
+    matched: dict[tuple[int, ...], set] = {}
+    for shape in {label.group_shape for label in labels}:
+        if shape.factors == ():  # no quotient needed
+            ys = [(0,)]
+        elif shape.factors is not None and len(shape.factors) == 1:
+            Q = carrier_quotient(G, h, kind).group
+            ys = {Subgroup.generated(Q, (q,)).elements for q in Q.elements() if Q.element_order(q) == shape.order}
+        else:
+            ys = [Y.elements for Y in all_subgroups(carrier_quotient(G, h, kind).group) if shape.matches(Y)]
+        for y in ys:
+            matched.setdefault(y, set()).add(shape)
+    return [(y, [label for label in labels if label.group_shape in matched[y]])
+            for y in sorted(matched, key=lambda y: (len(y), y))]
+
+
+def _dual_pairs(struct: AbelianStructure) -> list[tuple[Character, Character]]:
+    """The pairs b1 <= b2 of nontrivial characters that generate the dual: their
+    kernels, as bit masks over the ambient elements, meet only in the identity."""
+    nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
+    kernels = [sum(1 << x for x in character_kernel(b).elements) for b in nontrivial]
+    return [(b1, b2) for i, (b1, k1) in enumerate(zip(nontrivial, kernels))
+            for b2, k2 in zip(nontrivial[i:], kernels[i:]) if k1 & k2 == 1]
+
+
+def _dual_generators(struct: AbelianStructure) -> list[Character]:
+    """The characters that generate the dual alone: those of order |H|."""
+    return [b for b in all_characters(struct) if b.order() == struct.order]
 
 
 def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
@@ -238,15 +275,11 @@ def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
         struct = abelian_structure(H)
         if len(struct.invariant_factors) > 2:
             continue  # the dual cannot be generated by two characters
-        nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
-        pairs = [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:]
-                 if dual_generated_check(b1, b2)]
-        for Y in _iter_y_options(G, H.elements, KIND_CURVE):
-            for label in labels:
-                if not label.group_shape.matches(Y):
-                    continue
+        pairs = _dual_pairs(struct)
+        for y, matching in _y_options(G, H.elements, KIND_CURVE, labels):
+            for label in matching:
                 for b1, b2 in pairs:
-                    yield Symbol(KIND_CURVE, H.elements, Y.elements, label.id, (b1.coords, b2.coords)), (b1, b2)
+                    yield Symbol(KIND_CURVE, H.elements, y, label.id, (b1.coords, b2.coords)), (b1, b2)
 
 
 def _surface_data(G: FiniteGroup, catalog: ActionCatalog):
@@ -254,29 +287,21 @@ def _surface_data(G: FiniteGroup, catalog: ActionCatalog):
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not H.is_cyclic():
             continue
-        struct = abelian_structure(H)
-        generators = [b for b in all_characters(struct) if not b.is_trivial() and dual_generated_check(b)]
-        for Y in _iter_y_options(G, H.elements, KIND_SURFACE):
-            for label in labels:
-                if not label.group_shape.matches(Y):
-                    continue
+        generators = _dual_generators(abelian_structure(H))
+        for y, matching in _y_options(G, H.elements, KIND_SURFACE, labels):
+            for label in matching:
                 for b in generators:
-                    yield Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b.coords,)), (b,)
+                    yield Symbol(KIND_SURFACE, H.elements, y, label.id, (b.coords,)), (b,)
 
 
 def _jac_data(G: FiniteGroup, catalog: ActionCatalog):
     genus = catalog.curve.genus
-    labels = catalog.labels_in(JACOBIAN)
+    labels = [label for label in catalog.labels_in(JACOBIAN)
+              if (genus < 2 or label.faithful) and (genus != 1 or label.from_curve)]
     for H in subgroups_up_to_conjugacy(G):
-        for Y in _iter_y_options(G, H.elements, KIND_JAC):
-            for label in labels:
-                if not label.group_shape.matches(Y):
-                    continue
-                if genus >= 2 and not label.faithful:
-                    continue
-                if genus == 1 and not label.from_curve:
-                    continue
-                yield Symbol(KIND_JAC, H.elements, Y.elements, label.id), ()
+        for y, matching in _y_options(G, H.elements, KIND_JAC, labels):
+            for label in matching:
+                yield Symbol(KIND_JAC, H.elements, y, label.id), ()
 
 
 def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):

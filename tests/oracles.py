@@ -23,6 +23,13 @@ reference canonical form is the minimum over every g in G of the transported
 symbol, with no shortcut for abelian G.  The span of a set of characters is
 enumerated element by element.
 
+The slow paths of the cold relation pass are kept as references: the raw
+symbols of the lattice path, which tries every subgroup of each carrier
+quotient against every label's shape and keeps each weight tuple by
+`dual_generated_check`, and the relations built term by term with
+`BurnsideClass` arithmetic, each curve symbol's weights, Jacobian partner and
+text form found again for B1 and for B2.
+
 The reference group check runs the table checks in the order the checked
 constructor reports them and tests associativity on all n**3 triples, in
 lexicographic order, so it names the first failing triple.
@@ -38,10 +45,31 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from burnloc.abelian import Character, abelian_structure
+from burnloc.abelian import (
+    Character,
+    abelian_structure,
+    all_characters,
+    character_kernel,
+    dual_generated_check,
+    restrict_character,
+    shape_name,
+)
+from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
-from burnloc.groups import Subgroup
-from burnloc.symbols import Symbol, carrier_quotient, validate_symbol
+from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
+from burnloc.relations import RelationInstance
+from burnloc.symbols import (
+    KIND_CURVE,
+    KIND_JAC,
+    KIND_SURFACE,
+    BurnsideClass,
+    BurnsideContext,
+    Symbol,
+    carrier_quotient,
+    symbol_characters,
+    text_form,
+    validate_symbol,
+)
 
 
 def exhaustive_member(rows, vec, bound=3):
@@ -495,3 +523,122 @@ def reference_group_problem(table):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             return f"table is not associative at ({a},{b},{c})"
     return None
+
+
+def reference_raw_symbols(G, catalog):
+    """The raw curve, surface and Jacobian symbols, in the enumerators' yield
+    order, by the lattice path: every Y of the carrier quotient's subgroup
+    lattice is tried against every label's shape, and every weight tuple is
+    kept by `dual_generated_check`."""
+    out = []
+    for H in abelian_subgroups_up_to_conjugacy(G):
+        struct = abelian_structure(H)
+        if H.is_trivial() or len(struct.invariant_factors) > 2:
+            continue
+        nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
+        pairs = [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:] if dual_generated_check(b1, b2)]
+        for Y, label in _lattice_options(G, H, KIND_CURVE, catalog.labels_in(CURVE)):
+            out += [Symbol(KIND_CURVE, H.elements, Y.elements, label.id, (b1.coords, b2.coords)) for b1, b2 in pairs]
+    for H in abelian_subgroups_up_to_conjugacy(G):
+        if H.is_trivial() or not H.is_cyclic():
+            continue
+        generators = [b for b in all_characters(abelian_structure(H)) if not b.is_trivial() and dual_generated_check(b)]
+        for Y, label in _lattice_options(G, H, KIND_SURFACE, catalog.labels_in(RULED_SURFACE)):
+            out += [Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b.coords,)) for b in generators]
+    genus = catalog.curve.genus
+    for H in subgroups_up_to_conjugacy(G):
+        for Y, label in _lattice_options(G, H, KIND_JAC, catalog.labels_in(JACOBIAN)):
+            if (genus >= 2 and not label.faithful) or (genus == 1 and not label.from_curve):
+                continue
+            out.append(Symbol(KIND_JAC, H.elements, Y.elements, label.id))
+    return out
+
+
+def _lattice_options(G, H, kind, labels):
+    """(Y, label) for every subgroup Y of H's carrier quotient, in (order,
+    elements) order, and every label whose shape Y matches, in catalog order."""
+    for Y in all_subgroups(carrier_quotient(G, H.elements, kind).group):
+        for label in labels:
+            if label.group_shape.matches(Y):
+                yield Y, label
+
+
+def _reference_jac_partner(context, sym):
+    G = context.group
+    Qc = carrier_quotient(G, sym.h, sym.kind)
+    y = carrier_quotient(G, sym.h, KIND_JAC).image(Qc.reps[i] for i in sym.y)
+    jac_label = context.catalog.jacobian_of_curve_action(sym.action)
+    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label.id))
+
+
+def _reference_b2_terms(context, sym):
+    """(Theta1, Theta2) for a canonical curve symbol, one `BurnsideClass` per term."""
+    G, catalog = context.group, context.catalog
+    H = Subgroup(G, sym.h)
+    b1, b2 = symbol_characters(G, sym)
+    theta1 = BurnsideClass.zero()
+    if b1 != b2:
+        for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
+            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
+            theta1 = theta1 + BurnsideClass.of(context.canonicalize(term))
+    diff = b1 - b2
+    if diff.order() == H.order:
+        return theta1, BurnsideClass.zero()
+    h_bar = character_kernel(diff)
+    label = catalog.induced_surface_action(abelian_structure(H).invariant_factors, sym.action, diff.order())
+    upstairs = carrier_quotient(G, sym.h, sym.kind).preimage(sym.y)
+    y_bar = carrier_quotient(G, h_bar.elements, KIND_SURFACE).image(upstairs)
+    weight = restrict_character(b1, h_bar)
+    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,))
+    return theta1, BurnsideClass.of(context.canonicalize(term))
+
+
+def reference_generate_relations(G, catalog):
+    """The B1-B4 instances over the enumerated symbols, each built term by term
+    by `BurnsideClass` arithmetic, with a curve symbol's weights, Jacobian
+    partner and text form found afresh for B1 and again for B2."""
+    context = BurnsideContext(G, catalog)
+    symbols = context.symbols
+    instances, seen = [], set()
+
+    def emit(vector, rule, **params):
+        if vector.is_zero() or vector in seen or -vector in seen:
+            return
+        seen.add(vector)
+        instances.append(RelationInstance(vector, rule, tuple(sorted((k, str(v)) for k, v in params.items()))))
+
+    curve_syms = [s for s in symbols if s.kind == KIND_CURVE]
+    for sym in curve_syms:
+        b1, b2 = symbol_characters(G, sym)
+        if (b1 + b2).is_trivial():
+            emit(BurnsideClass.of(sym) + BurnsideClass.of(_reference_jac_partner(context, sym)), "B1",
+                 symbol=text_form(sym, G))
+    for sym in curve_syms:
+        theta1, theta2 = _reference_b2_terms(context, sym)
+        vec = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(_reference_jac_partner(context, sym))
+        emit(vec, "B2", symbol=text_form(sym, G))
+    for rule in catalog.jacobian_rules:
+        curve_label = catalog.label(rule.source)
+        for Y in subgroups_up_to_conjugacy(G):
+            if curve_label.group_shape.matches(Y):
+                sym = Symbol(KIND_JAC, (0,), carrier_quotient(G, (0,), KIND_JAC).image(Y.elements), rule.target)
+                y = shape_name(abelian_structure(Y).invariant_factors) if Y.is_abelian() else f"ord{Y.order}"
+                emit(BurnsideClass.of(context.canonicalize(sym)), "B3", curve_action=rule.source, y=y)
+    for rule in catalog.extension_rules:
+        if rule.trivial_part == "none":
+            continue
+        for sym in symbols:
+            if sym.kind != KIND_JAC or sym.action != rule.source_label:
+                continue
+            if not GroupShape.abelian(rule.h_factors).matches(Subgroup(G, sym.h)):
+                continue
+            h1 = Subgroup(G, carrier_quotient(G, sym.h, KIND_JAC).preimage(sym.y))
+            target_shape = GroupShape.abelian(rule.target_h_factors)
+            if not target_shape.matches(h1):
+                raise ValidationError(
+                    f"GenusOneExtensionRule({shape_name(rule.h_factors)},{rule.source_label}): "
+                    f"computed extension has order {h1.order}, expected shape {target_shape}"
+                )
+            new_sym = context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))
+            emit(BurnsideClass.of(sym) - BurnsideClass.of(new_sym), "B4", symbol=text_form(sym, G))
+    return tuple(instances)

@@ -1,6 +1,7 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
-catalogs for larger groups, multiplication tables of a few group families
+catalogs for larger groups (and with extra labels of noncyclic or nonabelian
+shapes), multiplication tables of a few group families
 with seeded relabellings, the specs of the benchmark ladder's groups, a reset
 of the engine caches, and a check that the tables a group and its derived
 objects own stay bounded."""
@@ -10,7 +11,7 @@ from dataclasses import replace
 from itertools import permutations
 
 from burnloc.abelian import abelian_structure, all_characters
-from burnloc.catalog import CURVE, catalog_from_json, ensure_valid_catalog
+from burnloc.catalog import CURVE, catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
 from burnloc.models import (
@@ -186,6 +187,19 @@ def generated_catalog(G):
         },
     }
     return ensure_valid_catalog(catalog_from_json(data, name="generated"))
+
+
+def catalog_with_shapes(G, shapes, spaces=("ruled_surface", "jacobian")):
+    """The generated catalog plus one faithful, nontrivial label per given shape
+    (JSON, e.g. `[2, 2]` or `{"order": 8, "abelian": False}`) in each given
+    space.  The labels enter no rule, so a curve label makes the catalog
+    incomplete for relations, but not for enumeration."""
+    data = catalog_to_json(generated_catalog(G))
+    for i, shape in enumerate(shapes):
+        for space in spaces:
+            data["labels"].append({"id": f"extra{i}-{space}", "space": space, "group_shape": shape,
+                                   "faithful": True, "trivial": False})
+    return ensure_valid_catalog(catalog_from_json(data, name="extra-shapes"))
 
 
 def clear_engine_caches():

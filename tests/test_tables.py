@@ -46,6 +46,7 @@ from scenarios import (
     LADDER_GROUPS,
     _datum,
     assert_tables_bounded,
+    catalog_with_shapes,
     clear_engine_caches,
     cyclic_table,
     dihedral_table,
@@ -310,12 +311,10 @@ def test_resolve_failures_repeat_their_message_and_are_never_recorded():
         assert Q.resolved == before
 
 
-@pytest.mark.parametrize("name", ["C2xC2xC4", "D6xC2"])
-def test_one_lattice_per_distinct_quotient_table(name, monkeypatch):
-    # carrier quotients with equal tables share one interned group, G itself
-    # for the quotients by the trivial subgroup, so a structure pass builds
-    # one lattice per distinct table
-    catalog = generated_catalog(build_group(LADDER_GROUPS[name]))
+def _lattice_runs(monkeypatch, name, make_catalog):
+    """(G, the tables of the groups whose subgroup lattice a structure pass
+    over G and the catalog built, in build order)."""
+    catalog = make_catalog(build_group(LADDER_GROUPS[name]))
     clear_engine_caches()
     G = build_group(LADDER_GROUPS[name])
     runs = []
@@ -327,6 +326,24 @@ def test_one_lattice_per_distinct_quotient_table(name, monkeypatch):
 
     monkeypatch.setattr(burnloc.groups, "subgroups_within", counting)
     structure(G, catalog)
+    return G, runs
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC4", "D6xC2"])
+def test_a_pass_on_a_generated_catalog_builds_only_the_lattice_of_g(name, monkeypatch):
+    # every label shape of a generated catalog is trivial or cyclic, so the Y
+    # options are read off the carrier quotients' cyclic subgroups and no
+    # quotient lattice is built
+    G, runs = _lattice_runs(monkeypatch, name, generated_catalog)
+    assert len(G.carriers) > 1 and runs == [G.mul]
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC4", "D6xC2"])
+def test_one_lattice_per_distinct_quotient_table(name, monkeypatch):
+    # a [2, 2] label takes the lattice path; carrier quotients with equal
+    # tables share one interned group, G itself for the quotients by the
+    # trivial subgroup, so the pass builds one lattice per distinct table
+    G, runs = _lattice_runs(monkeypatch, name, lambda G: catalog_with_shapes(G, [[2, 2]]))
     tables = {G.mul} | {Q.group.mul for Q in G.carriers.values()}
     assert len(G.carriers) > len(tables) and len(runs) == len(tables)
     assert set(runs) == tables

@@ -6,10 +6,12 @@ those coordinates, so all character arithmetic is componentwise modular and no
 value in Q/Z is ever formed.
 
 Each structure is built once per subgroup and kept in its ambient group's
-`structures` table by element tuple; it owns two memos over its host,
-`transport_matrix` per conjugating g and `dual_generated_check` per tuple of
-character coordinates, which only symbol validation fills: the enumerators
-read dual generation off character kernels and orders.
+`structures` table by element tuple; it owns three memos over its host,
+`transport_matrix` per conjugating g, `kernel` per character coordinates, and
+`dual_generated_check` per tuple of them, which only symbol validation fills:
+the enumerators read dual generation off character kernels and orders.
+`reduce`, `kernel` and `restrict` take bare coordinate tuples, so the relation
+pass does its character arithmetic without `Character` objects.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class AbelianStructure:
     Z/m-module, and adjoining in ascending order gives the lexicographically
     least complement, so the basis does not depend on how the search runs."""
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport", "_dual")
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport", "_kernels", "_dual")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -118,6 +120,7 @@ class AbelianStructure:
         self.coords = coords
         self.element_of = {t: x for x, t in coords.items()}
         self._transport: dict = {}  # g -> transport_matrix(g)
+        self._kernels: dict = {}  # character coordinates -> kernel(coords)
         self._dual: dict = {}  # tuple of character coordinates -> dual_generated_check's answer
 
     @property
@@ -137,6 +140,34 @@ class AbelianStructure:
             rows = tuple(tuple(a * s for a, s in zip(self.coords[back[x]], scale)) for x in target.basis)
             entry = self._transport[g] = (target, rows)
         return entry
+
+    def reduce(self, values) -> tuple[int, ...]:
+        """Character coordinates reduced mod the invariant factors."""
+        return tuple(map(mod, values, self.invariant_factors))
+
+    def kernel(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """The ascending elements of the host on which the character with these
+        reduced coordinates vanishes; its order is |H| / |kernel|."""
+        kernel = self._kernels.get(coords)
+        if kernel is None:
+            row, e = _scaled(self, coords)
+            kernel = self._kernels[coords] = tuple(
+                x for x in self.subgroup.elements if sum(map(mul, row, self.coords[x])) % e == 0)
+        return kernel
+
+    def restrict(self, coords: tuple[int, ...], K: Subgroup) -> tuple[int, ...]:
+        """The coordinates, on K's structure, of the character with these
+        coordinates restricted to a subgroup K of the host."""
+        target = abelian_structure(K)
+        row, e = _scaled(self, coords)
+        out = []
+        for h, d in zip(target.basis, target.invariant_factors):
+            # b(h) = v/e in Q/Z and h has order d in K, so d * v/e must be whole
+            v = sum(map(mul, row, self.coords[h])) * d
+            if v % e:
+                raise ValidationError("values do not define a character in these coordinates")
+            out.append(v // e % d)
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianStructure) and self.subgroup == other.subgroup
@@ -198,21 +229,18 @@ def all_characters(struct: AbelianStructure):
         yield Character(struct, tup)
 
 
-def _scaled(b: Character) -> tuple[tuple[int, ...], int]:
-    """(row, e) with e the exponent of b's host: b(x) = sum_j row_j a_j / e in Q/Z
-    for x with coordinates a, so x is in ker b iff sum_j row_j a_j = 0 mod e."""
-    ds = b.structure.invariant_factors
+def _scaled(struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(row, e) with e the exponent of the host: the character b with these
+    coordinates has b(x) = sum_j row_j a_j / e in Q/Z for x with coordinates a,
+    so x is in ker b iff sum_j row_j a_j = 0 mod e."""
+    ds = struct.invariant_factors
     e = ds[-1] if ds else 1
-    return tuple(c * (e // d) for c, d in zip(b.coords, ds)), e
+    return tuple(c * (e // d) for c, d in zip(coords, ds)), e
 
 
 def character_kernel(b: Character) -> Subgroup:
     """Kernel of b, as a subgroup of the ambient group contained in the host."""
-    H = b.structure.subgroup
-    coords = b.structure.coords
-    row, e = _scaled(b)
-    elems = tuple(x for x in H.elements if sum(map(mul, row, coords[x])) % e == 0)
-    return Subgroup.trusted(H.ambient, elems)
+    return Subgroup.trusted(b.structure.subgroup.ambient, b.structure.kernel(b.coords))
 
 
 def dual_generated_check(*chars: Character) -> bool:
@@ -229,7 +257,7 @@ def dual_generated_check(*chars: Character) -> bool:
     key = tuple(b.coords for b in chars)
     answer = struct._dual.get(key)
     if answer is None:
-        scaled = [_scaled(b) for b in chars]
+        scaled = [_scaled(struct, b.coords) for b in chars]
         e = scaled[0][1]
         rows = [row for row, _ in scaled]
         answer = struct._dual[key] = not any(
@@ -241,19 +269,9 @@ def dual_generated_check(*chars: Character) -> bool:
 
 def restrict_character(b: Character, K: Subgroup) -> Character:
     """Restriction of b to a subgroup K of its host."""
-    host = b.structure.subgroup
-    if not set(K.elements) <= set(host.elements):
+    if not set(K.elements) <= set(b.structure.subgroup.elements):
         raise ValidationError("restriction target is not contained in the host subgroup")
-    target = abelian_structure(K)
-    row, e = _scaled(b)
-    coords = []
-    for h, d in zip(target.basis, target.invariant_factors):
-        # b(h) = v/e in Q/Z and h has order d in K, so d * v/e must be whole
-        v = sum(map(mul, row, b.structure.coords[h])) * d
-        if v % e:
-            raise ValidationError("values do not define a character in these coordinates")
-        coords.append(v // e)
-    return Character(target, tuple(coords))
+    return Character(abelian_structure(K), b.structure.restrict(b.coords, K))
 
 
 def transport_character(g: int, b: Character) -> Character:

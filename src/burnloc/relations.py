@@ -9,14 +9,17 @@ lattice is unchanged).
 they build a `BurnsideContext`, enumerate the symbols once through it and
 generate the relations over those symbols, canonicalizing every relation term
 through its memo.  `generate_relations` called without a context builds its
-own, so it gives the same instances either way.
+own, so it gives the same instances either way.  B1 and B2 work on weight
+coordinates; the pass keeps each Theta2's data per (h, y, action, b1 - b2),
+each restricted weight, and each curve (h, y, action)'s text head and partner.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from operator import add, neg, sub
 
-from .abelian import Character, abelian_structure, character_kernel, restrict_character, shape_name
+from .abelian import AbelianStructure, abelian_structure, shape_name
 from .catalog import ActionCatalog, GroupShape
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
@@ -28,8 +31,9 @@ from .symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
+    _text_head,
+    _text_tail,
     carrier_quotient,
-    symbol_characters,
     text_form,
 )
 
@@ -60,74 +64,76 @@ class GroupStructure(namedtuple("GroupStructure", "free_rank torsion")):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def _y_as_jac_cosets(G: FiniteGroup, sym: Symbol) -> tuple[int, ...]:
-    # move Y from Z_G(H)/H into N_G(H)/H (same subgroup of G upstairs)
-    Qc = carrier_quotient(G, sym.h, sym.kind)
-    Qj = carrier_quotient(G, sym.h, KIND_JAC)
-    return Qj.image(Qc.reps[i] for i in sym.y)
-
-
 def _jac_partner(context: BurnsideContext, sym: Symbol) -> Symbol:
-    """(H, J(C) <- Y) for the curve symbol's residual action, via the catalog."""
+    """(H, J(C) <- Y) for the curve symbol's residual action, via the catalog;
+    Y moves from Z_G(H)/H into N_G(H)/H (the same subgroup of G upstairs)."""
     jac_label = context.catalog.jacobian_of_curve_action(sym.action)
-    return context.canonicalize(Symbol(KIND_JAC, sym.h, _y_as_jac_cosets(context.group, sym), jac_label.id))
+    y = sym.y
+    if y != (0,):
+        reps = carrier_quotient(context.group, sym.h, sym.kind).reps
+        y = carrier_quotient(context.group, sym.h, KIND_JAC).image(reps[i] for i in y)
+    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label.id))
 
 
-def _b2_terms(context: BurnsideContext, sym: Symbol, b1: Character, b2: Character, partner: Symbol | None) -> Counter:
-    """{symbol: coefficient} of sym - Theta1 - Theta2 - partner for a canonical
-    curve symbol with weights b1, b2; the partner is found here if B1 did not."""
-    terms = Counter({sym: 1})
-    diff = b1 - b2
-    if not diff.is_trivial():  # Theta1
-        for first, second in ((b1, -diff), (b2, diff)):
-            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
-            terms[context.canonicalize(term)] -= 1
-    n = diff.order()
-    if n != len(sym.h):  # Theta2
-        h_bar = character_kernel(diff)
-        label = context.catalog.induced_surface_action(b1.structure.invariant_factors, sym.action, n)
-        # the induced group: (preimage of Y in Z_G(H)) / ker(b1-b2), inside Z_G(ker)/ker
-        upstairs = carrier_quotient(context.group, sym.h, sym.kind).preimage(sym.y)
-        y_bar = carrier_quotient(context.group, h_bar.elements, KIND_SURFACE).image(upstairs)
-        weight = restrict_character(b1, h_bar)
-        terms[context.canonicalize(Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,)))] -= 1
-    terms[_jac_partner(context, sym) if partner is None else partner] -= 1
-    return terms
+def _theta2(context: BurnsideContext, struct: AbelianStructure, h, y, action, diff):
+    """(kernel of b1 - b2, induced label id, Y bar) of B2's Theta2 term, or None
+    when b1 - b2 has order |H|; Y bar is (preimage of Y in Z_G(H)) / kernel,
+    inside Z_G(kernel)/kernel."""
+    kernel = struct.kernel(diff)
+    if len(kernel) == 1:
+        return None
+    label = context.catalog.induced_surface_action(struct.invariant_factors, action, len(h) // len(kernel))
+    upstairs = h if y == (0,) else carrier_quotient(context.group, h, KIND_CURVE).preimage(y)
+    return kernel, label.id, carrier_quotient(context.group, kernel, KIND_SURFACE).image(upstairs)
 
 
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                        context: BurnsideContext | None = None) -> tuple[RelationInstance, ...]:
     """All instances of the four blow-up relations over the declared catalog,
-    each built as one {symbol: coefficient} dict; a curve symbol's weights,
-    text form and Jacobian partner are found once, for B1 and B2."""
+    each built as one {symbol: coefficient} dict; a curve symbol's structure
+    and text form are found once, for B1 and B2."""
     if context is None:
         context = BurnsideContext(G, catalog)
     symbols = context.symbols
     instances: list[RelationInstance] = []
-    seen_vectors: set[BurnsideClass] = set()
+    seen: set[frozenset] = set()  # the (symbol, coefficient) pairs of each instance
+    heads, partners, theta2, restricted = {}, {}, {}, {}
 
     def emit(terms: dict[Symbol, int], rule: str, **params):
-        vector = BurnsideClass(terms)
-        if vector.is_zero() or vector in seen_vectors:
+        pairs = frozenset((s, c) for s, c in terms.items() if c)
+        if not pairs or pairs in seen or frozenset((s, -c) for s, c in pairs) in seen:
             return
-        neg = -vector
-        if neg in seen_vectors:
-            return
-        seen_vectors.add(vector)
-        instances.append(RelationInstance(vector, rule, tuple(sorted((k, str(v)) for k, v in params.items()))))
+        seen.add(pairs)
+        params = tuple(sorted((k, str(v)) for k, v in params.items()))
+        instances.append(RelationInstance(BurnsideClass(terms), rule, params))
+
+    def kept(table: dict, key, make):
+        if key not in table:
+            table[key] = make()
+        return table[key]
 
     curves = []
     for sym in (s for s in symbols if s.kind == KIND_CURVE):
-        b1, b2 = symbol_characters(G, sym)
-        text = text_form(sym, G)
-        partner = None
-        if (b1 + b2).is_trivial():
-            partner = _jac_partner(context, sym)
-            emit({sym: 1, partner: 1}, "B1", symbol=text)
-        curves.append((sym, b1, b2, partner, text))
+        struct = abelian_structure(Subgroup.trusted(G, sym.h))
+        text = kept(heads, sym[:4], lambda: _text_head(sym, G)) + _text_tail(sym.weights)
+        if not any(struct.reduce(map(add, *sym.weights))):
+            emit({sym: 1, kept(partners, sym[1:4], lambda: _jac_partner(context, sym)): 1}, "B1", symbol=text)
+        curves.append((sym, struct, text))
 
-    for sym, b1, b2, partner, text in curves:
-        emit(_b2_terms(context, sym, b1, b2, partner), "B2", symbol=text)
+    for sym, struct, text in curves:  # sym - Theta1 - Theta2 - partner
+        _, h, y, action, (b1, b2) = sym
+        terms = Counter({sym: 1})
+        diff = struct.reduce(map(sub, b1, b2))
+        if any(diff):  # Theta1
+            for first, second in ((b1, struct.reduce(map(neg, diff))), (b2, diff)):
+                terms[context.canonicalize(Symbol(KIND_CURVE, h, y, action, tuple(sorted((first, second)))))] -= 1
+        data = kept(theta2, (h, y, action, diff), lambda: _theta2(context, struct, h, y, action, diff))
+        if data is not None:
+            kernel, label, y_bar = data
+            weight = kept(restricted, (h, b1, kernel), lambda: struct.restrict(b1, Subgroup.trusted(G, kernel)))
+            terms[context.canonicalize(Symbol(KIND_SURFACE, kernel, y_bar, label, (weight,)))] -= 1
+        terms[kept(partners, sym[1:4], lambda: _jac_partner(context, sym))] -= 1
+        emit(terms, "B2", symbol=text)
 
     for rule in catalog.jacobian_rules:
         curve_label = catalog.label(rule.source)

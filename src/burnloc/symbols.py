@@ -10,28 +10,33 @@ The carrier quotient of each (h, kind) is kept in G's `carriers` table.
 Validating a symbol checks H and Y through the check tables of G and of the
 carrier quotient, so each element set is checked once per group; a failure is
 never recorded.  The canonical form reads H's least conjugate and its
-transporter from G's class table, and the least Y with one conjugation per
-distinct action on H from G's `frames` table, keyed by (kind, h, y); only the
-weights are transported per symbol.
+transporter from G's class table.  G's `frames` table keeps, per stabilizer
+(kind, h), one g of the transporter per distinct pair (map of carrier
+cosets, action on H); a Y costs one image lookup per kept g, and only the
+weights are transported per symbol.  A trivial Y is kept by every g, so its
+frame (kind None) maps no carrier quotient.
 
 The enumerators read a stabilizer's Y options off the labels' shapes: a
 trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
 in the carrier quotient, and only another shape (noncyclic abelian, or
 nonabelian by order) filters the quotient's lattice.  Weights that generate
 the dual are a pair whose kernels meet only in the identity, or a character
-of order |H|; `dual_generated_check` serves validation.
+of order |H|; `dual_generated_check` serves validation.  A curve stabilizer
+with a p-rank above 2, read off its element orders, is skipped before any
+abelian structure is built for it.
 
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
-every raw symbol the pass has met.  The call that runs the pass builds it and
-drops it on return, so the memo holds only the finitely many raw symbols of
-that one pair.  Library calls of `canonicalize` outside a pass are not
-memoized.
+every raw symbol the pass has met; over abelian G an enumerated raw symbol is
+already canonical and enters the memo as itself.  The call that runs the pass
+builds it and drops it on return, so the memo holds only the finitely many raw
+symbols of that one pair.  Library calls of `canonicalize` outside a pass are
+not memoized.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .abelian import (
     AbelianStructure,
@@ -99,12 +104,6 @@ def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientG
 def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
     Q = carrier_quotient(G, sym.h, sym.kind)
     return Subgroup(Q.group, sym.y)
-
-
-def symbol_characters(G: FiniteGroup, sym: Symbol) -> tuple[Character, ...]:
-    """The weights of a symbol whose stabilizer is a valid abelian subgroup, as characters."""
-    struct = abelian_structure(Subgroup.trusted(G, tuple(sorted(set(sym.h)))))
-    return tuple(Character(struct, w) for w in sym.weights)
 
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
@@ -191,47 +190,50 @@ def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple
 def canonical_form(sym: Symbol, G: FiniteGroup, chars: tuple[Character, ...]) -> Symbol:
     """The least conjugate of a valid symbol with weights `chars`, comparing
     stabilizers, then Y, then sorted weights, each over the g that tie so far.
-    The first two stages depend only on (kind, h, y) and are read from G's
-    frame memo, so only the weights are transported per symbol.  For abelian G
-    conjugation is trivial, so this is the symbol with h and y sorted and its
-    weights reduced and sorted."""
+    The g that matter are read from h's frame in G's frame memo, so per symbol
+    only Y's image under each of them is looked up and the weights are
+    transported.  For abelian G conjugation is trivial, so this is the symbol
+    with h and y sorted and its weights reduced and sorted."""
     h = tuple(sorted(set(sym.h)))
     y = tuple(sorted(set(sym.y)))
     if G.is_abelian():
         return Symbol(sym.kind, h, y, sym.action, tuple(sorted(b.coords for b in chars)))
-    best_h, best_y, actions = _frame(G, sym.kind, h, y)
+    best_h, moves, per_y = _frame(G, sym.kind if y != (0,) else None, h)
+    if y not in per_y:
+        images = [(tuple(sorted({cosets[i] for i in y})), action, g) for g, cosets, action in moves]
+        best_y = min(images)[0]
+        actions = {}  # the least g per distinct action on h among those carrying Y to best_y
+        for image, action, g in images:
+            if image == best_y:
+                actions.setdefault(action, g)
+        per_y[y] = (best_y, tuple(actions.values()))
+    best_y, actions = per_y[y]
     weights = ()
     if chars:
-        weights = min(tuple(sorted(transport_character(g, b).coords for b in chars)) for g in actions)
+        weights = min(tuple(sorted(transport_character(g, b).coords if g else b.coords for b in chars))
+                      for g in actions)
     return Symbol(sym.kind, best_h, best_y, sym.action, weights)
 
 
-def _frame(G: FiniteGroup, kind: str, h: tuple[int, ...], y: tuple[int, ...]):
-    """(best_h, best_y, actions) for a valid (kind, h, y) over nonabelian G, kept
-    in `G.frames`: best_h is h's least conjugate (from G's class table), best_y
-    the least image of Y over the g that carry h to best_h, and actions one g
-    per distinct action on h among the g that also carry Y to best_y (a
-    transported character depends only on that action)."""
-    key = (kind, h, y)
-    frame = G.frames.get(key)
+def _frame(G: FiniteGroup, kind: str | None, h: tuple[int, ...]):
+    """(best_h, moves, per_y) for a checked h over nonabelian G, kept in
+    `G.frames` by (kind, h): best_h is h's least conjugate; moves holds
+    (g, coset map, action) for the least g carrying h to best_h per distinct
+    pair (map of h's carrier cosets to best_h's, action on h), all that Y's
+    image and a transported character read; per_y keeps (best_y, actions) per
+    Y met.  Kind None serves Y = {0}, which every g keeps, with no quotient."""
+    frame = G.frames.get((kind, h))
     if frame is None:
         conj = G.conj_table()
-        best_h, ties = G.subgroup_class(h)
-        Q1 = carrier_quotient(G, h, kind)
-        Q2 = carrier_quotient(G, best_h, kind)
-        best_y, ties = _least(ties, lambda g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})))
-        per_action: dict[tuple[int, ...], int] = {}
-        for g in ties:
-            per_action.setdefault(tuple(conj[g][a] for a in h), g)
-        frame = G.frames[key] = (best_h, best_y, tuple(per_action.values()))
+        best_h, transporter = G.subgroup_class(h)
+        reps, coset_of = ((0,), {0: 0}) if kind is None else (
+            carrier_quotient(G, h, kind).reps, carrier_quotient(G, best_h, kind).coset_of)
+        moves: dict[tuple, int] = {}
+        for g in transporter:  # ascending
+            row = conj[g]
+            moves.setdefault((tuple(coset_of[row[r]] for r in reps), tuple(row[a] for a in h)), g)
+        frame = G.frames[kind, h] = (best_h, tuple((g, cosets, action) for (cosets, action), g in moves.items()), {})
     return frame
-
-
-def _least(gs, key):
-    """The least key over the elements gs, and the elements attaining it."""
-    keys = {g: key(g) for g in gs}
-    best = min(keys.values())
-    return best, [g for g, k in keys.items() if k == best]
 
 
 def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
@@ -266,16 +268,21 @@ def _dual_generators(struct: AbelianStructure) -> list[Character]:
     return [b for b in all_characters(struct) if b.order() == struct.order]
 
 
+def _rank_at_most_two(H: Subgroup) -> bool:
+    """Has the abelian H at most two invariant factors?  Its p-rank r has
+    p**r - 1 elements of order p, so r <= 2 for every p iff fewer than q*q
+    elements have order q for every q > 1 (the q-torsion then has <= q*q)."""
+    orders = Counter(map(H.ambient.element_order, H.elements))
+    return all(count < q * q for q, count in orders.items() if q > 1)
+
+
 def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
     """(raw curve symbol, its weights as characters) over stabilizer representatives."""
     labels = catalog.labels_in(CURVE)
     for H in abelian_subgroups_up_to_conjugacy(G):
-        if H.is_trivial():
-            continue
-        struct = abelian_structure(H)
-        if len(struct.invariant_factors) > 2:
+        if H.is_trivial() or not _rank_at_most_two(H):
             continue  # the dual cannot be generated by two characters
-        pairs = _dual_pairs(struct)
+        pairs = _dual_pairs(abelian_structure(H))
         for y, matching in _y_options(G, H.elements, KIND_CURVE, labels):
             for label in matching:
                 for b1, b2 in pairs:
@@ -359,7 +366,8 @@ class BurnsideContext:
     def enumerated_form(self, sym: Symbol, chars: tuple[Character, ...]) -> Symbol:
         form = self._forms.get(sym)
         if form is None:
-            form = self._forms[sym] = canonical_form(sym, self.group, chars)
+            # on abelian G a raw symbol is canonical: h, y and its weights come sorted
+            form = self._forms[sym] = sym if self.group.is_abelian() else canonical_form(sym, self.group, chars)
         return form
 
     @property
@@ -369,7 +377,7 @@ class BurnsideContext:
         return self._symbols
 
 
-def _group_display(G: FiniteGroup, sub: Subgroup) -> str:
+def _group_display(sub: Subgroup) -> str:
     if sub.is_abelian():
         return shape_name(abelian_structure(sub).invariant_factors)
     return f"ord{sub.order}"
@@ -377,14 +385,21 @@ def _group_display(G: FiniteGroup, sub: Subgroup) -> str:
 
 def text_form(sym: Symbol, G: FiniteGroup) -> str:
     """Stable text rendering used in reports and golden files."""
-    H = Subgroup(G, sym.h)
-    Y = y_subgroup(G, sym)
-    h_part = f"H={_group_display(G, H)}{{{','.join(map(str, sym.h))}}}"
-    y_part = f"Y={_group_display(Y.ambient, Y)}{{{','.join(map(str, sym.y))}}}"
-    parts = [h_part, y_part, f"act={sym.action}"]
-    if sym.weights:
-        parts.append("w=" + ",".join("(" + ",".join(map(str, w)) + ")" for w in sym.weights))
-    return f"{sym.kind}[{';'.join(parts)}]"
+    return _text_head(sym, G) + _text_tail(sym.weights)
+
+
+def _text_head(sym: Symbol, G: FiniteGroup) -> str:
+    """`text_form` up to the weights, 'kind[H=...;Y=...;act=...'; a trivial Y
+    reads '1' without its carrier quotient."""
+    h_part = f"H={_group_display(Subgroup(G, sym.h))}{{{','.join(map(str, sym.h))}}}"
+    y_shape = "1" if sym.y == (0,) else _group_display(y_subgroup(G, sym))
+    return f"{sym.kind}[{h_part};Y={y_shape}{{{','.join(map(str, sym.y))}}};act={sym.action}"
+
+
+def _text_tail(weights) -> str:
+    if not weights:
+        return "]"
+    return ";w=" + ",".join("(" + ",".join(map(str, w)) + ")" for w in weights) + "]"
 
 
 class BurnsideClass:

@@ -26,9 +26,12 @@ enumerated element by element.
 The slow paths of the cold relation pass are kept as references: the raw
 symbols of the lattice path, which tries every subgroup of each carrier
 quotient against every label's shape and keeps each weight tuple by
-`dual_generated_check`, and the relations built term by term with
-`BurnsideClass` arithmetic, each curve symbol's weights, Jacobian partner and
-text form found again for B1 and for B2.
+`dual_generated_check`; the relations built term by term with
+`BurnsideClass` arithmetic on `Character` objects (sums, differences,
+kernels and restrictions of the weights), each curve symbol's weights,
+Jacobian partner, Theta2 data and text form found again for B1 and for B2;
+and the canonical frame of one (kind, h, y), found by walking the whole
+transporter of h for Y's image and then the ties for their actions on h.
 
 The reference group check runs the table checks in the order the checked
 constructor reports them and tests associativity on all n**3 triples, in
@@ -66,7 +69,6 @@ from burnloc.symbols import (
     BurnsideContext,
     Symbol,
     carrier_quotient,
-    symbol_characters,
     text_form,
     validate_symbol,
 )
@@ -525,6 +527,35 @@ def reference_group_problem(table):
     return None
 
 
+def reference_frame(G, kind, h, y):
+    """(best_h, best_y, actions) for a valid (kind, h, y) over nonabelian G:
+    best_h is h's least conjugate, best_y the least image of Y over the g
+    that carry h to best_h, and actions the least g per distinct action on h
+    among the g that also carry Y to best_y."""
+    conj = G.conj_table()
+    best_h, transporter = G.subgroup_class(h)
+    Q1 = carrier_quotient(G, h, kind)
+    Q2 = carrier_quotient(G, best_h, kind)
+    images = {g: tuple(sorted({Q2.coset_of[conj[g][Q1.reps[i]]] for i in y})) for g in transporter}
+    best_y = min(images.values())
+    per_action = {}
+    for g in transporter:
+        if images[g] == best_y:
+            per_action.setdefault(tuple(conj[g][a] for a in h), g)
+    return best_h, best_y, tuple(per_action.values())
+
+
+def reference_frame_form(sym, G, chars):
+    """The canonical form of a valid raw symbol with weights `chars` over
+    nonabelian G, from `reference_frame` and the `Fraction` transport."""
+    h, y = tuple(sorted(set(sym.h))), tuple(sorted(set(sym.y)))
+    best_h, best_y, actions = reference_frame(G, sym.kind, h, y)
+    weights = ()
+    if chars:
+        weights = min(tuple(sorted(reference_transport_character(g, b).coords for b in chars)) for g in actions)
+    return Symbol(sym.kind, best_h, best_y, sym.action, weights)
+
+
 def reference_raw_symbols(G, catalog):
     """The raw curve, surface and Jacobian symbols, in the enumerators' yield
     order, by the lattice path: every Y of the carrier quotient's subgroup
@@ -561,6 +592,12 @@ def _lattice_options(G, H, kind, labels):
         for label in labels:
             if label.group_shape.matches(Y):
                 yield Y, label
+
+
+def symbol_characters(G, sym):
+    """The weights of a symbol whose stabilizer is a valid abelian subgroup, as characters."""
+    struct = abelian_structure(Subgroup.trusted(G, tuple(sorted(set(sym.h)))))
+    return tuple(Character(struct, w) for w in sym.weights)
 
 
 def _reference_jac_partner(context, sym):

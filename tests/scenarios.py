@@ -212,10 +212,14 @@ def clear_engine_caches():
 def assert_tables_bounded(G, catalog=None):
     """Every subgroup table of G and of its carrier quotients is keyed by checked
     subgroups only: the check, class, abelian structure, quotient and carrier
-    quotient tables by members of G's lattice, the frame memo by (kind, h, y)
-    with y in the lattice of h's carrier quotient.
+    quotient tables by members of G's lattice, the frame memo by (kind, h)
+    with h in the lattice and a carrier quotient for that kind, or kind None
+    for a trivial Y, each frame holding one g per distinct pair (coset map of
+    the carrier quotient, or of its trivial coset for kind None; action on h)
+    and its Y memo keyed by members of the carrier quotient's lattice.
     The memos of derived objects stay bounded too: each abelian structure's
-    dual-generation memo by k-tuples of its characters, k <= 2, and each
+    kernel memo by its characters, its dual-generation memo by k-tuples of
+    its characters, k <= 2, and each
     carrier quotient's resolved residual groups by members of its lattice,
     keyed by shapes the catalog declares (when a catalog is given)."""
     lattice = {H.elements for H in all_subgroups(G)}
@@ -228,8 +232,12 @@ def assert_tables_bounded(G, catalog=None):
             struct = abelian_structure(H)
             characters = {b.coords for b in all_characters(struct)}
             assert all(1 <= len(key) <= 2 and set(key) <= characters for key in struct._dual)
+            assert set(struct._kernels) <= characters
     shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
-    frame_bound = 0
+    frame_bound = len(lattice)  # the frames of kind None
+    for (kind, h), (_, moves, per_y) in G.frames.items():
+        assert len({(cosets, action) for _, cosets, action in moves}) == len(moves)
+        assert kind is not None or (all(cosets == (0,) for _, cosets, _ in moves) and set(per_y) <= {(0,)})
     for h in lattice:
         for kind in (KIND_CURVE, KIND_SURFACE, KIND_JAC):
             try:
@@ -237,12 +245,15 @@ def assert_tables_bounded(G, catalog=None):
             except ValidationError:
                 continue  # no centralizer quotient over a nonabelian h
             y_lattice = {Y.elements for Y in all_subgroups(Q.group)}
-            frame_bound += len(y_lattice)
+            frame_bound += 1
             assert set(Q.group._checked) <= y_lattice
-            assert all(y in y_lattice for k, h2, y in G.frames if (k, h2) == (kind, h))
+            if (kind, h) in G.frames:
+                _, moves, per_y = G.frames[kind, h]
+                assert all(sorted(cosets) == list(Q.group.elements()) for _, cosets, _ in moves)
+                assert set(per_y) <= y_lattice
             assert set(Q.resolved.values()) <= y_lattice
             assert shapes is None or {shape for shape, _ in Q.resolved} <= shapes
-    assert all(h in lattice for _, h, _ in G.frames)
+    assert all(h in lattice for _, h in G.frames)
     assert len(G.frames) <= frame_bound
 
 

@@ -28,7 +28,6 @@ from .groups import (
     abelian_subgroups_up_to_conjugacy,
     build_group,
     centralizer,
-    conjugate_subgroup,
     normalizer,
     quotient,
     subgroups_up_to_conjugacy,

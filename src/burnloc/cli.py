@@ -4,6 +4,13 @@ Exit codes: 0 success, 2 validation error (including bad usage), 3 catalog
 incomplete.  Identical inputs produce byte-identical reports, modulo the
 version banner (suppressible with --no-banner; JSON output never carries it).
 
+Each subcommand, with its handler, options and help, is declared once in the
+command table `_COMMANDS`.  A well-formed argv (the command, then exact option
+strings of the table, each once with one value) is read straight off the table;
+argparse is imported, and its parser built from the table, only for `--help`
+and anything else, so help and usage errors keep argparse's text and exit
+codes (0 for help, 2 for a usage error).
+
 The model layer is imported by the commands that use it (`class`,
 `invariant`, `verdict`, `verify-blowup`), so `structure`, `relations`, `equal`
 and `phi` run without it.
@@ -11,10 +18,10 @@ and `phi` run without it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .catalog import ActionCatalog, catalog_from_json, ensure_valid_catalog
@@ -260,62 +267,108 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand once: its handler, its help line and its options, each an
+# (option string, kind, help) triple whose kind is "required", "optional",
+# "switch" (a store_true flag) or the tuple of its value's choices.  Every
+# subcommand takes the _COMMON switches ahead of its own options.
+_COMMON = (
+    ("--json", "switch", "emit a JSON report instead of text"),
+    ("--no-banner", "switch", "suppress the version banner in text output"),
+)
+_COMMANDS = {
+    "structure": (_cmd_structure, "free rank and torsion of the symbol group modulo relations", (
+        ("--group", "required", 'group JSON (file, inline, e.g. {"kind":"cyclic","n":2})'),
+        ("--catalog", "required", "catalog fixture name or JSON file"),
+        ("--filter", ("max-stabilizer",), "restrict to maximal-stabilizer symbols"),
+    )),
+    "relations": (_cmd_relations, "generated relation instances with provenance", (
+        ("--group", "required", None),
+        ("--catalog", "required", None),
+        ("--dump", "switch", "emit every relation instance"),
+    )),
+    "class": (_cmd_class, "class of a model as a symbol combination", (
+        ("--model", "required", "model fixture name or JSON file"),
+    )),
+    "equal": (_cmd_equal, "decide equality of two classes modulo relations", (
+        ("--group", "required", None),
+        ("--catalog", "required", None),
+        ("--a", "required", "class JSON file"),
+        ("--b", "required", "class JSON file"),
+    )),
+    "invariant": (_cmd_invariant, "the counts invariant I = -I1 - 2*I2 + I3", (
+        ("--counts", "optional", "I1,I2,I3"),
+        ("--model", "optional", "model fixture name or JSON file"),
+    )),
+    "verdict": (_cmd_verdict, "full linearizability obstruction report for a model", (
+        ("--model", "required", None),
+    )),
+    "verify-blowup": (_cmd_verify_blowup, "check class invariance under a blow-up center", (
+        ("--model", "required", None),
+        ("--center", "required", "center fixture name or JSON file"),
+    )),
+    "phi": (_cmd_phi, "degree map on the maximal-stabilizer projection of a class", (
+        ("--group", "required", None),
+        ("--catalog", "required", None),
+        ("--class", "required", "class JSON file"),
+    )),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of the command table: the `--help` and usage-error path."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="burnloc",
         description="Exact calculator for curve-localized equivariant Burnside groups.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
-    common.add_argument("--no-banner", action="store_true", help="suppress the version banner in text output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **help_):
-        p = sub.add_parser(name, parents=[common], help=help_.get("help"))
+    for name, (fn, help_, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("structure", _cmd_structure, help="free rank and torsion of the symbol group modulo relations")
-    p.add_argument("--group", required=True, help="group JSON (file, inline, e.g. {\"kind\":\"cyclic\",\"n\":2})")
-    p.add_argument("--catalog", required=True, help="catalog fixture name or JSON file")
-    p.add_argument("--filter", choices=["max-stabilizer"], help="restrict to maximal-stabilizer symbols")
-
-    p = add("relations", _cmd_relations, help="generated relation instances with provenance")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--dump", action="store_true", help="emit every relation instance")
-
-    p = add("class", _cmd_class, help="class of a model as a symbol combination")
-    p.add_argument("--model", required=True, help="model fixture name or JSON file")
-
-    p = add("equal", _cmd_equal, help="decide equality of two classes modulo relations")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--a", required=True, help="class JSON file")
-    p.add_argument("--b", required=True, help="class JSON file")
-
-    p = add("invariant", _cmd_invariant, help="the counts invariant I = -I1 - 2*I2 + I3")
-    p.add_argument("--counts", help="I1,I2,I3")
-    p.add_argument("--model", help="model fixture name or JSON file")
-
-    p = add("verdict", _cmd_verdict, help="full linearizability obstruction report for a model")
-    p.add_argument("--model", required=True)
-
-    p = add("verify-blowup", _cmd_verify_blowup, help="check class invariance under a blow-up center")
-    p.add_argument("--model", required=True)
-    p.add_argument("--center", required=True, help="center fixture name or JSON file")
-
-    p = add("phi", _cmd_phi, help="degree map on the maximal-stabilizer projection of a class")
-    p.add_argument("--group", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--class", required=True, dest="class", help="class JSON file")
-
+        for flag, kind, text in _COMMON + options:
+            if kind == "switch":
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                choices = None if isinstance(kind, str) else kind
+                p.add_argument(flag, required=kind == "required", choices=choices, help=text)
     return parser
 
 
+def _quick_args(argv: list[str]):
+    """The namespace `build_parser().parse_args(argv)` gives, read off the table, or
+    None unless argv is the command, then exact option strings of the table, each
+    once and followed by one value that does not start with '-' (one of its
+    choices, if it has any), with every required option given."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, options = _COMMANDS[argv[0]]
+    spec = {flag: (flag[2:].replace("-", "_"), kind) for flag, kind, _ in _COMMON + options}
+    values = {dest: False if kind == "switch" else None for dest, kind in spec.values()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in spec or flag in seen:
+            return None
+        seen.add(flag)
+        dest, kind = spec[flag]
+        if kind == "switch":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused like an option
+        if value.startswith("-") or not isinstance(kind, str) and value not in kind:
+            return None
+        values[dest] = value
+    if any(kind == "required" and flag not in seen for flag, (_, kind) in spec.items()):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _quick_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CatalogIncompleteError as exc:

@@ -373,9 +373,6 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_full(self) -> bool:
-        return self.order == self.ambient.order
-
     def contains(self, a: int) -> bool:
         return a in self.elements
 
@@ -403,10 +400,6 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup.trusted(G, tuple(G.elements()))
-
-
-def conjugate_subgroup(g: int, H: Subgroup) -> Subgroup:
-    return H.conjugate(g)
 
 
 def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:

@@ -244,14 +244,6 @@ class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
         full = tuple(G.elements())
         return cls(pairs=((full, full),), name="max-stabilizer")
 
-    @classmethod
-    def from_subgroups(cls, pairs) -> "FilterSpec":
-        out = []
-        for H, Y in pairs:
-            Q = carrier_quotient(H.ambient, H.elements, KIND_JAC)
-            out.append((H.elements, Q.preimage(Y.elements)))
-        return cls(pairs=tuple(out))
-
     def admits(self, sym: Symbol, G: FiniteGroup) -> bool:
         Q = carrier_quotient(G, sym.h, sym.kind)
         upstairs = frozenset(Q.preimage(sym.y))

@@ -14,7 +14,8 @@ full-length Hermite rows (membership, coset reduction and certificates, pivot
 by pivot in basis order), against which the sparse reduction of
 `IntegerLattice` is tested.  The helpers
 are the left-kernel basis read off the Hermite form of [M | I], fraction-free
-rank (cross-checked against the `Fraction` rank) and the trivial subgroup.
+rank (cross-checked against the `Fraction` rank), the trivial subgroup and the
+filter of given subgroup pairs.
 
 Characters are evaluated in Q/Z with `Fraction`s (`reference_evaluate`, the
 definition the integer kernels, restrictions and transports of burnloc.abelian
@@ -60,7 +61,7 @@ from burnloc.abelian import (
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
-from burnloc.relations import RelationInstance
+from burnloc.relations import FilterSpec, RelationInstance
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
@@ -386,6 +387,15 @@ def dense_coefficients(lattice, vec):
 
 def trivial_subgroup(G):
     return Subgroup.trusted(G, (0,))
+
+
+def filter_from_subgroups(pairs):
+    """The filter admitting the given (H, Y) subgroup pairs, Y in H's carrier quotient."""
+    out = []
+    for H, Y in pairs:
+        Q = carrier_quotient(H.ambient, H.elements, KIND_JAC)
+        out.append((H.elements, Q.preimage(Y.elements)))
+    return FilterSpec(pairs=tuple(out))
 
 
 def reference_evaluate(b, x):

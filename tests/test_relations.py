@@ -24,7 +24,7 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from oracles import kernel_basis
+from oracles import filter_from_subgroups, kernel_basis
 from scenarios import (
     clear_engine_caches,
     cyclic_table,
@@ -144,7 +144,7 @@ def test_reduce_is_idempotent_and_coset_invariant(z2, hyper_cat):
 def test_all_pairs_filter_is_identity(z2, hyper_cat):
     syms = enumerate_symbols(z2, hyper_cat)
     pairs = [(Subgroup(z2, s.h), y_subgroup(z2, s)) for s in syms]
-    f = FilterSpec.from_subgroups(pairs)
+    f = filter_from_subgroups(pairs)
     a = BurnsideClass({s: i + 1 for i, s in enumerate(syms)})
     assert filter_project(a, f, z2, hyper_cat) == a
 

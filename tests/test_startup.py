@@ -15,7 +15,7 @@ import burnloc.models  # loaded up front here, for the report the lazy import mu
 from burnloc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("dataclasses", "inspect", "fractions", "importlib.resources", "burnloc.models")
+HEAVY = ("dataclasses", "inspect", "fractions", "importlib.resources", "burnloc.models", "argparse", "gettext")
 C2 = '{"kind":"cyclic","n":2}'
 
 PROBE = f"""
@@ -54,9 +54,29 @@ def test_cli_imports_no_dataclasses_fractions_or_model_layer(capsys):
     assert seen["structure"] == [0, '{\n  "free_rank": 1,\n  "torsion": []\n}\n']
     assert seen["after_structure"] == []
     assert "burnloc.models" in seen["after_class"]
+    assert "argparse" not in seen["after_class"] and "gettext" not in seen["after_class"]
     # the model layer imported on first use gives the report of this process
     assert main(["class", "--model", "quadric-bundle", "--json"]) == 0
     assert seen["class"] == [0, capsys.readouterr().out]
+
+
+def test_help_and_usage_errors_fall_back_to_argparse():
+    out = _probe(
+        "import contextlib, io, json\n"
+        "import burnloc.cli\n"
+        "seen = []\n"
+        f"for argv in (['--help'], ['structure', '--group', {C2!r}]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            burnloc.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            seen.append([exc.code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(seen))\n"
+    )
+    (help_code, help_out, _), (code, _, err) = json.loads(out)
+    assert help_code == 0 and help_out.startswith("usage: burnloc")
+    assert code == 2 and "the following arguments are required: --catalog" in err
 
 
 def test_model_names_resolve_on_first_use():

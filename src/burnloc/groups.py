@@ -378,7 +378,8 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
 
     def is_abelian(self) -> bool:
         G = self.ambient
-        if G.is_abelian():
+        # an AbelianStructure refuses a nonabelian subgroup, so a kept one proves it
+        if G.is_abelian() or self.elements in G.structures:
             return True
         return all(G.mul[a][b] == G.mul[b][a] for a in self.elements for b in self.elements)
 

@@ -105,15 +105,15 @@ def _datum_symbol(m: ModelDescription, kind: str, datum, weights: tuple = ()) ->
     return form
 
 
-def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, ...]]:
-    """The canonical symbol of every datum, each validated once, and the problems found."""
-    symbols: list[Symbol] = []
+def _data_symbols(m: ModelDescription, strata: Sequence[StratumDatum], factors: Sequence[JacobianFactorDatum],
+                  first_stratum: int = 0, first_factor: int = 0) -> tuple[list[Symbol], list[Symbol], list[str]]:
+    """The canonical symbols of the given strata and of the given Jacobian factors
+    of m, each validated once, and the problems found, each datum named by its
+    index in m (counted from `first_stratum` and `first_factor`)."""
+    stratum_symbols: list[Symbol] = []
+    factor_symbols: list[Symbol] = []
     problems: list[str] = []
-    try:
-        ensure_valid_catalog(m.catalog)
-    except ValidationError as exc:
-        return (), (str(exc),)
-    for i, datum in enumerate(m.strata):
+    for i, datum in enumerate(strata, first_stratum):
         expected = 2 if datum.kind == FIXED_CURVE else 1
         if len(datum.weights) != expected:
             problems.append(f"stratum {i}: {datum.kind} data carry exactly {expected} weight(s)")
@@ -122,21 +122,31 @@ def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, 
             if datum.kind not in (FIXED_CURVE, RULED_DIVISOR):
                 raise ValidationError(f"unknown stratum kind {datum.kind!r}")
             kind = KIND_CURVE if datum.kind == FIXED_CURVE else KIND_SURFACE
-            symbols.append(_datum_symbol(m, kind, datum, datum.weights))
+            stratum_symbols.append(_datum_symbol(m, kind, datum, datum.weights))
         except ValidationError as exc:
             problems.append(f"stratum {i}: {exc}")
-    for i, datum in enumerate(m.jacobian_factors):
+    for i, datum in enumerate(factors, first_factor):
         try:
-            symbols.append(_datum_symbol(m, KIND_JAC, datum))
+            factor_symbols.append(_datum_symbol(m, KIND_JAC, datum))
         except ValidationError as exc:
             problems.append(f"jacobian factor {i}: {exc}")
+    return stratum_symbols, factor_symbols, problems
+
+
+def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, ...]]:
+    """The canonical symbol of every datum, each validated once, and the problems found."""
+    try:
+        ensure_valid_catalog(m.catalog)
+    except ValidationError as exc:
+        return (), (str(exc),)
+    stratum_symbols, factor_symbols, problems = _data_symbols(m, m.strata, m.jacobian_factors)
     if m.counts is not None and not problems:
         derived = _derived_counts(m)
         if tuple(m.counts) != derived:
             problems.append(
                 f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {derived}"
             )
-    return tuple(symbols), tuple(problems)
+    return tuple(stratum_symbols + factor_symbols), tuple(problems)
 
 
 def validate_model(m: ModelDescription) -> list[str]:
@@ -193,6 +203,31 @@ def _case2_divisor_data(m: ModelDescription, c: BlowupCenter) -> tuple[tuple[int
     return tuple(c.context_stabilizer), tuple(c.context_weight)
 
 
+def _blown_up(m: ModelDescription, drop: int | None, added_strata: tuple[StratumDatum, ...],
+              added_factors: tuple[JacobianFactorDatum, ...]) -> ModelDescription:
+    """The valid model m with stratum `drop` (if any) removed and the added data
+    appended, checked as `_model_symbols` would check it.
+
+    m's checked symbols stand one per datum in datum order, over the same group
+    and catalog, so the result starts from them and runs one check per added
+    datum, under the result's own indices.  The state lives on the result
+    only: `replace(out)` is a fresh object, checked from scratch."""
+    symbols = m._checked[0]
+    n = len(m.strata)
+    kept = [i for i in range(n) if i != drop]
+    strata = tuple(m.strata[i] for i in kept)
+    out = replace(m, strata=strata + added_strata, jacobian_factors=m.jacobian_factors + added_factors,
+                  counts=None)
+    stratum_symbols, factor_symbols, problems = _data_symbols(
+        out, added_strata, added_factors, len(strata), len(m.jacobian_factors),
+    )
+    out.__dict__["_checked"] = (
+        tuple(symbols[i] for i in kept) + tuple(stratum_symbols) + symbols[n:] + tuple(factor_symbols),
+        tuple(problems),
+    )
+    return ensure_valid_model(out)
+
+
 def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
     """The model after blowing up the given center (orbit of a copy of the curve)."""
     ensure_valid_model(m)
@@ -212,7 +247,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             )
         jac = catalog.jacobian_of_curve_action(c.curve_label)
         appended = JacobianFactorDatum(stabilizer=(0,), residual=jac.id, residual_group=Y.elements)
-        return ensure_valid_model(replace(m, jacobian_factors=m.jacobian_factors + (appended,), counts=None))
+        return _blown_up(m, None, (), (appended,))
 
     if c.case == 2:
         stabilizer, weight = _case2_divisor_data(m, c)
@@ -237,10 +272,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             weights=(b.coords, (-b).coords), residual_group=upstairs,
         )
         new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)
-        return ensure_valid_model(replace(
-            m, strata=m.strata + (new_stratum,), jacobian_factors=m.jacobian_factors + (new_factor,),
-            counts=None,
-        ))
+        return _blown_up(m, None, (new_stratum,), (new_factor,))
 
     if c.case == 3:
         if c.stratum is None or not (0 <= c.stratum < len(m.strata)):
@@ -255,11 +287,10 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         y = _resolve_residual_group(G, H.elements, KIND_CURVE, label, datum.residual_group)
         Q = carrier_quotient(G, H.elements, KIND_CURVE)
         upstairs = Q.preimage(y)
-        strata = list(m.strata)
-        del strata[c.stratum]
+        added = []
         if b1 != b2:
             for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
-                strata.append(StratumDatum(
+                added.append(StratumDatum(
                     kind=FIXED_CURVE, stabilizer=H.elements, residual=datum.residual,
                     weights=(first.coords, second.coords), residual_group=upstairs,
                 ))
@@ -270,16 +301,13 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
                 struct.invariant_factors, datum.residual, diff.order(),
             )
             weight = restrict_character(b1, h_bar)
-            strata.append(StratumDatum(
+            added.append(StratumDatum(
                 kind=RULED_DIVISOR, stabilizer=h_bar.elements, residual=surface_label.id,
                 weights=(weight.coords,), residual_group=upstairs,
             ))
         jac = catalog.jacobian_of_curve_action(datum.residual)
         new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)
-        return ensure_valid_model(replace(
-            m, strata=tuple(strata), jacobian_factors=m.jacobian_factors + (new_factor,),
-            counts=None,
-        ))
+        return _blown_up(m, c.stratum, tuple(added), (new_factor,))
 
     raise ValidationError(f"blow-up case must be 1, 2 or 3, got {c.case}")
 

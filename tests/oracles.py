@@ -43,8 +43,13 @@ pairs of its elements until nothing new appears, for every g outside H, and the
 reference abelian basis takes as complement of each peeled cyclic factor the
 first subgroup of the right order, in (order, elements) order, that meets it
 trivially.
+
+The reference blow-up result is the model the move builds, made afresh and
+checked from scratch, datum by datum, with none of its source's checked
+symbols carried over.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -61,6 +66,7 @@ from burnloc.abelian import (
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
+from burnloc.models import ensure_valid_model
 from burnloc.relations import FilterSpec, RelationInstance
 from burnloc.symbols import (
     KIND_CURVE,
@@ -689,3 +695,11 @@ def reference_generate_relations(G, catalog):
             new_sym = context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))
             emit(BurnsideClass.of(sym) - BurnsideClass.of(new_sym), "B4", symbol=text_form(sym, G))
     return tuple(instances)
+
+
+def blown_up_from_scratch(m, drop, added_strata, added_factors):
+    """Stands in for `models._blown_up`: m without stratum `drop`, the added data
+    appended, as a fresh model checked from scratch."""
+    strata = tuple(d for i, d in enumerate(m.strata) if i != drop) + added_strata
+    return ensure_valid_model(replace(m, strata=strata, jacobian_factors=m.jacobian_factors + added_factors,
+                                      counts=None))

@@ -256,3 +256,28 @@ def test_valid_table_group():
 def test_perm_degree_capped_at_twelve():
     with pytest.raises(ValidationError, match="between 1 and 12"):
         build_group({"kind": "perm", "degree": 13, "gens": [list(range(1, 13)) + [0]]})
+
+
+@pytest.mark.parametrize("table", [
+    direct_product(symmetric_table(3), symmetric_table(3)),
+    direct_product(dihedral_table(4), cyclic_table(2)),
+    direct_product(dihedral_table(6), cyclic_table(2)),
+    relabel(direct_product(dihedral_table(4), cyclic_table(2)), 7),
+], ids=["S3xS3", "D4xC2", "D6xC2", "D4xC2-relabelled"])
+def test_subgroup_is_abelian_matches_brute_force(table):
+    # a kept abelian structure answers is_abelian; before any is built, and
+    # after one is built for every abelian subgroup, the answer is brute force's
+    G = build_group({"kind": "table", "mul": table})
+    subgroups = all_subgroups(G)
+    brute = {H.elements: all(G.mul[a][b] == G.mul[b][a] for a in H.elements for b in H.elements)
+             for H in subgroups}
+    assert not G.is_abelian() and not all(brute.values()) and not G.structures
+    assert {H.elements: H.is_abelian() for H in subgroups} == brute
+    for H in subgroups:
+        if brute[H.elements]:
+            abelian_structure(H)
+        else:
+            with pytest.raises(ValidationError, match="abelian structure requires"):
+                abelian_structure(H)
+    assert set(G.structures) == {h for h, abelian in brute.items() if abelian}
+    assert {H.elements: H.is_abelian() for H in subgroups} == brute

@@ -4,6 +4,7 @@ import pytest
 
 from burnloc.errors import ValidationError
 from burnloc.fixtures import fixture_center, fixture_model, model_names
+from burnloc.groups import all_subgroups
 from burnloc.models import (
     BlowupCenter,
     JacobianFactorDatum,
@@ -18,6 +19,7 @@ from burnloc.models import (
 )
 from burnloc.relations import classes_equal, relation_lattice
 from burnloc.symbols import BurnsideClass, text_form
+from oracles import blown_up_from_scratch
 
 
 def test_builtin_model_fixtures_validate():
@@ -262,6 +264,30 @@ def _count_model_symbols(monkeypatch):
     return calls
 
 
+def _count_datum_symbols(monkeypatch):
+    """The model of every `_datum_symbol` call, one entry per datum checked."""
+    import burnloc.models
+
+    checked = []
+    real = burnloc.models._datum_symbol
+
+    def counting(m, *args):
+        checked.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(burnloc.models, "_datum_symbol", counting)
+    return checked
+
+
+def _size(m):
+    return len(m.strata) + len(m.jacobian_factors)
+
+
+def _added(m, out, case):
+    """The number of data the blow-up of m added to out (case 3 replaces one stratum)."""
+    return _size(out) - _size(m) + (case == 3)
+
+
 @pytest.mark.parametrize("name, center", [
     ("quadric-bundle", BlowupCenter(case=3, stratum=0)),
     ("elliptic-empty", BlowupCenter(case=1, curve_label="transl-C", y_reps=(1,))),
@@ -271,19 +297,209 @@ def test_class_after_blowup_checks_each_model_once(monkeypatch, name, center):
     if isinstance(center, str):
         center = fixture_center(center)
     calls = _count_model_symbols(monkeypatch)
+    checked = _count_datum_symbols(monkeypatch)
     m = fixture_model(name)
     out = blowup(m, center)
     lattice = relation_lattice(m.group, m.catalog)
     for _ in range(3):
         assert classes_equal(class_of_action(m), class_of_action(out), lattice)
         assert validate_model(out) == []
-    assert len(calls) == 2 and calls[0] is m and calls[1] is out
+    # m is checked from scratch; out starts from m's symbols and checks its added data
+    assert len(calls) == 1 and calls[0] is m
+    assert sum(x is m for x in checked) == _size(m)
+    assert sum(x is out for x in checked) == _added(m, out, center.case)
+    assert len(checked) == _size(m) + _added(m, out, center.case)
     # a fresh object with the same fields is checked afresh, to the same answer
     again = replace(out)
     assert again is not out and again == out
     assert class_of_action(again) == class_of_action(out)
     assert validate_model(again) == validate_model(out)
-    assert len(calls) == 3 and calls[2] is again
+    assert len(calls) == 2 and calls[1] is again
+    assert sum(x is again for x in checked) == _size(out)
+
+
+def _outcome(m, center):
+    """The blow-up's result and its checked symbols in datum order, or its error message."""
+    try:
+        out = blowup(m, center)
+    except ValidationError as exc:
+        return str(exc)
+    return out, out._checked
+
+
+def _assert_blowup_as_from_scratch(m, center):
+    """blowup(m, center) answers as the result built and checked from scratch,
+    and checks only the data it adds; returns the outcome."""
+    import burnloc.models
+
+    validate_model(m)  # m's own check, before the move
+    with pytest.MonkeyPatch.context() as patch:
+        checked = _count_datum_symbols(patch)
+        outcome = _outcome(m, center)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burnloc.models, "_blown_up", blown_up_from_scratch)
+        assert _outcome(m, center) == outcome
+    if isinstance(outcome, str):
+        return outcome
+    out, _ = outcome
+    assert len(checked) == _added(m, out, center.case) and all(x is out for x in checked)
+    fresh = replace(out)
+    assert fresh is not out and fresh._checked == out._checked
+    assert class_of_action(fresh) == class_of_action(out)
+    assert validate_model(fresh) == validate_model(out) == []
+    return outcome
+
+
+FIXTURE_BLOWUPS = [
+    ("elliptic-fixed-curve", "elliptic-bullet1"),
+    *(("elliptic-empty", f"elliptic-bullet{i}") for i in range(2, 6)),
+    ("quadric-bundle", BlowupCenter(case=3, stratum=0)),
+    ("elliptic-empty", BlowupCenter(case=1, curve_label="transl-C", y_reps=(1,))),
+]
+
+
+def _fixture_centers(m):
+    """Every center of the three cases over m's data and its catalog's curve labels,
+    valid or not."""
+    curve_labels = [label.id for label in m.catalog.labels_in("curve")]
+    for i, datum in enumerate(m.strata):
+        if datum.kind == "fixed_curve":
+            yield BlowupCenter(case=3, stratum=i)
+        else:
+            for label in curve_labels:
+                yield BlowupCenter(case=2, stratum=i, curve_label=label)
+    for label in curve_labels:
+        for Y in all_subgroups(m.group):
+            yield BlowupCenter(case=1, curve_label=label, y_reps=Y.elements)
+    yield BlowupCenter(case=3, stratum=len(m.strata))
+    yield BlowupCenter(case=4)
+
+
+@pytest.mark.parametrize("name, center", FIXTURE_BLOWUPS)
+def test_fixture_blowups_answer_as_from_scratch(name, center):
+    if isinstance(center, str):
+        center = fixture_center(center)
+    outcome = _assert_blowup_as_from_scratch(fixture_model(name), center)
+    assert not isinstance(outcome, str)
+
+
+def test_every_fixture_center_answers_as_from_scratch():
+    raised = valid = 0
+    for name in model_names():
+        m = fixture_model(name)
+        for center in _fixture_centers(m):
+            if isinstance(_assert_blowup_as_from_scratch(m, center), str):
+                raised += 1
+            else:
+                valid += 1
+    assert raised and valid
+
+
+def _scenario_pool(name):
+    """A scenario pool over C4xC4, D4xC2 or a relabelled D4xC2, with the generated catalog."""
+    from burnloc.groups import build_group
+    from scenarios import ScenarioPool, cyclic_table, dihedral_table, direct_product, generated_catalog, relabel
+
+    d4xc2 = direct_product(dihedral_table(4), cyclic_table(2))
+    spec = {
+        "C4xC4": {"kind": "abelian", "factors": [4, 4]},
+        "D4xC2": {"kind": "table", "mul": d4xc2},
+        "D4xC2-relabelled": {"kind": "table", "mul": relabel(d4xc2, 5)},
+    }[name]
+    G = build_group(spec)
+    return ScenarioPool(G, generated_catalog(G))
+
+
+@pytest.mark.parametrize("group", ["C4xC4", "D4xC2", "D4xC2-relabelled"])
+def test_scenario_blowups_answer_as_from_scratch(group):
+    # a seeded stream of valid centers of all three cases, each followed by the
+    # same center with its Y generators or stratum index redrawn, valid or not
+    import random
+
+    pool = _scenario_pool(group)
+    rng = random.Random(f"blowup-{group}")
+    cases, raised = set(), 0
+    for _ in range(30):
+        m = pool.random_model(rng)
+        center = pool.random_center(rng, m)
+        assert not isinstance(_assert_blowup_as_from_scratch(m, center), str)
+        cases.add(center.case)
+        if center.case == 3:
+            redrawn = center._replace(stratum=rng.randrange(len(m.strata) + 1))
+        else:
+            redrawn = center._replace(y_reps=tuple(rng.sample(range(pool.G.order), rng.randint(0, 2))))
+        raised += isinstance(_assert_blowup_as_from_scratch(m, redrawn), str)
+    assert cases == {1, 2, 3} and raised
+
+
+def test_blowup_chain_checks_each_added_datum_once(monkeypatch):
+    import random
+
+    pool = _scenario_pool("D4xC2-relabelled")
+    rng = random.Random(50)
+    checked = _count_datum_symbols(monkeypatch)
+    m = pool.random_model(rng)
+    validate_model(m)
+    expected, cases = _size(m), set()
+    for _ in range(50):
+        center = pool.random_center(rng, m)
+        out = blowup(m, center)
+        expected += _added(m, out, center.case)
+        cases.add(center.case)
+        m = out
+    assert cases == {1, 2, 3}
+    assert len(checked) == expected
+    assert replace(m)._checked == m._checked
+
+
+def test_added_datum_failing_its_own_check_names_its_index_in_the_result():
+    import random
+
+    from burnloc.catalog import catalog_from_json, catalog_to_json, ensure_valid_catalog
+    from burnloc.groups import build_group
+    from burnloc.models import StratumDatum
+    from scenarios import ScenarioPool, generated_catalog
+
+    # case 2: explicit Y generators give a Y of order 2 for a label of trivial shape,
+    # so the added curve and its Jacobian factor both fail
+    G = build_group({"kind": "abelian", "factors": [2, 2]})
+    pool = ScenarioPool(G, generated_catalog(G))
+    rng = random.Random(5)
+    m = pool.random_model(rng)
+    while not (m.strata and m.jacobian_factors):
+        m = pool.random_model(rng)
+    assert (len(m.strata), len(m.jacobian_factors)) == (3, 2) and validate_model(m) == []
+    h, weight, label, _ = pool.case2[0]
+    outside = next(x for x in G.elements() if x not in h)
+    center = BlowupCenter(case=2, curve_label=label, y_reps=(outside,),
+                          context_stabilizer=h, context_weight=weight)
+    with pytest.raises(ValidationError) as info:
+        blowup(m, center)
+    assert str(info.value) == (
+        "invalid model:\n"
+        "  stratum 3: invalid stratum datum: residual group of order 2 does not match declared shape 1\n"
+        "  jacobian factor 2: invalid jacobian factor datum: residual group of order 2 does not match "
+        "declared shape 1"
+    )
+    # case 3: the induce rule's target declares C2xC2 for the C4 that the added
+    # ruled divisor carries; the replaced stratum shifts the divisor's index
+    G = build_group({"kind": "cyclic", "n": 8})
+    data = catalog_to_json(generated_catalog(G))
+    for entry in data["labels"]:
+        if entry["id"] == "c4-CxP1":
+            entry["group_shape"] = [2, 2]
+    catalog = ensure_valid_catalog(catalog_from_json(data, name="c4-as-c2xc2"))
+    full = tuple(G.elements())
+    m = ModelDescription(group=G, catalog=catalog, strata=tuple(
+        StratumDatum("fixed_curve", full, "triv-C", ((1,), (b,))) for b in (1, 3, 5)
+    ))
+    assert validate_model(m) == []
+    with pytest.raises(ValidationError) as info:
+        blowup(m, BlowupCenter(case=3, stratum=1))
+    assert str(info.value) == (
+        "invalid model:\n  stratum 4: invalid stratum datum: residual group of order 4 does not match "
+        "declared shape C2xC2"
+    )
 
 
 def test_invalid_model_reports_the_same_problems_on_every_call(monkeypatch):

@@ -32,15 +32,7 @@ from .groups import (
     quotient,
     subgroups_up_to_conjugacy,
 )
-from .abelian import (
-    AbelianStructure,
-    Character,
-    abelian_structure,
-    character_kernel,
-    dual_generated_check,
-    restrict_character,
-    transport_character,
-)
+from .abelian import AbelianStructure, abelian_structure, transport_character
 from .normalforms import (
     IntegerLattice,
     cokernel_structure,

@@ -1,25 +1,24 @@
 """Invariant-factor coordinates on abelian subgroups and their character groups.
 
 An AbelianStructure fixes, once per subgroup, a decomposition H = C_{d1} x ... x C_{dk}
-with d1 | d2 | ... | dk and an explicit coordinate bijection.  Characters live in
-those coordinates, so all character arithmetic is componentwise modular and no
-value in Q/Z is ever formed.
+with d1 | d2 | ... | dk and an explicit coordinate bijection.  A character of H
+is a tuple of coordinates against that structure, reduced mod the invariant
+factors, so all character arithmetic is componentwise modular and no value in
+Q/Z is ever formed.  `character` checks coordinates from outside and reduces
+them; the engine's own coordinates go through `reduce`.
 
 Each structure is built once per subgroup and kept in its ambient group's
-`structures` table by element tuple; it owns three memos over its host,
-`transport_matrix` per conjugating g, `kernel` per character coordinates, and
-`dual_generated_check` per tuple of them, which only symbol validation fills:
-the enumerators read dual generation off character kernels and orders.
-`reduce`, `kernel` and `restrict` take bare coordinate tuples, so the relation
-pass does its character arithmetic without `Character` objects.
+`structures` table by element tuple; it owns two memos over its host,
+`transport_matrix` per conjugating g and `kernel` per character coordinates.
+A character's order is |H| / |kernel|, and characters generate the dual
+exactly when their kernels meet only in the identity (`generates_dual`), so
+validation, the enumerators and the blow-ups all read both off the kernel memo.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product
-from math import gcd, lcm
-from operator import add, mod, mul, neg
+from operator import mod, mul
 
 from .errors import ValidationError
 from .groups import Subgroup
@@ -69,7 +68,7 @@ class AbelianStructure:
     Z/m-module, and adjoining in ascending order gives the lexicographically
     least complement, so the basis does not depend on how the search runs."""
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "element_of", "_transport", "_kernels", "_dual")
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "_transport", "_kernels")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -105,7 +104,7 @@ class AbelianStructure:
         factors.reverse()
         basis.reverse()
         coords: dict[int, tuple[int, ...]] = {}
-        for tup in product(*(range(d) for d in factors)) if factors else [()]:
+        for tup in product(*map(range, factors)):
             x = 0
             for a, h in zip(tup, basis):
                 x = G.mul[x][G.power(h, a)]
@@ -118,14 +117,8 @@ class AbelianStructure:
         self.invariant_factors = tuple(factors)
         self.basis = tuple(basis)
         self.coords = coords
-        self.element_of = {t: x for x, t in coords.items()}
         self._transport: dict = {}  # g -> transport_matrix(g)
         self._kernels: dict = {}  # character coordinates -> kernel(coords)
-        self._dual: dict = {}  # tuple of character coordinates -> dual_generated_check's answer
-
-    @property
-    def order(self) -> int:
-        return self.subgroup.order
 
     def transport_matrix(self, g: int) -> tuple["AbelianStructure", tuple[tuple[int, ...], ...]]:
         """The structure of gHg^-1, and per basis element x of it the coordinates
@@ -141,6 +134,13 @@ class AbelianStructure:
             entry = self._transport[g] = (target, rows)
         return entry
 
+    def character(self, values) -> tuple[int, ...]:
+        """Character coordinates from outside, checked against the number of
+        invariant factors and reduced."""
+        if len(values) != len(self.invariant_factors):
+            raise ValidationError("character coordinates do not match the structure")
+        return self.reduce(values)
+
     def reduce(self, values) -> tuple[int, ...]:
         """Character coordinates reduced mod the invariant factors."""
         return tuple(map(mod, values, self.invariant_factors))
@@ -154,6 +154,13 @@ class AbelianStructure:
             kernel = self._kernels[coords] = tuple(
                 x for x in self.subgroup.elements if sum(map(mul, row, self.coords[x])) % e == 0)
         return kernel
+
+    def generates_dual(self, *chars: tuple[int, ...]) -> bool:
+        """Do the characters with these reduced coordinates generate the dual?
+        They do exactly when no element but the identity, the first of every
+        kernel, lies in all their kernels."""
+        first, *rest = map(self.kernel, chars)
+        return not set(first[1:]).intersection(*rest)
 
     def restrict(self, coords: tuple[int, ...], K: Subgroup) -> tuple[int, ...]:
         """The coordinates, on K's structure, of the character with these
@@ -190,45 +197,6 @@ def shape_name(factors: tuple[int, ...]) -> str:
     return "x".join(f"C{d}" for d in factors) if factors else "1"
 
 
-class Character(namedtuple("Character", "structure coords")):
-    """A character of an abelian subgroup, as coordinates against its structure."""
-
-    __slots__ = ()
-
-    def __new__(cls, structure: AbelianStructure, coords: tuple[int, ...]):
-        ds = structure.invariant_factors
-        if len(coords) != len(ds):
-            raise ValidationError("character coordinates do not match the structure")
-        return super().__new__(cls, structure, tuple(map(mod, coords, ds)))
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        return lcm(*(d // gcd(c, d) for c, d in zip(self.coords, self.structure.invariant_factors))) if self.coords else 1
-
-    def __add__(self, other: "Character") -> "Character":
-        _same_host(self, other)
-        return Character(self.structure, tuple(map(add, self.coords, other.coords)))
-
-    def __neg__(self) -> "Character":
-        return Character(self.structure, tuple(map(neg, self.coords)))
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
-
-def _same_host(a: Character, b: Character) -> None:
-    if a.structure != b.structure:
-        raise ValidationError("characters live on different host subgroups")
-
-
-def all_characters(struct: AbelianStructure):
-    """All characters of the host, in lexicographic coordinate order."""
-    for tup in product(*(range(d) for d in struct.invariant_factors)) if struct.invariant_factors else [()]:
-        yield Character(struct, tup)
-
-
 def _scaled(struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(row, e) with e the exponent of the host: the character b with these
     coordinates has b(x) = sum_j row_j a_j / e in Q/Z for x with coordinates a,
@@ -238,51 +206,16 @@ def _scaled(struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[tuple[in
     return tuple(c * (e // d) for c, d in zip(coords, ds)), e
 
 
-def character_kernel(b: Character) -> Subgroup:
-    """Kernel of b, as a subgroup of the ambient group contained in the host."""
-    return Subgroup.trusted(b.structure.subgroup.ambient, b.structure.kernel(b.coords))
-
-
-def dual_generated_check(*chars: Character) -> bool:
-    """Do the given characters generate the full dual group?  They do exactly
-    when no nonidentity element of the host lies in every kernel.  The answer
-    depends only on the host and the coordinates, so it is kept in the host
-    structure's `_dual` memo, keyed by the tuple of coordinates; an empty call
-    or mixed hosts raise before the memo is read."""
-    if not chars:
-        raise ValidationError("dual_generated_check needs at least one character")
-    for b in chars[1:]:
-        _same_host(chars[0], b)
-    struct = chars[0].structure
-    key = tuple(b.coords for b in chars)
-    answer = struct._dual.get(key)
-    if answer is None:
-        scaled = [_scaled(struct, b.coords) for b in chars]
-        e = scaled[0][1]
-        rows = [row for row, _ in scaled]
-        answer = struct._dual[key] = not any(
-            all(sum(map(mul, row, x)) % e == 0 for row in rows)
-            for x in struct.element_of if any(x)
-        )
-    return answer
-
-
-def restrict_character(b: Character, K: Subgroup) -> Character:
-    """Restriction of b to a subgroup K of its host."""
-    if not set(K.elements) <= set(b.structure.subgroup.elements):
-        raise ValidationError("restriction target is not contained in the host subgroup")
-    return Character(abelian_structure(K), b.structure.restrict(b.coords, K))
-
-
-def transport_character(g: int, b: Character) -> Character:
-    """The character on gHg^-1 obtained by precomposing b with conjugation by g^-1."""
-    target, rows = b.structure.transport_matrix(g)
-    e = b.structure.invariant_factors[-1] if b.structure.invariant_factors else 1
-    coords = []
+def transport_character(g: int, struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates, on the structure of gHg^-1, of the character with these
+    coordinates on H precomposed with conjugation by g^-1."""
+    target, rows = struct.transport_matrix(g)
+    e = struct.invariant_factors[-1] if struct.invariant_factors else 1
+    out = []
     for row, d in zip(rows, target.invariant_factors):
         # the value at a basis element x of gHg^-1 is v/e in Q/Z; d * v/e must be whole
-        v = sum(map(mul, b.coords, row)) * d
+        v = sum(map(mul, coords, row)) * d
         if v % e:
             raise ValidationError("values do not define a character in these coordinates")
-        coords.append(v // e)
-    return Character(target, tuple(coords))
+        out.append(v // e % d)
+    return tuple(out)

@@ -12,8 +12,9 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import neg, sub
 
-from .abelian import Character, abelian_structure, character_kernel, restrict_character
+from .abelian import abelian_structure
 from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, all_subgroups
@@ -257,19 +258,24 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         if H.is_trivial():
             raise ValidationError("case-2 stabilizers are nontrivial")
         struct = abelian_structure(H)
-        b = Character(struct, tuple(weight))
-        if b.order() != H.order:
+        b = struct.character(weight)
+        if not struct.generates_dual(b):
             raise ValidationError("case-2 weight must generate the stabilizer's character group")
         label = catalog.label(c.curve_label)
         if label.space != CURVE:
             raise ValidationError("case-2 centers need a curve-space action label")
         y = _resolve_residual_group(G, H.elements, KIND_CURVE, label, c.y_reps or None)
         Q = carrier_quotient(G, H.elements, KIND_CURVE)
+        Y = Subgroup.trusted(Q.group, y)
+        if not label.group_shape.matches(Y):
+            raise ValidationError(
+                f"case-2 residual group of order {Y.order} does not match {label.group_shape}"
+            )
         upstairs = Q.preimage(y)
         jac = catalog.jacobian_of_curve_action(c.curve_label)
         new_stratum = StratumDatum(
             kind=FIXED_CURVE, stabilizer=H.elements, residual=c.curve_label,
-            weights=(b.coords, (-b).coords), residual_group=upstairs,
+            weights=(b, struct.reduce(map(neg, b))), residual_group=upstairs,
         )
         new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)
         return _blown_up(m, None, (new_stratum,), (new_factor,))
@@ -282,28 +288,28 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             raise ValidationError("case-3 centers must reference a fixed_curve stratum")
         H = Subgroup(G, datum.stabilizer)
         struct = abelian_structure(H)
-        b1, b2 = (Character(struct, tuple(w)) for w in datum.weights)
+        b1, b2 = map(struct.reduce, datum.weights)  # checked with the model
         label = catalog.label(datum.residual)
         y = _resolve_residual_group(G, H.elements, KIND_CURVE, label, datum.residual_group)
         Q = carrier_quotient(G, H.elements, KIND_CURVE)
         upstairs = Q.preimage(y)
         added = []
-        if b1 != b2:
-            for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
+        diff = struct.reduce(map(sub, b1, b2))
+        if any(diff):
+            for first, second in ((b1, struct.reduce(map(neg, diff))), (b2, diff)):
                 added.append(StratumDatum(
                     kind=FIXED_CURVE, stabilizer=H.elements, residual=datum.residual,
-                    weights=(first.coords, second.coords), residual_group=upstairs,
+                    weights=(first, second), residual_group=upstairs,
                 ))
-        diff = b1 - b2
-        if diff.order() != H.order:
-            h_bar = character_kernel(diff)
+        kernel = struct.kernel(diff)
+        if len(kernel) > 1:
             surface_label = catalog.induced_surface_action(
-                struct.invariant_factors, datum.residual, diff.order(),
+                struct.invariant_factors, datum.residual, H.order // len(kernel),
             )
-            weight = restrict_character(b1, h_bar)
+            weight = struct.restrict(b1, Subgroup.trusted(G, kernel))
             added.append(StratumDatum(
-                kind=RULED_DIVISOR, stabilizer=h_bar.elements, residual=surface_label.id,
-                weights=(weight.coords,), residual_group=upstairs,
+                kind=RULED_DIVISOR, stabilizer=kernel, residual=surface_label.id,
+                weights=(weight,), residual_group=upstairs,
             ))
         jac = catalog.jacobian_of_curve_action(datum.residual)
         new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)

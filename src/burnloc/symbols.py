@@ -19,11 +19,12 @@ frame (kind None) maps no carrier quotient.
 The enumerators read a stabilizer's Y options off the labels' shapes: a
 trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
 in the carrier quotient, and only another shape (noncyclic abelian, or
-nonabelian by order) filters the quotient's lattice.  Weights that generate
-the dual are a pair whose kernels meet only in the identity, or a character
-of order |H|; `dual_generated_check` serves validation.  A curve stabilizer
-with a p-rank above 2, read off its element orders, is skipped before any
-abelian structure is built for it.
+nonabelian by order) filters the quotient's lattice.  Weights are coordinate
+tuples on H's `AbelianStructure`; validation and the enumerators both ask
+its `generates_dual`, which reads the kernel memo: a pair generates the dual
+when their kernels meet only in the identity, one character when its kernel
+is trivial.  A curve stabilizer with a p-rank above 2, read off its element
+orders, is skipped before any abelian structure is built for it.
 
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
@@ -37,17 +38,9 @@ not memoized.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import product
 
-from .abelian import (
-    AbelianStructure,
-    Character,
-    abelian_structure,
-    all_characters,
-    character_kernel,
-    dual_generated_check,
-    shape_name,
-    transport_character,
-)
+from .abelian import AbelianStructure, abelian_structure, shape_name, transport_character
 from .catalog import CURVE, JACOBIAN, RULED_SURFACE, ActionCatalog, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import (
@@ -108,27 +101,22 @@ def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
     """Diagnostics for the kind-specific invariants; an empty list means valid."""
-    return _check_symbol(sym, G, catalog)[0]
-
-
-def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[list[str], tuple[Character, ...]]:
-    """`validate_symbol`'s diagnostics, and the weights as characters once they are valid."""
     problems: list[str] = []
     if sym.kind not in _KIND_RANK:
-        return [f"unknown symbol kind {sym.kind!r}"], ()
+        return [f"unknown symbol kind {sym.kind!r}"]
     try:
         H = Subgroup(G, sym.h)
     except ValidationError as exc:
-        return [f"stabilizer: {exc}"], ()
+        return [f"stabilizer: {exc}"]
     if not catalog.has_label(sym.action):
-        return [f"unknown action label {sym.action!r}"], ()
+        return [f"unknown action label {sym.action!r}"]
     label = catalog.label(sym.action)
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     try:
         Y = y_subgroup(G, sym)
     except ValidationError as exc:
-        return problems + [f"residual group: {exc}"], ()
+        return problems + [f"residual group: {exc}"]
     if not label.group_shape.matches(Y):
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
 
@@ -139,32 +127,32 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[
             problems.append("genus >= 2 jacobian actions must be faithful")
         if catalog.curve.genus == 1 and not label.from_curve:
             problems.append("genus-1 jacobian actions must come from a curve action")
-        return problems, ()
+        return problems
 
     if H.is_trivial():
         problems.append("stabilizer must be nontrivial")
-        return problems, ()
+        return problems
     if not H.is_abelian():
         problems.append("stabilizer must be abelian")
-        return problems, ()
+        return problems
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
         problems.append(f"{sym.kind} symbols carry exactly {expected} weight(s)")
-        return problems, ()
+        return problems
     try:
-        chars = tuple(Character(struct, w) for w in sym.weights)
+        weights = tuple(map(struct.character, sym.weights))
     except ValidationError as exc:
         problems.append(f"weights: {exc}")
-        return problems, ()
-    if any(b.is_trivial() for b in chars):
+        return problems
+    if not all(map(any, weights)):
         problems.append("weights must be nontrivial characters")
-        return problems, ()
-    if not dual_generated_check(*chars):
+        return problems
+    if not struct.generates_dual(*weights):
         problems.append("weights must generate the full character group of the stabilizer")
     if sym.kind == KIND_SURFACE and not H.is_cyclic():
         problems.append("surface symbols need a cyclic stabilizer")
-    return problems, chars
+    return problems
 
 
 def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
@@ -180,24 +168,28 @@ def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
 
 def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol | None, list[str]]:
     """(canonical form, []) for a valid symbol and (None, diagnostics) for an
-    invalid one; the weights are read as characters once, for both steps."""
-    problems, chars = _check_symbol(sym, G, catalog)
+    invalid one."""
+    problems = validate_symbol(sym, G, catalog)
     if problems:
         return None, problems
-    return canonical_form(sym, G, chars), problems
+    return canonical_form(sym, G), problems
 
 
-def canonical_form(sym: Symbol, G: FiniteGroup, chars: tuple[Character, ...]) -> Symbol:
-    """The least conjugate of a valid symbol with weights `chars`, comparing
-    stabilizers, then Y, then sorted weights, each over the g that tie so far.
-    The g that matter are read from h's frame in G's frame memo, so per symbol
-    only Y's image under each of them is looked up and the weights are
-    transported.  For abelian G conjugation is trivial, so this is the symbol
-    with h and y sorted and its weights reduced and sorted."""
+def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
+    """The least conjugate of a valid symbol, comparing stabilizers, then Y,
+    then sorted weights, each over the g that tie so far.  The g that matter
+    are read from h's frame in G's frame memo, so per symbol only Y's image
+    under each of them is looked up and the weights are transported.  For
+    abelian G conjugation is trivial, so this is the symbol with h and y
+    sorted and its weights reduced and sorted."""
     h = tuple(sorted(set(sym.h)))
     y = tuple(sorted(set(sym.y)))
+    weights = sym.weights
+    if weights:
+        struct = abelian_structure(Subgroup.trusted(G, h))
+        weights = tuple(map(struct.reduce, weights))
     if G.is_abelian():
-        return Symbol(sym.kind, h, y, sym.action, tuple(sorted(b.coords for b in chars)))
+        return Symbol(sym.kind, h, y, sym.action, tuple(sorted(weights)))
     best_h, moves, per_y = _frame(G, sym.kind if y != (0,) else None, h)
     if y not in per_y:
         images = [(tuple(sorted({cosets[i] for i in y})), action, g) for g, cosets, action in moves]
@@ -208,9 +200,8 @@ def canonical_form(sym: Symbol, G: FiniteGroup, chars: tuple[Character, ...]) ->
                 actions.setdefault(action, g)
         per_y[y] = (best_y, tuple(actions.values()))
     best_y, actions = per_y[y]
-    weights = ()
-    if chars:
-        weights = min(tuple(sorted(transport_character(g, b).coords if g else b.coords for b in chars))
+    if weights:
+        weights = min(tuple(sorted(transport_character(g, struct, b) if g else b for b in weights))
                       for g in actions)
     return Symbol(sym.kind, best_h, best_y, sym.action, weights)
 
@@ -254,18 +245,16 @@ def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
             for y in sorted(matched, key=lambda y: (len(y), y))]
 
 
-def _dual_pairs(struct: AbelianStructure) -> list[tuple[Character, Character]]:
-    """The pairs b1 <= b2 of nontrivial characters that generate the dual: their
-    kernels, as bit masks over the ambient elements, meet only in the identity."""
-    nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
-    kernels = [sum(1 << x for x in character_kernel(b).elements) for b in nontrivial]
-    return [(b1, b2) for i, (b1, k1) in enumerate(zip(nontrivial, kernels))
-            for b2, k2 in zip(nontrivial[i:], kernels[i:]) if k1 & k2 == 1]
+def _dual_pairs(struct: AbelianStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs b1 <= b2 of nontrivial characters, in lexicographic order,
+    that generate the dual."""
+    nontrivial = [b for b in product(*map(range, struct.invariant_factors)) if any(b)]
+    return [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:] if struct.generates_dual(b1, b2)]
 
 
-def _dual_generators(struct: AbelianStructure) -> list[Character]:
+def _dual_generators(struct: AbelianStructure) -> list[tuple[int, ...]]:
     """The characters that generate the dual alone: those of order |H|."""
-    return [b for b in all_characters(struct) if b.order() == struct.order]
+    return [b for b in product(*map(range, struct.invariant_factors)) if struct.generates_dual(b)]
 
 
 def _rank_at_most_two(H: Subgroup) -> bool:
@@ -276,8 +265,8 @@ def _rank_at_most_two(H: Subgroup) -> bool:
     return all(count < q * q for q, count in orders.items() if q > 1)
 
 
-def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
-    """(raw curve symbol, its weights as characters) over stabilizer representatives."""
+def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
+    """Raw (unconjugated) curve symbols over stabilizer representatives."""
     labels = catalog.labels_in(CURVE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not _rank_at_most_two(H):
@@ -285,11 +274,11 @@ def _curve_data(G: FiniteGroup, catalog: ActionCatalog):
         pairs = _dual_pairs(abelian_structure(H))
         for y, matching in _y_options(G, H.elements, KIND_CURVE, labels):
             for label in matching:
-                for b1, b2 in pairs:
-                    yield Symbol(KIND_CURVE, H.elements, y, label.id, (b1.coords, b2.coords)), (b1, b2)
+                for weights in pairs:
+                    yield Symbol(KIND_CURVE, H.elements, y, label.id, weights)
 
 
-def _surface_data(G: FiniteGroup, catalog: ActionCatalog):
+def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
     labels = catalog.labels_in(RULED_SURFACE)
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not H.is_cyclic():
@@ -298,30 +287,17 @@ def _surface_data(G: FiniteGroup, catalog: ActionCatalog):
         for y, matching in _y_options(G, H.elements, KIND_SURFACE, labels):
             for label in matching:
                 for b in generators:
-                    yield Symbol(KIND_SURFACE, H.elements, y, label.id, (b.coords,)), (b,)
+                    yield Symbol(KIND_SURFACE, H.elements, y, label.id, (b,))
 
 
-def _jac_data(G: FiniteGroup, catalog: ActionCatalog):
+def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
     genus = catalog.curve.genus
     labels = [label for label in catalog.labels_in(JACOBIAN)
               if (genus < 2 or label.faithful) and (genus != 1 or label.from_curve)]
     for H in subgroups_up_to_conjugacy(G):
         for y, matching in _y_options(G, H.elements, KIND_JAC, labels):
             for label in matching:
-                yield Symbol(KIND_JAC, H.elements, y, label.id), ()
-
-
-def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
-    """Raw (unconjugated) curve symbols over stabilizer representatives."""
-    return (sym for sym, _ in _curve_data(G, catalog))
-
-
-def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
-    return (sym for sym, _ in _surface_data(G, catalog))
-
-
-def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
-    return (sym for sym, _ in _jac_data(G, catalog))
+                yield Symbol(KIND_JAC, H.elements, y, label.id)
 
 
 def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
@@ -330,13 +306,13 @@ def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
 
     Each raw symbol is valid by construction (a nontrivial abelian stabilizer,
     cyclic for surfaces; a Y of the label's shape; nontrivial weights that
-    generate the dual), so it goes straight to `canonical_form` with the
-    characters its enumerator built, without `validate_symbol`'s checks."""
+    generate the dual), so it goes straight to `canonical_form` without
+    `validate_symbol`'s checks."""
     if context is None:
         context = BurnsideContext(G, catalog)
     seen: set[Symbol] = set()
-    for raw, chars in (*_curve_data(G, catalog), *_surface_data(G, catalog), *_jac_data(G, catalog)):
-        seen.add(context.enumerated_form(raw, chars))
+    for raw in (*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)):
+        seen.add(context.enumerated_form(raw))
     return tuple(sorted(seen, key=Symbol.key))
 
 
@@ -363,11 +339,11 @@ class BurnsideContext:
             form = self._forms[sym] = canonicalize(sym, self.group, self.catalog)
         return form
 
-    def enumerated_form(self, sym: Symbol, chars: tuple[Character, ...]) -> Symbol:
+    def enumerated_form(self, sym: Symbol) -> Symbol:
         form = self._forms.get(sym)
         if form is None:
             # on abelian G a raw symbol is canonical: h, y and its weights come sorted
-            form = self._forms[sym] = sym if self.group.is_abelian() else canonical_form(sym, self.group, chars)
+            form = self._forms[sym] = sym if self.group.is_abelian() else canonical_form(sym, self.group)
         return form
 
     @property

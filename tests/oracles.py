@@ -17,22 +17,28 @@ are the left-kernel basis read off the Hermite form of [M | I], fraction-free
 rank (cross-checked against the `Fraction` rank), the trivial subgroup and the
 filter of given subgroup pairs.
 
-Characters are evaluated in Q/Z with `Fraction`s (`reference_evaluate`, the
-definition the integer kernels, restrictions and transports of burnloc.abelian
-are tested against) and transported through those values, and the
-reference canonical form is the minimum over every g in G of the transported
-symbol, with no shortcut for abelian G.  The span of a set of characters is
-enumerated element by element.
+A character is a coordinate tuple on an `AbelianStructure`, as in the
+engine, but the references call none of the engine's character arithmetic
+(`character`, `reduce`, `kernel`, `generates_dual`, `restrict`,
+`transport_character`): they use only the structure's basis and coordinate
+map, evaluate a character in Q/Z as a `Fraction` (`reference_evaluate`, the
+definition the integer kernels, orders, restrictions and transports of
+burnloc.abelian are tested against), and read characters back from their
+values (`character_from_values`), so sums, differences, kernels, orders,
+restrictions and transports all go through those values.  The reference
+canonical form is the minimum over every g in G of the transported symbol,
+with no shortcut for abelian G.  The span of a set of characters is
+enumerated as value tuples, element by element.
 
 The slow paths of the cold relation pass are kept as references: the raw
 symbols of the lattice path, which tries every subgroup of each carrier
-quotient against every label's shape and keeps each weight tuple by
-`dual_generated_check`; the relations built term by term with
-`BurnsideClass` arithmetic on `Character` objects (sums, differences,
-kernels and restrictions of the weights), each curve symbol's weights,
-Jacobian partner, Theta2 data and text form found again for B1 and for B2;
-and the canonical frame of one (kind, h, y), found by walking the whole
-transporter of h for Y's image and then the ties for their actions on h.
+quotient against every label's shape and keeps each weight tuple whose
+`Fraction` kernels meet only in the identity; the relations built term by
+term with `BurnsideClass` arithmetic and the `Fraction` character
+arithmetic, each curve symbol's weights, Jacobian partner, Theta2 data and
+text form found again for B1 and for B2; and the canonical frame of one
+(kind, h, y), found by walking the whole transporter of h for Y's image and
+then the ties for their actions on h.
 
 The reference group check runs the table checks in the order the checked
 constructor reports them and tests associativity on all n**3 triples, in
@@ -52,17 +58,9 @@ symbols carried over.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from burnloc.abelian import (
-    Character,
-    abelian_structure,
-    all_characters,
-    character_kernel,
-    dual_generated_check,
-    restrict_character,
-    shape_name,
-)
+from burnloc.abelian import abelian_structure, shape_name
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
@@ -404,38 +402,69 @@ def filter_from_subgroups(pairs):
     return FilterSpec(pairs=tuple(out))
 
 
-def reference_evaluate(b, x):
-    """The value of the character b at the element x of its host, in Q/Z, represented in [0, 1)."""
-    a = b.structure.coords.get(x)
+def all_coordinates(struct):
+    """Every coordinate tuple of the structure's characters, in lexicographic order."""
+    return list(product(*(range(d) for d in struct.invariant_factors)))
+
+
+def reference_evaluate(struct, b, x):
+    """The value of the character with coordinates b on `struct` at the element
+    x of its host, in Q/Z, represented in [0, 1)."""
+    a = struct.coords.get(x)
     if a is None:
         raise ValidationError(f"element {x} is not in the character's host subgroup")
-    total = sum(Fraction(c * v, d) for c, v, d in zip(b.coords, a, b.structure.invariant_factors))
-    return total - (total.numerator // total.denominator)
+    e = lcm(*struct.invariant_factors)  # b(x) = sum_j b_j a_j / d_j
+    return Fraction(sum(c * v * (e // d) for c, v, d in zip(b, a, struct.invariant_factors)) % e, e)
 
 
 def character_from_values(struct, value_at):
-    """The character of `struct` taking the value `value_at(h)` in Q/Z at each basis element h."""
+    """The coordinates of the character of `struct` taking the value
+    `value_at(h)` in Q/Z at each basis element h."""
     coords = []
     for h, d in zip(struct.basis, struct.invariant_factors):
         v = value_at(h) * d
         if v.denominator != 1:
             raise ValidationError("values do not define a character in these coordinates")
         coords.append(int(v) % d)
-    return Character(struct, tuple(coords))
+    return tuple(coords)
 
 
-def character_span(*chars):
-    """The subgroup of the dual generated by the given characters, closed up
-    from the trivial character by breadth-first search."""
-    struct = chars[0].structure
-    trivial = Character(struct, tuple(0 for _ in struct.invariant_factors))
+def reference_sum(struct, *terms):
+    """The coordinates of sum_i c_i b_i for terms (c_i, b_i), read off the values."""
+    return character_from_values(struct, lambda x: sum(c * reference_evaluate(struct, b, x) for c, b in terms))
+
+
+def reference_kernel(struct, b):
+    """The ascending elements of the host at which b vanishes."""
+    return tuple(x for x in struct.subgroup.elements if reference_evaluate(struct, b, x) == 0)
+
+
+def reference_order(struct, b):
+    """The order of b: the least common multiple of the denominators of its values."""
+    return lcm(*(reference_evaluate(struct, b, x).denominator for x in struct.subgroup.elements))
+
+
+def reference_restrict(struct, b, K):
+    """The coordinates of b restricted to the subgroup K of its host, on K's structure."""
+    return character_from_values(abelian_structure(K), lambda x: reference_evaluate(struct, b, x))
+
+
+def character_span(struct, *chars):
+    """The subgroup of the dual generated by the given characters, each member
+    as its tuple of values on the host's elements (scaled by the exponent e of
+    the host to integers mod e), closed up from the trivial character by
+    breadth-first search."""
+    elements = struct.subgroup.elements
+    e = lcm(*struct.invariant_factors)
+    gens = [tuple(int(reference_evaluate(struct, b, x) * e) for x in elements) for b in chars]
+    trivial = (0,) * len(elements)
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
-        for b in frontier:
-            for g in chars:
-                c = b + g
+        for values in frontier:
+            for g in gens:
+                c = tuple((v + w) % e for v, w in zip(values, g))
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -443,13 +472,14 @@ def character_span(*chars):
     return frozenset(seen)
 
 
-def reference_transport_character(g, b):
-    """The character on gHg^-1 obtained by precomposing b with conjugation by g^-1."""
-    H = b.structure.subgroup
+def reference_transport_character(g, struct, b):
+    """The coordinates, on the structure of gHg^-1, of the character b of H
+    precomposed with conjugation by g^-1."""
+    H = struct.subgroup
     G = H.ambient
     H2 = Subgroup(G, tuple(G.conj(g, a) for a in H.elements))
     ginv = G.inv(g)
-    return character_from_values(abelian_structure(H2), lambda x: reference_evaluate(b, G.conj(ginv, x)))
+    return character_from_values(abelian_structure(H2), lambda x: reference_evaluate(struct, b, G.conj(ginv, x)))
 
 
 def reference_transport_symbol(sym, g, G):
@@ -460,7 +490,7 @@ def reference_transport_symbol(sym, g, G):
     Q2 = carrier_quotient(G, H2.elements, sym.kind)
     y2 = tuple(sorted({Q2.coset_of[G.conj(g, Q1.reps[i])] for i in sym.y}))
     struct = abelian_structure(H) if sym.weights else None
-    weights2 = tuple(sorted(reference_transport_character(g, Character(struct, w)).coords for w in sym.weights))
+    weights2 = tuple(sorted(reference_transport_character(g, struct, w) for w in sym.weights))
     return Symbol(sym.kind, H2.elements, y2, sym.action, weights2)
 
 
@@ -561,14 +591,16 @@ def reference_frame(G, kind, h, y):
     return best_h, best_y, tuple(per_action.values())
 
 
-def reference_frame_form(sym, G, chars):
-    """The canonical form of a valid raw symbol with weights `chars` over
-    nonabelian G, from `reference_frame` and the `Fraction` transport."""
+def reference_frame_form(sym, G):
+    """The canonical form of a valid raw symbol over nonabelian G, from
+    `reference_frame` and the `Fraction` transport."""
     h, y = tuple(sorted(set(sym.h))), tuple(sorted(set(sym.y)))
     best_h, best_y, actions = reference_frame(G, sym.kind, h, y)
     weights = ()
-    if chars:
-        weights = min(tuple(sorted(reference_transport_character(g, b).coords for b in chars)) for g in actions)
+    if sym.weights:
+        struct = abelian_structure(Subgroup(G, h))
+        weights = min(tuple(sorted(reference_transport_character(g, struct, b) for b in sym.weights))
+                      for g in actions)
     return Symbol(sym.kind, best_h, best_y, sym.action, weights)
 
 
@@ -576,22 +608,25 @@ def reference_raw_symbols(G, catalog):
     """The raw curve, surface and Jacobian symbols, in the enumerators' yield
     order, by the lattice path: every Y of the carrier quotient's subgroup
     lattice is tried against every label's shape, and every weight tuple is
-    kept by `dual_generated_check`."""
+    kept whose `Fraction` kernels meet only in the identity."""
     out = []
     for H in abelian_subgroups_up_to_conjugacy(G):
         struct = abelian_structure(H)
         if H.is_trivial() or len(struct.invariant_factors) > 2:
             continue
-        nontrivial = [b for b in all_characters(struct) if not b.is_trivial()]
-        pairs = [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:] if dual_generated_check(b1, b2)]
+        kernels = reference_kernels(struct)
+        nontrivial = [b for b in kernels if any(b)]
+        pairs = [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:]
+                 if kernels[b1] & kernels[b2] == {0}]
         for Y, label in _lattice_options(G, H, KIND_CURVE, catalog.labels_in(CURVE)):
-            out += [Symbol(KIND_CURVE, H.elements, Y.elements, label.id, (b1.coords, b2.coords)) for b1, b2 in pairs]
+            out += [Symbol(KIND_CURVE, H.elements, Y.elements, label.id, pair) for pair in pairs]
     for H in abelian_subgroups_up_to_conjugacy(G):
         if H.is_trivial() or not H.is_cyclic():
             continue
-        generators = [b for b in all_characters(abelian_structure(H)) if not b.is_trivial() and dual_generated_check(b)]
+        kernels = reference_kernels(abelian_structure(H))
+        generators = [b for b in kernels if any(b) and kernels[b] == {0}]
         for Y, label in _lattice_options(G, H, KIND_SURFACE, catalog.labels_in(RULED_SURFACE)):
-            out += [Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b.coords,)) for b in generators]
+            out += [Symbol(KIND_SURFACE, H.elements, Y.elements, label.id, (b,)) for b in generators]
     genus = catalog.curve.genus
     for H in subgroups_up_to_conjugacy(G):
         for Y, label in _lattice_options(G, H, KIND_JAC, catalog.labels_in(JACOBIAN)):
@@ -599,6 +634,12 @@ def reference_raw_symbols(G, catalog):
                 continue
             out.append(Symbol(KIND_JAC, H.elements, Y.elements, label.id))
     return out
+
+
+def reference_kernels(struct):
+    """{coordinates: `Fraction` kernel as a set} for every character of the
+    structure, in lexicographic order of the coordinates."""
+    return {b: set(reference_kernel(struct, b)) for b in all_coordinates(struct)}
 
 
 def _lattice_options(G, H, kind, labels):
@@ -610,10 +651,9 @@ def _lattice_options(G, H, kind, labels):
                 yield Y, label
 
 
-def symbol_characters(G, sym):
-    """The weights of a symbol whose stabilizer is a valid abelian subgroup, as characters."""
-    struct = abelian_structure(Subgroup.trusted(G, tuple(sorted(set(sym.h)))))
-    return tuple(Character(struct, w) for w in sym.weights)
+def symbol_structure(G, sym):
+    """The abelian structure that a valid curve or surface symbol's weights live on."""
+    return abelian_structure(Subgroup(G, sym.h))
 
 
 def _reference_jac_partner(context, sym):
@@ -627,22 +667,22 @@ def _reference_jac_partner(context, sym):
 def _reference_b2_terms(context, sym):
     """(Theta1, Theta2) for a canonical curve symbol, one `BurnsideClass` per term."""
     G, catalog = context.group, context.catalog
-    H = Subgroup(G, sym.h)
-    b1, b2 = symbol_characters(G, sym)
+    struct = symbol_structure(G, sym)
+    b1, b2 = sym.weights
     theta1 = BurnsideClass.zero()
-    if b1 != b2:
-        for first, second in ((b1, b2 - b1), (b2, b1 - b2)):
-            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first.coords, second.coords))))
+    diff = reference_sum(struct, (1, b1), (-1, b2))
+    if any(diff):
+        for first, second in ((b1, reference_sum(struct, (1, b2), (-1, b1))), (b2, diff)):
+            term = Symbol(KIND_CURVE, sym.h, sym.y, sym.action, tuple(sorted((first, second))))
             theta1 = theta1 + BurnsideClass.of(context.canonicalize(term))
-    diff = b1 - b2
-    if diff.order() == H.order:
+    order = reference_order(struct, diff)
+    if order == struct.subgroup.order:
         return theta1, BurnsideClass.zero()
-    h_bar = character_kernel(diff)
-    label = catalog.induced_surface_action(abelian_structure(H).invariant_factors, sym.action, diff.order())
+    h_bar = Subgroup(G, reference_kernel(struct, diff))
+    label = catalog.induced_surface_action(struct.invariant_factors, sym.action, order)
     upstairs = carrier_quotient(G, sym.h, sym.kind).preimage(sym.y)
     y_bar = carrier_quotient(G, h_bar.elements, KIND_SURFACE).image(upstairs)
-    weight = restrict_character(b1, h_bar)
-    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (weight.coords,))
+    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (reference_restrict(struct, b1, h_bar),))
     return theta1, BurnsideClass.of(context.canonicalize(term))
 
 
@@ -662,8 +702,7 @@ def reference_generate_relations(G, catalog):
 
     curve_syms = [s for s in symbols if s.kind == KIND_CURVE]
     for sym in curve_syms:
-        b1, b2 = symbol_characters(G, sym)
-        if (b1 + b2).is_trivial():
+        if not any(reference_sum(symbol_structure(G, sym), (1, sym.weights[0]), (1, sym.weights[1]))):
             emit(BurnsideClass.of(sym) + BurnsideClass.of(_reference_jac_partner(context, sym)), "B1",
                  symbol=text_form(sym, G))
     for sym in curve_syms:

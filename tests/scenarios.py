@@ -8,9 +8,9 @@ objects own stay bounded."""
 
 import random
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
-from burnloc.abelian import abelian_structure, all_characters
+from burnloc.abelian import abelian_structure
 from burnloc.catalog import CURVE, catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
@@ -218,10 +218,10 @@ def assert_tables_bounded(G, catalog=None):
     the carrier quotient, or of its trivial coset for kind None; action on h)
     and its Y memo keyed by members of the carrier quotient's lattice.
     The memos of derived objects stay bounded too: each abelian structure's
-    kernel memo by its characters, its dual-generation memo by k-tuples of
-    its characters, k <= 2, and each
-    carrier quotient's resolved residual groups by members of its lattice,
-    keyed by shapes the catalog declares (when a catalog is given)."""
+    kernel memo keyed by its characters and holding members of G's lattice
+    inside its host, and each carrier quotient's resolved residual groups by
+    members of its lattice, keyed by shapes the catalog declares (when a
+    catalog is given)."""
     lattice = {H.elements for H in all_subgroups(G)}
     assert set(G._checked) <= lattice
     assert set(G._classes) <= lattice
@@ -230,9 +230,8 @@ def assert_tables_bounded(G, catalog=None):
     for H in all_subgroups(G):
         if H.is_abelian():
             struct = abelian_structure(H)
-            characters = {b.coords for b in all_characters(struct)}
-            assert all(1 <= len(key) <= 2 and set(key) <= characters for key in struct._dual)
-            assert set(struct._kernels) <= characters
+            assert set(struct._kernels) <= set(product(*map(range, struct.invariant_factors)))
+            assert all(k in lattice and set(k) <= set(H.elements) for k in struct._kernels.values())
     shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
     frame_bound = len(lattice)  # the frames of kind None
     for (kind, h), (_, moves, per_y) in G.frames.items():

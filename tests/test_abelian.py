@@ -3,20 +3,10 @@ from itertools import product
 
 import pytest
 
-from burnloc.abelian import (
-    Character,
-    abelian_structure,
-    all_characters,
-    character_kernel,
-    dual_generated_check,
-    normalize_factors,
-    restrict_character,
-    shape_name,
-    transport_character,
-)
+from burnloc.abelian import abelian_structure, normalize_factors, shape_name, transport_character
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group, full_subgroup
-from oracles import character_span, reference_evaluate
+from oracles import all_coordinates, character_span, reference_evaluate
 
 
 def struct_of(spec):
@@ -53,34 +43,33 @@ def test_coordinate_map_is_isomorphism():
 def test_character_evaluation_is_homomorphism():
     s = struct_of({"kind": "abelian", "factors": [2, 4]})
     G = s.subgroup.ambient
-    for b in all_characters(s):
+    for b in all_coordinates(s):
         for x, y in product(G.elements(), repeat=2):
-            lhs = reference_evaluate(b, G.mul[x][y])
-            rhs = reference_evaluate(b, x) + reference_evaluate(b, y)
+            lhs = reference_evaluate(s, b, G.mul[x][y])
+            rhs = reference_evaluate(s, b, x) + reference_evaluate(s, b, y)
             assert (lhs - rhs).denominator == 1
 
 
 def test_kernel_of_nontrivial_character_on_c2():
     s = struct_of({"kind": "cyclic", "n": 2})
-    b = Character(s, (1,))
-    assert character_kernel(b).elements == (0,)
+    assert s.kernel((1,)) == (0,)
 
 
 def test_zero_difference_has_full_kernel():
     s = struct_of({"kind": "cyclic", "n": 2})
-    b = Character(s, (1,))
-    assert character_kernel(b - b).elements == (0, 1)
+    b = (1,)
+    assert s.kernel(s.reduce(x - y for x, y in zip(b, b))) == (0, 1)
 
 
 def test_c4_character_two_by_direct_evaluation():
     s = struct_of({"kind": "cyclic", "n": 4})
-    b = Character(s, (2,))
+    b = (2,)
     # oracle: evaluate on every element
-    values = {x: reference_evaluate(b, x) for x in range(4)}
+    values = {x: reference_evaluate(s, b, x) for x in range(4)}
     assert values == {0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(0), 3: Fraction(1, 2)}
-    assert character_kernel(b).elements == (0, 2)
-    assert len(character_span(b)) == 2
-    assert not dual_generated_check(b)
+    assert s.kernel(b) == (0, 2)
+    assert len(character_span(s, b)) == 2
+    assert not s.generates_dual(b)
 
 
 def abelian_types_up_to(n):
@@ -106,16 +95,17 @@ def test_kernel_trivial_iff_generator_and_cyclic():
     for factors in abelian_types_up_to(16):
         s = struct_of({"kind": "abelian", "factors": list(factors) or [1]})
         cyclic = len(s.invariant_factors) <= 1
-        for b in all_characters(s):
-            trivial_kernel = character_kernel(b).order == 1
-            assert trivial_kernel == (dual_generated_check(b) and cyclic)
+        for b in all_coordinates(s):
+            trivial_kernel = len(s.kernel(b)) == 1
+            assert trivial_kernel == (s.generates_dual(b) and cyclic)
 
 
-def test_span_mismatched_hosts_rejected():
-    s2 = struct_of({"kind": "cyclic", "n": 2})
-    s4 = struct_of({"kind": "cyclic", "n": 4})
-    with pytest.raises(ValidationError, match="different host"):
-        dual_generated_check(Character(s2, (1,)), Character(s4, (1,)))
+def test_outside_coordinates_are_checked_against_the_structure_and_reduced():
+    s = struct_of({"kind": "abelian", "factors": [2, 4]})
+    assert s.character([3, -1]) == (1, 3)
+    for wrong in ((), (1,), (1, 2, 3)):
+        with pytest.raises(ValidationError, match="character coordinates do not match the structure"):
+            s.character(wrong)
 
 
 @pytest.mark.parametrize("spec", [
@@ -126,52 +116,56 @@ def test_span_mismatched_hosts_rejected():
 def test_dual_generated_check_matches_span_oracle(spec):
     # every single character and every pair on every abelian subgroup representative
     for H in abelian_subgroups_up_to_conjugacy(build_group(spec)):
-        chars = list(all_characters(abelian_structure(H)))
+        struct = abelian_structure(H)
+        chars = all_coordinates(struct)
         for b in chars:
-            generates = len(character_span(b)) == H.order
-            assert dual_generated_check(b) == generates
-            assert (b.order() == H.order) == generates
+            generates = len(character_span(struct, b)) == H.order
+            assert struct.generates_dual(b) == generates
+            assert (len(struct.kernel(b)) == 1) == generates  # order |H| / |kernel|
         for b1, b2 in product(chars, repeat=2):
-            assert dual_generated_check(b1, b2) == (len(character_span(b1, b2)) == H.order)
+            assert struct.generates_dual(b1, b2) == (len(character_span(struct, b1, b2)) == H.order)
 
 
 def test_transport_roundtrip_on_nonabelian_groups(s3, d4):
     for G in (s3, d4):
         for H in abelian_subgroups_up_to_conjugacy(G):
             struct = abelian_structure(H)
-            for b in all_characters(struct):
+            for b in all_coordinates(struct):
                 for g in G.elements():
-                    back = transport_character(G.inv(g), transport_character(g, b))
-                    assert back == b
+                    moved = transport_character(g, struct, b)
+                    target = abelian_structure(H.conjugate(g))
+                    assert moved == target.reduce(moved)
+                    assert transport_character(G.inv(g), target, moved) == b
 
 
 def test_transport_preserves_evaluation(s3):
     c2 = next(H for H in abelian_subgroups_up_to_conjugacy(s3) if H.order == 2)
     struct = abelian_structure(c2)
-    b = Character(struct, (1,))
+    b = (1,)
     for g in s3.elements():
-        moved = transport_character(g, b)
+        moved = transport_character(g, struct, b)
+        target = abelian_structure(c2.conjugate(g))
         for x in c2.elements:
-            assert reference_evaluate(moved, s3.conj(g, x)) == reference_evaluate(b, x)
+            assert reference_evaluate(target, moved, s3.conj(g, x)) == reference_evaluate(struct, b, x)
 
 
 def test_restriction_matches_evaluation():
     G = build_group({"kind": "cyclic", "n": 4})
     s = abelian_structure(full_subgroup(G))
-    b = Character(s, (1,))
+    b = (1,)
     K = Subgroup(G, (0, 2))
-    r = restrict_character(b, K)
+    r = s.restrict(b, K)
     for x in K.elements:
-        assert reference_evaluate(r, x) == reference_evaluate(b, x)
-    assert r.coords == (1,)
+        assert reference_evaluate(abelian_structure(K), r, x) == reference_evaluate(s, b, x)
+    assert r == (1,)
 
 
 def test_character_order_and_arithmetic():
     s = struct_of({"kind": "abelian", "factors": [2, 4]})
-    b = Character(s, (1, 2))
-    assert b.order() == 2
-    assert (b + b).is_trivial()
-    assert (-Character(s, (0, 1))).coords == (0, 3)
+    b = (1, 2)
+    assert s.subgroup.order // len(s.kernel(b)) == 2
+    assert not any(s.reduce(x + y for x, y in zip(b, b)))
+    assert s.reduce(-c for c in (0, 1)) == (0, 3)
 
 
 def test_shape_name():

@@ -5,14 +5,7 @@ import random
 
 import pytest
 
-from burnloc.abelian import (
-    Character,
-    abelian_structure,
-    all_characters,
-    character_kernel,
-    restrict_character,
-    transport_character,
-)
+from burnloc.abelian import abelian_structure, transport_character
 from burnloc.cli import load_class
 from burnloc.fixtures import fixture_catalog
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, build_group
@@ -22,9 +15,6 @@ from burnloc.symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
-    _curve_data,
-    _jac_data,
-    _surface_data,
     canonical_form,
     canonicalize,
     carrier_quotient,
@@ -34,9 +24,13 @@ from burnloc.symbols import (
     validate_symbol,
 )
 from oracles import (
+    all_coordinates,
     character_from_values,
     reference_canonicalize,
     reference_evaluate,
+    reference_kernel,
+    reference_restrict,
+    reference_sum,
     reference_transport_character,
     reference_transport_symbol,
 )
@@ -75,17 +69,18 @@ def _trusted_cases():
 
 @pytest.mark.parametrize("spec, fixture", _trusted_cases())
 def test_enumerated_symbols_are_valid_and_their_trusted_form_is_canonicalize(spec, fixture):
-    # enumerate_symbols hands each raw symbol to canonical_form with the characters
-    # its enumerator built and skips validate_symbol; that holds only if every raw
-    # symbol is valid and canonicalize, on a cold group, gives the same form
+    # enumerate_symbols hands each raw symbol to canonical_form and skips
+    # validate_symbol; that holds only if every raw symbol is valid, its weights
+    # reduced, and canonicalize, on a cold group, gives the same form
     G = build_group(spec)
     catalog = generated_catalog(G) if fixture is None else fixture_catalog(fixture)
-    data = [*_curve_data(G, catalog), *_surface_data(G, catalog), *_jac_data(G, catalog)]
-    assert [raw for raw, _ in data] == _raw_symbols(G, catalog)
-    trusted = [canonical_form(raw, G, chars) for raw, chars in data]
+    data = _raw_symbols(G, catalog)
+    trusted = [canonical_form(raw, G) for raw in data]
     cold = build_group(spec)
-    for (raw, chars), form in zip(data, trusted):
-        assert tuple(b.coords for b in chars) == raw.weights
+    for raw, form in zip(data, trusted):
+        if raw.weights:
+            struct = abelian_structure(Subgroup(cold, raw.h))
+            assert all(reference_sum(struct, (1, b)) == b for b in raw.weights)
         assert validate_symbol(raw, cold, catalog) == []
         assert canonicalize(raw, cold, catalog) == form
 
@@ -96,8 +91,8 @@ def test_transport_matches_fraction_reference(name):
     for H in abelian_subgroups_up_to_conjugacy(G):
         struct = abelian_structure(H)
         for g in G.elements():
-            for b in all_characters(struct):
-                assert transport_character(g, b) == reference_transport_character(g, b)
+            for b in all_coordinates(struct):
+                assert transport_character(g, struct, b) == reference_transport_character(g, struct, b)
 
 
 @pytest.mark.parametrize("name", LADDER_GROUPS)
@@ -111,11 +106,11 @@ def test_kernel_and_restriction_match_evaluate_reference(name):
             continue
         host = set(H.elements)
         inside = [K for K in subgroups if host.issuperset(K.elements)]
-        for b in all_characters(abelian_structure(H)):
-            assert character_kernel(b).elements == tuple(x for x in H.elements if reference_evaluate(b, x) == 0)
+        struct = abelian_structure(H)
+        for b in all_coordinates(struct):
+            assert struct.kernel(b) == reference_kernel(struct, b)
             for K in inside:
-                want = character_from_values(abelian_structure(K), lambda x: reference_evaluate(b, x))
-                assert restrict_character(b, K) == want
+                assert struct.restrict(b, K) == reference_restrict(struct, b, K)
 
 
 @pytest.mark.parametrize("name", ["C4xC4", "C2xC6"])
@@ -222,7 +217,7 @@ def _move_weights(src_group, src_h, dst_group, dst_h, weights, back):
     src = abelian_structure(Subgroup(src_group, src_h))
     dst = abelian_structure(Subgroup(dst_group, dst_h))
     return tuple(
-        character_from_values(dst, lambda x, b=Character(src, w): reference_evaluate(b, back[x])).coords
+        character_from_values(dst, lambda x, w=w: reference_evaluate(src, w, back[x]))
         for w in weights
     )
 

@@ -159,8 +159,9 @@ def test_group_shape_matching():
 
 
 def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):
-    from burnloc.abelian import Character, abelian_structure
+    from burnloc.abelian import abelian_structure
     from burnloc.symbols import carrier_quotient
+    from oracles import reference_order, reference_sum
 
     # involution case: H = G, Y = 1, trivial curve action, b1 = b2 = 1;
     # the order-3 analogue likewise
@@ -168,12 +169,12 @@ def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):
         H = full_subgroup(G)
         Q = carrier_quotient(G, H.elements, "curve")
         Y = Subgroup(Q.group, (0,))
-        b = Character(abelian_structure(H), (1,))
-        diff = b - b
-        label = catalog.induced_surface_action(abelian_structure(H).invariant_factors, "triv-C", diff.order())
+        struct = abelian_structure(H)
+        order = reference_order(struct, reference_sum(struct, (1, (1,)), (-1, (1,))))
+        label = catalog.induced_surface_action(struct.invariant_factors, "triv-C", order)
         assert label.id == "triv-CxP1"
         # the declared target order is the constructed group order |Y| * ord(b1 - b2)
-        assert label.group_shape.order == Y.order * diff.order()
+        assert label.group_shape.order == Y.order * order
     assert hyper_cat.jacobian_of_curve_action("inv-C").id == "inv-J"
 
 

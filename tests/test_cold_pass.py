@@ -1,6 +1,6 @@
 """The cold relation pass against its slow paths in `oracles`: the enumerators,
-which read Y options off the labels' shapes and dual generation off character
-kernels, yield the raw symbols of the lattice path in the same order, and
+which read Y options off the labels' shapes and dual generation off the
+kernel memo, yield the raw symbols of the lattice path in the same order, and
 `generate_relations`, which builds each relation as one dict from one record
 per curve symbol, returns the instances of per-term `BurnsideClass`
 arithmetic, in the same order and with the same first error; each cold, warm
@@ -8,7 +8,7 @@ and on a relabelled table."""
 
 import pytest
 
-from burnloc.abelian import abelian_structure, all_characters, dual_generated_check
+from burnloc.abelian import abelian_structure
 from burnloc.catalog import catalog_from_json, catalog_to_json
 from burnloc.errors import CatalogIncompleteError, ValidationError
 from burnloc.fixtures import fixture_catalog
@@ -16,7 +16,7 @@ from burnloc.groups import all_subgroups, build_group
 from burnloc.relations import generate_relations
 from burnloc.symbols import _dual_generators, _dual_pairs, iter_curve_data, iter_jac_data, iter_surface_data
 from conftest import Z4_COMPOSITE
-from oracles import reference_generate_relations, reference_raw_symbols
+from oracles import reference_generate_relations, reference_kernels, reference_raw_symbols
 from scenarios import (
     LADDER_GROUPS,
     catalog_with_shapes,
@@ -123,16 +123,35 @@ def test_enumerators_yield_the_lattice_path_symbols_in_order(name):
         assert warm == expected
 
 
+def _filters(G):
+    """`_dual_pairs` and `_dual_generators` on every abelian subgroup of G."""
+    return [(H.elements, _dual_pairs(abelian_structure(H)), _dual_generators(abelian_structure(H)))
+            for H in all_subgroups(G) if H.is_abelian()]
+
+
+def _reference_filters(G):
+    """The same lists from the `Fraction` kernels: a pair generates the dual
+    when its kernels meet only in the identity, one character when its kernel
+    is trivial."""
+    out = []
+    for H in all_subgroups(G):
+        if H.is_abelian():
+            kernels = reference_kernels(abelian_structure(H))
+            nontrivial = [b for b in kernels if any(b)]
+            out.append((H.elements,
+                        [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:]
+                         if kernels[b1] & kernels[b2] == {0}],
+                        [b for b in kernels if kernels[b] == {0}]))
+    return out
+
+
 @pytest.mark.parametrize("name", [*LADDER_GROUPS, *ORDER_64, "C4^3"])
 def test_kernel_filters_equal_dual_generated_check(name):
+    # the enumerators' filters ask the structure's kernel memo
     spec = {"kind": "abelian", "factors": [4, 4, 4]} if name == "C4^3" else {**LADDER_GROUPS, **ORDER_64}[name]
-    G = build_group(spec)
-    for H in all_subgroups(G):
-        if not H.is_abelian():
-            continue
-        struct = abelian_structure(H)
-        characters = list(all_characters(struct))
-        nontrivial = [b for b in characters if not b.is_trivial()]
-        assert _dual_pairs(struct) == [(b1, b2) for i, b1 in enumerate(nontrivial) for b2 in nontrivial[i:]
-                                       if dual_generated_check(b1, b2)]
-        assert _dual_generators(struct) == [b for b in characters if dual_generated_check(b)]
+    for labelled in _labellings(spec):
+        clear_engine_caches()
+        expected = _reference_filters(build_group(labelled))
+        G = build_group(labelled)
+        assert _filters(G) == expected  # cold: kernels computed and recorded
+        assert _filters(G) == expected  # warm: read from the kernel memo

@@ -1,18 +1,33 @@
 """The cold pass's shortcuts against their slow paths in `oracles`: canonical
 forms read from per-stabilizer frames against the frame of each (kind, h, y)
-found by walking the transporter; the character arithmetic of the relation
-pass, on bare coordinate tuples, against `Character` objects and the
-`Fraction` evaluation; and the curve enumerator's rank test from element
-orders against the invariant factors."""
+found by walking the transporter; the character arithmetic on coordinate
+tuples (reduce, kernel, order, restrict), which the relation pass, symbol
+validation and the blow-ups share, against the `Fraction` evaluation, cold,
+warm and on a relabelled table; and the curve enumerator's rank test from
+element orders against the invariant factors."""
 
+from math import lcm
 from operator import add, neg, sub
 
 import pytest
 
-from burnloc.abelian import abelian_structure, all_characters
+from burnloc.abelian import abelian_structure
 from burnloc.groups import all_subgroups, build_group
-from burnloc.symbols import _curve_data, _jac_data, _rank_at_most_two, _surface_data, canonical_form, iter_curve_data
-from oracles import character_from_values, reference_evaluate, reference_frame_form
+from burnloc.symbols import (
+    _rank_at_most_two,
+    canonical_form,
+    iter_curve_data,
+    iter_jac_data,
+    iter_surface_data,
+)
+from oracles import (
+    all_coordinates,
+    reference_evaluate,
+    reference_frame_form,
+    reference_kernel,
+    reference_order,
+    reference_restrict,
+)
 from scenarios import LADDER_GROUPS, catalog_with_shapes, dihedral_table, direct_product, generated_catalog, relabel
 
 ORDER_64 = {
@@ -34,7 +49,7 @@ FRAME_CASES.update({f"{name}/all-shapes": (LADDER_GROUPS[name], _all_shapes_cata
 
 
 def _enumerated(G, catalog):
-    return [*_curve_data(G, catalog), *_surface_data(G, catalog), *_jac_data(G, catalog)]
+    return [*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)]
 
 
 @pytest.mark.parametrize("name", FRAME_CASES)
@@ -46,36 +61,68 @@ def test_stabilizer_frames_give_the_transporter_walk_forms(name):
         catalog = make_catalog(G)
         data = _enumerated(G, catalog)
         assert data
-        expected = [reference_frame_form(raw, G, chars) for raw, chars in data]
+        expected = [reference_frame_form(raw, G) for raw in data]
         G = build_group(labelled)  # cold: no frame built yet
-        assert [canonical_form(raw, G, chars) for raw, chars in _enumerated(G, catalog)] == expected
+        assert [canonical_form(raw, G) for raw in _enumerated(G, catalog)] == expected
         assert G.frames
-        assert [canonical_form(raw, G, chars) for raw, chars in data] == expected  # warm
+        assert [canonical_form(raw, G) for raw in data] == expected  # warm
+
+
+def _coordinate_answers(G, subgroups):
+    """Per abelian subgroup: every kernel, order, negative, sum and difference
+    of its characters in coordinates, and every restriction to a kernel."""
+    out = []
+    for H in subgroups:
+        struct = abelian_structure(H)
+        characters = all_coordinates(struct)
+        kernels = {b: struct.kernel(b) for b in characters}
+        out.append((H.elements, kernels, {b: len(H.elements) // len(kernels[b]) for b in characters},
+                    [struct.reduce(map(neg, b)) for b in characters],
+                    [(struct.reduce(map(add, b, c)), struct.reduce(map(sub, b, c))) for b in characters for c in characters],
+                    [struct.restrict(b, K) for K in _kernel_subgroups(G, kernels) for b in characters]))
+    return out
+
+
+def _reference_answers(G, subgroups):
+    """`_coordinate_answers` from the `Fraction` values alone: a sum or
+    difference is the character whose values at the basis, scaled by the
+    exponent e of H to integers mod e, are the sums or differences of its
+    terms' values."""
+    out = []
+    for H in subgroups:
+        struct = abelian_structure(H)
+        characters = all_coordinates(struct)
+        e = lcm(*struct.invariant_factors)
+        at_basis = {b: tuple(int(reference_evaluate(struct, b, h) * e) for h in struct.basis) for b in characters}
+        by_values = {values: b for b, values in at_basis.items()}
+
+        def combined(b, c, sign):
+            return by_values[tuple((v + sign * w) % e for v, w in zip(at_basis[b], at_basis[c]))]
+
+        zero = characters[0]
+        kernels = {b: reference_kernel(struct, b) for b in characters}
+        out.append((H.elements, kernels, {b: reference_order(struct, b) for b in characters},
+                    [combined(zero, b, -1) for b in characters],
+                    [(combined(b, c, 1), combined(b, c, -1)) for b in characters for c in characters],
+                    [reference_restrict(struct, b, K) for K in _kernel_subgroups(G, kernels) for b in characters]))
+    return out
+
+
+def _kernel_subgroups(G, kernels):
+    distinct = set(kernels.values())
+    return [K for K in all_subgroups(G) if K.elements in distinct]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_coordinate_arithmetic_equals_characters(name):
-    G = build_group(GROUPS[name])
-    for H in all_subgroups(G):
-        if not H.is_abelian():
-            continue
-        struct = abelian_structure(H)
-        characters = list(all_characters(struct))
-        kernels = set()
-        for b in characters:
-            kernel = struct.kernel(b.coords)
-            assert kernel == tuple(x for x in H.elements if reference_evaluate(b, x) == 0)
-            assert len(H.elements) // len(kernel) == b.order()
-            assert struct.reduce(map(neg, b.coords)) == (-b).coords
-            for c in characters:
-                assert struct.reduce(map(add, b.coords, c.coords)) == (b + c).coords
-                assert struct.reduce(map(sub, b.coords, c.coords)) == (b - c).coords
-            kernels.add(kernel)
-        for kernel in kernels:
-            K = next(K for K in all_subgroups(G) if K.elements == kernel)
-            for b in characters:
-                expected = character_from_values(abelian_structure(K), lambda x: reference_evaluate(b, x))
-                assert struct.restrict(b.coords, K) == expected.coords
+    base = build_group(GROUPS[name])
+    for spec in (GROUPS[name], {"kind": "table", "mul": relabel(base.mul, 5)}):
+        R = build_group(spec)
+        expected = _reference_answers(R, [H for H in all_subgroups(R) if H.is_abelian()])
+        G = build_group(spec)
+        abelian = [H for H in all_subgroups(G) if H.is_abelian()]
+        assert _coordinate_answers(G, abelian) == expected  # cold: kernels computed and recorded
+        assert _coordinate_answers(G, abelian) == expected  # warm: read from the memos
 
 
 @pytest.mark.parametrize("name", GROUPS)

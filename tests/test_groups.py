@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from burnloc.abelian import abelian_structure, all_characters, character_kernel
+from burnloc.abelian import abelian_structure
 from burnloc.errors import ValidationError
 from burnloc.groups import (
     Subgroup,
@@ -15,7 +15,7 @@ from burnloc.groups import (
     quotient,
     subgroups_up_to_conjugacy,
 )
-from oracles import reference_abelian_basis, reference_subgroups_within, trivial_subgroup
+from oracles import all_coordinates, reference_abelian_basis, reference_subgroups_within, trivial_subgroup
 from scenarios import cyclic_table, dihedral_table, direct_product, relabel, symmetric_table
 
 
@@ -196,7 +196,8 @@ def test_returned_subgroups_are_closed(s3, d4):
             derived = [H, centralizer(G, H), normalizer(G, H), Subgroup.generated(G, H.elements[-1:])]
             derived += [H.conjugate(g) for g in G.elements()]
             if H.is_abelian():
-                derived += [character_kernel(b) for b in all_characters(abelian_structure(H))]
+                struct = abelian_structure(H)
+                derived += [Subgroup.trusted(G, struct.kernel(b)) for b in all_coordinates(struct)]
             for S in derived:
                 assert Subgroup(G, S.elements) == S
 

@@ -1,9 +1,13 @@
+import json
+
 import pytest
 
-from burnloc.abelian import abelian_structure, all_characters, dual_generated_check
+from burnloc.abelian import abelian_structure
+from burnloc.cli import main
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE
 from burnloc.errors import ValidationError
 from burnloc.groups import all_subgroups, build_group
+from burnloc.models import BlowupCenter, ModelDescription, blowup
 from burnloc.symbols import (
     BurnsideClass,
     Symbol,
@@ -13,7 +17,7 @@ from burnloc.symbols import (
     text_form,
     validate_symbol,
 )
-from oracles import reference_transport_symbol
+from oracles import all_coordinates, character_span, reference_transport_symbol
 
 S1 = Symbol("curve", (0, 1), (0,), "triv-C", ((1,), (1,)))
 
@@ -26,6 +30,28 @@ def test_trivial_weight_is_rejected(z2, hyper_cat):
     bad = Symbol("curve", (0, 1), (0,), "triv-C", ((0,), (1,)))
     problems = validate_symbol(bad, z2, hyper_cat)
     assert any("nontrivial" in p for p in problems)
+
+
+@pytest.mark.parametrize("weight", [(), (1, 0)], ids=["short", "long"])
+def test_weights_of_the_wrong_length_are_refused_at_every_boundary(weight, z2, hyper_cat, tmp_path, capsys):
+    # a weight is checked against the number of invariant factors before it is
+    # reduced: reducing alone would drop the extra coordinate of (1, 0)
+    message = "character coordinates do not match the structure"
+    bad = Symbol("curve", (0, 1), (0,), "triv-C", (weight, (1,)))
+    assert validate_symbol(bad, z2, hyper_cat) == [f"weights: {message}"]
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"terms": [{"coeff": 1, "symbol": {
+        "kind": "curve", "h": [0, 1], "action": "triv-C", "weights": [list(weight), [1]]}}]}))
+    b.write_text('{"terms": []}')
+    code = main(["equal", "--group", '{"kind":"cyclic","n":2}', "--catalog", "hyperelliptic-Z2",
+                 "--a", str(a), "--b", str(b)])
+    assert code == 2 and f"weights: {message}" in capsys.readouterr().err
+
+    model = ModelDescription(group=z2, catalog=hyper_cat)
+    center = BlowupCenter(case=2, curve_label="triv-C", context_stabilizer=(0, 1), context_weight=weight)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        blowup(model, center)
 
 
 def test_surface_weight_must_generate_dual(z4, z4_cat):
@@ -115,16 +141,16 @@ def brute_force_symbol_scan(G, catalog):
                         candidates = [()]
                     else:
                         struct = abelian_structure(H)
-                        chars = [b for b in all_characters(struct) if not b.is_trivial()]
+                        chars = [b for b in all_coordinates(struct) if any(b)]
                         if kind == "curve":
                             candidates = [
-                                (a.coords, b.coords)
+                                (a, b)
                                 for i, a in enumerate(chars)
                                 for b in chars[i:]
-                                if dual_generated_check(a, b)
+                                if len(character_span(struct, a, b)) == H.order
                             ]
                         else:
-                            candidates = [(b.coords,) for b in chars if dual_generated_check(b)]
+                            candidates = [(b,) for b in chars if len(character_span(struct, b)) == H.order]
                     for weights in candidates:
                         sym = Symbol(kind, H.elements, Y.elements, label.id, weights)
                         if validate_symbol(sym, G, catalog) == []:

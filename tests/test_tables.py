@@ -2,9 +2,9 @@
 the conjugacy class table and the canonical frame memo that `canonicalize`
 reads, the quotient intern map that lets equal quotient tables share one
 lattice, and the associativity test of the checked group constructor; the
-facts derived objects own: each abelian structure's dual-generation memo and
-each carrier quotient's resolved residual groups; and that all of them are
-freed with the group."""
+facts derived objects own: each abelian structure's kernel memo, which
+answers dual generation, and each carrier quotient's resolved residual
+groups; and that all of them are freed with the group."""
 
 import gc
 import random
@@ -15,7 +15,7 @@ import pytest
 
 import burnloc.cli  # with burnloc.models below, loads every package module for the cache scan
 import burnloc.groups
-from burnloc.abelian import Character, abelian_structure, all_characters, dual_generated_check
+from burnloc.abelian import abelian_structure
 from burnloc.catalog import ActionLabel, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import (
@@ -41,7 +41,7 @@ from burnloc.symbols import (
     iter_surface_data,
     validate_symbol,
 )
-from oracles import character_span, reference_canonicalize, reference_group_problem
+from oracles import all_coordinates, character_span, reference_canonicalize, reference_group_problem
 from scenarios import (
     LADDER_GROUPS,
     _datum,
@@ -212,18 +212,19 @@ def _dual_answers(G, answer):
     every abelian subgroup representative, keyed by (H, coordinates)."""
     answers = {}
     for H in abelian_subgroups_up_to_conjugacy(G):
-        chars = list(all_characters(abelian_structure(H)))
+        struct = abelian_structure(H)
+        chars = all_coordinates(struct)
         for group in (*((b,) for b in chars), *product(chars, repeat=2)):
-            answers[H.elements, tuple(b.coords for b in group)] = answer(H, group)
+            answers[H.elements, group] = answer(struct, group)
     return answers
 
 
-def _memo_answer(H, group):
-    return dual_generated_check(*group)
+def _memo_answer(struct, group):
+    return struct.generates_dual(*group)
 
 
-def _span_answer(H, group):
-    return len(character_span(*group)) == H.order
+def _span_answer(struct, group):
+    return len(character_span(struct, *group)) == struct.subgroup.order
 
 
 @pytest.mark.parametrize("name", LADDER_GROUPS)
@@ -232,26 +233,11 @@ def test_dual_memo_matches_span_oracle_cold_warm_and_relabelled(name):
     for spec in (LADDER_GROUPS[name], {"kind": "table", "mul": relabel(base.mul, 6)}):
         clear_engine_caches()
         G = build_group(spec)
-        assert all(not abelian_structure(H)._dual for H in abelian_subgroups_up_to_conjugacy(G))
+        assert all(not abelian_structure(H)._kernels for H in abelian_subgroups_up_to_conjugacy(G))
         expected = _dual_answers(G, _span_answer)
-        assert _dual_answers(G, _memo_answer) == expected  # cold: computed and recorded
-        assert _dual_answers(G, _memo_answer) == expected  # warm: read from the memo
+        assert _dual_answers(G, _memo_answer) == expected  # cold: kernels computed and recorded
+        assert _dual_answers(G, _memo_answer) == expected  # warm: read from the kernel memo
         assert_tables_bounded(G)
-
-
-def test_dual_memo_records_no_failed_call():
-    G = build_group(LADDER_GROUPS["C4xC4"])
-    hosts = [abelian_structure(H) for H in abelian_subgroups_up_to_conjugacy(G) if H.order > 1]
-    small, large = hosts[0], hosts[-1]
-    before = (dict(small._dual), dict(large._dual))
-    mixed = (Character(small, (1,) * len(small.invariant_factors)),
-             Character(large, (1,) * len(large.invariant_factors)))
-    for _ in range(3):
-        with pytest.raises(ValidationError, match="characters live on different host subgroups"):
-            dual_generated_check(*mixed)
-        with pytest.raises(ValidationError, match="dual_generated_check needs at least one character"):
-            dual_generated_check()
-    assert (small._dual, large._dual) == before
 
 
 def _resolved_ys(G, catalog):

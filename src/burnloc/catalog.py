@@ -336,7 +336,7 @@ def catalog_from_json(data: dict, name: str = "") -> ActionCatalog:
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed catalog JSON: {exc!r}") from exc
     return ActionCatalog(
         curve=curve, labels=labels, induce_rules=induce,

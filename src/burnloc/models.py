@@ -464,7 +464,7 @@ def model_from_json(data: dict, catalog_loader, name: str = "") -> ModelDescript
             raise ValidationError("counts must be a triple [I1, I2, I3]")
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model JSON: {exc!r}") from exc
     return ModelDescription(
         group=group, catalog=catalog, strata=strata, jacobian_factors=factors,

@@ -5,12 +5,11 @@ Everything runs on native Python integers, so intermediate entries may grow
 without overflow.  Row convention throughout: the lattice is the set of integer
 combinations of the rows.
 
-The Smith normal form of a relation matrix, a very sparse system of +-1
-entries, is computed in two stages (after Dumas, Saunders & Villard, "On
-efficient sparse integer matrix Smith normal form computations", J. Symb.
-Comput. 32, 2001): +-1 pivots are eliminated on sparse rows, least Markowitz
-cost first, and a dense block-minimum Euclid loop reduces only the residual
-block that has no +-1 entry left.
+One elimination kernel, `_hermite`, serves both normal forms.  A row lattice
+is held in the Hermite form of its rows; the Smith form alternates Hermite
+forms of the rows and of the columns (Kannan & Bachem, "Polynomial algorithms
+for computing the Smith and Hermite normal forms of an integer matrix", SIAM
+J. Comput. 8, 1979), splitting off a factor 1 at every unit pivot.
 
 Hermite forms are built by sparse row insertion: each row is reduced against
 a table of echelon rows keyed by pivot column, subtracting a multiple where
@@ -26,8 +25,9 @@ certificates read, are built on first read.
 from __future__ import annotations
 
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import compress
+from math import gcd
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -191,151 +191,36 @@ def hermite_normal_form(rows, ncols: int, with_transform: bool = False):
     return [_dense(row, ncols) for row in _hermite(sparse, ncols) if row]
 
 
-def _block_min(M, t: int, nrows: int, ncols: int):
-    best = None
-    for i in range(t, nrows):
-        row = M[i]
-        for j in range(t, ncols):
-            v = row[j]
-            if v != 0 and (best is None or abs(v) < abs(M[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _dense_smith_diagonal(rows, ncols: int) -> tuple[int, ...]:
-    """SNF diagonal by a dense block-minimum Euclid loop over the whole matrix.
-
-    `smith_normal_form` runs it on the block that unit-pivot elimination leaves;
-    on a full matrix it is the reference the sparse route is tested against.
-    """
-    M = [list(r) for r in rows]
-    nrows = len(M)
-    diag: list[int] = []
-    t = 0
-    while t < nrows and t < ncols:
-        best = _block_min(M, t, nrows, ncols)
-        if best is None:
-            break
-        while True:
-            # move a minimal nonzero entry of the block into pivot position,
-            # then run one full reduction pass of the pivot's column and row;
-            # remainders are strictly smaller than the pivot, so re-picking the
-            # minimum makes this a multi-entry Euclid loop
-            i0, j0 = best
-            if i0 != t:
-                M[t], M[i0] = M[i0], M[t]
-            if j0 != t:
-                for row in M:
-                    row[t], row[j0] = row[j0], row[t]
-            pivot = M[t][t]
-            for i in range(t + 1, nrows):
-                if M[i][t] != 0:
-                    q = M[i][t] // pivot
-                    if q:
-                        M[i] = [x - q * y for x, y in zip(M[i], M[t])]
-            if all(M[i][t] == 0 for i in range(t + 1, nrows)):
-                for j in range(t + 1, ncols):
-                    if M[t][j] != 0:
-                        q = M[t][j] // pivot
-                        if q:
-                            for row in M:
-                                row[j] -= q * row[t]
-            best = None
-            for i in range(t + 1, nrows):
-                if M[i][t] != 0 and (best is None or abs(M[i][t]) < abs(M[best[0]][best[1]])):
-                    best = (i, t)
-            for j in range(t + 1, ncols):
-                if M[t][j] != 0 and (best is None or abs(M[t][j]) < abs(M[best[0]][best[1]])):
-                    best = (t, j)
-            if best is None:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        d = abs(M[t][t])
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if M[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            M[t] = [x + y for x, y in zip(M[t], M[offender])]
-            continue  # redo elimination at the same t with a smaller gcd ahead
-        diag.append(d)
-        t += 1
-    return tuple(diag)
-
-
-def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Eliminate +-1 pivots from sparse rows (column -> nonzero entry, changed
-    in place); returns how many were eliminated and the nonzero rows left.
-
-    Each pivot is a +-1 entry of least Markowitz cost (row length - 1) x
-    (column count - 1).  Its column is cleared from the other rows by row
-    operations, then the pivot row is emptied: with a unit pivot,
-    column operations clear the rest of that row without touching any other,
-    so the pivot splits off one invariant factor 1 and the remaining rows,
-    less its column, carry the rest of the Smith form.  Stops when no +-1
-    entry is left.
-    """
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-
-    # lazy heap: a popped entry that is no longer +-1 is dropped, one whose
-    # cost has grown since it was pushed goes back with its current cost
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows) for j, v in row.items() if v in (1, -1)]
-    heapify(heap)
-    eliminated = 0
-    while heap:
-        key, r, c = heappop(heap)
-        pivot_row = rows[r]
-        if pivot_row.get(c) not in (1, -1):
-            continue
-        now = cost(r, c)
-        if now > key:
-            heappush(heap, (now, r, c))
-            continue
-        p = pivot_row[c]
-        for i in col_rows[c] - {r}:
-            row = rows[i]
-            f = row[c] * p  # p is its own inverse
-            for j, v in pivot_row.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = x
-                else:
-                    del row[j]
-                    col_rows[j].discard(i)
-            for j, v in row.items():
-                if v in (1, -1):
-                    heappush(heap, (cost(i, j), i, j))
-        for j in pivot_row:
-            col_rows[j].discard(r)
-        rows[r] = {}
-        eliminated += 1
-    return eliminated, [row for row in rows if row]
-
-
 def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form (d1 | d2 | ..., all positive).
 
-    Unit pivots go first: +-1 entries are eliminated sparsely, cheapest by
-    Markowitz cost first, each giving one invariant factor 1.  The dense
-    Euclid loop then runs only on the residual block, the rows and columns
-    that still hold an entry once no +-1 entry is left.
+    Hermite forms of the rows and of the columns alternate (Kannan & Bachem,
+    SIAM J. Comput. 8, 1979), all by `_hermite`.  A unit pivot is the only
+    entry of its column, since the entries above a pivot lie in [0, pivot),
+    so column operations clear its row without touching another: it splits
+    off one factor 1.  The other rows are transposed and put in Hermite form
+    again, until every row holds only its pivot; that diagonal is brought to
+    d1 | d2 | ... by pairwise gcd and lcm, e.g. (4, 6) -> (2, 12).
     """
-    eliminated, left = _eliminate_unit_pivots(_sparse_rows(rows, ncols))
-    cols = sorted({j for row in left for j in row})
-    residual = [[row.get(j, 0) for j in cols] for row in left]
-    return (1,) * eliminated + _dense_smith_diagonal(residual, len(cols))
+    rows = _sparse_rows(rows, ncols)
+    units = 0
+    while True:
+        basis = [row for row in _hermite(rows, ncols) if row]
+        left = [row for row in basis if row[0][1] != 1]
+        units += len(basis) - len(left)
+        if all(len(row) == 1 for row in left):
+            break
+        columns: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(left):
+            for j, x in row:
+                columns.setdefault(j, {})[i] = x
+        rows, ncols = list(columns.values()), len(left)
+    diag = [row[0][1] for row in left]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return (1,) * units + tuple(diag)
 
 
 def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:

@@ -9,7 +9,9 @@ from p-torsion counts of the enumerated cosets.
 
 The dense references are the Hermite form by column-by-column elimination on
 full rows, with the transform carried in m extra columns (the reference for
-the sparse insertion form of burnloc.normalforms), and the lattice queries on
+the sparse insertion form of burnloc.normalforms), the Smith diagonal by a
+block-minimum Euclid loop on full rows (the reference for the alternating
+Hermite forms of `smith_normal_form`), and the lattice queries on
 full-length Hermite rows (membership, coset reduction and certificates, pivot
 by pivot in basis order), against which the sparse reduction of
 `IntegerLattice` is tested.  The helpers
@@ -330,6 +332,80 @@ def dense_hermite_normal_form(rows, ncols, with_transform=False):
     if with_transform:
         return H, [tuple(row[ncols:]) for row in M[:r]]
     return H
+
+
+def _block_min(M, t: int, nrows: int, ncols: int):
+    best = None
+    for i in range(t, nrows):
+        row = M[i]
+        for j in range(t, ncols):
+            v = row[j]
+            if v != 0 and (best is None or abs(v) < abs(M[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def dense_smith_diagonal(rows, ncols: int) -> tuple[int, ...]:
+    """SNF diagonal by a dense block-minimum Euclid loop over the whole matrix:
+    the reference the alternating Hermite route of `smith_normal_form` is
+    tested against."""
+    M = [list(r) for r in rows]
+    nrows = len(M)
+    diag: list[int] = []
+    t = 0
+    while t < nrows and t < ncols:
+        best = _block_min(M, t, nrows, ncols)
+        if best is None:
+            break
+        while True:
+            # move a minimal nonzero entry of the block into pivot position,
+            # then run one full reduction pass of the pivot's column and row;
+            # remainders are strictly smaller than the pivot, so re-picking the
+            # minimum makes this a multi-entry Euclid loop
+            i0, j0 = best
+            if i0 != t:
+                M[t], M[i0] = M[i0], M[t]
+            if j0 != t:
+                for row in M:
+                    row[t], row[j0] = row[j0], row[t]
+            pivot = M[t][t]
+            for i in range(t + 1, nrows):
+                if M[i][t] != 0:
+                    q = M[i][t] // pivot
+                    if q:
+                        M[i] = [x - q * y for x, y in zip(M[i], M[t])]
+            if all(M[i][t] == 0 for i in range(t + 1, nrows)):
+                for j in range(t + 1, ncols):
+                    if M[t][j] != 0:
+                        q = M[t][j] // pivot
+                        if q:
+                            for row in M:
+                                row[j] -= q * row[t]
+            best = None
+            for i in range(t + 1, nrows):
+                if M[i][t] != 0 and (best is None or abs(M[i][t]) < abs(M[best[0]][best[1]])):
+                    best = (i, t)
+            for j in range(t + 1, ncols):
+                if M[t][j] != 0 and (best is None or abs(M[t][j]) < abs(M[best[0]][best[1]])):
+                    best = (t, j)
+            if best is None:
+                break
+        # enforce divisibility of the remaining block by the pivot
+        d = abs(M[t][t])
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if M[i][j] % d != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            M[t] = [x + y for x, y in zip(M[t], M[offender])]
+            continue  # redo elimination at the same t with a smaller gcd ahead
+        diag.append(d)
+        t += 1
+    return tuple(diag)
 
 
 def kernel_basis(rows, ncols):

@@ -178,11 +178,15 @@ _CLASS_ARGS = ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class",
         "group": {"kind": "cyclic", "n": 2}, "catalog": "hyperelliptic-Z2", "jacobian_factors": [],
         "strata": [{"kind": "fixed_curve", "stabilizer": ["a"], "residual": "triv-C", "weights": [[1], [1]]}],
     }),
+    (("structure", "--group", Z2, "--catalog", "{file}"), {"curve": {"id": "c", "genus": 2}, "rules": []}),
+    (("verdict", "--model", "{file}"), {
+        "group": {"kind": "cyclic", "n": 2}, "catalog": "hyperelliptic-Z2", "curve": "x", "strata": [],
+    }),
     (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "symbol": {**_CLASS_TERM["symbol"], "h": "x"}}]}),
     (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": "x"}]}),
     (_CLASS_ARGS, [_CLASS_TERM]),
 ], ids=["cyclic-n-text", "cyclic-n-missing", "perm-entry-text", "catalog-genus-text", "model-stabilizer-text",
-        "class-h-text", "class-coeff-text", "class-list"])
+        "catalog-rules-list", "model-curve-text", "class-h-text", "class-coeff-text", "class-list"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from burnloc.errors import ValidationError
 from burnloc.normalforms import (
     IntegerLattice,
-    _dense_smith_diagonal,
-    _eliminate_unit_pivots,
     cokernel_structure,
     hermite_normal_form,
     smith_normal_form,
@@ -21,6 +19,7 @@ from oracles import (
     dense_contains,
     dense_hermite_normal_form,
     dense_reduce,
+    dense_smith_diagonal,
     det_int,
     enumerate_cosets,
     exhaustive_member,
@@ -70,34 +69,49 @@ def _sparse_relation_matrix(rng, units=True):
     return rows, ncols
 
 
-def _sparse(rows):
-    return [{j: v for j, v in enumerate(r) if v} for r in rows]
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_snf_matches_dense_oracle_on_sparse_matrices(seed):
     rows, ncols = _sparse_relation_matrix(random.Random(seed))
-    assert smith_normal_form(rows, ncols) == _dense_smith_diagonal(rows, ncols)
+    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_snf_without_unit_entries_is_the_dense_form(seed):
     rows, ncols = _sparse_relation_matrix(random.Random(seed), units=False)
-    eliminated, left = _eliminate_unit_pivots(_sparse(rows))
-    assert eliminated == 0
-    assert left == [row for row in _sparse(rows) if row]
-    assert smith_normal_form(rows, ncols) == _dense_smith_diagonal(rows, ncols)
+    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
 
 
 def test_snf_full_unit_elimination_leaves_no_residual():
-    # upper unitriangular with a repeated and a zero row: every pivot is +-1,
-    # and the fill-in from the dependent rows cancels to nothing
+    # upper unitriangular with a repeated and a zero row: the first Hermite
+    # form has only unit pivots, and the dependent rows reduce to nothing
     rows = [(1, 2, -1, 0), (0, -1, 3, 1), (0, 0, 1, -2), (0, -1, 3, 1), (0, 0, 0, 0)]
-    eliminated, left = _eliminate_unit_pivots(_sparse(rows))
-    assert (eliminated, left) == (3, [])
-    assert smith_normal_form(rows, 4) == (1, 1, 1) == _dense_smith_diagonal(rows, 4)
+    assert smith_normal_form(rows, 4) == (1, 1, 1) == dense_smith_diagonal(rows, 4)
+
+
+def test_snf_hermite_input_needs_a_column_round():
+    # already in Hermite form with no unit pivot: the factor 1 only shows once
+    # the columns are put in Hermite form too
+    assert smith_normal_form([(2, 1), (0, 2)], 2) == (1, 4)
+    assert smith_normal_form([(2, 1, 0), (0, 2, 1), (0, 0, 2)], 3) == (1, 1, 8)
+
+
+def test_snf_diagonal_needs_gcd_lcm():
+    # a diagonal is its own Hermite form either way; only gcd/lcm makes d1 | d2
+    assert smith_normal_form([(4, 0), (0, 6)], 2) == (2, 12)
+    assert smith_normal_form([(9, 0, 0), (0, 6, 0), (0, 0, 4)], 3) == (1, 6, 36)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_snf_matches_dense_oracle_on_dense_matrices(seed):
+    # dense, up to 7x7, entries up to +-60: several column rounds and large
+    # gcd steps, where relation-shaped rows mostly split off units at once
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    rows = [tuple(rng.randint(-60, 60) for _ in range(ncols)) for _ in range(nrows)]
+    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
 
 
 def test_snf_rejects_wrong_row_length():

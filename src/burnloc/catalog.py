@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from math import prod
 
 from .abelian import abelian_structure, normalize_factors, shape_name
 from .errors import CatalogIncompleteError, ValidationError
@@ -36,10 +37,7 @@ class GroupShape(namedtuple("GroupShape", "factors order")):
     @classmethod
     def abelian(cls, factors) -> "GroupShape":
         fs = normalize_factors(factors)
-        n = 1
-        for d in fs:
-            n *= d
-        return cls(factors=fs, order=n)
+        return cls(factors=fs, order=prod(fs))
 
     @classmethod
     def from_json(cls, data) -> "GroupShape":
@@ -230,9 +228,7 @@ def validate_catalog(catalog: ActionCatalog) -> list[str]:
             continue
         if src is not None and tgt is not None:
             index = 1 if rule.weights == "equal" else rule.weights
-            h_order = 1
-            for d in rule.h_factors:
-                h_order *= d
+            h_order = prod(rule.h_factors)
             if h_order % index != 0:
                 problems.append(f"{desc}: diff order {index} does not divide |H| = {h_order}")
             expected = src.group_shape.order * index
@@ -269,12 +265,8 @@ def validate_catalog(catalog: ActionCatalog) -> list[str]:
         if rule.trivial_part == "none" and not src.faithful:
             problems.append(f"{desc}: trivial_part='none' needs a faithful label")
         y1_order = src.group_shape.order if rule.trivial_part == "all" else 1
-        h_order = 1
-        for d in rule.h_factors:
-            h_order *= d
-        h1_order = 1
-        for d in rule.target_h_factors:
-            h1_order *= d
+        h_order = prod(rule.h_factors)
+        h1_order = prod(rule.target_h_factors)
         if h1_order != h_order * y1_order:
             problems.append(f"{desc}: |H1| = {h1_order} != |H|*|Y1| = {h_order * y1_order}")
         if rule.trivial_part == "all" and not tgt.group_shape.is_trivial():

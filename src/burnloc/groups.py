@@ -32,6 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .errors import ValidationError
@@ -300,9 +301,7 @@ def build_group(spec: dict, bound: int | None = None) -> FiniteGroup:
             factors = [int(d) for d in spec["factors"]]
             if any(d < 1 for d in factors):
                 raise ValidationError("abelian factors must be positive")
-            n = 1
-            for d in factors:
-                n *= d
+            n = prod(factors)
             if n > limit:
                 raise ValidationError(f"group order {n} exceeds bound {limit}")
             name = "x".join(f"C{d}" for d in factors) or "C1"
@@ -506,7 +505,7 @@ class QuotientGroup:
     shape, declared generators or None); only successes are kept.
     """
 
-    __slots__ = ("group", "sub", "kernel", "coset_of", "reps", "resolved")
+    __slots__ = ("group", "coset_of", "reps", "resolved")
 
     def __init__(self, N: Subgroup, H: Subgroup):
         G = N.ambient
@@ -530,8 +529,6 @@ class QuotientGroup:
         table = tuple(tuple(coset_of[G.mul[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
         # equal quotient tables share one group object, and with it one lattice
         self.group = G._interned.get(table) or G._interned.setdefault(table, FiniteGroup.trusted(table))
-        self.sub = N
-        self.kernel = H
         self.coset_of = coset_of
         self.reps = tuple(reps)
         self.resolved = {}

@@ -475,7 +475,9 @@ def model_from_json(data: dict, catalog_loader, name: str = "") -> ModelDescript
 def center_from_json(data: dict) -> BlowupCenter:
     try:
         case = int(data["case"])
-        context = data.get("context") or {}
+        context = data.get("context", {})
+        if not isinstance(context, dict):
+            raise TypeError(f"context must be an object, got {context!r}")
         return BlowupCenter(
             case=case,
             stratum=int(data["stratum"]) if "stratum" in data else None,

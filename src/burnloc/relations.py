@@ -234,7 +234,9 @@ class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
     """Admitted (H, Y) pairs up to conjugacy.
 
     Each pair is stored as (H elements, preimage-of-Y elements), both inside the
-    ambient group, which makes matching independent of the symbol kind.
+    ambient group, which makes matching independent of the symbol kind.  Each
+    call reads the pairs' conjugates off the rows of G's conjugation table once;
+    a symbol is admitted when its (H, preimage of Y) is one of them.
     """
 
     __slots__ = ()
@@ -245,48 +247,55 @@ class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
         return cls(pairs=((full, full),), name="max-stabilizer")
 
     def admits(self, sym: Symbol, G: FiniteGroup) -> bool:
-        Q = carrier_quotient(G, sym.h, sym.kind)
-        upstairs = frozenset(Q.preimage(sym.y))
-        h_set = frozenset(sym.h)
-        for h_pair, p_pair in self.pairs:
-            h_target, p_target = frozenset(h_pair), frozenset(p_pair)
-            for g in G.elements():
-                if {G.conj(g, x) for x in h_set} == h_target and {G.conj(g, x) for x in upstairs} == p_target:
-                    return True
-        return False
+        return sym in _admitted(self, G, (sym,))
 
 
-def check_filter_closure(f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog, relations=None) -> None:
-    """Refuse filters under which some generated relation mixes admitted and dropped symbols."""
-    if relations is None:
-        relations = generate_relations(G, catalog)
+def _admitted(f: FilterSpec, G: FiniteGroup, symbols) -> set[Symbol]:
+    """The symbols among `symbols` that f admits."""
+    conjugates = {(frozenset(row[x] for x in h), frozenset(row[x] for x in p))
+                  for row in G.conj_table() for h, p in f.pairs}
+    return {s for s in symbols
+            if (frozenset(s.h), frozenset(carrier_quotient(G, s.h, s.kind).preimage(s.y))) in conjugates}
+
+
+def _filter_pass(f: FilterSpec, G: FiniteGroup, relations, symbols=()):
+    """(admitted among `symbols` and the relations' supports, vectors of the
+    relations supported on them); a relation mixing the two refuses the filter."""
+    admitted = _admitted(f, G, set(symbols).union(*(rel.vector.support() for rel in relations)))
+    kept = []
     for rel in relations:
-        flags = [f.admits(s, G) for s in rel.vector.support()]
-        if any(flags) and not all(flags):
+        support = rel.vector.support()
+        if admitted.issuperset(support):
+            kept.append(rel.vector)
+        elif not admitted.isdisjoint(support):
             raise ValidationError(
                 f"filter closure violation: relation {rel.rule}{dict(rel.params)} mixes admitted "
                 "and non-admitted symbols"
             )
+    return admitted, tuple(kept)
+
+
+def check_filter_closure(f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog, relations=None) -> None:
+    """Refuse filters under which some generated relation mixes admitted and dropped symbols."""
+    _filter_pass(f, G, generate_relations(G, catalog) if relations is None else relations)
 
 
 def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
     """Drop all symbols outside the filter (after the closure check)."""
     check_filter_closure(f, G, catalog)
-    return BurnsideClass({s: c for s, c in a.terms() if f.admits(s, G)})
+    admitted = _admitted(f, G, a.support())
+    return BurnsideClass({s: c for s, c in a.terms() if s in admitted})
 
 
 def filtered_structure(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> GroupStructure:
     context = BurnsideContext(G, catalog)
-    vectors = filtered_relation_vectors(G, catalog, f, context)
-    admitted = tuple(s for s in context.symbols if f.admits(s, G))
-    return structure_from(admitted, vectors)
+    admitted, vectors = _filter_pass(f, G, generate_relations(G, catalog, context), context.symbols)
+    return structure_from((s for s in context.symbols if s in admitted), vectors)
 
 
 def filtered_relation_vectors(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec,
                               context: BurnsideContext | None = None) -> tuple[BurnsideClass, ...]:
-    relations = generate_relations(G, catalog, context)
-    check_filter_closure(f, G, catalog, relations)
-    return tuple(r.vector for r in relations if all(f.admits(s, G) for s in r.vector.support()))
+    return _filter_pass(f, G, generate_relations(G, catalog, context))[1]
 
 
 _PHI_WEIGHTS = {KIND_CURVE: -1, KIND_SURFACE: -2, KIND_JAC: 1}

@@ -101,22 +101,27 @@ def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
     """Diagnostics for the kind-specific invariants; an empty list means valid."""
+    return _check_symbol(sym, G, catalog)[0]
+
+
+def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
+    """(diagnostics, (h sorted, its structure or None, reduced weights) or None)."""
     problems: list[str] = []
     if sym.kind not in _KIND_RANK:
-        return [f"unknown symbol kind {sym.kind!r}"]
+        return [f"unknown symbol kind {sym.kind!r}"], None
     try:
         H = Subgroup(G, sym.h)
     except ValidationError as exc:
-        return [f"stabilizer: {exc}"]
+        return [f"stabilizer: {exc}"], None
     if not catalog.has_label(sym.action):
-        return [f"unknown action label {sym.action!r}"]
+        return [f"unknown action label {sym.action!r}"], None
     label = catalog.label(sym.action)
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     try:
         Y = y_subgroup(G, sym)
     except ValidationError as exc:
-        return problems + [f"residual group: {exc}"]
+        return problems + [f"residual group: {exc}"], None
     if not label.group_shape.matches(Y):
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
 
@@ -127,32 +132,27 @@ def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list
             problems.append("genus >= 2 jacobian actions must be faithful")
         if catalog.curve.genus == 1 and not label.from_curve:
             problems.append("genus-1 jacobian actions must come from a curve action")
-        return problems
+        return problems, (H.elements, None, sym.weights)
 
     if H.is_trivial():
-        problems.append("stabilizer must be nontrivial")
-        return problems
+        return problems + ["stabilizer must be nontrivial"], None
     if not H.is_abelian():
-        problems.append("stabilizer must be abelian")
-        return problems
+        return problems + ["stabilizer must be abelian"], None
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
-        problems.append(f"{sym.kind} symbols carry exactly {expected} weight(s)")
-        return problems
+        return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"], None
     try:
         weights = tuple(map(struct.character, sym.weights))
     except ValidationError as exc:
-        problems.append(f"weights: {exc}")
-        return problems
+        return problems + [f"weights: {exc}"], None
     if not all(map(any, weights)):
-        problems.append("weights must be nontrivial characters")
-        return problems
+        return problems + ["weights must be nontrivial characters"], None
     if not struct.generates_dual(*weights):
         problems.append("weights must generate the full character group of the stabilizer")
     if sym.kind == KIND_SURFACE and not H.is_cyclic():
         problems.append("surface symbols need a cyclic stabilizer")
-    return problems
+    return problems, (H.elements, struct, weights)
 
 
 def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
@@ -168,11 +168,9 @@ def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
 
 def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol | None, list[str]]:
     """(canonical form, []) for a valid symbol and (None, diagnostics) for an
-    invalid one."""
-    problems = validate_symbol(sym, G, catalog)
-    if problems:
-        return None, problems
-    return canonical_form(sym, G), problems
+    invalid one; the form reads h, its structure and the weights off the check."""
+    problems, checked = _check_symbol(sym, G, catalog)
+    return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
 
 
 def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
@@ -183,11 +181,13 @@ def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
     abelian G conjugation is trivial, so this is the symbol with h and y
     sorted and its weights reduced and sorted."""
     h = tuple(sorted(set(sym.h)))
+    struct = abelian_structure(Subgroup.trusted(G, h)) if sym.weights else None
+    return _least_conjugate(sym, G, h, struct, tuple(map(struct.reduce, sym.weights)) if struct else sym.weights)
+
+
+def _least_conjugate(sym: Symbol, G: FiniteGroup, h, struct: AbelianStructure | None, weights) -> Symbol:
+    """`canonical_form` given h sorted, its structure and the reduced weights."""
     y = tuple(sorted(set(sym.y)))
-    weights = sym.weights
-    if weights:
-        struct = abelian_structure(Subgroup.trusted(G, h))
-        weights = tuple(map(struct.reduce, weights))
     if G.is_abelian():
         return Symbol(sym.kind, h, y, sym.action, tuple(sorted(weights)))
     best_h, moves, per_y = _frame(G, sym.kind if y != (0,) else None, h)

@@ -17,7 +17,8 @@ by pivot in basis order), against which the sparse reduction of
 `IntegerLattice` is tested.  The helpers
 are the left-kernel basis read off the Hermite form of [M | I], fraction-free
 rank (cross-checked against the `Fraction` rank), the trivial subgroup and the
-filter of given subgroup pairs.
+filter of given subgroup pairs.  The reference filter admission sweeps every g
+of G per symbol and pair, conjugating element by element.
 
 A character is a coordinate tuple on an `AbelianStructure`, as in the
 engine, but the references call none of the engine's character arithmetic
@@ -476,6 +477,20 @@ def filter_from_subgroups(pairs):
         Q = carrier_quotient(H.ambient, H.elements, KIND_JAC)
         out.append((H.elements, Q.preimage(Y.elements)))
     return FilterSpec(pairs=tuple(out))
+
+
+def reference_admits(f, sym, G):
+    """Does the filter admit the symbol?  The brute-force sweep: some g in G
+    carries the symbol's (H, preimage of Y), element by element, onto a pair."""
+    Q = carrier_quotient(G, sym.h, sym.kind)
+    upstairs = frozenset(Q.preimage(sym.y))
+    h_set = frozenset(sym.h)
+    for h_pair, p_pair in f.pairs:
+        h_target, p_target = frozenset(h_pair), frozenset(p_pair)
+        for g in G.elements():
+            if {G.conj(g, x) for x in h_set} == h_target and {G.conj(g, x) for x in upstairs} == p_target:
+                return True
+    return False
 
 
 def all_coordinates(struct):

@@ -166,6 +166,8 @@ def test_inline_group_and_model_file(capsys, tmp_path):
 
 _CLASS_TERM = {"coeff": 1, "symbol": {"kind": "curve", "h": [0, 1], "action": "triv-C", "weights": [[1], [1]]}}
 _CLASS_ARGS = ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class", "{file}")
+_CASE1_CENTER = {"case": 1, "curve_label": "triv-C", "y_reps": []}  # the fixture elliptic-bullet5
+_CENTER_ARGS = ("verify-blowup", "--model", "elliptic-fixed-curve", "--center", "{file}")
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -185,11 +187,25 @@ _CLASS_ARGS = ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class",
     (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "symbol": {**_CLASS_TERM["symbol"], "h": "x"}}]}),
     (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": "x"}]}),
     (_CLASS_ARGS, [_CLASS_TERM]),
+    (_CENTER_ARGS, {**_CASE1_CENTER, "context": "x"}),
+    (_CENTER_ARGS, {**_CASE1_CENTER, "context": []}),
 ], ids=["cyclic-n-text", "cyclic-n-missing", "perm-entry-text", "catalog-genus-text", "model-stabilizer-text",
-        "catalog-rules-list", "model-curve-text", "class-h-text", "class-coeff-text", "class-list"])
+        "catalog-rules-list", "model-curve-text", "class-h-text", "class-coeff-text", "class-list",
+        "center-context-text", "center-context-list"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     code, _, err = run(capsys, *(str(path) if a == "{file}" else a for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("context", ["x", [], [["stabilizer", [0, 1]]], 3, None])
+def test_center_context_must_be_an_object(context):
+    # `"stabilizer" in "x"` is False, so a string or a list must be refused, not read as no context
+    from burnloc.errors import ValidationError
+    from burnloc.models import center_from_json
+
+    with pytest.raises(ValidationError, match="malformed blow-up center JSON"):
+        center_from_json({**_CASE1_CENTER, "context": context})
+    assert center_from_json({**_CASE1_CENTER, "context": {}}) == center_from_json(_CASE1_CENTER)

@@ -28,7 +28,6 @@ def normalize_factors(factors) -> tuple[int, ...]:
     """Canonical invariant-factor form (ascending divisibility, no 1s) of a cyclic-factor list."""
     primary: dict[int, list[int]] = {}
     for d in factors:
-        d = int(d)
         if d < 1:
             raise ValidationError(f"cyclic factor must be positive, got {d}")
         p = 2

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import prod
 
 from .abelian import abelian_structure, normalize_factors, shape_name
-from .errors import CatalogIncompleteError, ValidationError
+from .errors import CatalogIncompleteError, JSONValue, ValidationError, read_json
 from .groups import Subgroup
 
 CURVE = "curve"
@@ -41,11 +41,12 @@ class GroupShape(namedtuple("GroupShape", "factors order")):
 
     @classmethod
     def from_json(cls, data) -> "GroupShape":
-        if isinstance(data, list):
-            return cls.abelian(data)
-        if isinstance(data, dict) and data.get("abelian") is False:
-            return cls(factors=None, order=int(data["order"]))
-        raise ValidationError(f"bad group_shape: {data!r}")
+        shape = read_json(data, "bad group_shape")
+        if isinstance(shape.value, (list, tuple)):
+            return cls.abelian(shape.integers())
+        if not isinstance(shape.value, dict) or shape.field("abelian", JSONValue.boolean, True):
+            shape.fail('a list of cyclic factors or {"order": n, "abelian": false}')
+        return cls(factors=None, order=shape.field("order", JSONValue.integer))
 
     def to_json(self):
         if self.factors is None:
@@ -130,16 +131,13 @@ class ActionCatalog(namedtuple(
         return tuple(validate_catalog(self))
 
     def label(self, label_id: str) -> ActionLabel:
-        try:
-            return self._label_index[label_id]
-        except (KeyError, TypeError):
-            raise ValidationError(f"unknown action label {label_id!r}") from None
+        lab = self._label_index.get(label_id)
+        if lab is None:
+            raise ValidationError(f"unknown action label {label_id!r}")
+        return lab
 
     def has_label(self, label_id: str) -> bool:
-        try:
-            return label_id in self._label_index
-        except TypeError:
-            return False
+        return label_id in self._label_index
 
     def labels_in(self, space: str) -> tuple[ActionLabel, ...]:
         return tuple(lab for lab in self.labels if lab.space == space)
@@ -283,57 +281,59 @@ def ensure_valid_catalog(catalog: ActionCatalog) -> ActionCatalog:
     return catalog
 
 
-def catalog_from_json(data: dict, name: str = "") -> ActionCatalog:
-    try:
-        curve = CurveProfile(
-            id=str(data["curve"]["id"]),
-            genus=int(data["curve"]["genus"]),
-            hyperelliptic=bool(data["curve"].get("hyperelliptic", False)),
-        )
-        labels = tuple(
-            ActionLabel(
-                id=str(lab["id"]),
-                space=str(lab["space"]),
-                group_shape=GroupShape.from_json(lab["group_shape"]),
-                faithful=bool(lab.get("faithful", True)),
-                trivial=bool(lab.get("trivial", False)),
-                from_curve=bool(lab.get("from_curve", False)),
-                underlying_curve_action=lab.get("underlying_curve_action"),
-            )
-            for lab in data.get("labels", [])
-        )
-        rules = data.get("rules", {})
-        induce = tuple(
-            InduceRule(
-                h_factors=normalize_factors(r["h"]),
-                curve_label=str(r["curve_label"]),
-                weights=("equal" if r["weights"] == "equal" else int(r["weights"]["diff_order"])),
-                target=str(r["target"]),
-            )
-            for r in rules.get("induce", [])
-        )
-        jac = tuple(
-            JacobianOfCurveRule(source=str(r["source"]), target=str(r["target"]))
-            for r in rules.get("jacobian_of_curve", [])
-        )
-        ext = tuple(
-            GenusOneExtensionRule(
-                h_factors=normalize_factors(r["h"]),
-                source_label=str(r["label"]),
-                trivial_part=str(r["trivial_part"]),
-                target_h_factors=normalize_factors(r["target_h"]),
-                target_label=str(r["target_label"]),
-            )
-            for r in rules.get("genus_one_extension", [])
-        )
-    except ValidationError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed catalog JSON: {exc!r}") from exc
+def catalog_from_json(data, name: str = "") -> ActionCatalog:
+    doc = read_json(data, "malformed catalog JSON")
+    declared_name = doc.field("name", JSONValue.string, "")
+    curve = doc.field("curve", JSONValue.object)
+    rules = doc.field("rules", JSONValue.object, read_json({}, doc.prefix))
     return ActionCatalog(
-        curve=curve, labels=labels, induce_rules=induce,
-        jacobian_rules=jac, extension_rules=ext, name=name or str(data.get("name", "")),
+        curve=CurveProfile(
+            id=curve.field("id", JSONValue.string),
+            genus=curve.field("genus", JSONValue.integer),
+            hyperelliptic=curve.field("hyperelliptic", JSONValue.boolean, False),
+        ),
+        labels=tuple(
+            ActionLabel(
+                id=lab.field("id", JSONValue.string),
+                space=lab.field("space", JSONValue.string),
+                group_shape=lab.field("group_shape", GroupShape.from_json),
+                faithful=lab.field("faithful", JSONValue.boolean, True),
+                trivial=lab.field("trivial", JSONValue.boolean, False),
+                from_curve=lab.field("from_curve", JSONValue.boolean, False),
+                underlying_curve_action=lab.field("underlying_curve_action", JSONValue.string, None),
+            )
+            for lab in doc.field("labels", JSONValue.items, ())
+        ),
+        induce_rules=tuple(
+            InduceRule(
+                h_factors=normalize_factors(r.field("h", JSONValue.integers)),
+                curve_label=r.field("curve_label", JSONValue.string),
+                weights=r.field("weights", _weight_pattern),
+                target=r.field("target", JSONValue.string),
+            )
+            for r in rules.field("induce", JSONValue.items, ())
+        ),
+        jacobian_rules=tuple(
+            JacobianOfCurveRule(r.field("source", JSONValue.string), r.field("target", JSONValue.string))
+            for r in rules.field("jacobian_of_curve", JSONValue.items, ())
+        ),
+        extension_rules=tuple(
+            GenusOneExtensionRule(
+                h_factors=normalize_factors(r.field("h", JSONValue.integers)),
+                source_label=r.field("label", JSONValue.string),
+                trivial_part=r.field("trivial_part", JSONValue.string),
+                target_h_factors=normalize_factors(r.field("target_h", JSONValue.integers)),
+                target_label=r.field("target_label", JSONValue.string),
+            )
+            for r in rules.field("genus_one_extension", JSONValue.items, ())
+        ),
+        name=name or declared_name,
     )
+
+
+def _weight_pattern(weights: JSONValue):
+    """An InduceRule's weight pattern: "equal" or {"diff_order": m}."""
+    return "equal" if weights.value == "equal" else weights.field("diff_order", JSONValue.integer)
 
 
 def catalog_to_json(catalog: ActionCatalog) -> dict:

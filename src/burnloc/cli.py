@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .catalog import ActionCatalog, catalog_from_json, ensure_valid_catalog
-from .errors import CatalogIncompleteError, ValidationError
+from .errors import CatalogIncompleteError, JSONValue, ValidationError, read_json
 from .fixtures import (
     catalog_names,
     center_names,
@@ -96,15 +96,12 @@ def load_center(arg: str):
     return center_from_json(data)
 
 
-def _symbol_from_json(data: dict, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
-    try:
-        kind = str(data["kind"])
-        h = tuple(int(x) for x in data["h"])
-        y_reps = tuple(int(x) for x in data.get("y_reps", [0]))
-        action = str(data["action"])
-        weights = tuple(tuple(int(c) for c in w) for w in data.get("weights", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed symbol JSON: {exc!r}") from exc
+def _symbol_from_json(symbol: JSONValue, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
+    kind = symbol.field("kind", JSONValue.string)
+    h = symbol.field("h", JSONValue.integers)
+    y_reps = symbol.field("y_reps", JSONValue.integers, (0,))
+    action = symbol.field("action", JSONValue.string)
+    weights = symbol.field("weights", JSONValue.rows, ())
     Q = carrier_quotient(G, h, kind)
     bad = [x for x in y_reps if x not in Q.coset_of]
     if bad:
@@ -114,16 +111,12 @@ def _symbol_from_json(data: dict, G: FiniteGroup, catalog: ActionCatalog) -> Sym
 
 
 def load_class(arg: str, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
-    data = _load_json_arg(arg)
-    if not isinstance(data, dict):
-        raise ValidationError(f"class JSON must be an object with a 'terms' list, got {type(data).__name__}")
-    try:
-        terms = [(int(term.get("coeff", 1)), term["symbol"]) for term in data.get("terms", [])]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed class JSON: {exc!r}") from exc
+    doc = read_json(_load_json_arg(arg), "malformed class JSON")
     total = BurnsideClass.zero()
-    for coeff, symbol in terms:
-        total = total + BurnsideClass.of(_symbol_from_json(symbol, G, catalog), coeff)
+    for term in doc.field("terms", JSONValue.items, ()):
+        coeff = term.field("coeff", JSONValue.integer, 1)
+        symbol = _symbol_from_json(term.field("symbol", JSONValue.object), G, catalog)
+        total = total + BurnsideClass.of(symbol, coeff)
     return total
 
 
@@ -208,11 +201,11 @@ def _parse_counts(raw: str) -> tuple[int, int, int]:
     parts = raw.split(",")
     if len(parts) != 3:
         raise ValidationError("--counts takes three comma-separated integers, e.g. 0,1,0")
-    try:
-        c = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValidationError(f"--counts entries must be integers: {raw!r}") from None
-    return c
+    # ASCII digits with an optional leading '-': int() alone also reads
+    # '1_0', ' +0' and the digits of other scripts
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        raise ValidationError(f"--counts entries must be integers: {raw!r}")
+    return tuple(map(int, parts))
 
 
 def _cmd_invariant(args) -> int:
@@ -374,10 +367,7 @@ def main(argv=None) -> int:
     except CatalogIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

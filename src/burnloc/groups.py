@@ -35,7 +35,7 @@ from itertools import product
 from math import prod
 from operator import itemgetter
 
-from .errors import ValidationError
+from .errors import JSONValue, ValidationError, read_json
 
 DEFAULT_ORDER_BOUND = 64
 ORDER_BOUND_ENV = "BURNLOC_ORDER_BOUND"
@@ -67,7 +67,7 @@ class FiniteGroup:
                  "_lattice", "_abelian_reps", "_quotients", "_interned", "structures", "carriers", "frames")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str = "", bound: int | None = None):
-        table = tuple(tuple(map(int, row)) for row in mul)
+        table = tuple(map(tuple, mul))
         n = len(table)
         limit = order_bound() if bound is None else bound
         if n == 0:
@@ -231,10 +231,6 @@ def _light_associative(table: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
-
-
 def _abelian_table(factors: Sequence[int]) -> list[list[int]]:
     # elements are mixed-radix tuples, indexed lexicographically
     tuples = list(product(*(range(d) for d in factors)))
@@ -254,19 +250,16 @@ def _perm_table(degree: int, gens: Sequence[Sequence[int]], limit: int) -> list[
     if degree < 1 or degree > 12:
         raise ValidationError("permutation degree must be between 1 and 12")
     base = tuple(range(degree))
-    gen_tuples = []
     for g in gens:
-        t = tuple(int(x) for x in g)
-        if sorted(t) != list(base):
-            raise ValidationError(f"not a permutation of 0..{degree - 1}: {g}")
-        gen_tuples.append(t)
+        if sorted(g) != list(base):
+            raise ValidationError(f"not a permutation of 0..{degree - 1}: {list(g)}")
     # closure by orbit enumeration
     elems = {base}
     frontier = [base]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gen_tuples:
+            for g in gens:
                 q = _compose(p, g)
                 if q not in elems:
                     elems.add(q)
@@ -279,42 +272,31 @@ def _perm_table(degree: int, gens: Sequence[Sequence[int]], limit: int) -> list[
     return [[index[_compose(p, q)] for q in ordered] for p in ordered]
 
 
-def build_group(spec: dict, bound: int | None = None) -> FiniteGroup:
+def build_group(spec, bound: int | None = None) -> FiniteGroup:
     """Build a validated group from a description.
 
     Supported kinds: {"kind":"cyclic","n":..}, {"kind":"abelian","factors":[..]},
     {"kind":"table","mul":[[..]]}, {"kind":"perm","degree":k,"gens":[[..]]}.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError(f"group description must be an object with a 'kind': {spec!r}")
-    kind = spec["kind"]
+    doc = read_json(spec, "malformed group description")
+    kind = doc.field("kind", JSONValue.string)
     limit = order_bound() if bound is None else bound
-    try:
-        if kind == "cyclic":
-            n = int(spec["n"])
-            if n < 1:
-                raise ValidationError("cyclic group order must be positive")
-            if n > limit:
-                raise ValidationError(f"group order {n} exceeds bound {limit}")
-            return FiniteGroup(_cyclic_table(n), name=f"C{n}", bound=limit)
-        if kind == "abelian":
-            factors = [int(d) for d in spec["factors"]]
-            if any(d < 1 for d in factors):
-                raise ValidationError("abelian factors must be positive")
-            n = prod(factors)
-            if n > limit:
-                raise ValidationError(f"group order {n} exceeds bound {limit}")
-            name = "x".join(f"C{d}" for d in factors) or "C1"
-            return FiniteGroup(_abelian_table(factors or [1]), name=name, bound=limit)
-        if kind == "table":
-            return FiniteGroup(spec["mul"], name=spec.get("name", ""), bound=limit)
-        if kind == "perm":
-            table = _perm_table(int(spec["degree"]), spec["gens"], limit)
-            return FiniteGroup(table, name=spec.get("name", ""), bound=limit)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed group description: {exc!r}") from exc
+    if kind in ("cyclic", "abelian"):
+        cyclic = kind == "cyclic"
+        factors = (doc.field("n", JSONValue.integer),) if cyclic else doc.field("factors", JSONValue.integers)
+        if any(d < 1 for d in factors):
+            raise ValidationError(f"{'cyclic group order' if cyclic else 'abelian factors'} must be positive")
+        n = prod(factors)
+        if n > limit:
+            raise ValidationError(f"group order {n} exceeds bound {limit}")
+        name = f"C{n}" if cyclic else "x".join(f"C{d}" for d in factors) or "C1"
+        return FiniteGroup(_abelian_table(factors or (1,)), name=name, bound=limit)
+    name = doc.field("name", JSONValue.string, "")
+    if kind == "table":
+        return FiniteGroup(doc.field("mul", JSONValue.rows), name=name, bound=limit)
+    if kind == "perm":
+        table = _perm_table(doc.field("degree", JSONValue.integer), doc.field("gens", JSONValue.rows), limit)
+        return FiniteGroup(table, name=name, bound=limit)
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -359,7 +341,7 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
 
     @classmethod
     def generated(cls, G: FiniteGroup, gens: Iterable[int]) -> "Subgroup":
-        gens = tuple(int(g) for g in gens)
+        gens = tuple(gens)
         for g in gens:
             if not 0 <= g < G.order:
                 raise ValidationError(f"generator {g} outside the ambient group")

@@ -16,14 +16,17 @@ from operator import neg, sub
 
 from .abelian import abelian_structure
 from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
-from .errors import ValidationError
+from .errors import JSONValue, ValidationError, read_json
 from .groups import FiniteGroup, Subgroup, all_subgroups
-from .relations import RelationLattice, FilterSpec, classes_equal, filter_project, phi_G, relation_lattice
+from .relations import (
+    FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations, phi_G, relation_lattice,
+)
 from .symbols import (
     KIND_CURVE,
     KIND_JAC,
     KIND_SURFACE,
     BurnsideClass,
+    BurnsideContext,
     Symbol,
     carrier_quotient,
     text_form,
@@ -389,8 +392,9 @@ def verdict(m: ModelDescription) -> VerdictReport:
     counts = invariant_counts(m)
     value = invariant_I(*counts)
     cls = class_of_action(m)
-    filt = FilterSpec.max_stabilizer(m.group)
-    projected = filter_project(cls, filt, m.group, m.catalog)
+    context = BurnsideContext(m.group, m.catalog)
+    relations = generate_relations(m.group, m.catalog, context)  # one pass serves the filter and the lattice
+    projected = filter_project(cls, FilterSpec.max_stabilizer(m.group), m.group, m.catalog, relations)
     phi = phi_G(projected, m.group, m.catalog)
     consistent = phi == value
     notes: list[str] = []
@@ -399,8 +403,7 @@ def verdict(m: ModelDescription) -> VerdictReport:
         if s.kind == KIND_JAC and not m.catalog.label(s.action).from_curve
     ]
     if exotic and m.catalog.curve.genus >= 2:
-        lattice = relation_lattice(m.group, m.catalog)
-        reduced = lattice.reduce(cls)
+        reduced = RelationLattice(context.symbols, [r.vector for r in relations]).reduce(cls)
         zero = "zero" if reduced.is_zero() else "nonzero"
         names = ", ".join(text_form(s, m.group) for s in exotic)
         notes.append(f"exotic Jacobian symbol present ({names}); class is {zero} after reduction")
@@ -418,75 +421,58 @@ def verdict(m: ModelDescription) -> VerdictReport:
     )
 
 
-def model_from_json(data: dict, catalog_loader, name: str = "") -> ModelDescription:
-    """Build a model from its JSON form.
-
-    `catalog_loader` maps a catalog name to an ActionCatalog; inline catalog
-    objects are accepted as well.
-    """
+def model_from_json(data, catalog_loader, name: str = "") -> ModelDescription:
+    """A model from its JSON form; its catalog is a name, which `catalog_loader`
+    maps to an ActionCatalog, or an inline catalog object."""
     from .catalog import catalog_from_json
     from .groups import build_group
 
-    try:
-        group = build_group(data["group"])
-        cat_ref = data["catalog"]
-        catalog = catalog_loader(cat_ref) if isinstance(cat_ref, str) else catalog_from_json(cat_ref)
-        declared_curve = data.get("curve")
-        if declared_curve is not None and str(declared_curve.get("id")) != catalog.curve.id:
-            raise ValidationError(
-                f"model curve {declared_curve.get('id')!r} does not match the catalog's "
-                f"curve {catalog.curve.id!r}"
-            )
-        strata = tuple(
-            StratumDatum(
-                kind=str(d["kind"]),
-                stabilizer=tuple(int(x) for x in d["stabilizer"]),
-                residual=str(d["residual"]),
-                weights=tuple(tuple(int(c) for c in w) for w in d["weights"]),
-                residual_group=(
-                    tuple(int(x) for x in d["residual_group"]) if "residual_group" in d else None
-                ),
-            )
-            for d in data.get("strata", [])
+    doc = read_json(data, "malformed model JSON")
+    declared_name = doc.field("name", JSONValue.string, "")
+    group = doc.field("group", build_group)
+    catalog = doc.field(
+        "catalog", lambda ref: catalog_loader(ref.value) if isinstance(ref.value, str) else catalog_from_json(ref),
+    )
+    declared_curve = doc.field("curve", lambda curve: curve.field("id", JSONValue.string), None)
+    if declared_curve is not None and declared_curve != catalog.curve.id:
+        raise ValidationError(
+            f"model curve {declared_curve!r} does not match the catalog's curve {catalog.curve.id!r}"
         )
-        factors = tuple(
-            JacobianFactorDatum(
-                stabilizer=tuple(int(x) for x in d["stabilizer"]),
-                residual=str(d["residual"]),
-                residual_group=(
-                    tuple(int(x) for x in d["residual_group"]) if "residual_group" in d else None
-                ),
-            )
-            for d in data.get("jacobian_factors", [])
+    strata = tuple(
+        StratumDatum(
+            kind=d.field("kind", JSONValue.string),
+            stabilizer=d.field("stabilizer", JSONValue.integers),
+            residual=d.field("residual", JSONValue.string),
+            weights=d.field("weights", JSONValue.rows),
+            residual_group=d.field("residual_group", JSONValue.integers, None),
         )
-        counts = tuple(int(x) for x in data["counts"]) if "counts" in data else None
-        if counts is not None and len(counts) != 3:
-            raise ValidationError("counts must be a triple [I1, I2, I3]")
-    except ValidationError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model JSON: {exc!r}") from exc
+        for d in doc.field("strata", JSONValue.items, ())
+    )
+    factors = tuple(
+        JacobianFactorDatum(
+            stabilizer=d.field("stabilizer", JSONValue.integers),
+            residual=d.field("residual", JSONValue.string),
+            residual_group=d.field("residual_group", JSONValue.integers, None),
+        )
+        for d in doc.field("jacobian_factors", JSONValue.items, ())
+    )
+    counts = doc.field("counts", JSONValue.integers, None)
+    if counts is not None and len(counts) != 3:
+        raise ValidationError("counts must be a triple [I1, I2, I3]")
     return ModelDescription(
         group=group, catalog=catalog, strata=strata, jacobian_factors=factors,
-        counts=counts, name=name or str(data.get("name", "")),
+        counts=counts, name=name or declared_name,
     )
 
 
-def center_from_json(data: dict) -> BlowupCenter:
-    try:
-        case = int(data["case"])
-        context = data.get("context", {})
-        if not isinstance(context, dict):
-            raise TypeError(f"context must be an object, got {context!r}")
-        return BlowupCenter(
-            case=case,
-            stratum=int(data["stratum"]) if "stratum" in data else None,
-            curve_label=data.get("curve_label"),
-            y_reps=tuple(int(x) for x in data.get("y_reps", [])),
-            context_stabilizer=(
-                tuple(int(x) for x in context["stabilizer"]) if "stabilizer" in context else None
-            ),
-            context_weight=tuple(int(c) for c in context["weight"]) if "weight" in context else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed blow-up center JSON: {exc!r}") from exc
+def center_from_json(data) -> BlowupCenter:
+    doc = read_json(data, "malformed blow-up center JSON")
+    context = doc.field("context", JSONValue.object, read_json({}, doc.prefix))
+    return BlowupCenter(
+        case=doc.field("case", JSONValue.integer),
+        stratum=doc.field("stratum", JSONValue.integer, None),
+        curve_label=doc.field("curve_label", JSONValue.string, None),
+        y_reps=doc.field("y_reps", JSONValue.integers, ()),
+        context_stabilizer=context.field("stabilizer", JSONValue.integers, None),
+        context_weight=context.field("weight", JSONValue.integers, None),
+    )

@@ -280,9 +280,11 @@ def check_filter_closure(f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog, 
     _filter_pass(f, G, generate_relations(G, catalog) if relations is None else relations)
 
 
-def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
-    """Drop all symbols outside the filter (after the closure check)."""
-    check_filter_closure(f, G, catalog)
+def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog,
+                   relations=None) -> BurnsideClass:
+    """Drop all symbols outside the filter (after the closure check, over
+    `relations` when the caller has generated them)."""
+    check_filter_closure(f, G, catalog, relations)
     admitted = _admitted(f, G, a.support())
     return BurnsideClass({s: c for s, c in a.terms() if s in admitted})
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from burnloc.catalog import (
@@ -234,18 +236,19 @@ def test_label_lookup_keeps_first_of_duplicate_ids():
     assert catalog.label("other-J").space == "jacobian"
     assert catalog.has_label("dup-C") and not catalog.has_label("nope")
     assert any("duplicate label id 'dup-C'" in p for p in validate_catalog(catalog))
-    for bad in ("nope", 7, ["dup-C"]):
+    for bad in ("nope", 7):
         with pytest.raises(ValidationError, match=r"^unknown action label"):
             catalog.label(bad)
-    assert not catalog.has_label(["dup-C"])
 
 
-def test_unhashable_reference_is_dangling_not_a_crash():
-    # JSON may carry a list where a label id belongs; it names no label
+def test_non_string_reference_is_refused_at_the_boundary():
+    # JSON may carry a list where a label id belongs; the reader refuses it
+    # and names its path, so no lookup ever sees a non-string id
     data = base_json()
     data["labels"].append({
         "id": "odd-J", "space": "jacobian", "group_shape": [], "faithful": True, "trivial": True,
         "from_curve": True, "underlying_curve_action": ["triv-C"],
     })
-    problems = validate_catalog(catalog_from_json(data))
-    assert "label 'odd-J': dangling underlying_curve_action" in problems
+    at = f"labels[{len(data['labels']) - 1}].underlying_curve_action"
+    with pytest.raises(ValidationError, match=rf"^malformed catalog JSON: {re.escape(at)}: expected a string"):
+        catalog_from_json(data)

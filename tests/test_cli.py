@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 
+from burnloc.catalog import catalog_to_json
 from burnloc.cli import main
+from burnloc.fixtures import fixture_catalog
 
 Z2 = '{"kind":"cyclic","n":2}'
 Z4 = '{"kind":"cyclic","n":4}'
@@ -52,6 +55,12 @@ def test_invariant_takes_exactly_one_source(capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run(capsys, "invariant", "--counts", "1,2")
     assert code == 2 and "three comma-separated" in err
+    # ASCII decimal digits only: int() alone reads '1_0' as 10, ' +0' as 0 and '٣' as 3
+    for raw in ("1_0,0,0", " +0,0,0", "0,0,٣", "1_0, +0,٣", "0, 1,0", "1,x,0", "0,-,0"):
+        code, _, err = run(capsys, "invariant", "--counts", raw)
+        assert code == 2 and "--counts entries must be integers" in err, raw
+    code, _, err = run(capsys, "invariant", "--counts", "0,-1,0")  # a leading '-' parses, then is refused
+    assert code == 2 and "nonnegative" in err
 
 
 def test_equal_zero_classes(capsys, tmp_path):
@@ -168,36 +177,61 @@ _CLASS_TERM = {"coeff": 1, "symbol": {"kind": "curve", "h": [0, 1], "action": "t
 _CLASS_ARGS = ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class", "{file}")
 _CASE1_CENTER = {"case": 1, "curve_label": "triv-C", "y_reps": []}  # the fixture elliptic-bullet5
 _CENTER_ARGS = ("verify-blowup", "--model", "elliptic-fixed-curve", "--center", "{file}")
+_CATALOG_ARGS = ("structure", "--group", Z2, "--catalog", "{file}")
+_CATALOG = catalog_to_json(fixture_catalog("hyperelliptic-Z2"))
 
 
-@pytest.mark.parametrize("argv, content", [
-    (("structure", "--group", '{"kind":"cyclic","n":"x"}', "--catalog", "hyperelliptic-Z2"), None),
-    (("structure", "--group", '{"kind":"cyclic"}', "--catalog", "hyperelliptic-Z2"), None),
-    (("structure", "--group", '{"kind":"perm","degree":3,"gens":[[1,0,"a"]]}', "--catalog", "hyperelliptic-Z2"),
-     None),
-    (("structure", "--group", Z2, "--catalog", "{file}"), {"curve": {"id": "c", "genus": "two"}, "labels": []}),
+def _structure_on(group):
+    return ("structure", "--group", json.dumps(group), "--catalog", "hyperelliptic-Z2")
+
+
+def _catalog_with(label=None, **curve):
+    # the fixture catalog with its first label or its curve edited
+    first = {**_CATALOG["labels"][0], **(label or {})}
+    return {**_CATALOG, "curve": {**_CATALOG["curve"], **curve}, "labels": [first, *_CATALOG["labels"][1:]]}
+
+
+# each input is malformed for its loader; the error must name the JSON path of
+# the offending value (None: the document itself is of the wrong type)
+@pytest.mark.parametrize("argv, content, path", [
+    (_structure_on({"kind": "cyclic", "n": "x"}), None, "n"),
+    (_structure_on({"kind": "cyclic"}), None, "n"),
+    (_structure_on({"kind": "perm", "degree": 3, "gens": [[1, 0, "a"]]}), None, "gens[0][2]"),
+    (_CATALOG_ARGS, {"curve": {"id": "c", "genus": "two"}, "labels": []}, "curve.genus"),
     (("verdict", "--model", "{file}"), {
         "group": {"kind": "cyclic", "n": 2}, "catalog": "hyperelliptic-Z2", "jacobian_factors": [],
         "strata": [{"kind": "fixed_curve", "stabilizer": ["a"], "residual": "triv-C", "weights": [[1], [1]]}],
-    }),
-    (("structure", "--group", Z2, "--catalog", "{file}"), {"curve": {"id": "c", "genus": 2}, "rules": []}),
+    }, "strata[0].stabilizer[0]"),
+    (_CATALOG_ARGS, {"curve": {"id": "c", "genus": 2}, "rules": []}, "rules"),
     (("verdict", "--model", "{file}"), {
         "group": {"kind": "cyclic", "n": 2}, "catalog": "hyperelliptic-Z2", "curve": "x", "strata": [],
-    }),
-    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "symbol": {**_CLASS_TERM["symbol"], "h": "x"}}]}),
-    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": "x"}]}),
-    (_CLASS_ARGS, [_CLASS_TERM]),
-    (_CENTER_ARGS, {**_CASE1_CENTER, "context": "x"}),
-    (_CENTER_ARGS, {**_CASE1_CENTER, "context": []}),
+    }, "curve"),
+    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "symbol": {**_CLASS_TERM["symbol"], "h": "x"}}]}, "terms[0].symbol.h"),
+    (_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": "x"}]}, "terms[0].coeff"),
+    (_CLASS_ARGS, [_CLASS_TERM], None),
+    (_CENTER_ARGS, {**_CASE1_CENTER, "context": "x"}, "context"),
+    (_CENTER_ARGS, {**_CASE1_CENTER, "context": []}, "context"),
+    *((_CLASS_ARGS, {"terms": [{**_CLASS_TERM, "coeff": coeff}]}, "terms[0].coeff")
+      for coeff in (0.5, 2.5, "3", True)),
+    (_structure_on({"kind": "cyclic", "n": True}), None, "n"),
+    (_structure_on({"kind": "abelian", "factors": [2.9]}), None, "factors[0]"),
+    (_structure_on({"kind": "table", "mul": [[0, 1], [1, 0.5]]}), None, "mul[1][1]"),
+    (_CATALOG_ARGS, _catalog_with({"faithful": "false"}), "labels[0].faithful"),
+    (_CATALOG_ARGS, _catalog_with(hyperelliptic="no"), "curve.hyperelliptic"),
+    (_CATALOG_ARGS, _catalog_with({"id": 7}), "labels[0].id"),
 ], ids=["cyclic-n-text", "cyclic-n-missing", "perm-entry-text", "catalog-genus-text", "model-stabilizer-text",
         "catalog-rules-list", "model-curve-text", "class-h-text", "class-coeff-text", "class-list",
-        "center-context-text", "center-context-list"])
-def test_malformed_input_exits_2(capsys, tmp_path, argv, content):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
-    code, _, err = run(capsys, *(str(path) if a == "{file}" else a for a in argv))
+        "center-context-text", "center-context-list", "class-coeff-half", "class-coeff-two-and-a-half",
+        "class-coeff-numeric-text", "class-coeff-true", "cyclic-n-true", "abelian-factor-float",
+        "table-entry-float", "label-faithful-text", "curve-hyperelliptic-text", "label-id-number"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, content, path):
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(content))
+    code, _, err = run(capsys, *(str(file) if a == "{file}" else a for a in argv))
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: malformed ")
+    if path is not None:
+        assert re.search(rf": {re.escape(path)}(: expected | is missing)", err), err
 
 
 @pytest.mark.parametrize("context", ["x", [], [["stabilizer", [0, 1]]], 3, None])

@@ -1,0 +1,102 @@
+"""A seeded sample of single-leaf mutations of every JSON input, run through `main`.
+
+The inputs are every fixture model, center and catalog, one class file and one
+group description of each kind.  A mutant replaces one leaf (a scalar or an
+empty list or object) by another JSON value, or deletes it.  Every mutant must
+exit 0, 2 or 3 without a traceback.  Every leaf of these inputs that holds an
+integer sits where the schema wants one, so a mutant that puts a non-integer
+there must exit 2 and name the leaf's JSON path.
+"""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import burnloc.fixtures
+from burnloc.cli import main
+
+FIXTURES = Path(burnloc.fixtures.__file__).parent
+Z2 = '{"kind":"cyclic","n":2}'
+REPLACEMENTS = (None, "x", -1, 99, [], {}, True, 0.5, [0], [[0]])
+DELETE = object()
+SAMPLE = 400
+
+
+def _fixture(kind, name):
+    return json.loads((FIXTURES / kind / f"{name}.json").read_text())
+
+
+def _inputs():
+    """(name, argv with "{file}" for the mutated input, its JSON) of every input."""
+    catalog_groups = {"Z3-basic": '{"kind":"cyclic","n":3}'}
+    for name in burnloc.fixtures.catalog_names():
+        yield (f"catalog {name}", ("structure", "--group", catalog_groups.get(name, Z2), "--catalog", "{file}"),
+               _fixture("catalogs", name))
+    for name in burnloc.fixtures.model_names():
+        yield f"model {name}", ("class", "--model", "{file}"), _fixture("models", name)
+    for name in burnloc.fixtures.center_names():
+        model = "elliptic-fixed-curve" if name == "elliptic-bullet1" else "elliptic-empty"
+        yield f"center {name}", ("verify-blowup", "--model", model, "--center", "{file}"), _fixture("centers", name)
+    curve = {"kind": "curve", "h": [0, 1], "y_reps": [0], "action": "triv-C", "weights": [[1], [1]]}
+    jac = {"kind": "jac", "h": [0], "action": "triv-J"}
+    yield ("class", ("phi", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--class", "{file}"),
+           {"terms": [{"coeff": 1, "symbol": curve}, {"coeff": 5, "symbol": jac}]})
+    for group in ({"kind": "cyclic", "n": 2}, {"kind": "abelian", "factors": [2]},
+                  {"kind": "table", "name": "C2", "mul": [[0, 1], [1, 0]]},
+                  {"kind": "perm", "degree": 2, "gens": [[1, 0]]}):
+        yield f"group {group['kind']}", ("structure", "--group", "{file}", "--catalog", "hyperelliptic-Z2"), group
+
+
+def _leaves(value, path=""):
+    """(path, key chain, value) of every scalar and every empty list or object."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            step = f"[{key}]" if isinstance(value, list) else (f".{key}" if path else key)
+            for leaf_path, chain, leaf in _leaves(child, path + step):
+                yield leaf_path, (key, *chain), leaf
+    else:
+        yield path, (), value
+
+
+def _mutant(doc, chain, replacement):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in chain[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[chain[-1]]
+    else:
+        parent[chain[-1]] = replacement
+    return out
+
+
+def _cases():
+    for name, argv, doc in _inputs():
+        for path, chain, leaf in _leaves(doc):
+            for replacement in (*REPLACEMENTS, DELETE):
+                yield name, argv, doc, path, chain, leaf, replacement
+
+
+def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tmp_path):
+    cases = list(_cases())
+    assert len(cases) > 2 * SAMPLE
+    file = tmp_path / "input.json"
+    named = 0
+    for name, argv, doc, path, chain, leaf, replacement in random.Random(20261019).sample(cases, SAMPLE):
+        case = f"{name}: {path} = {'(deleted)' if replacement is DELETE else json.dumps(replacement)}"
+        file.write_text(json.dumps(_mutant(doc, chain, replacement)))
+        try:
+            code = main([str(file) if a == "{file}" else a for a in argv])
+        except Exception as exc:  # a traceback the command line would print
+            pytest.fail(f"{case}: raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), case
+        assert "Traceback" not in err, case
+        if type(leaf) is int and replacement is not DELETE and type(replacement) is not int:
+            assert code == 2 and f"{path}: expected an integer" in err, f"{case}: exit {code}, {err!r}"
+            named += 1
+    assert named > 0

@@ -183,6 +183,26 @@ def test_exotic_model_reports_note_without_obstruction():
     assert any("exotic Jacobian symbol present" in n and "nonzero" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("name", [n for n in model_names() if fixture_model(n).catalog.curve.genus >= 2])
+def test_verdict_generates_the_relations_once(monkeypatch, name):
+    # the filter's closure check and the exotic note's lattice read one relation pass
+    import burnloc.models
+    import burnloc.relations
+
+    calls = []
+    real = burnloc.relations.generate_relations
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (burnloc.models, burnloc.relations):  # wherever the name is bound
+        monkeypatch.setattr(module, "generate_relations", counting, raising=False)
+    report = verdict(fixture_model(name))
+    assert len(calls) <= 1, name
+    assert bool(report.notes) == (name == "conic-bundle-exotic")
+
+
 def test_ambiguous_residual_group_needs_explicit_data():
     # in C2 x C2 there are three order-2 subgroups of the normalizer quotient
     from burnloc.groups import build_group

@@ -48,33 +48,36 @@ from .relations import (
 from .symbols import BurnsideClass, Symbol, canonicalize, carrier_quotient, text_form
 
 
-def _load_json_arg(arg: str) -> dict:
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    stripped = arg.strip()
-    if stripped.startswith("{"):
-        return json.loads(stripped)
-    raise ValidationError(f"not a file or inline JSON object: {arg!r}")
+def _load_json_arg(arg: str, kind: str = "", names=None) -> dict:
+    """The JSON document in the file `arg`, or `arg` itself as inline JSON if it
+    starts with '{'.  Anything else is a ValidationError; for an argument that
+    may also name a fixture, it names the kind and lists `names()`.  A file
+    that is not UTF-8 or a document that does not parse (too deep, or with an
+    integer of too many digits) is a ValidationError naming the file, or
+    inline JSON."""
+    is_file = os.path.exists(arg)
+    if not is_file and not arg.strip().startswith("{"):
+        if names is None:
+            raise ValidationError(f"not a file or inline JSON object: {arg!r}")
+        raise ValidationError(f"unknown {kind} fixture or file {arg!r}; available fixtures: {', '.join(names())}")
+    try:
+        if is_file:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(arg.strip())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        source = f"JSON file {arg!r}" if is_file else "inline JSON"
+        raise ValidationError(f"cannot read {source}: {exc}") from None
 
 
 def load_group(arg: str) -> FiniteGroup:
     return build_group(_load_json_arg(arg))
 
 
-def _fixture_or_json(arg: str, kind: str, names):
-    try:
-        return _load_json_arg(arg)
-    except ValidationError:
-        raise ValidationError(
-            f"unknown {kind} fixture or file {arg!r}; available fixtures: {', '.join(names())}"
-        ) from None
-
-
 def load_catalog(arg: str) -> ActionCatalog:
     if arg in catalog_names():
         return fixture_catalog(arg)
-    data = _fixture_or_json(arg, "catalog", catalog_names)
+    data = _load_json_arg(arg, "catalog", catalog_names)
     return ensure_valid_catalog(catalog_from_json(data, name=arg))
 
 
@@ -83,7 +86,7 @@ def load_model(arg: str):
         return fixture_model(arg)
     from .models import model_from_json
 
-    data = _fixture_or_json(arg, "model", model_names)
+    data = _load_json_arg(arg, "model", model_names)
     return model_from_json(data, fixture_catalog)
 
 
@@ -92,7 +95,7 @@ def load_center(arg: str):
         return fixture_center(arg)
     from .models import center_from_json
 
-    data = _fixture_or_json(arg, "center", center_names)
+    data = _load_json_arg(arg, "center", center_names)
     return center_from_json(data)
 
 
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
     except CatalogIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

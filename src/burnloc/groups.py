@@ -12,8 +12,11 @@ stepping by H's generators and g.  The lattice search keeps a generator tuple
 for every subgroup it finds and adjoins one g per right coset Hg.
 
 A table from outside is checked once, when its `FiniteGroup` is built; its
-associativity by Light's test over a greedy generating set.  Quotient tables
-N/H, built from a checked group and a subgroup found normal, are trusted.
+associativity by Light's test over a greedy generating set.  An element set
+from outside is checked once per group, when its first `Subgroup` is built; a
+later `Subgroup` of its checked (sorted) tuple takes the tuple as is.
+Quotient tables N/H, built from a checked group and a subgroup found normal,
+are trusted.
 Each group owns the facts derived from it, built on first use and dropped
 with it (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
 ch. 4): its checked element sets, its conjugacy classes of subgroups with
@@ -305,12 +308,15 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
 
     `Subgroup(G, elements)` checks its input once per (group, element set): the
     set is recorded in G's check table after it has passed, and a later call
-    with the same set skips the check.  A set that fails is not recorded, so it
-    fails with the same message on every call."""
+    with the same set skips the check.  A tuple already in the table is sorted
+    and checked, so it is taken as is, without sorting it again.  A set that
+    fails is not recorded, so it fails with the same message on every call."""
 
     __slots__ = ()
 
     def __new__(cls, ambient: FiniteGroup, elements: Iterable[int]):
+        if type(elements) is tuple and elements in ambient._checked:
+            return tuple.__new__(cls, (ambient, elements))
         sub = super().__new__(cls, ambient, tuple(sorted(set(elements))))
         if sub.elements not in ambient._checked:
             sub.__post_init__()

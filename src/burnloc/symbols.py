@@ -8,12 +8,14 @@ jacobian symbols), an action label id, and character coordinate tuples.
 
 The carrier quotient of each (h, kind) is kept in G's `carriers` table.
 Validating a symbol checks H and Y through the check tables of G and of the
-carrier quotient, so each element set is checked once per group; a failure is
-never recorded.  The canonical form reads H's least conjugate and its
-transporter from G's class table.  G's `frames` table keeps, per stabilizer
-(kind, h), one g of the transporter per distinct pair (map of carrier
-cosets, action on H); a Y costs one image lookup per kept g, and only the
-weights are transported per symbol.  A trivial Y is kept by every g, so its
+carrier quotient, so each element set is checked once per group, and a
+checked element tuple is taken as is; a failure is never recorded.  A surface
+stabilizer is cyclic when the abelian structure the check has just built has
+at most one invariant factor, so no element order is computed for it.  The
+canonical form reads H's least conjugate and its transporter from G's class
+table.  G's `frames` table keeps, per stabilizer (kind, h), one g of the
+transporter per distinct pair (map of carrier cosets, action on H); a Y costs
+one image lookup per kept g, and only the weights are transported per symbol.  A trivial Y is kept by every g, so its
 frame (kind None) maps no carrier quotient.
 
 The enumerators read a stabilizer's Y options off the labels' shapes: a
@@ -105,7 +107,8 @@ def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list
 
 
 def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
-    """(diagnostics, (h sorted, its structure or None, reduced weights) or None)."""
+    """(diagnostics, (h sorted, y sorted, h's structure or None, reduced
+    weights) or None)."""
     problems: list[str] = []
     if sym.kind not in _KIND_RANK:
         return [f"unknown symbol kind {sym.kind!r}"], None
@@ -113,9 +116,10 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
         H = Subgroup(G, sym.h)
     except ValidationError as exc:
         return [f"stabilizer: {exc}"], None
-    if not catalog.has_label(sym.action):
+    try:
+        label = catalog.label(sym.action)
+    except ValidationError:
         return [f"unknown action label {sym.action!r}"], None
-    label = catalog.label(sym.action)
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     try:
@@ -132,7 +136,7 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
             problems.append("genus >= 2 jacobian actions must be faithful")
         if catalog.curve.genus == 1 and not label.from_curve:
             problems.append("genus-1 jacobian actions must come from a curve action")
-        return problems, (H.elements, None, sym.weights)
+        return problems, (H.elements, Y.elements, None, sym.weights)
 
     if H.is_trivial():
         return problems + ["stabilizer must be nontrivial"], None
@@ -150,9 +154,9 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
         return problems + ["weights must be nontrivial characters"], None
     if not struct.generates_dual(*weights):
         problems.append("weights must generate the full character group of the stabilizer")
-    if sym.kind == KIND_SURFACE and not H.is_cyclic():
+    if sym.kind == KIND_SURFACE and len(struct.invariant_factors) > 1:
         problems.append("surface symbols need a cyclic stabilizer")
-    return problems, (H.elements, struct, weights)
+    return problems, (H.elements, Y.elements, struct, weights)
 
 
 def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
@@ -168,7 +172,7 @@ def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
 
 def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol | None, list[str]]:
     """(canonical form, []) for a valid symbol and (None, diagnostics) for an
-    invalid one; the form reads h, its structure and the weights off the check."""
+    invalid one; the form reads h, y, h's structure and the weights off the check."""
     problems, checked = _check_symbol(sym, G, catalog)
     return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
 
@@ -181,13 +185,13 @@ def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
     abelian G conjugation is trivial, so this is the symbol with h and y
     sorted and its weights reduced and sorted."""
     h = tuple(sorted(set(sym.h)))
-    struct = abelian_structure(Subgroup.trusted(G, h)) if sym.weights else None
-    return _least_conjugate(sym, G, h, struct, tuple(map(struct.reduce, sym.weights)) if struct else sym.weights)
-
-
-def _least_conjugate(sym: Symbol, G: FiniteGroup, h, struct: AbelianStructure | None, weights) -> Symbol:
-    """`canonical_form` given h sorted, its structure and the reduced weights."""
     y = tuple(sorted(set(sym.y)))
+    struct = abelian_structure(Subgroup.trusted(G, h)) if sym.weights else None
+    return _least_conjugate(sym, G, h, y, struct, tuple(map(struct.reduce, sym.weights)) if struct else sym.weights)
+
+
+def _least_conjugate(sym: Symbol, G: FiniteGroup, h, y, struct: AbelianStructure | None, weights) -> Symbol:
+    """`canonical_form` given h and y sorted, h's structure and the reduced weights."""
     if G.is_abelian():
         return Symbol(sym.kind, h, y, sym.action, tuple(sorted(weights)))
     best_h, moves, per_y = _frame(G, sym.kind if y != (0,) else None, h)
@@ -416,7 +420,10 @@ class BurnsideClass:
         return BurnsideClass({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other: "BurnsideClass") -> "BurnsideClass":
-        return self + (-other)
+        out = dict(self._terms)
+        for s, c in other._terms.items():
+            out[s] = out.get(s, 0) - c
+        return BurnsideClass(out)
 
     def scale(self, k: int) -> "BurnsideClass":
         return BurnsideClass({s: k * c for s, c in self._terms.items()})

@@ -53,6 +53,13 @@ reference abelian basis takes as complement of each peeled cyclic factor the
 first subgroup of the right order, in (order, elements) order, that meets it
 trivially.
 
+The symbol check of the model data is kept as it was before a checked
+element tuple was taken as is (`reference_check_symbol`): every stabilizer
+and residual tuple is sorted again, the label is tested before it is looked
+up, and a surface stabilizer's cyclicity comes from its element orders, not
+from its abelian structure.  A difference of classes is the sum with the
+negation.
+
 The reference blow-up result is the model the move builds, made afresh and
 checked from scratch, datum by datum, with none of its source's checked
 symbols carried over.
@@ -591,6 +598,75 @@ def reference_canonicalize(sym, G, catalog):
     if problems:
         raise ValidationError("; ".join(problems))
     return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key)
+
+
+_SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
+
+
+def reference_check_symbol(sym, G, catalog):
+    """The diagnostics of a symbol, found as the engine found them before a
+    checked element tuple was taken as is: H and Y are passed as lists, so
+    they are sorted again, the label is tested and then looked up, and a
+    surface stabilizer is cyclic when one of its elements has order |H|."""
+    problems = []
+    if sym.kind not in _SPACE:
+        return [f"unknown symbol kind {sym.kind!r}"]
+    try:
+        H = Subgroup(G, list(sym.h))
+    except ValidationError as exc:
+        return [f"stabilizer: {exc}"]
+    if not catalog.has_label(sym.action):
+        return [f"unknown action label {sym.action!r}"]
+    label = catalog.label(sym.action)
+    if label.space != _SPACE[sym.kind]:
+        problems.append(f"label {label.id!r} lives on {label.space}, not {_SPACE[sym.kind]}")
+    try:
+        Y = Subgroup(carrier_quotient(G, sym.h, sym.kind).group, list(sym.y))
+    except ValidationError as exc:
+        return problems + [f"residual group: {exc}"]
+    if not label.group_shape.matches(Y):
+        problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
+    if sym.kind == KIND_JAC:
+        if sym.weights:
+            problems.append("jacobian symbols carry no weights")
+        if catalog.curve.genus >= 2 and not label.faithful:
+            problems.append("genus >= 2 jacobian actions must be faithful")
+        if catalog.curve.genus == 1 and not label.from_curve:
+            problems.append("genus-1 jacobian actions must come from a curve action")
+        return problems
+    if H.is_trivial():
+        return problems + ["stabilizer must be nontrivial"]
+    if not H.is_abelian():
+        return problems + ["stabilizer must be abelian"]
+    struct = abelian_structure(H)
+    expected = 2 if sym.kind == KIND_CURVE else 1
+    if len(sym.weights) != expected:
+        return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"]
+    try:
+        weights = tuple(map(struct.character, sym.weights))
+    except ValidationError as exc:
+        return problems + [f"weights: {exc}"]
+    if not all(map(any, weights)):
+        return problems + ["weights must be nontrivial characters"]
+    if not struct.generates_dual(*weights):
+        problems.append("weights must generate the full character group of the stabilizer")
+    if sym.kind == KIND_SURFACE and not H.is_cyclic():
+        problems.append("surface symbols need a cyclic stabilizer")
+    return problems
+
+
+def reference_validated_form(sym, G, catalog):
+    """`symbols.validated_form` by `reference_check_symbol`, with the least
+    transported symbol over all of G as the form."""
+    problems = reference_check_symbol(sym, G, catalog)
+    if problems:
+        return None, problems
+    return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key), problems
+
+
+def reference_difference(a, b):
+    """a - b as the sum of a and the negation of b."""
+    return a + (-b)
 
 
 def _pair_closure(G, seed):

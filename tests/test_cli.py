@@ -243,3 +243,36 @@ def test_center_context_must_be_an_object(context):
     with pytest.raises(ValidationError, match="malformed blow-up center JSON"):
         center_from_json({**_CASE1_CENTER, "context": context})
     assert center_from_json({**_CASE1_CENTER, "context": {}}) == center_from_json(_CASE1_CENTER)
+
+
+_UNREADABLE = {
+    "latin1": '{"kind": "cycl\xe9c", "n": 2}'.encode("latin-1"),
+    "deep": ('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+    "digits": ('{"kind": "cyclic", "n": ' + "9" * 5000 + "}").encode(),
+    "syntax": b'{"kind": "cyclic", "n": 2',
+}
+
+
+@pytest.mark.parametrize("option", ["--group", "--catalog", "--class"])
+@pytest.mark.parametrize("damage", sorted(_UNREADABLE))
+def test_unreadable_json_exits_2_naming_the_file(capsys, tmp_path, damage, option):
+    # a document that cannot be decoded or parsed is an input error, not a traceback
+    file = tmp_path / "input.json"
+    file.write_bytes(_UNREADABLE[damage])
+    args = {"--group": Z2, "--catalog": "hyperelliptic-Z2", "--class": str(tmp_path / "zero.json")}
+    (tmp_path / "zero.json").write_text('{"terms": []}')
+    args[option] = str(file)
+    code, out, err = run(capsys, "phi", *(x for pair in args.items() for x in pair))
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read JSON file {str(file)!r}: "), err
+    assert len(err.splitlines()) == 1
+    if damage != "latin1":  # the same text inline
+        args[option] = _UNREADABLE[damage].decode()
+        code, out, err = run(capsys, "phi", *(x for pair in args.items() for x in pair))
+        assert (code, out) == (2, "") and err.startswith("error: cannot read inline JSON: "), err
+
+
+def test_unknown_fixture_or_file_lists_the_fixtures(capsys):
+    code, _, err = run(capsys, "structure", "--group", Z2, "--catalog", "no-such-catalog")
+    assert code == 2 and err.startswith("error: unknown catalog fixture or file 'no-such-catalog'; available")
+    code, _, err = run(capsys, "structure", "--group", "no-such-group", "--catalog", "hyperelliptic-Z2")
+    assert (code, err) == (2, "error: not a file or inline JSON object: 'no-such-group'\n")

@@ -282,3 +282,32 @@ def test_subgroup_is_abelian_matches_brute_force(table):
                 abelian_structure(H)
     assert set(G.structures) == {h for h, abelian in brute.items() if abelian}
     assert {H.elements: H.is_abelian() for H in subgroups} == brute
+
+
+def test_checked_element_tuple_is_taken_as_is(monkeypatch):
+    # a checked set costs one lookup: its sorted tuple runs no check and is not
+    # sorted again, any other form of it gives the same subgroup, and a set
+    # that fails is never recorded, so it runs the check and fails every time
+    G = build_group({"kind": "table", "mul": relabel(direct_product(dihedral_table(4), cyclic_table(2)), 3)})
+    raw = Subgroup.__dict__["__post_init__"]
+    checks = []
+
+    def counted(self):
+        checks.append(self.elements)
+        raw(self)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    h = next(H.elements for H in all_subgroups(G) if H.order == 4)
+    first = Subgroup(G, tuple(reversed(h)) + h[:2])  # unsorted, with duplicates
+    assert first.elements == h and checks == [h]
+    for given in (h, tuple(reversed(h)), h + h, list(h), list(reversed(h)), set(h)):
+        assert Subgroup(G, given) == first
+    assert checks == [h]
+    taken = tuple(list(h))  # equal to h but another object: identity shows it is kept as given
+    assert Subgroup(G, taken).elements is taken
+    bad = next(a for a in G.elements() if G.element_order(a) > 2)
+    for given in ((0, bad), (bad, 0, 0), [0, bad]):
+        with pytest.raises(ValidationError) as exc:
+            Subgroup(G, given)
+        assert str(exc.value) == f"subgroup not closed under inverse at {bad}"
+    assert checks == [h, (0, bad), (0, bad), (0, bad)] and (0, bad) not in G._checked

@@ -5,7 +5,9 @@ group description of each kind.  A mutant replaces one leaf (a scalar or an
 empty list or object) by another JSON value, or deletes it.  Every mutant must
 exit 0, 2 or 3 without a traceback.  Every leaf of these inputs that holds an
 integer sits where the schema wants one, so a mutant that puts a non-integer
-there must exit 2 and name the leaf's JSON path.
+there must exit 2 and name the leaf's JSON path.  Every mutant also runs with
+the reference symbol check and class difference of `oracles` in place of the
+engine's, and must give the same exit code, stdout and stderr byte for byte.
 """
 
 import copy
@@ -16,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import burnloc.fixtures
+import burnloc.models
+import burnloc.symbols
 from burnloc.cli import main
+from oracles import reference_difference, reference_validated_form
 
 FIXTURES = Path(burnloc.fixtures.__file__).parent
 Z2 = '{"kind":"cyclic","n":2}'
@@ -81,7 +86,7 @@ def _cases():
                 yield name, argv, doc, path, chain, leaf, replacement
 
 
-def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tmp_path):
+def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tmp_path, monkeypatch):
     cases = list(_cases())
     assert len(cases) > 2 * SAMPLE
     file = tmp_path / "input.json"
@@ -89,11 +94,17 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
     for name, argv, doc, path, chain, leaf, replacement in random.Random(20261019).sample(cases, SAMPLE):
         case = f"{name}: {path} = {'(deleted)' if replacement is DELETE else json.dumps(replacement)}"
         file.write_text(json.dumps(_mutant(doc, chain, replacement)))
+        args = [str(file) if a == "{file}" else a for a in argv]
         try:
-            code = main([str(file) if a == "{file}" else a for a in argv])
+            code = main(args)
         except Exception as exc:  # a traceback the command line would print
             pytest.fail(f"{case}: raised {exc!r}")
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        with monkeypatch.context() as patch:
+            for module in (burnloc.symbols, burnloc.models):
+                patch.setattr(module, "validated_form", reference_validated_form)
+            patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", reference_difference)
+            assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case
         assert "Traceback" not in err, case
         if type(leaf) is int and replacement is not DELETE and type(replacement) is not int:

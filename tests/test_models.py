@@ -18,7 +18,7 @@ from burnloc.models import (
     verify_blowup_invariance,
 )
 from burnloc.relations import classes_equal, relation_lattice
-from burnloc.symbols import BurnsideClass, text_form
+from burnloc.symbols import BurnsideClass, Symbol, text_form
 from oracles import blown_up_from_scratch
 
 
@@ -539,3 +539,59 @@ def test_invalid_model_reports_the_same_problems_on_every_call(monkeypatch):
     assert validate_model(m) == [message]
     assert calls == [m]
     assert validate_model(replace(m)) == [message]
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("group", ["C4xC4", "D4xC2", "S3xS3"])
+def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
+    # every stratum and factor the enumerators yield, as given and in forms a
+    # caller may write (stabilizer unsorted with a repeat, Y by shape alone, a
+    # label of another space, weights negated, a curve's stabilizer and weight
+    # under a surface label), checked by the engine and by the reference check
+    # on a second group of the same table, so that neither warms the other's tables
+    import burnloc.models
+    from burnloc.groups import build_group
+    from burnloc.models import FIXED_CURVE, RULED_DIVISOR, StratumDatum, _datum_symbol
+    from burnloc.symbols import KIND_CURVE, KIND_JAC, KIND_SURFACE
+    from oracles import reference_validated_form
+    from scenarios import (
+        ScenarioPool, _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, relabel,
+        symmetric_table,
+    )
+
+    table = relabel({
+        "C4xC4": direct_product(cyclic_table(4), cyclic_table(4)),
+        "D4xC2": direct_product(dihedral_table(4), cyclic_table(2)),
+        "S3xS3": direct_product(symmetric_table(3), symmetric_table(3)),
+    }[group], seed)
+    G, G_ref = (build_group({"kind": "table", "mul": table}) for _ in range(2))
+    catalog = generated_catalog(G)
+    pool = ScenarioPool(G, catalog)
+    kinds = {FIXED_CURVE: KIND_CURVE, RULED_DIVISOR: KIND_SURFACE}
+    data = []
+    for sym in pool.curve + pool.surface + pool.jac:
+        datum = _datum(G, sym)
+        h = datum.stabilizer
+        data += [datum, datum._replace(stabilizer=tuple(reversed(h)) + h[:1]),
+                 datum._replace(residual_group=None),
+                 datum._replace(residual="triv-C" if sym.kind == KIND_JAC else "triv-J")]
+        if sym.kind != KIND_JAC:
+            data.append(datum._replace(weights=tuple(tuple(-c for c in w) for w in datum.weights)))
+        if sym.kind == KIND_CURVE:
+            data.append(StratumDatum(RULED_DIVISOR, h, "triv-CxP1", datum.weights[:1], datum.residual_group))
+
+    def outcomes(ambient):
+        m = ModelDescription(group=ambient, catalog=catalog)
+        out = []
+        for datum in data:
+            kind, weights = (kinds[datum.kind], datum.weights) if isinstance(datum, StratumDatum) else (KIND_JAC, ())
+            try:
+                out.append(_datum_symbol(m, kind, datum, weights))
+            except ValidationError as exc:
+                out.append(str(exc))
+        return out
+
+    engine = outcomes(G)
+    monkeypatch.setattr(burnloc.models, "validated_form", reference_validated_form)
+    assert outcomes(G_ref) == engine
+    assert {type(x) for x in engine} == {Symbol, str}

@@ -17,7 +17,7 @@ from burnloc.symbols import (
     text_form,
     validate_symbol,
 )
-from oracles import all_coordinates, character_span, reference_transport_symbol
+from oracles import all_coordinates, character_span, reference_difference, reference_transport_symbol
 
 S1 = Symbol("curve", (0, 1), (0,), "triv-C", ((1,), (1,)))
 
@@ -177,6 +177,23 @@ def test_burnside_class_arithmetic(z2, hyper_cat):
     c = BurnsideClass.of(syms[1], 2) + BurnsideClass.of(syms[0]) + BurnsideClass.of(syms[2], 0)
     assert c == a and hash(c) == hash(a)
     assert {a, c, -a} == {a, -a}
+
+
+def test_class_difference_matches_the_sum_with_the_negation(s3, hyper_cat):
+    import random
+
+    syms = enumerate_symbols(s3, hyper_cat)
+    rng = random.Random(7)
+
+    def draw():
+        return BurnsideClass({s: rng.randint(-2, 2) for s in rng.sample(syms, rng.randint(0, len(syms)))})
+
+    for _ in range(200):
+        a, b = draw(), draw()
+        diff = a - b
+        assert diff == reference_difference(a, b)
+        assert all(diff.coefficient(s) == a.coefficient(s) - b.coefficient(s) for s in syms)
+        assert 0 not in dict(diff.terms()).values() and (a - a).is_zero()
 
 
 def test_class_vector_rejects_foreign_symbol(z2, z3, hyper_cat, z3_cat):

@@ -115,7 +115,7 @@ class ActionCatalog(namedtuple(
     defaults=((), (), (), ""),
 )):
     """The ledger itself.  It is immutable, so its label index and its
-    violations are derived once per object, on first use (kept in the
+    violations are computed once per object, on first use (kept in the
     instance `__dict__`, which is why the class declares no `__slots__`)."""
 
     @cached_property

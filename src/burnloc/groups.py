@@ -17,7 +17,7 @@ from outside is checked once per group, when its first `Subgroup` is built; a
 later `Subgroup` of its checked (sorted) tuple takes the tuple as is.
 Quotient tables N/H, built from a checked group and a subgroup found normal,
 are trusted.
-Each group owns the facts derived from it, built on first use and dropped
+Each group owns the facts computed from it, built on first use and dropped
 with it (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
 ch. 4): its checked element sets, its conjugacy classes of subgroups with
 transporters (one sweep over G per class), its subgroup lattice, abelian class
@@ -63,7 +63,7 @@ class FiniteGroup:
     `mul[a][b]` is the index of a*b; index 0 is the identity.  The table is
     validated on construction (identity, inverses, associativity).
 
-    It owns the tables of facts derived from it (see the module docstring).
+    It owns the tables of facts computed from it (see the module docstring).
     """
 
     __slots__ = ("order", "mul", "name", "_inv", "_abelian", "_hash", "_conj", "_checked", "_classes",
@@ -105,7 +105,7 @@ class FiniteGroup:
 
     @classmethod
     def trusted(cls, table: Sequence[Sequence[int]], name: str = "") -> "FiniteGroup":
-        """A group whose table the package derived from a valid group, such as
+        """A group whose table the package built from a valid group, such as
         N/H for a subgroup H already found normal in N; unlike `FiniteGroup(table)`,
         which checks input from outside, it checks nothing."""
         G = object.__new__(cls)
@@ -341,7 +341,7 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
 
     @classmethod
     def trusted(cls, G: FiniteGroup, elements: tuple[int, ...]) -> "Subgroup":
-        """A subgroup the package derived from valid ones, as a sorted tuple; unlike
+        """A subgroup the package built from valid ones, as a sorted tuple; unlike
         `Subgroup(G, elements)`, which checks input from outside, it checks nothing."""
         return tuple.__new__(cls, (G, elements))
 

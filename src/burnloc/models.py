@@ -145,10 +145,10 @@ def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, 
         return (), (str(exc),)
     stratum_symbols, factor_symbols, problems = _data_symbols(m, m.strata, m.jacobian_factors)
     if m.counts is not None and not problems:
-        derived = _derived_counts(m)
-        if tuple(m.counts) != derived:
+        computed = _counts_from_data(m)
+        if tuple(m.counts) != computed:
             problems.append(
-                f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {derived}"
+                f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {computed}"
             )
     return tuple(stratum_symbols + factor_symbols), tuple(problems)
 
@@ -329,7 +329,7 @@ def verify_blowup_invariance(m: ModelDescription, c: BlowupCenter,
     return classes_equal(class_of_action(m), class_of_action(blowup(m, c)), lattice)
 
 
-def _derived_counts(m: ModelDescription) -> tuple[int, int, int]:
+def _counts_from_data(m: ModelDescription) -> tuple[int, int, int]:
     full = tuple(m.group.elements())
     i1 = sum(1 for d in m.strata if d.kind == FIXED_CURVE and d.stabilizer == full)
     i2 = sum(1 for d in m.strata if d.kind == RULED_DIVISOR and d.stabilizer == full)
@@ -338,13 +338,13 @@ def _derived_counts(m: ModelDescription) -> tuple[int, int, int]:
 
 
 def invariant_counts(m: ModelDescription) -> tuple[int, int, int]:
-    """(I1, I2, I3): declared counts when present (validated), else derived from the data."""
+    """(I1, I2, I3): declared counts when present (validated), else counted from the data."""
     if not m.group.is_abelian():
         raise ValidationError("fixed-locus counts require an abelian group")
     if m.catalog.curve.genus < 2:
         raise ValidationError("fixed-locus counts require a curve of genus >= 2")
     ensure_valid_model(m)
-    return tuple(m.counts) if m.counts is not None else _derived_counts(m)
+    return tuple(m.counts) if m.counts is not None else _counts_from_data(m)
 
 
 def invariant_I(i1: int, i2: int, i3: int) -> int:

@@ -17,9 +17,8 @@ the pivot divides its entry and taking a unimodular gcd step where it does
 not, until it lands on a free pivot or vanishes; the entries above each pivot
 are then reduced, last pivot first, by the coset reduction the lattice
 queries use (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
-2.4).  A lattice keeps only these sparse pivot rows and its spanning rows; the
-dense Hermite rows and the transform over the spanning rows, which only
-certificates read, are built on first read.
+2.4).  A lattice is these sparse pivot rows and nothing else: membership and
+reduction read them, and the dense Hermite rows are read off them on request.
 """
 
 from __future__ import annotations
@@ -68,22 +67,19 @@ def _combine(s: int, p: dict[int, int], t: int, r: dict[int, int]) -> dict[int, 
     return out
 
 
-def _insert(table: dict[int, dict[int, int]], row: dict[int, int], ncols: int) -> None:
+def _insert(table: dict[int, dict[int, int]], row: dict[int, int]) -> None:
     """Add a sparse row to the echelon table {pivot column: row}, least column
     first: where the pivot divides the row's entry, that multiple of the pivot
     row is subtracted; otherwise a unimodular 2x2 step puts the gcd in the
     pivot row and clears the row's entry.  The row becomes the pivot row of
-    the first column below ncols that holds no pivot, made positive there, or
-    is dropped once no entry below ncols is left (columns from ncols on are
-    carried along, never pivots)."""
+    the first column that holds no pivot, made positive there, or is dropped
+    once no entry is left."""
     heap = sorted(row)  # ascending, so already a heap
     while heap:
         j = heappop(heap)
         b = row.get(j)
         if not b:
             continue
-        if j >= ncols:
-            return
         pivot = table.get(j)
         if pivot is None:
             table[j] = row if b > 0 else {c: -v for c, v in row.items()}
@@ -115,17 +111,15 @@ def _hermite(rows: list[dict[int, int]], ncols: int) -> list:
     from the last pivot to the first, each echelon row is reduced by the rows
     already final (pivots after its own) as a coset reduction (`_reduce`),
     which leaves every entry above a pivot in [0, pivot).  The form is unique,
-    so insertion order does not change it.  Columns from ncols on are carried
-    along as they are reduced, which is how a transform is tracked."""
+    so insertion order does not change it."""
     table: dict[int, dict[int, int]] = {}
     for row in rows:
-        _insert(table, dict(row), ncols)
+        _insert(table, dict(row))
     basis = [None] * ncols
     for p in sorted(table, reverse=True):
         row = table[p]
         d = row.pop(p)
-        left, _ = _reduce(basis, row, exact=False)
-        basis[p] = ((p, d), *left.items())
+        basis[p] = ((p, d), *_reduce(basis, row, exact=False).items())
     return basis
 
 
@@ -134,30 +128,25 @@ def _reduce(pivot_rows, w: dict[int, int], exact: bool):
     least nonzero column first (Cohen, *A Course in Computational Algebraic
     Number Theory*, 1993, 2.4.3): each pivot column's entry is divided by the
     pivot and that multiple of its row subtracted, which only changes later
-    columns; columns past the end of `pivot_rows` hold no pivot.  Returns the
-    entries left, ascending, and the multiple taken per pivot column; with
-    `exact`, None as soon as a nonzero entry is left, i.e. w is not in the
-    lattice."""
-    n = len(pivot_rows)
+    columns.  Returns the entries left, ascending; with `exact`, None as soon
+    as a nonzero entry is left, i.e. w is not in the lattice."""
     heap = sorted(w)
     left: dict[int, int] = {}
-    multiples: dict[int, int] = {}
     while heap:
         j = heappop(heap)
         x = w.pop(j)
-        row = pivot_rows[j] if j < n else None
+        row = pivot_rows[j]
         q, r = divmod(x, row[0][1]) if row else (0, x)
         if r:
             if exact:
                 return None
             left[j] = r
         if q:
-            multiples[j] = q
             for c, v in row[1:]:
                 if c not in w:
                     heappush(heap, c)
                 w[c] = w.get(c, 0) - q * v
-    return left, multiples
+    return left
 
 
 def _dense(pairs, length: int) -> tuple[int, ...]:
@@ -167,28 +156,13 @@ def _dense(pairs, length: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _tracked_hermite(rows: list[dict[int, int]], ncols: int):
-    """`_hermite` of the rows, each carrying its unit vector in extra columns
-    from ncols on: the dense HNF rows, and each one's coefficients over `rows`."""
-    m = len(rows)
-    basis = [row for row in _hermite([{**row, ncols + i: 1} for i, row in enumerate(rows)], ncols) if row]
-    H = [_dense(((c, x) for c, x in row if c < ncols), ncols) for row in basis]
-    U = [_dense(((c - ncols, x) for c, x in row if c >= ncols), m) for row in basis]
-    return H, U
-
-
-def hermite_normal_form(rows, ncols: int, with_transform: bool = False):
+def hermite_normal_form(rows, ncols: int):
     """Row-style HNF of the lattice spanned by `rows`.
 
     Returns the nonzero HNF rows (echelon, positive pivots, entries above each
-    pivot reduced into [0, pivot)).  With `with_transform`, also returns for
-    each HNF row its coefficient vector over the input rows.  Computed on
-    sparse rows by `_hermite`.
+    pivot reduced into [0, pivot)).  Computed on sparse rows by `_hermite`.
     """
-    sparse = _sparse_rows(rows, ncols)
-    if with_transform:
-        return _tracked_hermite(sparse, ncols)
-    return [_dense(row, ncols) for row in _hermite(sparse, ncols) if row]
+    return [_dense(row, ncols) for row in _hermite(_sparse_rows(rows, ncols), ncols) if row]
 
 
 def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
@@ -230,50 +204,31 @@ def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
     return ncols - len(diag), torsion
 
 
-class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows spanning derived")):
-    """A row lattice in Z^ncols held in Hermite normal form.
+class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows")):
+    """A row lattice in Z^ncols held as its sparse Hermite normal form rows.
 
-    Supports exact membership, canonical coset reduction, and membership
-    certificates in terms of the original spanning rows.  `pivot_rows[j]` is
-    the HNF row with pivot j as (column, value) pairs, pivot first, or None
-    when column j holds no pivot, and `pivots` lists the pivot columns; all
-    three queries reduce on these sparse rows.  `spanning` holds the original
-    rows as {column: entry}.  The dense HNF rows `basis`, and the `transform`
-    expressing each of them over the spanning rows, are built on first read
-    and kept in `derived`.  A query vector is a dense sequence of length
-    ncols or a dict {column: entry}.
+    Supports exact membership and canonical coset reduction.  `pivot_rows[j]`
+    is the HNF row with pivot j as (column, value) pairs, pivot first, or None
+    when column j holds no pivot, and `pivots` lists the pivot columns; both
+    queries reduce on these sparse rows, and `basis` reads them as dense rows.
+    A query vector is a dense sequence of length ncols or a dict
+    {column: entry}.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":
-        spanning = _sparse_rows(rows, ncols)
-        pivot_rows = tuple(_hermite(spanning, ncols))
-        pivots = tuple(p for p, row in enumerate(pivot_rows) if row)
-        return cls(ncols, pivots, pivot_rows, tuple(spanning), {})
+        pivot_rows = tuple(_hermite(_sparse_rows(rows, ncols), ncols))
+        return cls(ncols, tuple(p for p, row in enumerate(pivot_rows) if row), pivot_rows)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     @property
-    def nspanning(self) -> int:
-        return len(self.spanning)
-
-    @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        basis = self.derived.get("basis")
-        if basis is None:
-            basis = self.derived["basis"] = tuple(_dense(self.pivot_rows[p], self.ncols) for p in self.pivots)
-        return basis
-
-    @property
-    def transform(self) -> tuple[tuple[int, ...], ...]:
-        transform = self.derived.get("transform")
-        if transform is None:
-            transform = self.derived["transform"] = tuple(_tracked_hermite(self.spanning, self.ncols)[1])
-        return transform
+        return tuple(_dense(self.pivot_rows[p], self.ncols) for p in self.pivots)
 
     def _reduce(self, vec, exact: bool):
         if isinstance(vec, dict):
@@ -290,18 +245,4 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows spann
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical coset representative: pivot coordinates land in [0, pivot)."""
-        left, _ = self._reduce(vec, exact=False)
-        return _dense(left.items(), self.ncols)
-
-    def coefficients(self, vec) -> tuple[int, ...] | None:
-        """Coefficients over the ORIGINAL spanning rows expressing vec, or None."""
-        reduced = self._reduce(vec, exact=True)
-        if reduced is None:
-            return None
-        out = [0] * self.nspanning
-        for p, urow in zip(self.pivots, self.transform):
-            c = reduced[1].get(p)
-            if c:
-                for j, u in enumerate(urow):
-                    out[j] += c * u
-        return tuple(out)
+        return _dense(self._reduce(vec, exact=False).items(), self.ncols)

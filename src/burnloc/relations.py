@@ -295,11 +295,6 @@ def filtered_structure(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) ->
     return structure_from((s for s in context.symbols if s in admitted), vectors)
 
 
-def filtered_relation_vectors(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec,
-                              context: BurnsideContext | None = None) -> tuple[BurnsideClass, ...]:
-    return _filter_pass(f, G, generate_relations(G, catalog, context))[1]
-
-
 _PHI_WEIGHTS = {KIND_CURVE: -1, KIND_SURFACE: -2, KIND_JAC: 1}
 
 

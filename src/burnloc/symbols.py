@@ -6,7 +6,8 @@ group, the residual group Y as a sorted tuple of coset indices in the carrier
 quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
-The carrier quotient of each (h, kind) is kept in G's `carriers` table.
+The carrier quotient of each (h, kind) is kept in G's `carriers` table under
+h's checked sorted tuple, whatever order the caller wrote h in.
 Validating a symbol checks H and Y through the check tables of G and of the
 carrier quotient, so each element set is checked once per group, and a
 checked element tuple is taken as is; a failure is never recorded.  A surface
@@ -87,12 +88,15 @@ class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
 
 def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientGroup:
     """The quotient housing Y: Z_G(H)/H for curve/surface symbols, N_G(H)/H for
-    jacobian ones; kept in `G.carriers` by (h, kind)."""
+    jacobian ones; kept in `G.carriers` by (checked sorted h, kind), so h in
+    any other order finds the same entry."""
     Q = G.carriers.get((h, kind))
     if Q is None:
         H = Subgroup(G, h)
-        ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
-        Q = G.carriers[h, kind] = quotient(ambient, H)
+        Q = G.carriers.get((H.elements, kind))
+        if Q is None:
+            ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
+            Q = G.carriers[H.elements, kind] = quotient(ambient, H)
     return Q
 
 
@@ -321,7 +325,7 @@ def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
 
 
 class BurnsideContext:
-    """The derived state of one pass over (G, catalog), built by the call that
+    """The state of one pass over (G, catalog), built by the call that
     runs the pass.  The constructor checks the catalog; `canonicalize` looks up
     a raw symbol it has met before and sends a new one through the module-level
     `canonicalize`, which validates it in full; `enumerated_form` fills the

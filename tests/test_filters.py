@@ -11,9 +11,9 @@ import pytest
 
 from burnloc.errors import ValidationError
 from burnloc.groups import FiniteGroup, Subgroup, build_group
-from burnloc.relations import FilterSpec, filtered_relation_vectors, filtered_structure, generate_relations
+from burnloc.relations import FilterSpec, filtered_structure, generate_relations
 from burnloc.symbols import KIND_JAC, carrier_quotient, enumerate_symbols
-from oracles import filter_from_subgroups, reference_admits
+from oracles import filter_from_subgroups, filtered_relation_vectors, reference_admits
 from scenarios import (
     clear_engine_caches,
     cyclic_table,

@@ -8,11 +8,17 @@ integer sits where the schema wants one, so a mutant that puts a non-integer
 there must exit 2 and name the leaf's JSON path.  Every mutant also runs with
 the reference symbol check and class difference of `oracles` in place of the
 engine's, and must give the same exit code, stdout and stderr byte for byte.
+The sample is stratified: every input gets an equal share of it, so the model
+and center inputs, whose mutants reach the symbol check and the class
+difference, are not outnumbered by the larger catalogs; the test counts the
+calls of both references and asserts that each is reached: the symbol check
+at least 30 times, the class difference at least 5.
 """
 
 import copy
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,18 +86,40 @@ def _mutant(doc, chain, replacement):
 
 
 def _cases():
+    """The mutants of each input, one list per input in `_inputs()` order."""
     for name, argv, doc in _inputs():
-        for path, chain, leaf in _leaves(doc):
-            for replacement in (*REPLACEMENTS, DELETE):
-                yield name, argv, doc, path, chain, leaf, replacement
+        yield [(name, argv, doc, path, chain, leaf, replacement)
+               for path, chain, leaf in _leaves(doc) for replacement in (*REPLACEMENTS, DELETE)]
+
+
+def _sample(per_input, rng):
+    """SAMPLE cases, an equal share from each input (the first inputs take one
+    more each while SAMPLE does not divide evenly)."""
+    share, extra = divmod(SAMPLE, len(per_input))
+    out = []
+    for i, cases in enumerate(per_input):
+        out += rng.sample(cases, share + (i < extra))
+    return out
 
 
 def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tmp_path, monkeypatch):
-    cases = list(_cases())
-    assert len(cases) > 2 * SAMPLE
+    per_input = list(_cases())
+    assert all(len(cases) > SAMPLE // len(per_input) for cases in per_input)
+    sample = _sample(per_input, random.Random(20261019))
+    assert len(sample) == SAMPLE
+    calls = Counter()
+
+    def counted(name, reference):
+        def call(*args):
+            calls[name] += 1
+            return reference(*args)
+        return call
+
+    validated_form = counted("validated_form", reference_validated_form)
+    difference = counted("difference", reference_difference)
     file = tmp_path / "input.json"
     named = 0
-    for name, argv, doc, path, chain, leaf, replacement in random.Random(20261019).sample(cases, SAMPLE):
+    for name, argv, doc, path, chain, leaf, replacement in sample:
         case = f"{name}: {path} = {'(deleted)' if replacement is DELETE else json.dumps(replacement)}"
         file.write_text(json.dumps(_mutant(doc, chain, replacement)))
         args = [str(file) if a == "{file}" else a for a in argv]
@@ -102,8 +130,8 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
         out, err = capsys.readouterr()
         with monkeypatch.context() as patch:
             for module in (burnloc.symbols, burnloc.models):
-                patch.setattr(module, "validated_form", reference_validated_form)
-            patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", reference_difference)
+                patch.setattr(module, "validated_form", validated_form)
+            patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", difference)
             assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case
         assert "Traceback" not in err, case
@@ -111,3 +139,5 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
             assert code == 2 and f"{path}: expected an integer" in err, f"{case}: exit {code}, {err!r}"
             named += 1
     assert named > 0
+    # a uniform sample of the 3,641 cases with the same seed reaches them 17 and 0 times
+    assert calls["validated_form"] >= 30 and calls["difference"] >= 5, dict(calls)

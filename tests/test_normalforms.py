@@ -172,11 +172,10 @@ def test_insertion_hnf_matches_the_dense_elimination(seed):
     lat = IntegerLattice.from_rows(rows, ncols)
     assert list(lat.basis) == hermite_normal_form(rows, ncols) == expected
     assert lat.rank == len(expected)
-    H, U = hermite_normal_form(rows, ncols, with_transform=True)
+    # a transform is not unique when rows are dependent; the oracle's must rebuild the basis
+    H, U = dense_hermite_normal_form(rows, ncols, with_transform=True)
     assert H == expected
-    # a transform is not unique when rows are dependent; each must rebuild the basis
-    for transform in (U, lat.transform):
-        assert [_times(u, rows, ncols) for u in transform] == expected
+    assert [_times(u, rows, ncols) for u in U] == expected
 
 
 @pytest.mark.parametrize("name", LADDER_GROUPS)
@@ -193,12 +192,10 @@ def test_relation_lattice_hnf_matches_the_dense_elimination_on_every_ladder_rung
 
 
 def test_lattice_builds_no_dense_rows_until_read():
+    # a lattice is its sparse pivot rows; the dense basis is read off them on request
     lat = IntegerLattice.from_rows([(2, 1, 0), (0, 4, 1), (2, 5, 1)], 3)
-    assert lat.derived == {}
+    assert lat == (3, (0, 1), (((0, 2), (1, 1)), ((1, 4), (2, 1)), None))
     assert lat.contains((2, 5, 1)) and lat.reduce((3, 0, 0)) == (1, 3, 1)
-    assert lat.derived == {}
-    assert lat.coefficients((2, 5, 1)) is not None
-    assert set(lat.derived) == {"transform"}
     assert lat.basis == ((2, 1, 0), (0, 4, 1))
 
 
@@ -220,18 +217,22 @@ def test_lattice_coefficients_certificate():
     rows = [(2, 1, 0), (0, 4, 1)]
     lat = IntegerLattice.from_rows(rows, 3)
     vec = (6, -17, -5)  # 3*rows[0] - 5*rows[1]
-    coeffs = lat.coefficients(vec)
+    assert lat.contains(vec)
+    coeffs = dense_coefficients(rows, 3, vec)
     assert coeffs is not None
     rebuilt = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(3))
     assert rebuilt == vec
-    assert lat.coefficients((1, 0, 0)) is None
+    assert not lat.contains((1, 0, 0))
+    assert dense_coefficients(rows, 3, (1, 0, 0)) is None
 
 
 def test_lattice_coefficients_on_rank_zero_lattice():
     # one coefficient per spanning row even when no HNF row is left
-    assert IntegerLattice.from_rows([(0, 0), (0, 0)], 2).coefficients((0, 0)) == (0, 0)
-    assert IntegerLattice.from_rows([], 2).coefficients((0, 0)) == ()
-    assert IntegerLattice.from_rows([(0, 0)], 2).coefficients((1, 0)) is None
+    for rows in ([(0, 0), (0, 0)], [], [(0, 0)]):
+        lat = IntegerLattice.from_rows(rows, 2)
+        assert lat.rank == 0 and lat.contains((0, 0)) and not lat.contains((1, 0))
+        assert dense_coefficients(rows, 2, (0, 0)) == (0,) * len(rows)
+        assert dense_coefficients(rows, 2, (1, 0)) is None
 
 
 def _lattice_queries(rng, rows, lat):
@@ -267,14 +268,14 @@ def test_sparse_reduction_matches_the_dense_reference(seed):
         assert found == dense_contains(lat, vec)
         assert member is None or found == member
         assert lat.reduce(vec) == dense_reduce(lat, vec)
-        coeffs = lat.coefficients(vec)
-        assert coeffs == dense_coefficients(lat, vec)
+        # a vector contains accepts is a combination of the rows, and only such a vector
+        coeffs = dense_coefficients(rows, ncols, vec)
+        assert (coeffs is not None) == found
         assert coeffs is None or _times(coeffs, rows, ncols) == vec
         # the same queries on {column: entry} vectors
         sparse = {j: x for j, x in enumerate(vec) if x}
         assert lat.contains(sparse) == found
         assert lat.reduce(sparse) == dense_reduce(lat, vec)
-        assert lat.coefficients(sparse) == coeffs
 
 
 def test_sparse_rows_are_the_basis_rows_by_pivot():
@@ -291,7 +292,7 @@ def test_sparse_rows_are_the_basis_rows_by_pivot():
 
 def test_lattice_queries_reject_the_wrong_length():
     lat = IntegerLattice.from_rows([(2, 0), (0, 3)], 2)
-    for query in (lat.contains, lat.reduce, lat.coefficients):
+    for query in (lat.contains, lat.reduce):
         for vec in ((1,), (1, 0, 0)):
             with pytest.raises(ValueError, match="vector has the wrong length"):
                 query(vec)
@@ -408,7 +409,7 @@ def test_membership_matches_exhaustive_search():
             if exhaustive_member(rows, vec, bound=3):
                 assert lat.contains(vec)
             if lat.contains(vec):
-                coeffs = lat.coefficients(vec)
+                coeffs = dense_coefficients(rows, ncols, vec)
                 assert len(coeffs) == len(rows)
                 rebuilt = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
                 assert tuple(rebuilt) == tuple(vec)

@@ -14,7 +14,6 @@ from burnloc.relations import (
     check_filter_closure,
     classes_equal,
     filter_project,
-    filtered_relation_vectors,
     filtered_structure,
     generate_relations,
     phi_G,
@@ -24,7 +23,7 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from oracles import filter_from_subgroups, kernel_basis
+from oracles import filter_from_subgroups, filtered_relation_vectors, kernel_basis
 from scenarios import (
     clear_engine_caches,
     cyclic_table,

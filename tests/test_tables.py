@@ -9,7 +9,7 @@ groups; and that all of them are freed with the group."""
 import gc
 import random
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -132,6 +132,15 @@ def test_subgroup_check_runs_once_per_element_set():
         with pytest.raises(ValidationError, match="subgroup not closed under inverse at 6"):
             Subgroup(G, (0, 6))  # 6 has order 3
     assert (0, 6) not in G._checked
+
+
+def test_carrier_quotients_are_kept_once_per_subgroup_whatever_its_element_order():
+    G = build_group({"kind": "abelian", "factors": [4, 4]})
+    orderings = list(permutations((0, 1, 2, 3)))
+    quotients = {id(carrier_quotient(G, h, KIND_CURVE)) for h in orderings}
+    assert len(orderings) == 24 and len(quotients) == 1
+    assert len(G.carriers) == 1 and len(G._checked) == 1
+    assert_tables_bounded(G)
 
 
 def test_class_table_gives_least_conjugate_and_transporter():

@@ -57,6 +57,7 @@ from .relations import (
     filter_project,
     filtered_structure,
     generate_relations,
+    invariant_I,
     phi_G,
     reduce,
     relation_lattice,
@@ -71,7 +72,6 @@ _MODEL_NAMES = (
     "VerdictReport",
     "blowup",
     "class_of_action",
-    "invariant_I",
     "invariant_counts",
     "validate_model",
     "verdict",

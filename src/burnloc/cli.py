@@ -12,12 +12,16 @@ and anything else, so help and usage errors keep argparse's text and exit
 codes (0 for help, 2 for a usage error).
 
 The model layer is imported by the commands that use it (`class`,
-`invariant`, `verdict`, `verify-blowup`), so `structure`, `relations`, `equal`
-and `phi` run without it.
+`invariant --model`, `verdict`, `verify-blowup`), so `structure`, `relations`,
+`equal`, `phi` and `invariant --counts` run without it.
+
+A `burnloc` process enters through `run`; `main` is the in-process entry
+(tests, the benchmark's traced runs) and leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -41,6 +45,7 @@ from .relations import (
     filter_project,
     filtered_structure,
     generate_relations,
+    invariant_I,
     phi_G,
     relation_lattice,
     structure,
@@ -212,13 +217,13 @@ def _parse_counts(raw: str) -> tuple[int, int, int]:
 
 
 def _cmd_invariant(args) -> int:
-    from .models import invariant_I, invariant_counts
-
     if (args.counts is None) == (args.model is None):
         raise ValidationError("invariant takes exactly one of --counts or --model")
     if args.counts is not None:
         i1, i2, i3 = _parse_counts(args.counts)
     else:
+        from .models import invariant_counts
+
         i1, i2, i3 = invariant_counts(load_model(args.model))
     value = invariant_I(i1, i2, i3)
     obstructed = value != 0
@@ -375,5 +380,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: `main` with the cyclic garbage collector off, and
+    everything alive frozen on every way out (argparse's SystemExit included).
+
+    A command makes next to no cyclic garbage, and the interpreter's exit
+    would otherwise traverse every live object in full collections.  The
+    process still exits as usual: streams are flushed and atexit handlers
+    run.  `main` keeps the collector, since a `FiniteGroup` and its tables are
+    reference cycles that only the collector frees."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -48,10 +48,11 @@ def order_bound() -> int:
     raw = os.environ.get(ORDER_BOUND_ENV)
     if raw is None:
         return DEFAULT_ORDER_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
+    # ASCII digits only: int() alone also reads ' 64 ', '6_4' and the digits
+    # of other scripts
+    if not (raw.isascii() and raw.isdigit()):
         raise ValidationError(f"{ORDER_BOUND_ENV} must be an integer, got {raw!r}")
+    value = int(raw)
     if value < 1:
         raise ValidationError(f"{ORDER_BOUND_ENV} must be positive, got {value}")
     return value

@@ -19,7 +19,8 @@ from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
 from .errors import JSONValue, ValidationError, read_json
 from .groups import FiniteGroup, Subgroup, all_subgroups
 from .relations import (
-    FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations, phi_G, relation_lattice,
+    FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations, invariant_I, phi_G,
+    relation_lattice,
 )
 from .symbols import (
     KIND_CURVE,
@@ -345,12 +346,6 @@ def invariant_counts(m: ModelDescription) -> tuple[int, int, int]:
         raise ValidationError("fixed-locus counts require a curve of genus >= 2")
     ensure_valid_model(m)
     return tuple(m.counts) if m.counts is not None else _counts_from_data(m)
-
-
-def invariant_I(i1: int, i2: int, i3: int) -> int:
-    if min(i1, i2, i3) < 0:
-        raise ValidationError("fixed-locus counts are nonnegative")
-    return -i1 - 2 * i2 + i3
 
 
 class VerdictReport(namedtuple(

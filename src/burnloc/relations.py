@@ -315,3 +315,10 @@ def phi_G(a: BurnsideClass, G: FiniteGroup, catalog: ActionCatalog) -> int:
             raise ValidationError("class must be projected to maximal-stabilizer symbols first")
         total += coeff * _PHI_WEIGHTS[sym.kind]
     return total
+
+
+def invariant_I(i1: int, i2: int, i3: int) -> int:
+    """The counts invariant I = -I1 - 2*I2 + I3 of the fixed-locus counts."""
+    if min(i1, i2, i3) < 0:
+        raise ValidationError("fixed-locus counts are nonnegative")
+    return -i1 - 2 * i2 + i3

@@ -154,6 +154,9 @@ def test_order_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("BURNLOC_ORDER_BOUND", "3")
     code, _, err = run(capsys, "structure", "--group", Z4, "--catalog", "hyperelliptic-Z2")
     assert code == 2 and "exceeds bound 3" in err
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", "\uff16\uff14")
+    code, _, err = run(capsys, "structure", "--group", Z2, "--catalog", "hyperelliptic-Z2")
+    assert code == 2 and "BURNLOC_ORDER_BOUND must be an integer, got" in err
 
 
 def test_inline_group_and_model_file(capsys, tmp_path):

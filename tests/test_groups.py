@@ -88,6 +88,23 @@ def test_order_bound_env_override(monkeypatch):
         build_group({"kind": "cyclic", "n": 2})
 
 
+@pytest.mark.parametrize("raw", ["\uff16\uff14", " 64 ", "6_4", "1_000", "+64", "-3", ""])
+def test_order_bound_env_takes_ascii_digits_only(monkeypatch, raw):
+    # fullwidth digits, padding and underscores are all read by int()
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", raw)
+    with pytest.raises(ValidationError, match="BURNLOC_ORDER_BOUND must be an integer, got"):
+        build_group({"kind": "cyclic", "n": 2})
+
+
+def test_order_bound_env_must_be_positive(monkeypatch):
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", "0")
+    with pytest.raises(ValidationError, match="BURNLOC_ORDER_BOUND must be positive"):
+        build_group({"kind": "cyclic", "n": 1})
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", "0064")
+    with pytest.raises(ValidationError, match="exceeds bound 64"):
+        build_group({"kind": "cyclic", "n": 65})
+
+
 def test_abelian_kind():
     G = build_group({"kind": "abelian", "factors": [2, 4]})
     assert G.order == 8

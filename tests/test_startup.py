@@ -34,6 +34,8 @@ def run(argv):
 seen = {{"import": loaded()}}
 seen["structure"] = run(["structure", "--group", {C2!r}, "--catalog", "hyperelliptic-Z2", "--json"])
 seen["after_structure"] = loaded()
+seen["invariant"] = run(["invariant", "--counts", "0,1,0", "--json"])
+seen["after_invariant"] = loaded()
 seen["class"] = run(["class", "--model", "quadric-bundle", "--json"])
 seen["after_class"] = loaded()
 print(json.dumps(seen))
@@ -53,6 +55,8 @@ def test_cli_imports_no_dataclasses_fractions_or_model_layer(capsys):
     assert seen["import"] == []
     assert seen["structure"] == [0, '{\n  "free_rank": 1,\n  "torsion": []\n}\n']
     assert seen["after_structure"] == []
+    assert seen["invariant"][0] == 0 and '"I": -2' in seen["invariant"][1]
+    assert seen["after_invariant"] == []  # --counts needs no model layer
     assert "burnloc.models" in seen["after_class"]
     assert "argparse" not in seen["after_class"] and "gettext" not in seen["after_class"]
     # the model layer imported on first use gives the report of this process

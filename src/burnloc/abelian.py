@@ -22,37 +22,16 @@ from operator import mod, mul
 
 from .errors import ValidationError
 from .groups import Subgroup
+from .normalforms import divisor_chain
 
 
 def normalize_factors(factors) -> tuple[int, ...]:
-    """Canonical invariant-factor form (ascending divisibility, no 1s) of a cyclic-factor list."""
-    primary: dict[int, list[int]] = {}
+    """Canonical invariant-factor form (ascending divisibility, no 1s) of a
+    cyclic-factor list, read off its divisor chain, so no factor is factored."""
     for d in factors:
         if d < 1:
             raise ValidationError(f"cyclic factor must be positive, got {d}")
-        p = 2
-        while p * p <= d:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                primary.setdefault(p, []).append(e)
-            p += 1
-        if d > 1:
-            primary.setdefault(d, []).append(1)
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    out: list[int] = []
-    i = 0
-    while any(i < len(e) for e in primary.values()):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        out.append(d)
-        i += 1
-    return tuple(reversed(out))
+    return tuple(d for d in divisor_chain(factors) if d > 1)
 
 
 class AbelianStructure:
@@ -166,14 +145,7 @@ class AbelianStructure:
         coordinates restricted to a subgroup K of the host."""
         target = abelian_structure(K)
         row, e = _scaled(self, coords)
-        out = []
-        for h, d in zip(target.basis, target.invariant_factors):
-            # b(h) = v/e in Q/Z and h has order d in K, so d * v/e must be whole
-            v = sum(map(mul, row, self.coords[h])) * d
-            if v % e:
-                raise ValidationError("values do not define a character in these coordinates")
-            out.append(v // e % d)
-        return tuple(out)
+        return _on_basis(target, row, [self.coords[h] for h in target.basis], e)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianStructure) and self.subgroup == other.subgroup
@@ -209,11 +181,16 @@ def transport_character(g: int, struct: AbelianStructure, coords: tuple[int, ...
     """The coordinates, on the structure of gHg^-1, of the character with these
     coordinates on H precomposed with conjugation by g^-1."""
     target, rows = struct.transport_matrix(g)
-    e = struct.invariant_factors[-1] if struct.invariant_factors else 1
+    return _on_basis(target, coords, rows, struct.invariant_factors[-1] if struct.invariant_factors else 1)
+
+
+def _on_basis(target: AbelianStructure, row, columns, e: int) -> tuple[int, ...]:
+    """The coordinates on `target` of the character whose value at its j-th
+    basis element is (row . columns[j]) / e in Q/Z; that basis element has
+    order d_j, so d_j times the value must be whole."""
     out = []
-    for row, d in zip(rows, target.invariant_factors):
-        # the value at a basis element x of gHg^-1 is v/e in Q/Z; d * v/e must be whole
-        v = sum(map(mul, coords, row)) * d
+    for column, d in zip(columns, target.invariant_factors):
+        v = sum(map(mul, row, column)) * d
         if v % e:
             raise ValidationError("values do not define a character in these coordinates")
         out.append(v // e % d)

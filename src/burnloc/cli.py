@@ -38,8 +38,10 @@ from .fixtures import (
     fixture_model,
     model_names,
 )
-from .groups import FiniteGroup, Subgroup, build_group
+from .groups import FiniteGroup, build_group
 from .relations import (
+    NO_OBSTRUCTION,
+    OBSTRUCTED,
     FilterSpec,
     classes_equal,
     filter_project,
@@ -50,7 +52,7 @@ from .relations import (
     relation_lattice,
     structure,
 )
-from .symbols import BurnsideClass, Symbol, canonicalize, carrier_quotient, text_form
+from .symbols import BurnsideClass, Symbol, canonicalize, residual_from_generators, text_form
 
 
 def _load_json_arg(arg: str, kind: str = "", names=None) -> dict:
@@ -110,11 +112,7 @@ def _symbol_from_json(symbol: JSONValue, G: FiniteGroup, catalog: ActionCatalog)
     y_reps = symbol.field("y_reps", JSONValue.integers, (0,))
     action = symbol.field("action", JSONValue.string)
     weights = symbol.field("weights", JSONValue.rows, ())
-    Q = carrier_quotient(G, h, kind)
-    bad = [x for x in y_reps if x not in Q.coset_of]
-    if bad:
-        raise ValidationError(f"y_reps elements {bad} do not centralize/normalize the stabilizer {h}")
-    y = Subgroup.generated(Q.group, Q.image(y_reps)).elements
+    y = residual_from_generators(G, h, kind, y_reps, "y_reps")
     return canonicalize(Symbol(kind, h, y, action, weights), G, catalog)
 
 
@@ -231,9 +229,7 @@ def _cmd_invariant(args) -> int:
     lines = [
         f"counts: I1={i1} I2={i2} I3={i3}",
         f"I = -I1 - 2*I2 + I3 = {value}",
-        "verdict: OBSTRUCTED (not linearizable, not projectively linearizable)"
-        if obstructed
-        else "verdict: NO OBSTRUCTION FROM THIS INVARIANT",
+        f"verdict: {OBSTRUCTED if obstructed else NO_OBSTRUCTION}",
     ]
     _emit(args, payload, lines)
     return 0

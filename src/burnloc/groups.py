@@ -4,7 +4,8 @@ quotients with section data, and enumeration of (abelian) subgroups up to
 conjugacy.
 
 Elements are indices 0..order-1 and element 0 is always the identity.  Groups
-are capped at a configurable order bound (default 64, env BURNLOC_ORDER_BOUND).
+are capped at an order bound: 64, unless the environment variable
+BURNLOC_ORDER_BOUND sets another.
 Subgroups are generated by one closure routine, Dimino's coset step (Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): <H, g> is
 found by a breadth-first search of the Cayley graph over the right cosets of H,
@@ -70,10 +71,10 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "name", "_inv", "_abelian", "_hash", "_conj", "_checked", "_classes",
                  "_lattice", "_abelian_reps", "_quotients", "_interned", "structures", "carriers", "frames")
 
-    def __init__(self, mul: Sequence[Sequence[int]], name: str = "", bound: int | None = None):
+    def __init__(self, mul: Sequence[Sequence[int]], name: str = ""):
         table = tuple(map(tuple, mul))
         n = len(table)
-        limit = order_bound() if bound is None else bound
+        limit = order_bound()
         if n == 0:
             raise ValidationError("a group needs at least the identity element")
         if n > limit:
@@ -276,7 +277,7 @@ def _perm_table(degree: int, gens: Sequence[Sequence[int]], limit: int) -> list[
     return [[index[_compose(p, q)] for q in ordered] for p in ordered]
 
 
-def build_group(spec, bound: int | None = None) -> FiniteGroup:
+def build_group(spec) -> FiniteGroup:
     """Build a validated group from a description.
 
     Supported kinds: {"kind":"cyclic","n":..}, {"kind":"abelian","factors":[..]},
@@ -284,7 +285,7 @@ def build_group(spec, bound: int | None = None) -> FiniteGroup:
     """
     doc = read_json(spec, "malformed group description")
     kind = doc.field("kind", JSONValue.string)
-    limit = order_bound() if bound is None else bound
+    limit = order_bound()
     if kind in ("cyclic", "abelian"):
         cyclic = kind == "cyclic"
         factors = (doc.field("n", JSONValue.integer),) if cyclic else doc.field("factors", JSONValue.integers)
@@ -294,13 +295,13 @@ def build_group(spec, bound: int | None = None) -> FiniteGroup:
         if n > limit:
             raise ValidationError(f"group order {n} exceeds bound {limit}")
         name = f"C{n}" if cyclic else "x".join(f"C{d}" for d in factors) or "C1"
-        return FiniteGroup(_abelian_table(factors or (1,)), name=name, bound=limit)
+        return FiniteGroup(_abelian_table(factors or (1,)), name=name)
     name = doc.field("name", JSONValue.string, "")
     if kind == "table":
-        return FiniteGroup(doc.field("mul", JSONValue.rows), name=name, bound=limit)
+        return FiniteGroup(doc.field("mul", JSONValue.rows), name=name)
     if kind == "perm":
         table = _perm_table(doc.field("degree", JSONValue.integer), doc.field("gens", JSONValue.rows), limit)
-        return FiniteGroup(table, name=name, bound=limit)
+        return FiniteGroup(table, name=name)
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -489,9 +490,10 @@ class QuotientGroup:
 
     `group` is the quotient as a FiniteGroup; coset 0 is H itself.  `coset_of`
     maps an N-element to its coset index and `reps` picks the minimal
-    representative of each coset.  `resolved` is the model layer's memo of
-    the residual groups it has resolved in this quotient, keyed by (declared
-    shape, declared generators or None); only successes are kept.
+    representative of each coset.  `resolved` is the symbol layer's memo of
+    the residual groups `resolve_residual_group` has resolved from declared
+    data in this quotient, keyed by (declared shape, declared generators or
+    None); only successes are kept.
     """
 
     __slots__ = ("group", "coset_of", "reps", "resolved")

@@ -15,12 +15,12 @@ from functools import cached_property
 from operator import neg, sub
 
 from .abelian import abelian_structure
-from .catalog import CURVE, ActionCatalog, ActionLabel, ensure_valid_catalog
+from .catalog import CURVE, ActionCatalog, ensure_valid_catalog
 from .errors import JSONValue, ValidationError, read_json
-from .groups import FiniteGroup, Subgroup, all_subgroups
+from .groups import FiniteGroup, Subgroup
 from .relations import (
-    FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations, invariant_I, phi_G,
-    relation_lattice,
+    NO_OBSTRUCTION, OBSTRUCTED, FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations,
+    invariant_I, phi_G, relation_lattice,
 )
 from .symbols import (
     KIND_CURVE,
@@ -30,16 +30,13 @@ from .symbols import (
     BurnsideContext,
     Symbol,
     carrier_quotient,
+    resolve_residual_group,
     text_form,
     validated_form,
 )
 
 FIXED_CURVE = "fixed_curve"
 RULED_DIVISOR = "ruled_divisor"
-
-OBSTRUCTED = "OBSTRUCTED (not linearizable, not projectively linearizable)"
-NO_OBSTRUCTION = "NO OBSTRUCTION FROM THIS INVARIANT"
-
 
 StratumDatum = namedtuple("StratumDatum", "kind stabilizer residual weights residual_group", defaults=(None,))
 JacobianFactorDatum = namedtuple("JacobianFactorDatum", "stabilizer residual residual_group", defaults=(None,))
@@ -62,46 +59,10 @@ class ModelDescription:
         return _model_symbols(self)
 
 
-def _resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str,
-                            label: ActionLabel, residual_group) -> tuple[int, ...]:
-    """Concrete Y as coset indices: explicit generators, or the unique shape match.
-
-    Y depends only on the carrier quotient, the label's shape and the
-    generators, so it is kept in the quotient's `resolved` memo, keyed by
-    (shape, generators or None).  A failure is not kept: it raises the same
-    message on every call."""
-    Q = carrier_quotient(G, h, kind)
-    gens = None if residual_group is None else tuple(residual_group)
-    y = Q.resolved.get((label.group_shape, gens))
-    if y is not None:
-        return y
-    if gens is not None:
-        bad = [x for x in gens if x not in Q.coset_of]
-        if bad:
-            raise ValidationError(
-                f"residual_group elements {bad} do not centralize/normalize the stabilizer {h}"
-            )
-        y = Subgroup.generated(Q.group, Q.image(gens)).elements
-    else:
-        matches = [S for S in all_subgroups(Q.group) if label.group_shape.matches(S)]
-        if not matches:
-            raise ValidationError(
-                f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}"
-            )
-        if len(matches) > 1:
-            raise ValidationError(
-                f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
-                "declare residual_group explicitly"
-            )
-        y = matches[0].elements
-    Q.resolved[label.group_shape, gens] = y
-    return y
-
-
 def _datum_symbol(m: ModelDescription, kind: str, datum, weights: tuple = ()) -> Symbol:
     """The canonical symbol of a stratum or Jacobian factor datum."""
     label = m.catalog.label(datum.residual)
-    y = _resolve_residual_group(m.group, datum.stabilizer, kind, label, datum.residual_group)
+    y = resolve_residual_group(m.group, datum.stabilizer, kind, label, datum.residual_group)
     sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(tuple(w) for w in weights))
     form, problems = validated_form(sym, m.group, m.catalog)
     if problems:
@@ -268,7 +229,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         label = catalog.label(c.curve_label)
         if label.space != CURVE:
             raise ValidationError("case-2 centers need a curve-space action label")
-        y = _resolve_residual_group(G, H.elements, KIND_CURVE, label, c.y_reps or None)
+        y = resolve_residual_group(G, H.elements, KIND_CURVE, label, c.y_reps or None)
         Q = carrier_quotient(G, H.elements, KIND_CURVE)
         Y = Subgroup.trusted(Q.group, y)
         if not label.group_shape.matches(Y):
@@ -294,7 +255,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         struct = abelian_structure(H)
         b1, b2 = map(struct.reduce, datum.weights)  # checked with the model
         label = catalog.label(datum.residual)
-        y = _resolve_residual_group(G, H.elements, KIND_CURVE, label, datum.residual_group)
+        y = resolve_residual_group(G, H.elements, KIND_CURVE, label, datum.residual_group)
         Q = carrier_quotient(G, H.elements, KIND_CURVE)
         upstairs = Q.preimage(y)
         added = []

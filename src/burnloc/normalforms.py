@@ -174,7 +174,7 @@ def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
     so column operations clear its row without touching another: it splits
     off one factor 1.  The other rows are transposed and put in Hermite form
     again, until every row holds only its pivot; that diagonal is brought to
-    d1 | d2 | ... by pairwise gcd and lcm, e.g. (4, 6) -> (2, 12).
+    d1 | d2 | ... by `divisor_chain`.
     """
     rows = _sparse_rows(rows, ncols)
     units = 0
@@ -189,12 +189,30 @@ def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
             for j, x in row:
                 columns.setdefault(j, {})[i] = x
         rows, ncols = list(columns.values()), len(left)
-    diag = [row[0][1] for row in left]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return (1,) * units + tuple(diag)
+    return (1,) * units + divisor_chain(row[0][1] for row in left)
+
+
+def divisor_chain(ds) -> tuple[int, ...]:
+    """The positive integers ds as the divisor chain d1 | d2 | ... of the same
+    length and the same product of cyclic groups, by gcd and lcm alone (no
+    integer is factored): Z/c x Z/d is Z/gcd(c, d) x Z/lcm(c, d).  Each d
+    passes the entries of the chain so far that it divides, found by
+    bisection; the entry c below them becomes lcm(c, d), and gcd(c, d), a
+    proper divisor, goes on until it is 1 or a multiple of the entry below."""
+    ds = tuple(ds)
+    chain: list[int] = []
+    for d in ds:
+        while d > 1:
+            lo, hi = 0, len(chain)
+            while lo < hi:  # the first entry that d divides
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if chain[mid] % d else (lo, mid)
+            if not lo or d % chain[lo - 1] == 0:
+                chain.insert(lo, d)
+                break
+            g = gcd(chain[lo - 1], d)
+            chain[lo - 1], d = chain[lo - 1] // g * d, g
+    return (1,) * (len(ds) - len(chain)) + tuple(chain)
 
 
 def cokernel_structure(rows, ncols: int) -> tuple[int, tuple[int, ...]]:

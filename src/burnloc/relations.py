@@ -31,6 +31,7 @@ from .symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
+    _group_display,
     _text_head,
     _text_tail,
     carrier_quotient,
@@ -146,7 +147,7 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                 {context.canonicalize(sym): 1},
                 "B3",
                 curve_action=rule.source,
-                y=shape_name(abelian_structure(Y).invariant_factors) if Y.is_abelian() else f"ord{Y.order}",
+                y=_group_display(Y),
             )
 
     jac_syms = [s for s in symbols if s.kind == KIND_JAC]
@@ -182,8 +183,7 @@ class RelationLattice:
 
     def __init__(self, index: tuple[Symbol, ...], vectors):
         self.index = tuple(index)
-        self.position = {s: i for i, s in enumerate(self.index)}
-        rows = [v.to_vector(self.position, len(self.index)) for v in vectors]
+        self.position, rows = _rows(self.index, vectors)
         self.lattice = IntegerLattice.from_rows(rows, len(self.index))
 
     def class_from_row(self, row) -> BurnsideClass:
@@ -215,10 +215,13 @@ def structure(G: FiniteGroup, catalog: ActionCatalog) -> GroupStructure:
 
 def structure_from(index, vectors) -> GroupStructure:
     index = tuple(index)
+    return GroupStructure(*cokernel_structure(_rows(index, vectors)[1], len(index)))
+
+
+def _rows(index: tuple[Symbol, ...], vectors):
+    """({symbol: its position in the index}, the vectors as rows over the index)."""
     position = {s: i for i, s in enumerate(index)}
-    rows = [v.to_vector(position, len(index)) for v in vectors]
-    free_rank, torsion = cokernel_structure(rows, len(index))
-    return GroupStructure(free_rank, torsion)
+    return position, [v.to_vector(position, len(index)) for v in vectors]
 
 
 def classes_equal(a: BurnsideClass, b: BurnsideClass, lattice: RelationLattice) -> bool:
@@ -230,7 +233,7 @@ def reduce(a: BurnsideClass, lattice: RelationLattice) -> BurnsideClass:
     return lattice.reduce(a)
 
 
-class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
+class FilterSpec(namedtuple("FilterSpec", "pairs")):
     """Admitted (H, Y) pairs up to conjugacy.
 
     Each pair is stored as (H elements, preimage-of-Y elements), both inside the
@@ -244,7 +247,7 @@ class FilterSpec(namedtuple("FilterSpec", "pairs name", defaults=("",))):
     @classmethod
     def max_stabilizer(cls, G: FiniteGroup) -> "FilterSpec":
         full = tuple(G.elements())
-        return cls(pairs=((full, full),), name="max-stabilizer")
+        return cls(pairs=((full, full),))
 
     def admits(self, sym: Symbol, G: FiniteGroup) -> bool:
         return sym in _admitted(self, G, (sym,))
@@ -275,17 +278,13 @@ def _filter_pass(f: FilterSpec, G: FiniteGroup, relations, symbols=()):
     return admitted, tuple(kept)
 
 
-def check_filter_closure(f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog, relations=None) -> None:
-    """Refuse filters under which some generated relation mixes admitted and dropped symbols."""
-    _filter_pass(f, G, generate_relations(G, catalog) if relations is None else relations)
-
-
 def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog,
                    relations=None) -> BurnsideClass:
     """Drop all symbols outside the filter (after the closure check, over
     `relations` when the caller has generated them)."""
-    check_filter_closure(f, G, catalog, relations)
-    admitted = _admitted(f, G, a.support())
+    if relations is None:
+        relations = generate_relations(G, catalog)
+    admitted, _ = _filter_pass(f, G, relations, a.support())
     return BurnsideClass({s: c for s, c in a.terms() if s in admitted})
 
 
@@ -315,6 +314,11 @@ def phi_G(a: BurnsideClass, G: FiniteGroup, catalog: ActionCatalog) -> int:
             raise ValidationError("class must be projected to maximal-stabilizer symbols first")
         total += coeff * _PHI_WEIGHTS[sym.kind]
     return total
+
+
+# the verdict wording of a nonzero and of a zero counts invariant I
+OBSTRUCTED = "OBSTRUCTED (not linearizable, not projectively linearizable)"
+NO_OBSTRUCTION = "NO OBSTRUCTION FROM THIS INVARIANT"
 
 
 def invariant_I(i1: int, i2: int, i3: int) -> int:

@@ -22,12 +22,14 @@ frame (kind None) maps no carrier quotient.
 The enumerators read a stabilizer's Y options off the labels' shapes: a
 trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
 in the carrier quotient, and only another shape (noncyclic abelian, or
-nonabelian by order) filters the quotient's lattice.  Weights are coordinate
-tuples on H's `AbelianStructure`; validation and the enumerators both ask
-its `generates_dual`, which reads the kernel memo: a pair generates the dual
-when their kernels meet only in the identity, one character when its kernel
-is trivial.  A curve stabilizer with a p-rank above 2, read off its element
-orders, is skipped before any abelian structure is built for it.
+nonabelian by order) filters the quotient's lattice.  Declared data whose Y is
+left to its shape read the same options (`resolve_residual_group`), and what
+they resolve is kept in the carrier quotient's `resolved` memo.  Weights are
+coordinate tuples on H's `AbelianStructure`; validation and the enumerators
+both ask its `generates_dual`, which reads the kernel memo: a pair generates
+the dual when their kernels meet only in the identity, one character when its
+kernel is trivial.  A curve stabilizer with a p-rank above 2, read off its
+element orders, is skipped before any abelian structure is built for it.
 
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
@@ -251,6 +253,42 @@ def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
             matched.setdefault(y, set()).add(shape)
     return [(y, [label for label in labels if label.group_shape in matched[y]])
             for y in sorted(matched, key=lambda y: (len(y), y))]
+
+
+def residual_from_generators(G: FiniteGroup, h: tuple[int, ...], kind: str, gens, field: str) -> tuple[int, ...]:
+    """Y generated by the images of the ambient elements `gens` in h's carrier
+    quotient; an element outside the carrier is refused under the name of the
+    input's `field`."""
+    Q = carrier_quotient(G, h, kind)
+    bad = [x for x in gens if x not in Q.coset_of]
+    if bad:
+        raise ValidationError(f"{field} elements {bad} do not centralize/normalize the stabilizer {h}")
+    return Subgroup.generated(Q.group, Q.image(gens)).elements
+
+
+def resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str, label, gens) -> tuple[int, ...]:
+    """Concrete Y of declared data as coset indices: generated by the declared
+    residual_group `gens`, or, with gens None, the one Y of the label's shape
+    among the enumerators' options.  It is kept in the quotient's `resolved`
+    memo, keyed by (shape, generators or None); a failure is not kept."""
+    Q = carrier_quotient(G, h, kind)
+    key = (label.group_shape, None if gens is None else tuple(gens))
+    y = Q.resolved.get(key)
+    if y is None:
+        if gens is not None:
+            y = residual_from_generators(G, h, kind, gens, "residual_group")
+        else:
+            ys = [y for y, _ in _y_options(G, h, kind, (label,))]
+            if not ys:
+                raise ValidationError(f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}")
+            if len(ys) > 1:
+                raise ValidationError(
+                    f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
+                    "declare residual_group explicitly"
+                )
+            (y,) = ys
+        Q.resolved[key] = y
+    return y
 
 
 def _dual_pairs(struct: AbelianStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

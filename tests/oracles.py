@@ -55,6 +55,15 @@ reference abelian basis takes as complement of each peeled cyclic factor the
 first subgroup of the right order, in (order, elements) order, that meets it
 trivially.
 
+The invariant factors of a cyclic-factor list are kept on the prime-power
+route (`reference_normalize_factors`): each factor is split into prime
+powers, by trial division below 1000 and a Miller-Rabin test of the cofactor
+left, and the i-th largest power of every prime goes into the i-th largest
+factor; the engine reads them off the gcd/lcm divisor chain instead.  The
+residual group of a label's shape is found by a scan of the carrier
+quotient's whole subgroup lattice (`reference_resolve_residual`); the engine
+reads the enumerators' Y options.
+
 The symbol check of the model data is kept as it was before a checked
 element tuple was taken as is (`reference_check_symbol`): every stabilizer
 and residual tuple is sorted again, the label is tested before it is looked
@@ -205,6 +214,81 @@ def _prime_factors(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_probable_prime(n):
+    """Miller-Rabin with the first twelve primes as bases, which decides
+    primality exactly for n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+
+
+def _prime_powers(d):
+    """{p: e} with d the product of the p**e: trial division by the primes
+    below 1000 until p*p exceeds what is left, then the cofactor left, which
+    must be 1 or a prime (Miller-Rabin), so that a 19-digit prime is read at
+    once where trial division up to its root would run for minutes."""
+    out = {}
+    for p in _SMALL_PRIMES:
+        if p * p > d:
+            break
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+    else:
+        if d > 1 and not _is_probable_prime(d):
+            raise ValueError(f"cofactor {d} has no prime factor below 1000 and is not prime")
+    if d > 1:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
+def reference_normalize_factors(factors):
+    """Invariant factors (ascending divisibility, no 1s) of a cyclic-factor
+    list by the prime-power route: split each factor into prime powers,
+    sort each prime's exponents, and multiply the i-th largest power of every
+    prime into the i-th largest invariant factor."""
+    primary = {}
+    for d in factors:
+        if d < 1:
+            raise ValidationError(f"cyclic factor must be positive, got {d}")
+        for p, e in _prime_powers(d).items():
+            primary.setdefault(p, []).append(e)
+    for exps in primary.values():
+        exps.sort(reverse=True)
+    out = []
+    i = 0
+    while any(i < len(e) for e in primary.values()):
+        d = 1
+        for p, exps in primary.items():
+            if i < len(exps):
+                d *= p ** exps[i]
+        out.append(d)
+        i += 1
+    return tuple(reversed(out))
 
 
 def quotient_invariant_factors(oracle, reps):
@@ -829,6 +913,21 @@ def _lattice_options(G, H, kind, labels):
         for label in labels:
             if label.group_shape.matches(Y):
                 yield Y, label
+
+
+def reference_resolve_residual(G, h, kind, label):
+    """The one Y of the label's shape in h's carrier quotient, by a scan of the
+    quotient's whole subgroup lattice, with the engine's messages for none and
+    for more than one."""
+    matches = [Y for Y in all_subgroups(carrier_quotient(G, h, kind).group) if label.group_shape.matches(Y)]
+    if not matches:
+        raise ValidationError(f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}")
+    if len(matches) > 1:
+        raise ValidationError(
+            f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
+            "declare residual_group explicitly"
+        )
+    return matches[0].elements
 
 
 def symbol_structure(G, sym):

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
 from burnloc.abelian import abelian_structure, normalize_factors, shape_name, transport_character
 from burnloc.errors import ValidationError
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group, full_subgroup
-from oracles import all_coordinates, character_span, reference_evaluate
+from oracles import all_coordinates, character_span, reference_evaluate, reference_normalize_factors
 
 
 def struct_of(spec):
@@ -26,6 +28,44 @@ def struct_of(spec):
 def test_invariant_factors(factors, expected):
     assert normalize_factors(factors) == expected
     assert struct_of({"kind": "abelian", "factors": factors}).invariant_factors == expected
+
+
+def test_divisor_chain_matches_the_prime_power_route_on_every_short_list():
+    # every list of at most three factors in 1..40
+    for n in range(4):
+        for factors in product(range(1, 41), repeat=n):
+            assert normalize_factors(factors) == reference_normalize_factors(factors), factors
+
+
+def test_divisor_chain_matches_the_prime_power_route_on_seeded_lists():
+    # factors below 10**6, so the reference's trial division below 1000 leaves
+    # 1 or a prime; half of them are products of small prime powers, so that
+    # the factors share primes
+    rng = random.Random(25)
+    for _ in range(2000):
+        factors = [
+            rng.randint(1, 10**6) if rng.random() < 0.5
+            else prod(p ** rng.randint(0, 3) for p in (2, 3, 5, 7, 11))
+            for _ in range(rng.randint(1, 6))
+        ]
+        assert normalize_factors(factors) == reference_normalize_factors(factors), factors
+
+
+def test_long_factor_lists_match_the_prime_power_route():
+    # each factor passes the entries of the chain it divides by bisection, so
+    # 20,000 factors take a fraction of a second, where a gcd/lcm step per
+    # pair of factors would take tens of seconds
+    n = 20_000
+    for factors in ([2] * n, [2, 3] * (n // 2), [4] * (n // 2) + [6] * (n // 2), list(range(1, n + 1))):
+        assert normalize_factors(factors) == reference_normalize_factors(factors)
+
+
+def test_a_19_digit_prime_factor_is_not_factored():
+    # trial division up to the root of 10**18 + 3, a prime, runs for minutes
+    assert normalize_factors([10**18 + 3, 2]) == reference_normalize_factors([10**18 + 3, 2]) == (2 * (10**18 + 3),)
+    for bad in ([0], [3, -2]):
+        with pytest.raises(ValidationError, match="cyclic factor must be positive, got"):
+            normalize_factors(bad)
 
 
 def test_coordinate_map_is_isomorphism():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,20 @@ def test_unknown_fixture_or_file_lists_the_fixtures(capsys):
     assert code == 2 and err.startswith("error: unknown catalog fixture or file 'no-such-catalog'; available")
     code, _, err = run(capsys, "structure", "--group", "no-such-group", "--catalog", "hyperelliptic-Z2")
     assert (code, err) == (2, "error: not a file or inline JSON object: 'no-such-group'\n")
+
+
+def test_a_19_digit_factor_in_a_catalog_does_not_hang(tmp_path):
+    # 10**18 + 3 is prime: finding its invariant factors by trial division
+    # would run for minutes, the divisor chain answers at once
+    big = 10**18 + 3
+    data = catalog_to_json(fixture_catalog("hyperelliptic-Z2"))
+    data["labels"].append({"id": "big-C", "space": "curve", "group_shape": [big], "faithful": True, "trivial": False})
+    data["rules"]["induce"].append({"h": [big], "curve_label": "triv-C", "weights": "equal", "target": "triv-CxP1"})
+    (tmp_path / "big.json").write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "burnloc.cli", "structure", "--group", Z2, "--catalog", str(tmp_path / "big.json"),
+         "--no-banner"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "free rank: 1\ntorsion: (none)\n", "")

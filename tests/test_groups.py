@@ -73,10 +73,11 @@ def test_identity_must_be_element_zero():
         build_group({"kind": "table", "mul": [[1, 0], [0, 1]]})
 
 
-def test_order_bound_enforced():
+def test_order_bound_enforced(monkeypatch):
     with pytest.raises(ValidationError, match="exceeds bound"):
         build_group({"kind": "cyclic", "n": 65})
-    assert build_group({"kind": "cyclic", "n": 65}, bound=128).order == 65
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", "128")
+    assert build_group({"kind": "cyclic", "n": 65}).order == 65
 
 
 def test_order_bound_env_override(monkeypatch):

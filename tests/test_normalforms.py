@@ -7,6 +7,7 @@ from burnloc.errors import ValidationError
 from burnloc.normalforms import (
     IntegerLattice,
     cokernel_structure,
+    divisor_chain,
     hermite_normal_form,
     smith_normal_form,
 )
@@ -101,6 +102,14 @@ def test_snf_diagonal_needs_gcd_lcm():
     # a diagonal is its own Hermite form either way; only gcd/lcm makes d1 | d2
     assert smith_normal_form([(4, 0), (0, 6)], 2) == (2, 12)
     assert smith_normal_form([(9, 0, 0), (0, 6, 0), (0, 0, 4)], 3) == (1, 6, 36)
+
+
+def test_divisor_chain_keeps_the_length_and_the_group():
+    # (12, 1, 8, 6) is Z/4 x Z/3 x Z/8 x Z/2 x Z/3, that is Z/2 x Z/12 x Z/24
+    assert divisor_chain((12, 1, 8, 6)) == (1, 2, 12, 24)
+    assert divisor_chain((2, 3, 1)) == (1, 1, 6)
+    assert divisor_chain(iter((6, 4))) == (2, 12)
+    assert divisor_chain(()) == ()
 
 
 @given(st.integers(0, 10_000))

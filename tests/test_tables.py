@@ -26,11 +26,11 @@ from burnloc.groups import (
     build_group,
     subgroups_up_to_conjugacy,
 )
-from burnloc.models import _resolve_residual_group
 from burnloc.relations import relation_lattice, structure
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
+    KIND_SURFACE,
     BurnsideContext,
     Symbol,
     canonicalize,
@@ -39,9 +39,16 @@ from burnloc.symbols import (
     iter_curve_data,
     iter_jac_data,
     iter_surface_data,
+    resolve_residual_group,
     validate_symbol,
 )
-from oracles import all_coordinates, character_span, reference_canonicalize, reference_group_problem
+from oracles import (
+    all_coordinates,
+    character_span,
+    reference_canonicalize,
+    reference_group_problem,
+    reference_resolve_residual,
+)
 from scenarios import (
     LADDER_GROUPS,
     _datum,
@@ -259,7 +266,7 @@ def _resolved_ys(G, catalog):
         label = catalog.label(sym.action)
         for gens in (datum.residual_group, None):
             try:
-                y = _resolve_residual_group(G, sym.h, sym.kind, label, gens)
+                y = resolve_residual_group(G, sym.h, sym.kind, label, gens)
             except ValidationError as exc:
                 assert gens is None and "ambiguous" in str(exc)
                 continue
@@ -277,9 +284,52 @@ def test_resolved_residual_groups_agree_cold_and_warm():
         clear_engine_caches()
         cold = build_group(spec)
         assert not carrier_quotient(cold, sym.h, sym.kind).resolved
-        assert _resolve_residual_group(cold, sym.h, sym.kind, catalog.label(sym.action), gens) == y
+        assert resolve_residual_group(cold, sym.h, sym.kind, catalog.label(sym.action), gens) == y
         assert y == sym.y or gens is None
     assert_tables_bounded(warm, catalog)
+
+
+def _shape_resolutions(G, catalog, resolve):
+    """(h, kind, label id, Y or the error message) for every subgroup h of G,
+    every symbol kind and every label, Y resolved from the label's shape alone."""
+    out = []
+    for H in all_subgroups(G):
+        for kind in (KIND_CURVE, KIND_SURFACE, KIND_JAC):
+            for label in catalog.labels:
+                try:
+                    y = resolve(G, H.elements, kind, label)
+                except ValidationError as exc:
+                    y = str(exc)
+                out.append((H.elements, kind, label.id, y))
+    return out
+
+
+def _assert_shape_resolution_matches_the_lattice_scan(G, catalog):
+    expected = _shape_resolutions(G, catalog, reference_resolve_residual)
+    for _ in range(2):  # cold, then from the quotients' memos
+        assert _shape_resolutions(G, catalog, lambda *a: resolve_residual_group(*a, None)) == expected
+    messages = [y for *_, y in expected if isinstance(y, str)]
+    assert any(m.startswith("no residual subgroup of shape") for m in messages)
+    assert any(m.endswith("is ambiguous; declare residual_group explicitly") for m in messages)
+    assert_tables_bounded(G, catalog)
+
+
+@pytest.mark.parametrize("name", ["C4xC4", "D4xC2", "S3xS3"])
+def test_shape_resolution_matches_the_lattice_scan(name):
+    base = build_group(LADDER_GROUPS[name])
+    for spec in (LADDER_GROUPS[name], {"kind": "table", "mul": relabel(base.mul, 11)}):
+        clear_engine_caches()
+        G = build_group(spec)
+        _assert_shape_resolution_matches_the_lattice_scan(G, generated_catalog(G))
+
+
+def test_shape_resolution_matches_the_lattice_scan_on_noncyclic_and_nonabelian_shapes():
+    # S3 x S3 has subgroups C2 x C2 and S3, so both shapes resolve somewhere
+    # and are ambiguous or absent elsewhere
+    G = build_group(LADDER_GROUPS["S3xS3"])
+    shapes = ([2, 2], {"order": 6, "abelian": False})
+    catalog = catalog_with_shapes(G, shapes, spaces=("curve", "ruled_surface", "jacobian"))
+    _assert_shape_resolution_matches_the_lattice_scan(G, catalog)
 
 
 def test_resolve_failures_repeat_their_message_and_are_never_recorded():
@@ -301,7 +351,7 @@ def test_resolve_failures_repeat_their_message_and_are_never_recorded():
         before = dict(Q.resolved)
         for _ in range(3):
             with pytest.raises(ValidationError) as exc:
-                _resolve_residual_group(G, h, KIND_CURVE, label, gens)
+                resolve_residual_group(G, h, KIND_CURVE, label, gens)
             assert str(exc.value) == message
         assert Q.resolved == before
 

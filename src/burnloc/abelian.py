@@ -147,15 +147,6 @@ class AbelianStructure:
         row, e = _scaled(self, coords)
         return _on_basis(target, row, [self.coords[h] for h in target.basis], e)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbelianStructure) and self.subgroup == other.subgroup
-
-    def __hash__(self) -> int:
-        return hash(self.subgroup)
-
-    def __repr__(self) -> str:
-        return f"AbelianStructure{self.invariant_factors}"
-
 
 def abelian_structure(H: Subgroup) -> AbelianStructure:
     struct = H.ambient.structures.get(H.elements)

@@ -91,12 +91,15 @@ class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
 def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientGroup:
     """The quotient housing Y: Z_G(H)/H for curve/surface symbols, N_G(H)/H for
     jacobian ones; kept in `G.carriers` by (checked sorted h, kind), so h in
-    any other order finds the same entry."""
+    any other order finds the same entry.  Z_G(H) holds H only when H is
+    abelian, so a nonabelian curve/surface stabilizer is refused as such."""
     Q = G.carriers.get((h, kind))
     if Q is None:
         H = Subgroup(G, h)
         Q = G.carriers.get((H.elements, kind))
         if Q is None:
+            if kind != KIND_JAC and not H.is_abelian():
+                raise ValidationError("stabilizer must be abelian")
             ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
             Q = G.carriers[H.elements, kind] = quotient(ambient, H)
     return Q
@@ -128,6 +131,8 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
         return [f"unknown action label {sym.action!r}"], None
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
+    if sym.kind != KIND_JAC and not H.is_abelian():  # before Y: Z_G(H) holds H only for abelian H
+        return problems + ["stabilizer must be abelian"], None
     try:
         Y = y_subgroup(G, sym)
     except ValidationError as exc:
@@ -146,8 +151,6 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
 
     if H.is_trivial():
         return problems + ["stabilizer must be nontrivial"], None
-    if not H.is_abelian():
-        return problems + ["stabilizer must be abelian"], None
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
@@ -257,11 +260,14 @@ def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
 
 def residual_from_generators(G: FiniteGroup, h: tuple[int, ...], kind: str, gens, field: str) -> tuple[int, ...]:
     """Y generated by the images of the ambient elements `gens` in h's carrier
-    quotient; an element outside the carrier is refused under the name of the
-    input's `field`."""
+    quotient; an element outside G or outside the carrier is refused under the
+    name of the input's `field`."""
     Q = carrier_quotient(G, h, kind)
     bad = [x for x in gens if x not in Q.coset_of]
     if bad:
+        outside = [x for x in bad if not 0 <= x < G.order]
+        if outside:
+            raise ValidationError(f"{field} elements {outside} outside the ambient group")
         raise ValidationError(f"{field} elements {bad} do not centralize/normalize the stabilizer {h}")
     return Subgroup.generated(Q.group, Q.image(gens)).elements
 

@@ -717,6 +717,8 @@ def reference_check_symbol(sym, G, catalog):
     label = catalog.label(sym.action)
     if label.space != _SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_SPACE[sym.kind]}")
+    if sym.kind != KIND_JAC and not H.is_abelian():
+        return problems + ["stabilizer must be abelian"]
     try:
         Y = Subgroup(carrier_quotient(G, sym.h, sym.kind).group, list(sym.y))
     except ValidationError as exc:
@@ -733,8 +735,6 @@ def reference_check_symbol(sym, G, catalog):
         return problems
     if H.is_trivial():
         return problems + ["stabilizer must be nontrivial"]
-    if not H.is_abelian():
-        return problems + ["stabilizer must be abelian"]
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:

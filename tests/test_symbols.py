@@ -54,6 +54,59 @@ def test_weights_of_the_wrong_length_are_refused_at_every_boundary(weight, z2, h
         blowup(model, center)
 
 
+S3_JSON = '{"kind": "perm", "degree": 3, "gens": [[1, 0, 2], [1, 2, 0]]}'
+D4_JSON = '{"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [1, 0, 3, 2]]}'
+
+
+def _exit_2_message(capsys, argv) -> str:
+    assert main(argv) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, stratum, action, weights", [
+    ("curve", "fixed_curve", "triv-C", [[1], [1]]), ("surface", "ruled_divisor", "triv-CxP1", [[1]])])
+def test_a_nonabelian_stabilizer_is_refused_as_such_at_every_boundary(kind, stratum, action, weights, s3, hyper_cat,
+                                                                      tmp_path, capsys):
+    # Z_G(H) holds H only for abelian H, so the stabilizer is refused before
+    # its carrier quotient Z_G(H)/H is built
+    h = list(s3.elements())  # S3 itself
+    bad = Symbol(kind, tuple(h), (0,), action, tuple(map(tuple, weights)))
+    assert validate_symbol(bad, s3, hyper_cat) == ["stabilizer must be abelian"]
+
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"terms": [{"coeff": 1, "symbol": {
+        "kind": kind, "h": h, "action": action, "weights": weights}}]}))
+    err = _exit_2_message(capsys, ["equal", "--group", S3_JSON, "--catalog", "hyperelliptic-Z2",
+                                   "--a", str(a), "--b", str(a)])
+    assert err == "error: stabilizer must be abelian\n"
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"group": json.loads(S3_JSON), "catalog": "hyperelliptic-Z2", "jacobian_factors": [],
+                                 "strata": [{"kind": stratum, "stabilizer": h, "residual": action,
+                                             "weights": weights}]}))
+    err = _exit_2_message(capsys, ["class", "--model", str(model)])
+    assert err == "error: invalid model:\n  stratum 0: stabilizer must be abelian\n"
+
+
+@pytest.mark.parametrize("path", ["model-residual_group", "class-y_reps"])
+def test_an_element_outside_the_group_is_named_as_such(path, tmp_path, capsys):
+    # over D4 (order 8) 99 is no element at all; 3 is one, and the message for
+    # an element of G outside the carrier is pinned in test_tables
+    file = tmp_path / "input.json"
+    if path == "model-residual_group":
+        file.write_text(json.dumps({"group": json.loads(D4_JSON), "catalog": "hyperelliptic-Z2", "strata": [],
+                                    "jacobian_factors": [{"stabilizer": [0], "residual": "triv-J",
+                                                          "residual_group": [3, 99]}]}))
+        err = _exit_2_message(capsys, ["class", "--model", str(file)])
+        assert err == "error: invalid model:\n  jacobian factor 0: residual_group elements [99] outside the ambient group\n"
+    else:
+        file.write_text(json.dumps({"terms": [{"coeff": 1, "symbol": {
+            "kind": "jac", "h": [0], "y_reps": [3, 99], "action": "triv-J"}}]}))
+        err = _exit_2_message(capsys, ["equal", "--group", D4_JSON, "--catalog", "hyperelliptic-Z2",
+                                       "--a", str(file), "--b", str(file)])
+        assert err == "error: y_reps elements [99] outside the ambient group\n"
+
+
 def test_surface_weight_must_generate_dual(z4, z4_cat):
     bad = Symbol("surface", (0, 1, 2, 3), (0,), "triv-CxP1", ((2,),))
     problems = validate_symbol(bad, z4, z4_cat)

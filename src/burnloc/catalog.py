@@ -5,7 +5,8 @@ Actions on function fields and Jacobians are opaque labels with flags; the
 relation engine consumes only group shape, faithfulness, from-curve provenance
 and the declared rule identifications.  Labels are equal exactly when their ids
 are equal -- the engine never guesses geometric isomorphisms, and a missing
-rule is a hard error rather than a silent invention.
+rule is a hard error rather than a silent invention.  A subgroup's `GroupShape`
+is kept in its group's `shapes` table once asked for.
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ class GroupShape(namedtuple("GroupShape", "factors order")):
             return {"order": self.order, "abelian": False}
         return list(self.factors)
 
+    @classmethod
+    def of(cls, sub: Subgroup) -> "GroupShape":
+        """The shape of a checked subgroup, kept in its group's `shapes` table."""
+        shapes = sub.ambient.shapes
+        return shapes.get(sub.elements) or shapes.setdefault(
+            sub.elements, cls(abelian_structure(sub).invariant_factors if sub.is_abelian() else None, sub.order))
+
     def matches(self, sub: Subgroup) -> bool:
-        if sub.order != self.order:
-            return False
-        if self.factors is None:
-            return not sub.is_abelian()
-        return sub.is_abelian() and abelian_structure(sub).invariant_factors == self.factors
+        # a subgroup of another order is refused before its shape is built
+        return sub.order == self.order and GroupShape.of(sub) == self
 
     def is_trivial(self) -> bool:
         return self.order == 1

@@ -24,9 +24,9 @@ ch. 4): its checked element sets, its conjugacy classes of subgroups with
 transporters (one sweep over G per class), its subgroup lattice, abelian class
 representatives and quotients N/H, and an intern map from quotient table to
 one group, seeded with G itself, so equal quotient tables share one group and
-one lattice.  The abelian and symbol layers keep their abelian structures,
-carrier quotients and canonical frames on G.  All are keyed by checked
-subgroups, so they are bounded by the subgroup lattice.
+one lattice.  The abelian, catalog and symbol layers keep their abelian
+structures, subgroup shapes, stabilizer records and canonical frames on G.  All
+are keyed by checked subgroups, so they are bounded by the subgroup lattice.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class FiniteGroup:
     It owns the tables of facts computed from it (see the module docstring).
     """
 
-    __slots__ = ("order", "mul", "name", "_inv", "_abelian", "_hash", "_conj", "_checked", "_classes",
-                 "_lattice", "_abelian_reps", "_quotients", "_interned", "structures", "carriers", "frames")
+    __slots__ = ("order", "mul", "name", "_inv", "_abelian", "_hash", "_conj", "_checked", "_classes", "_lattice",
+                 "_abelian_reps", "_quotients", "_interned", "structures", "shapes", "carriers", "frames")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str = ""):
         table = tuple(map(tuple, mul))
@@ -129,7 +129,7 @@ class FiniteGroup:
         self._lattice = self._abelian_reps = None
         self._quotients = {}  # (N, H) element tuples -> QuotientGroup N/H
         self._interned = {table: self}  # quotient table -> the one group with it
-        self.structures, self.carriers, self.frames = {}, {}, {}
+        self.structures, self.shapes, self.carriers, self.frames = {}, {}, {}, {}
 
     def inv(self, a: int) -> int:
         return self._inv[a]

@@ -29,10 +29,10 @@ from .symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
-    carrier_quotient,
-    resolve_residual_group,
+    datum_form,
+    resolved_in,
+    stabilizer,
     text_form,
-    validated_form,
 )
 
 FIXED_CURVE = "fixed_curve"
@@ -60,11 +60,12 @@ class ModelDescription:
 
 
 def _datum_symbol(m: ModelDescription, kind: str, datum, weights: tuple = ()) -> Symbol:
-    """The canonical symbol of a stratum or Jacobian factor datum."""
+    """The canonical symbol of a stratum or Jacobian factor datum, its label and record looked up once."""
     label = m.catalog.label(datum.residual)
-    y = resolve_residual_group(m.group, datum.stabilizer, kind, label, datum.residual_group)
-    sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(tuple(w) for w in weights))
-    form, problems = validated_form(sym, m.group, m.catalog)
+    record = stabilizer(m.group, datum.stabilizer, kind)
+    y = resolved_in(record, datum.stabilizer, kind, label, datum.residual_group)
+    sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(map(tuple, weights)))
+    form, problems = datum_form(sym, m.group, m.catalog, label, record)
     if problems:
         what = "jacobian factor" if kind == KIND_JAC else "stratum"
         raise ValidationError(f"invalid {what} datum: {'; '.join(problems)}")
@@ -216,10 +217,10 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         return _blown_up(m, None, (), (appended,))
 
     if c.case == 2:
-        stabilizer, weight = _case2_divisor_data(m, c)
+        h, weight = _case2_divisor_data(m, c)
         if c.curve_label is None:
             raise ValidationError("case-2 centers carry the residual curve action label")
-        H = Subgroup(G, stabilizer)
+        H = Subgroup(G, h)
         if H.is_trivial():
             raise ValidationError("case-2 stabilizers are nontrivial")
         struct = abelian_structure(H)
@@ -229,14 +230,14 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         label = catalog.label(c.curve_label)
         if label.space != CURVE:
             raise ValidationError("case-2 centers need a curve-space action label")
-        y = resolve_residual_group(G, H.elements, KIND_CURVE, label, c.y_reps or None)
-        Q = carrier_quotient(G, H.elements, KIND_CURVE)
-        Y = Subgroup.trusted(Q.group, y)
+        record = stabilizer(G, H.elements, KIND_CURVE)
+        y = resolved_in(record, H.elements, KIND_CURVE, label, c.y_reps or None)
+        Y = Subgroup.trusted(record.quotient.group, y)
         if not label.group_shape.matches(Y):
             raise ValidationError(
                 f"case-2 residual group of order {Y.order} does not match {label.group_shape}"
             )
-        upstairs = Q.preimage(y)
+        upstairs = record.quotient.preimage(y)
         jac = catalog.jacobian_of_curve_action(c.curve_label)
         new_stratum = StratumDatum(
             kind=FIXED_CURVE, stabilizer=H.elements, residual=c.curve_label,
@@ -251,13 +252,10 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         datum = m.strata[c.stratum]
         if datum.kind != FIXED_CURVE:
             raise ValidationError("case-3 centers must reference a fixed_curve stratum")
-        H = Subgroup(G, datum.stabilizer)
-        struct = abelian_structure(H)
+        H, struct, Q = record = stabilizer(G, datum.stabilizer, KIND_CURVE)
         b1, b2 = map(struct.reduce, datum.weights)  # checked with the model
-        label = catalog.label(datum.residual)
-        y = resolve_residual_group(G, H.elements, KIND_CURVE, label, datum.residual_group)
-        Q = carrier_quotient(G, H.elements, KIND_CURVE)
-        upstairs = Q.preimage(y)
+        upstairs = Q.preimage(resolved_in(record, H.elements, KIND_CURVE, catalog.label(datum.residual),
+                                          datum.residual_group))
         added = []
         diff = struct.reduce(map(sub, b1, b2))
         if any(diff):

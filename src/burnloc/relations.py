@@ -17,6 +17,7 @@ each restricted weight, and each curve (h, y, action)'s text head and partner.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import groupby
 from operator import add, neg, sub
 
 from .abelian import AbelianStructure, abelian_structure, shape_name
@@ -91,8 +92,8 @@ def _theta2(context: BurnsideContext, struct: AbelianStructure, h, y, action, di
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                        context: BurnsideContext | None = None) -> tuple[RelationInstance, ...]:
     """All instances of the four blow-up relations over the declared catalog,
-    each built as one {symbol: coefficient} dict; a curve symbol's structure
-    and text form are found once, for B1 and B2."""
+    each built as one {symbol: coefficient} dict; a curve symbol's text form is
+    found once, for B1 and B2, and its stabilizer's structure once per stabilizer."""
     if context is None:
         context = BurnsideContext(G, catalog)
     symbols = context.symbols
@@ -114,12 +115,13 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
         return table[key]
 
     curves = []
-    for sym in (s for s in symbols if s.kind == KIND_CURVE):
-        struct = abelian_structure(Subgroup.trusted(G, sym.h))
-        text = kept(heads, sym[:4], lambda: _text_head(sym, G)) + _text_tail(sym.weights)
-        if not any(struct.reduce(map(add, *sym.weights))):
-            emit({sym: 1, kept(partners, sym[1:4], lambda: _jac_partner(context, sym)): 1}, "B1", symbol=text)
-        curves.append((sym, struct, text))
+    for h, same_h in groupby((s for s in symbols if s.kind == KIND_CURVE), lambda s: s.h):  # sorted, so by h
+        struct = abelian_structure(Subgroup.trusted(G, h))
+        for sym in same_h:
+            text = kept(heads, sym[:4], lambda: _text_head(sym, G)) + _text_tail(sym.weights)
+            if not any(struct.reduce(map(add, *sym.weights))):
+                emit({sym: 1, kept(partners, sym[1:4], lambda: _jac_partner(context, sym)): 1}, "B1", symbol=text)
+            curves.append((sym, struct, text))
 
     for sym, struct, text in curves:  # sym - Theta1 - Theta2 - partner
         _, h, y, action, (b1, b2) = sym
@@ -138,7 +140,7 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
 
     for rule in catalog.jacobian_rules:
         curve_label = catalog.label(rule.source)
-        for Y in subgroups_up_to_conjugacy(G):
+        for Y in (Subgroup.trusted(G, Y.elements) for Y in subgroups_up_to_conjugacy(G)):  # not an equal group's
             if not curve_label.group_shape.matches(Y):
                 continue
             Q = carrier_quotient(G, (0,), KIND_JAC)

@@ -6,18 +6,17 @@ group, the residual group Y as a sorted tuple of coset indices in the carrier
 quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
-The carrier quotient of each (h, kind) is kept in G's `carriers` table under
-h's checked sorted tuple, whatever order the caller wrote h in.
-Validating a symbol checks H and Y through the check tables of G and of the
-carrier quotient, so each element set is checked once per group, and a
-checked element tuple is taken as is; a failure is never recorded.  A surface
-stabilizer is cyclic when the abelian structure the check has just built has
-at most one invariant factor, so no element order is computed for it.  The
-canonical form reads H's least conjugate and its transporter from G's class
+G's `carriers` table keeps a stabilizer record per (h's checked sorted tuple,
+carrier), h written in any order: the checked `Subgroup` H, the
+`AbelianStructure` of a nontrivial H in the centralizer's record, which curve
+and surface symbols share (jacobian ones read the normalizer's), and the
+carrier quotient.  Validation reads the record, handed over by model data
+(`datum_form`), and Y's kept shape, and checks each element set once per group.
+The canonical form reads H's least conjugate and its transporter from G's class
 table.  G's `frames` table keeps, per stabilizer (kind, h), one g of the
 transporter per distinct pair (map of carrier cosets, action on H); a Y costs
-one image lookup per kept g, and only the weights are transported per symbol.  A trivial Y is kept by every g, so its
-frame (kind None) maps no carrier quotient.
+one image lookup per kept g, and only the weights are transported per symbol.
+Every g keeps a trivial Y, whose frame (kind None) maps no carrier quotient.
 
 The enumerators read a stabilizer's Y options off the labels' shapes: a
 trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
@@ -46,7 +45,7 @@ from collections import Counter, namedtuple
 from itertools import product
 
 from .abelian import AbelianStructure, abelian_structure, shape_name, transport_character
-from .catalog import CURVE, JACOBIAN, RULED_SURFACE, ActionCatalog, ensure_valid_catalog
+from .catalog import CURVE, JACOBIAN, RULED_SURFACE, ActionCatalog, GroupShape, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import (
     FiniteGroup,
@@ -65,6 +64,7 @@ KIND_SURFACE = "surface"
 KIND_JAC = "jac"
 _KIND_RANK = {KIND_CURVE: 0, KIND_SURFACE: 1, KIND_JAC: 2}
 _KIND_SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
+Stabilizer = namedtuple("Stabilizer", "subgroup structure quotient")  # h's record (see above)
 
 
 class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
@@ -88,26 +88,30 @@ class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
         return self.key() >= other.key()
 
 
-def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientGroup:
-    """The quotient housing Y: Z_G(H)/H for curve/surface symbols, N_G(H)/H for
-    jacobian ones; kept in `G.carriers` by (checked sorted h, kind), so h in
-    any other order finds the same entry.  Z_G(H) holds H only when H is
-    abelian, so a nonabelian curve/surface stabilizer is refused as such."""
-    Q = G.carriers.get((h, kind))
-    if Q is None:
+def stabilizer(G: FiniteGroup, h: tuple[int, ...], kind: str) -> Stabilizer:
+    """h's record; Y's carrier is Z_G(H) for curve and surface symbols, which holds H only
+    when H is abelian (a nonabelian H is refused as such), and N_G(H) for jacobian ones."""
+    jac = kind == KIND_JAC
+    record = G.carriers.get((h, jac))
+    if record is None:
         H = Subgroup(G, h)
-        Q = G.carriers.get((H.elements, kind))
-        if Q is None:
-            if kind != KIND_JAC and not H.is_abelian():
+        record = G.carriers.get((H.elements, jac))
+        if record is None:
+            if not jac and not H.is_abelian():
                 raise ValidationError("stabilizer must be abelian")
-            ambient = normalizer(G, H) if kind == KIND_JAC else centralizer(G, H)
-            Q = G.carriers[H.elements, kind] = quotient(ambient, H)
-    return Q
+            struct = None if jac or H.is_trivial() else abelian_structure(H)
+            ambient = normalizer(G, H) if jac else centralizer(G, H)
+            record = G.carriers[H.elements, jac] = Stabilizer(H, struct, quotient(ambient, H))
+    return record
+
+
+def carrier_quotient(G: FiniteGroup, h: tuple[int, ...], kind: str) -> QuotientGroup:
+    """The quotient housing Y, read off h's `stabilizer` record."""
+    return stabilizer(G, h, kind).quotient
 
 
 def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
-    Q = carrier_quotient(G, sym.h, sym.kind)
-    return Subgroup(Q.group, sym.y)
+    return Subgroup(carrier_quotient(G, sym.h, sym.kind).group, sym.y)
 
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
@@ -116,9 +120,7 @@ def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list
 
 
 def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
-    """(diagnostics, (h sorted, y sorted, h's structure or None, reduced
-    weights) or None)."""
-    problems: list[str] = []
+    """(diagnostics, (h sorted, y sorted, h's structure or None, reduced weights) or None)."""
     if sym.kind not in _KIND_RANK:
         return [f"unknown symbol kind {sym.kind!r}"], None
     try:
@@ -129,12 +131,20 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
         label = catalog.label(sym.action)
     except ValidationError:
         return [f"unknown action label {sym.action!r}"], None
+    record = stabilizer(G, H.elements, sym.kind) if sym.kind == KIND_JAC or H.is_abelian() else None
+    return _check_record(sym, catalog, label, record)
+
+
+def _check_record(sym: Symbol, catalog: ActionCatalog, label, record: Stabilizer | None):
+    """`_check_symbol` past the lookups; record None: a nonabelian curve or surface h."""
+    problems: list[str] = []
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
-    if sym.kind != KIND_JAC and not H.is_abelian():  # before Y: Z_G(H) holds H only for abelian H
+    if record is None:  # before Y: Z_G(H) holds H only for abelian H
         return problems + ["stabilizer must be abelian"], None
+    H, struct, Q = record
     try:
-        Y = y_subgroup(G, sym)
+        Y = Subgroup(Q.group, sym.y)
     except ValidationError as exc:
         return problems + [f"residual group: {exc}"], None
     if not label.group_shape.matches(Y):
@@ -149,9 +159,8 @@ def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
             problems.append("genus-1 jacobian actions must come from a curve action")
         return problems, (H.elements, Y.elements, None, sym.weights)
 
-    if H.is_trivial():
+    if struct is None:
         return problems + ["stabilizer must be nontrivial"], None
-    struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
         return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"], None
@@ -183,6 +192,12 @@ def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple
     """(canonical form, []) for a valid symbol and (None, diagnostics) for an
     invalid one; the form reads h, y, h's structure and the weights off the check."""
     problems, checked = _check_symbol(sym, G, catalog)
+    return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
+
+
+def datum_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog, label, record: Stabilizer):
+    """`validated_form` of a symbol whose label and `stabilizer` record are looked up."""
+    problems, checked = _check_record(sym, catalog, label, record)
     return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
 
 
@@ -277,10 +292,16 @@ def resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str, label,
     residual_group `gens`, or, with gens None, the one Y of the label's shape
     among the enumerators' options.  It is kept in the quotient's `resolved`
     memo, keyed by (shape, generators or None); a failure is not kept."""
-    Q = carrier_quotient(G, h, kind)
+    return resolved_in(stabilizer(G, h, kind), h, kind, label, gens)
+
+
+def resolved_in(record: Stabilizer, h: tuple[int, ...], kind: str, label, gens) -> tuple[int, ...]:
+    """`resolve_residual_group` given h's `stabilizer` record."""
+    Q = record.quotient
     key = (label.group_shape, None if gens is None else tuple(gens))
     y = Q.resolved.get(key)
     if y is None:
+        G = record.subgroup.ambient
         if gens is not None:
             y = residual_from_generators(G, h, kind, gens, "residual_group")
         else:
@@ -406,9 +427,8 @@ class BurnsideContext:
 
 
 def _group_display(sub: Subgroup) -> str:
-    if sub.is_abelian():
-        return shape_name(abelian_structure(sub).invariant_factors)
-    return f"ord{sub.order}"
+    factors = GroupShape.of(sub).factors
+    return f"ord{sub.order}" if factors is None else shape_name(factors)
 
 
 def text_form(sym: Symbol, G: FiniteGroup) -> str:

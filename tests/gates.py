@@ -106,9 +106,11 @@ def pinned():
     """A short run of every workload; its last line reports whether each answer, fixture report and mutant
     tally matched perfbench/pins.py.  Seed 1 relabels every group table: the structures' kernel memos, which
     answer dual generation, and the quotients' resolved residual groups are keyed by coordinates and element
-    labels, which one labelling alone would not test.  blowup-queries draws its queries from the enumerators
-    in their yield order, and its mutant tallies are pinned per seed for seeds 0-63, so seeds 2-9 also run it
-    (about 13 s): they guard that order."""
+    labels, which one labelling alone would not test.  Seeds 2-9 also run blowup-queries (about 13 s), whose
+    mutant tallies are pinned per seed for seeds 0-63.  They do not guard the enumerators' yield order, which
+    the queries are drawn in: reversing the order of `symbols._y_options` left every pin matched at seeds
+    0-9.  Tier-1 `test_cold_pass.py::test_enumerators_yield_the_lattice_path_symbols_in_order` guards it
+    (all 31 of its cases fail under that reversal)."""
     for workload, seed in [(w, s) for s in (0, 1) for w in WORKLOADS] + [("blowup-queries", s) for s in range(2, 10)]:
         bench(workload, seed, 0)
 

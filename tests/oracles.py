@@ -68,8 +68,13 @@ The symbol check of the model data is kept as it was before a checked
 element tuple was taken as is (`reference_check_symbol`): every stabilizer
 and residual tuple is sorted again, the label is tested before it is looked
 up, and a surface stabilizer's cyclicity comes from its element orders, not
-from its abelian structure.  A difference of classes is the sum with the
-negation.
+from its abelian structure.  Its Y lives in a carrier quotient of its own
+(`reference_carrier_group`: the centralizer or normalizer found element by
+element, then the cosets of H) and its shape test is its own
+(`reference_shape_matches`: the order, commutativity by brute force and the
+invariant factors of `reference_abelian_basis`), so it calls neither the
+engine's stabilizer records nor its kept shapes.  A difference of classes is
+the sum with the negation.
 
 The reference blow-up result is the model the move builds, made afresh and
 checked from scratch, datum by datum, with none of its source's checked
@@ -85,7 +90,9 @@ from math import gcd, lcm
 from burnloc.abelian import abelian_structure, shape_name
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
-from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
+from burnloc.groups import (
+    FiniteGroup, Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy,
+)
 from burnloc.models import ensure_valid_model
 from burnloc.relations import FilterSpec, RelationInstance, _filter_pass, generate_relations
 from burnloc.symbols import (
@@ -704,7 +711,10 @@ def reference_check_symbol(sym, G, catalog):
     """The diagnostics of a symbol, found as the engine found them before a
     checked element tuple was taken as is: H and Y are passed as lists, so
     they are sorted again, the label is tested and then looked up, and a
-    surface stabilizer is cyclic when one of its elements has order |H|."""
+    surface stabilizer is cyclic when one of its elements has order |H|.
+    Y lives in `reference_carrier_group` and its shape is tested by
+    `reference_shape_matches`, so the check calls neither the engine's
+    carrier quotients nor its shapes."""
     problems = []
     if sym.kind not in _SPACE:
         return [f"unknown symbol kind {sym.kind!r}"]
@@ -720,10 +730,10 @@ def reference_check_symbol(sym, G, catalog):
     if sym.kind != KIND_JAC and not H.is_abelian():
         return problems + ["stabilizer must be abelian"]
     try:
-        Y = Subgroup(carrier_quotient(G, sym.h, sym.kind).group, list(sym.y))
+        Y = Subgroup(reference_carrier_group(G, H.elements, sym.kind), list(sym.y))
     except ValidationError as exc:
         return problems + [f"residual group: {exc}"]
-    if not label.group_shape.matches(Y):
+    if not reference_shape_matches(label.group_shape, Y):
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
     if sym.kind == KIND_JAC:
         if sym.weights:
@@ -752,6 +762,36 @@ def reference_check_symbol(sym, G, catalog):
     return problems
 
 
+def reference_carrier_group(G, h, kind):
+    """The quotient housing Y, as a checked group: the centralizer of H (curve
+    and surface symbols) or its normalizer (jacobian ones), each g of G tested
+    element by element, then the cosets of H in it, numbered in the order of
+    their least elements, with coset i times coset j the coset of the product
+    of their least elements."""
+    members = set(h)
+    if kind == KIND_JAC:
+        carrier = [g for g in G.elements() if {G.conj(g, a) for a in h} == members]
+    else:
+        carrier = [g for g in G.elements() if all(G.mul[g][a] == G.mul[a][g] for a in h)]
+    reps, coset_of = [], {}
+    for x in carrier:
+        if x not in coset_of:
+            coset_of.update((G.mul[x][a], len(reps)) for a in h)
+            reps.append(x)
+    return FiniteGroup([[coset_of[G.mul[a][b]] for b in reps] for a in reps])
+
+
+def reference_shape_matches(shape, Y):
+    """Does Y have the declared shape?  Its order, then commutativity by
+    multiplying every pair of its elements, then, for an abelian shape, the
+    invariant factors of `reference_abelian_basis`."""
+    mul = Y.ambient.mul
+    abelian = all(mul[a][b] == mul[b][a] for a in Y.elements for b in Y.elements)
+    if Y.order != shape.order or abelian != (shape.factors is not None):
+        return False
+    return not abelian or reference_abelian_basis(Y)[0] == shape.factors
+
+
 def reference_validated_form(sym, G, catalog):
     """`symbols.validated_form` by `reference_check_symbol`, with the least
     transported symbol over all of G as the form."""
@@ -759,6 +799,12 @@ def reference_validated_form(sym, G, catalog):
     if problems:
         return None, problems
     return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key), problems
+
+
+def reference_datum_form(sym, G, catalog, label, record):
+    """`symbols.datum_form` by `reference_validated_form`, which looks the
+    label and the stabilizer up itself instead of reading those handed in."""
+    return reference_validated_form(sym, G, catalog)
 
 
 def reference_difference(a, b):

@@ -211,8 +211,10 @@ def clear_engine_caches():
 
 def assert_tables_bounded(G, catalog=None):
     """Every subgroup table of G and of its carrier quotients is keyed by checked
-    subgroups only: the check, class, abelian structure, quotient and carrier
-    quotient tables by members of G's lattice, the frame memo by (kind, h)
+    subgroups only: the check, class, abelian structure, shape, quotient and
+    stabilizer record tables by members of G's lattice (each record holding
+    its own subgroup, the kept structure when it has one, and a kept
+    quotient), the frame memo by (kind, h)
     with h in the lattice and a carrier quotient for that kind, or kind None
     for a trivial Y, each frame holding one g per distinct pair (coset map of
     the carrier quotient, or of its trivial coset for kind None; action on h)
@@ -225,7 +227,10 @@ def assert_tables_bounded(G, catalog=None):
     lattice = {H.elements for H in all_subgroups(G)}
     assert set(G._checked) <= lattice
     assert set(G._classes) <= lattice
-    assert set(G.structures) <= lattice and {h for h, _ in G.carriers} <= lattice
+    assert set(G.structures) <= lattice and set(G.shapes) <= lattice and {h for h, _ in G.carriers} <= lattice
+    for (h, jac), (H, struct, Q) in G.carriers.items():
+        assert H.elements == h and struct is (None if jac or len(h) == 1 else G.structures[h])
+        assert Q in G._quotients.values()
     assert all(n in lattice and k in lattice for n, k in G._quotients)
     for H in all_subgroups(G):
         if H.is_abelian():
@@ -245,7 +250,7 @@ def assert_tables_bounded(G, catalog=None):
                 continue  # no centralizer quotient over a nonabelian h
             y_lattice = {Y.elements for Y in all_subgroups(Q.group)}
             frame_bound += 1
-            assert set(Q.group._checked) <= y_lattice
+            assert set(Q.group._checked) <= y_lattice and set(Q.group.shapes) <= y_lattice
             if (kind, h) in G.frames:
                 _, moves, per_y = G.frames[kind, h]
                 assert all(sorted(cosets) == list(Q.group.elements()) for _, cosets, _ in moves)

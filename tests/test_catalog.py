@@ -158,6 +158,9 @@ def test_group_shape_matching():
     assert not coarse.matches(full_subgroup(build_group({"kind": "cyclic", "n": 6})))
     with pytest.raises(ValidationError):
         GroupShape.from_json("junk")
+    # a shape is kept once asked for; a subgroup of another order is refused before its shape is built
+    assert z4.shapes == {(0, 1, 2, 3): shape4} and s3.shapes == {tuple(range(6)): coarse}
+    assert GroupShape.of(Subgroup(z4, (0,))) == GroupShape.abelian([1]) == GroupShape.abelian([])
 
 
 def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):

@@ -27,7 +27,7 @@ import burnloc.fixtures
 import burnloc.models
 import burnloc.symbols
 from burnloc.cli import main
-from oracles import reference_difference, reference_validated_form
+from oracles import reference_datum_form, reference_difference, reference_validated_form
 
 FIXTURES = Path(burnloc.fixtures.__file__).parent
 Z2 = '{"kind":"cyclic","n":2}'
@@ -116,6 +116,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
         return call
 
     validated_form = counted("validated_form", reference_validated_form)
+    datum_form = counted("validated_form", reference_datum_form)
     difference = counted("difference", reference_difference)
     file = tmp_path / "input.json"
     named = 0
@@ -129,8 +130,8 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
             pytest.fail(f"{case}: raised {exc!r}")
         out, err = capsys.readouterr()
         with monkeypatch.context() as patch:
-            for module in (burnloc.symbols, burnloc.models):
-                patch.setattr(module, "validated_form", validated_form)
+            patch.setattr(burnloc.symbols, "validated_form", validated_form)
+            patch.setattr(burnloc.models, "datum_form", datum_form)
             patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", difference)
             assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case

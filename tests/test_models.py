@@ -547,13 +547,16 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
     # every stratum and factor the enumerators yield, as given and in forms a
     # caller may write (stabilizer unsorted with a repeat, Y by shape alone, a
     # label of another space, weights negated, a curve's stabilizer and weight
-    # under a surface label), checked by the engine and by the reference check
-    # on a second group of the same table, so that neither warms the other's tables
+    # under a surface label) or gets wrong (Y trivial, the whole carrier or
+    # another Y of its order, so maybe of another shape; Y outside the carrier
+    # or the group; one weight too few or too many; a nonabelian or trivial
+    # stabilizer), checked by the engine and by the reference check on a
+    # second group of the same table, so that neither warms the other's tables
     import burnloc.models
-    from burnloc.groups import build_group
+    from burnloc.groups import Subgroup, build_group
     from burnloc.models import FIXED_CURVE, RULED_DIVISOR, StratumDatum, _datum_symbol
-    from burnloc.symbols import KIND_CURVE, KIND_JAC, KIND_SURFACE
-    from oracles import reference_validated_form
+    from burnloc.symbols import KIND_CURVE, KIND_JAC, KIND_SURFACE, carrier_quotient
+    from oracles import reference_datum_form
     from scenarios import (
         ScenarioPool, _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, relabel,
         symmetric_table,
@@ -579,6 +582,18 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
             data.append(datum._replace(weights=tuple(tuple(-c for c in w) for w in datum.weights)))
         if sym.kind == KIND_CURVE:
             data.append(StratumDatum(RULED_DIVISOR, h, "triv-CxP1", datum.weights[:1], datum.residual_group))
+        Q = carrier_quotient(G, h, sym.kind)
+        outside = next((x for x in G.elements() if x not in Q.coset_of), G.order)
+        same_order = [Y.elements for Y in all_subgroups(Q.group) if Y.order == len(sym.y) and Y.elements != sym.y]
+        data += [datum._replace(residual_group=Q.preimage(y)) for y in (sym.y[:1], tuple(Q.group.elements()),
+                                                                         *same_order[:2])]
+        data.append(datum._replace(residual_group=h + (outside,)))
+        if sym.kind != KIND_JAC:
+            data += [datum._replace(weights=datum.weights[:-1]), datum._replace(weights=datum.weights * 2)]
+        elif not Subgroup(G, h).is_abelian():
+            data += [StratumDatum(kind, h, label, ((1,), (1,))[:count], None)
+                     for kind, label, count in ((FIXED_CURVE, "triv-C", 2), (RULED_DIVISOR, "triv-CxP1", 1))]
+    data += [StratumDatum(FIXED_CURVE, (0,), "triv-C", ((), ()), gens) for gens in (None, (0,))]
 
     def outcomes(ambient):
         m = ModelDescription(group=ambient, catalog=catalog)
@@ -592,6 +607,11 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
         return out
 
     engine = outcomes(G)
-    monkeypatch.setattr(burnloc.models, "validated_form", reference_validated_form)
+    monkeypatch.setattr(burnloc.models, "datum_form", reference_datum_form)
     assert outcomes(G_ref) == engine
     assert {type(x) for x in engine} == {Symbol, str}
+    problems = "\n".join(x for x in engine if type(x) is str)
+    for message in ("does not match declared shape", "residual_group elements", "symbols carry exactly",
+                    "stabilizer must be nontrivial"):
+        assert message in problems
+    assert ("stabilizer must be abelian" in problems) == (group != "C4xC4")

@@ -40,6 +40,7 @@ from burnloc.symbols import (
     iter_jac_data,
     iter_surface_data,
     resolve_residual_group,
+    stabilizer,
     validate_symbol,
 )
 from oracles import (
@@ -142,11 +143,18 @@ def test_subgroup_check_runs_once_per_element_set():
 
 
 def test_carrier_quotients_are_kept_once_per_subgroup_whatever_its_element_order():
+    # one stabilizer record per (subgroup, carrier): curve and surface symbols
+    # share the centralizer's, which alone carries the structure
     G = build_group({"kind": "abelian", "factors": [4, 4]})
     orderings = list(permutations((0, 1, 2, 3)))
+    records = {id(stabilizer(G, h, kind)) for h in orderings for kind in (KIND_CURVE, KIND_SURFACE)}
     quotients = {id(carrier_quotient(G, h, KIND_CURVE)) for h in orderings}
-    assert len(orderings) == 24 and len(quotients) == 1
+    assert len(orderings) == 24 and len(records) == len(quotients) == 1
     assert len(G.carriers) == 1 and len(G._checked) == 1
+    H, struct, Q = stabilizer(G, (3, 2, 1, 0), KIND_SURFACE)
+    assert H.elements == (0, 1, 2, 3) and struct is abelian_structure(H) and Q is carrier_quotient(G, H.elements, KIND_CURVE)
+    assert stabilizer(G, H.elements, KIND_JAC).structure is None and len(G.carriers) == 2
+    assert stabilizer(G, (0,), KIND_CURVE).structure is None
     assert_tables_bounded(G)
 
 
@@ -389,7 +397,7 @@ def test_one_lattice_per_distinct_quotient_table(name, monkeypatch):
     # tables share one interned group, G itself for the quotients by the
     # trivial subgroup, so the pass builds one lattice per distinct table
     G, runs = _lattice_runs(monkeypatch, name, lambda G: catalog_with_shapes(G, [[2, 2]]))
-    tables = {G.mul} | {Q.group.mul for Q in G.carriers.values()}
+    tables = {G.mul} | {record.quotient.group.mul for record in G.carriers.values()}
     assert len(G.carriers) > len(tables) and len(runs) == len(tables)
     assert set(runs) == tables
 
@@ -410,3 +418,18 @@ def test_a_group_and_its_tables_are_freed_with_it():
         for value in vars(module).values() if callable(value) and hasattr(value, "cache_info")
     }
     assert cached == {subgroups_up_to_conjugacy}
+
+
+def test_a_pass_over_an_equal_group_keeps_its_facts_off_the_first_group():
+    # subgroups_up_to_conjugacy's cache keys by table equality, so over G2 it
+    # hands back G1's subgroups; B3 shapes and displays them in G2
+    catalog = generated_catalog(build_group(LADDER_GROUPS["D6xC2"]))
+    clear_engine_caches()
+    G1 = build_group(LADDER_GROUPS["D6xC2"])
+    subgroups_up_to_conjugacy(G1)
+    tables = ("_checked", "_classes", "_quotients", "_interned", "structures", "shapes", "carriers", "frames")
+    before = {name: set(getattr(G1, name)) for name in tables}
+    G2 = build_group(LADDER_GROUPS["D6xC2"])
+    structure(G2, catalog)
+    assert G2 == G1 and G2.structures and G2.shapes
+    assert {name: set(getattr(G1, name)) for name in tables} == before

@@ -19,6 +19,9 @@ are then reduced, last pivot first, by the coset reduction the lattice
 queries use (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
 2.4).  A lattice is these sparse pivot rows and nothing else: membership and
 reduction read them, and the dense Hermite rows are read off them on request.
+
+A row or a query vector is a dense sequence of length ncols or a dict
+{column: entry} over columns 0..ncols-1; `_sparse` checks and reads both.
 """
 
 from __future__ import annotations
@@ -42,16 +45,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _sparse_rows(rows, ncols: int) -> list[dict[int, int]]:
-    """Each dense row as {column: nonzero entry}."""
-    columns = range(ncols)
-    out = []
-    for r in rows:
-        r = tuple(r)
-        if len(r) != ncols:
-            raise ValueError("all rows must have the stated number of columns")
-        out.append({j: r[j] for j in compress(columns, r)})
-    return out
+def _sparse(vec, ncols: int) -> dict[int, int]:
+    """A row or query vector as a fresh {column: nonzero entry}: a sequence
+    must have length ncols, a dict every column in 0..ncols-1."""
+    if isinstance(vec, dict):
+        if vec and (min(vec) < 0 or max(vec) >= ncols):
+            raise ValueError("vector has a column outside the lattice")
+        return {j: x for j, x in vec.items() if x}
+    vec = tuple(vec)
+    if len(vec) != ncols:
+        raise ValueError("vector has the wrong length")
+    return {j: vec[j] for j in compress(range(ncols), vec)}
 
 
 def _combine(s: int, p: dict[int, int], t: int, r: dict[int, int]) -> dict[int, int]:
@@ -102,10 +106,10 @@ def _insert(table: dict[int, dict[int, int]], row: dict[int, int]) -> None:
                 del row[c]
 
 
-def _hermite(rows: list[dict[int, int]], ncols: int) -> list:
-    """Row-style HNF of sparse rows by insertion: the list over columns
-    0..ncols-1 of the HNF row with that pivot as (column, value) pairs,
-    ascending, or None where no row has its pivot.
+def _hermite(rows, ncols: int) -> list:
+    """Row-style HNF of rows (each read by `_sparse`) by insertion: the list
+    over columns 0..ncols-1 of the HNF row with that pivot as (column, value)
+    pairs, ascending, or None where no row has its pivot.
 
     Rows are inserted one at a time into an echelon table (`_insert`); then,
     from the last pivot to the first, each echelon row is reduced by the rows
@@ -114,7 +118,7 @@ def _hermite(rows: list[dict[int, int]], ncols: int) -> list:
     so insertion order does not change it."""
     table: dict[int, dict[int, int]] = {}
     for row in rows:
-        _insert(table, dict(row))
+        _insert(table, _sparse(row, ncols))
     basis = [None] * ncols
     for p in sorted(table, reverse=True):
         row = table[p]
@@ -162,7 +166,7 @@ def hermite_normal_form(rows, ncols: int):
     Returns the nonzero HNF rows (echelon, positive pivots, entries above each
     pivot reduced into [0, pivot)).  Computed on sparse rows by `_hermite`.
     """
-    return [_dense(row, ncols) for row in _hermite(_sparse_rows(rows, ncols), ncols) if row]
+    return [_dense(row, ncols) for row in _hermite(rows, ncols) if row]
 
 
 def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
@@ -176,7 +180,6 @@ def smith_normal_form(rows, ncols: int) -> tuple[int, ...]:
     again, until every row holds only its pivot; that diagonal is brought to
     d1 | d2 | ... by `divisor_chain`.
     """
-    rows = _sparse_rows(rows, ncols)
     units = 0
     while True:
         basis = [row for row in _hermite(rows, ncols) if row]
@@ -229,7 +232,7 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows")):
     is the HNF row with pivot j as (column, value) pairs, pivot first, or None
     when column j holds no pivot, and `pivots` lists the pivot columns; both
     queries reduce on these sparse rows, and `basis` reads them as dense rows.
-    A query vector is a dense sequence of length ncols or a dict
+    A row or a query vector is a dense sequence of length ncols or a dict
     {column: entry}.
     """
 
@@ -237,7 +240,7 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows")):
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "IntegerLattice":
-        pivot_rows = tuple(_hermite(_sparse_rows(rows, ncols), ncols))
+        pivot_rows = tuple(_hermite(rows, ncols))
         return cls(ncols, tuple(p for p, row in enumerate(pivot_rows) if row), pivot_rows)
 
     @property
@@ -249,14 +252,7 @@ class IntegerLattice(namedtuple("IntegerLattice", "ncols pivots pivot_rows")):
         return tuple(_dense(self.pivot_rows[p], self.ncols) for p in self.pivots)
 
     def _reduce(self, vec, exact: bool):
-        if isinstance(vec, dict):
-            if any(not 0 <= j < self.ncols for j in vec):
-                raise ValueError("vector has a column outside the lattice")
-            return _reduce(self.pivot_rows, dict(vec), exact)
-        vec = tuple(vec)
-        if len(vec) != self.ncols:
-            raise ValueError("vector has the wrong length")
-        return _reduce(self.pivot_rows, {j: vec[j] for j in compress(range(self.ncols), vec)}, exact)
+        return _reduce(self.pivot_rows, _sparse(vec, self.ncols), exact)
 
     def contains(self, vec) -> bool:
         return self._reduce(vec, exact=True) is not None

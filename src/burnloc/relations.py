@@ -221,9 +221,9 @@ def structure_from(index, vectors) -> GroupStructure:
 
 
 def _rows(index: tuple[Symbol, ...], vectors):
-    """({symbol: its position in the index}, the vectors as rows over the index)."""
+    """({symbol: its position in the index}, the vectors as sparse rows over the index)."""
     position = {s: i for i, s in enumerate(index)}
-    return position, [v.to_vector(position, len(index)) for v in vectors]
+    return position, [v.columns(position) for v in vectors]
 
 
 def classes_equal(a: BurnsideClass, b: BurnsideClass, lattice: RelationLattice) -> bool:

@@ -512,12 +512,6 @@ class BurnsideClass:
             out[pos] = c
         return out
 
-    def to_vector(self, index: dict[Symbol, int], length: int) -> tuple[int, ...]:
-        vec = [0] * length
-        for pos, c in self.columns(index).items():
-            vec[pos] = c
-        return tuple(vec)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "BurnsideClass(0)"

@@ -33,15 +33,15 @@ def burnloc(*argv: str, timeout: float | None = None, env: dict | None = None) -
         sys.exit(f"burnloc {' '.join(argv)[:160]}: ran past {timeout} s")
 
 
-def in_child(function, *args: str, timeout: float | None = None):
+def in_child(function, *args: str, timeout: float | None = None, env: dict | None = None):
     """`function(*args)`, a function of this module, called in a fresh interpreter with src, tests and
-    perfbench on its path (tests first: both have a `scenarios` module); the gate fails unless it exits 0
-    within `timeout` seconds, after which it is killed."""
+    perfbench on its path (tests first: both have a `scenarios` module) and `env` added to its environment;
+    the gate fails unless it exits 0 within `timeout` seconds, after which it is killed."""
     path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests", "perfbench"))
     call = "import sys, gates; getattr(gates, sys.argv[1])(*sys.argv[2:])"
     try:
         code = subprocess.run([sys.executable, "-c", call, function.__name__, *args], cwd=ROOT, timeout=timeout,
-                              env={**os.environ, "PYTHONPATH": path}).returncode
+                              env={**os.environ, **(env or {}), "PYTHONPATH": path}).returncode
     except subprocess.TimeoutExpired:
         sys.exit(f"{function.__name__}: ran past {timeout} s")
     check(code == 0, f"{function.__name__}: exit {code}")
@@ -209,30 +209,60 @@ def order_64():
                 check(answer == expected, f"{label}: expected {expected}")
 
 
-def peak_children(group: str, catalog: str, ceiling: str):
-    """(In a child, which imports no burnloc.)  Each command's exit code and peak RSS from os.wait4."""
-    for command in (["structure"], ["structure", "--filter", "max-stabilizer"]):
-        t0 = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "burnloc.cli", *command, "--group", group, "--catalog",
-                                  catalog, "--json"], stdout=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": SRC})
-        _, status, usage = os.wait4(child.pid, 0)
-        code, peak = os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # kB on Linux
-        print(f"{' '.join(command)} on {group}: exit {code}, {time.perf_counter() - t0:.2f} s, "
-              f"peak {peak:.1f} MB (ceiling {ceiling} MB)", flush=True)
-        check(code == 0 and peak <= float(ceiling), f"structure on {group} failed or its peak exceeded {ceiling} MB")
+def peak_children(cases: str, ceiling: str, timeout: str):
+    """(In a child, which imports no burnloc.)  Runs each `burnloc` argv of the JSON list `cases` of [argv,
+    expected JSON report or null] and reads its exit code and peak RSS from os.wait4; each must exit 0 within
+    `timeout` seconds (past it the child is killed), peak at most `ceiling` MB and report what is expected."""
+    for argv, expected in json.loads(cases):
+        label, t0 = f"burnloc {' '.join(argv)[:160]}", time.perf_counter()
+        with tempfile.TemporaryFile("w+") as out:
+            child = subprocess.Popen([sys.executable, "-m", "burnloc.cli", *argv], stdout=out,
+                                     env={**os.environ, "PYTHONPATH": SRC})
+            while not (done := os.wait4(child.pid, os.WNOHANG))[0]:
+                if time.perf_counter() - t0 > float(timeout):
+                    child.kill()
+                    sys.exit(f"{label}: ran past {timeout} s")
+                time.sleep(0.02)
+            out.seek(0)
+            report = out.read()
+        code, peak = os.waitstatus_to_exitcode(done[1]), done[2].ru_maxrss / 1024  # kB on Linux
+        print(f"{label}: exit {code}, {time.perf_counter() - t0:.2f} s, peak {peak:.1f} MB (ceiling {ceiling} MB)",
+              flush=True)
+        check(code == 0 and peak <= float(ceiling), f"{label}: failed or its peak exceeded {ceiling} MB")
+        if expected is not None:
+            print(f"  {json.dumps(json.loads(report))}")
+            check(json.loads(report) == expected, f"{label}: expected {json.dumps(expected)}")
 
 
 def peak_memory():
-    """The cyclic garbage collector is off while a `burnloc` process runs its command (cli.run), so cyclic
-    garbage made during a command is never freed before exit: each child's peak RSS, read from os.wait4, must
-    stay under a ceiling for `structure` and `structure --filter max-stabilizer` at order 64 (C2^6 peaks at
-    131 MB, C4^3 at 65 MB).  The children are spawned from a process that imports no burnloc, since a child's
-    peak also counts the memory of the process it was started from."""
-    for factors, ceiling in (("[2,2,2,2,2,2]", "160"), ("[4,4,4]", "80")):
+    """No command builds a dense |relations| x |symbols| matrix (the relation rows reach the normal forms as
+    sparse dicts), and the cyclic garbage collector is off while a `burnloc` process runs its command
+    (cli.run), so cyclic garbage made during a command is never freed before exit: each child's peak RSS,
+    read from os.wait4, must stay under a ceiling for `structure`, `structure --filter max-stabilizer` and
+    `equal` (a against b from `equal_sides`) at order 64.  C2^6 peaks at 23-31 MB, C4^3 at about 20 MB; with
+    the dense matrix they peaked at 131.7 and 64.6 MB.  The children are spawned from a process that imports
+    no burnloc, since a child's peak also counts the memory of the process it was started from."""
+    for factors, ceiling in (("[2,2,2,2,2,2]", "64"), ("[4,4,4]", "40")):
         group = f'{{"kind":"abelian","factors":{factors}}}'
         with tempfile.TemporaryDirectory() as tmp:
-            in_child(catalog_file, group, f"{tmp}/catalog.json")
-            in_child(peak_children, group, f"{tmp}/catalog.json", ceiling, timeout=300)
+            in_child(equal_sides, group, tmp)
+            shared = ["--group", group, "--catalog", f"{tmp}/catalog.json", "--json"]
+            cases = [[["structure", *shared], None], [["structure", "--filter", "max-stabilizer", *shared], None],
+                     [["equal", *shared, "--a", f"{tmp}/a.json", "--b", f"{tmp}/b.json"], None]]
+            in_child(peak_children, json.dumps(cases), ceiling, "120")
+
+
+def order_128():
+    """Headroom above the default order bound: with BURNLOC_ORDER_BOUND=128, which any user may set,
+    `structure --json` on C2^7 (45,468 symbols and 8256 relations over a generated catalog, itself built in a
+    child under the same bound in about 5 s) must exit 0 within 60 s with its pinned answer and peak at most
+    150 MB (about 4 s and 73 MB).  A dense |relations| x |symbols| matrix ran out of memory here (exit 1)."""
+    group, bound = '{"kind":"abelian","factors":[2,2,2,2,2,2,2]}', {"BURNLOC_ORDER_BOUND": "128"}
+    with tempfile.TemporaryDirectory() as tmp:
+        in_child(catalog_file, group, f"{tmp}/catalog.json", env=bound)
+        case = [["structure", "--group", group, "--catalog", f"{tmp}/catalog.json", "--json"],
+                {"free_rank": 37212, "torsion": []}]
+        in_child(peak_children, json.dumps([case]), "150", "60", env=bound)
 
 
 def blowup_chain():
@@ -270,7 +300,7 @@ def blowup_chain():
 
 
 GATES = {"cli-usage": cli_usage, "pinned": pinned, "traced": traced, "hash-seed": hash_seed, "order-64": order_64,
-         "peak-memory": peak_memory, "blowup-chain": lambda: in_child(blowup_chain, timeout=30)}
+         "peak-memory": peak_memory, "order-128": order_128, "blowup-chain": lambda: in_child(blowup_chain, timeout=30)}
 
 if __name__ == "__main__":
     names = list(GATES) if sys.argv[1:] == ["all"] else sys.argv[1:]

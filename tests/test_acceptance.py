@@ -76,10 +76,8 @@ def test_criterion_1_involution_group_structure():
     }
     assert {r.vector for r in relations} == expected_vectors
     index = {s: i for i, s in enumerate(symbols)}
-    generated = IntegerLattice.from_rows(
-        [r.vector.to_vector(index, 5) for r in relations], 5)
-    expected = IntegerLattice.from_rows(
-        [v.to_vector(index, 5) for v in expected_vectors], 5)
+    generated = IntegerLattice.from_rows([r.vector.columns(index) for r in relations], 5)
+    expected = IntegerLattice.from_rows([v.columns(index) for v in expected_vectors], 5)
     assert generated.basis == expected.basis
     assert result.free_rank == 1 and result.torsion == ()
     assert elapsed < 1.0
@@ -99,7 +97,7 @@ def test_criterion_2_phi_correctness():
     assert filtered_structure(G, catalog, f).to_json() == {"free_rank": 1, "torsion": []}
     admitted = [s1, s2, s3]
     index = {s: i for i, s in enumerate(admitted)}
-    rel_lattice = IntegerLattice.from_rows([v.to_vector(index, 3) for v in filtered], 3)
+    rel_lattice = IntegerLattice.from_rows([v.columns(index) for v in filtered], 3)
     ker_lattice = IntegerLattice.from_rows(kernel_basis([(-1,), (-2,), (1,)], 1), 3)
     assert rel_lattice.basis == ker_lattice.basis
     assert phi_G(-BurnsideClass.of(s1), G, catalog) == 1  # surjective

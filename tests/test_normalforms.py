@@ -38,6 +38,7 @@ def test_snf_identity():
 
 def test_snf_diag_2_3():
     assert smith_normal_form([(2, 0), (0, 3)], 2) == (1, 6)
+    assert smith_normal_form([{0: 3, 1: 6}], 2) == (3,)
 
 
 def test_snf_zero_and_empty():
@@ -70,18 +71,26 @@ def _sparse_relation_matrix(rng, units=True):
     return rows, ncols
 
 
+def _as_dicts(rows):
+    """The dense rows as {column: entry} dicts that keep their zero entries
+    at odd columns, which a row read as a dict must drop."""
+    return [{j: x for j, x in enumerate(row) if x or j % 2} for row in rows]
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_snf_matches_dense_oracle_on_sparse_matrices(seed):
     rows, ncols = _sparse_relation_matrix(random.Random(seed))
-    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
+    expected = dense_smith_diagonal(rows, ncols)
+    assert smith_normal_form(rows, ncols) == smith_normal_form(_as_dicts(rows), ncols) == expected
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_snf_without_unit_entries_is_the_dense_form(seed):
     rows, ncols = _sparse_relation_matrix(random.Random(seed), units=False)
-    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
+    expected = dense_smith_diagonal(rows, ncols)
+    assert smith_normal_form(rows, ncols) == smith_normal_form(_as_dicts(rows), ncols) == expected
 
 
 def test_snf_full_unit_elimination_leaves_no_residual():
@@ -120,14 +129,20 @@ def test_snf_matches_dense_oracle_on_dense_matrices(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
     rows = [tuple(rng.randint(-60, 60) for _ in range(ncols)) for _ in range(nrows)]
-    assert smith_normal_form(rows, ncols) == dense_smith_diagonal(rows, ncols)
+    expected = dense_smith_diagonal(rows, ncols)
+    assert smith_normal_form(rows, ncols) == smith_normal_form(_as_dicts(rows), ncols) == expected
 
 
 def test_snf_rejects_wrong_row_length():
-    with pytest.raises(ValueError):
-        smith_normal_form([(1, 0), (1,)], 2)
-    with pytest.raises(ValueError):
-        smith_normal_form([(1,)], 0)
+    # a dense row of another length, or a dict row with a column outside 0..ncols-1,
+    # is refused by every route that reads rows
+    cases = [([(1, 0), (1,)], 2, "vector has the wrong length"), ([(1,)], 0, "vector has the wrong length")]
+    cases += [(rows, ncols, "vector has a column outside the lattice")
+              for rows, ncols in (([{2: 1}], 2), ([{-1: 1}], 2), ([{1: 5}], 1))]
+    for rows, ncols, message in cases:
+        for normal_form in (smith_normal_form, cokernel_structure, hermite_normal_form, IntegerLattice.from_rows):
+            with pytest.raises(ValueError, match=message):
+                normal_form(rows, ncols)
 
 
 def test_hnf_known_value():
@@ -180,6 +195,8 @@ def test_insertion_hnf_matches_the_dense_elimination(seed):
     expected = dense_hermite_normal_form(rows, ncols)
     lat = IntegerLattice.from_rows(rows, ncols)
     assert list(lat.basis) == hermite_normal_form(rows, ncols) == expected
+    assert lat == IntegerLattice.from_rows(_as_dicts(rows), ncols)
+    assert hermite_normal_form(_as_dicts(rows), ncols) == expected
     assert lat.rank == len(expected)
     # a transform is not unique when rows are dependent; the oracle's must rebuild the basis
     H, U = dense_hermite_normal_form(rows, ncols, with_transform=True)
@@ -193,8 +210,7 @@ def test_relation_lattice_hnf_matches_the_dense_elimination_on_every_ladder_rung
     catalog = generated_catalog(G)
     symbols = enumerate_symbols(G, catalog)
     vectors = [r.vector for r in generate_relations(G, catalog)]
-    position = {s: i for i, s in enumerate(symbols)}
-    rows = [v.to_vector(position, len(symbols)) for v in vectors]
+    rows = [tuple(v.coefficient(s) for s in symbols) for v in vectors]
     lattice = RelationLattice(symbols, vectors)
     assert list(lattice.basis) == dense_hermite_normal_form(rows, len(symbols))
     assert lattice.basis == relation_lattice(G, catalog).basis
@@ -206,6 +222,7 @@ def test_lattice_builds_no_dense_rows_until_read():
     assert lat == (3, (0, 1), (((0, 2), (1, 1)), ((1, 4), (2, 1)), None))
     assert lat.contains((2, 5, 1)) and lat.reduce((3, 0, 0)) == (1, 3, 1)
     assert lat.basis == ((2, 1, 0), (0, 4, 1))
+    assert IntegerLattice.from_rows([{0: 1, 1: 2}], 2).basis == ((1, 2),)
 
 
 def test_cokernel_structure_examples():

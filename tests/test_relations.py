@@ -185,7 +185,7 @@ def test_phi_induces_isomorphism_onto_Z(z2, hyper_cat):
     s1, s2, s3, s4, s5 = involution_symbols(z2, hyper_cat)
     admitted = [s1, s2, s3]
     index = {s: i for i, s in enumerate(admitted)}
-    rel_rows = [v.to_vector(index, 3) for v in filtered_relation_vectors(z2, hyper_cat, f)]
+    rel_rows = [v.columns(index) for v in filtered_relation_vectors(z2, hyper_cat, f)]
     rel_lattice = IntegerLattice.from_rows(rel_rows, 3)
     # kernel of phi as an integer lattice: phi = (-1, -2, +1) on (s1, s2, s3)
     phi_rows = [(-1,), (-2,), (1,)]

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import prod
 
 from .abelian import abelian_structure, normalize_factors, shape_name
-from .errors import CatalogIncompleteError, JSONValue, ValidationError, read_json
+from .errors import CatalogIncompleteError, JSONValue, ValidationError, read_json, records
 from .groups import Subgroup
 
 CURVE = "curve"
@@ -45,9 +45,11 @@ class GroupShape(namedtuple("GroupShape", "factors order")):
         shape = read_json(data, "bad group_shape")
         if isinstance(shape.value, (list, tuple)):
             return cls.abelian(shape.integers())
-        if not isinstance(shape.value, dict) or shape.field("abelian", JSONValue.boolean, True):
-            shape.fail('a list of cyclic factors or {"order": n, "abelian": false}')
-        return cls(factors=None, order=shape.field("order", JSONValue.integer))
+        if isinstance(shape.value, dict):
+            abelian, order = shape.members(_SHAPE)
+            if not abelian:
+                return cls(factors=None, order=order)
+        shape.fail('a list of cyclic factors or {"order": n, "abelian": false}')
 
     def to_json(self):
         if self.factors is None:
@@ -287,58 +289,45 @@ def ensure_valid_catalog(catalog: ActionCatalog) -> ActionCatalog:
 
 
 def catalog_from_json(data, name: str = "") -> ActionCatalog:
-    doc = read_json(data, "malformed catalog JSON")
-    declared_name = doc.field("name", JSONValue.string, "")
-    curve = doc.field("curve", JSONValue.object)
-    rules = doc.field("rules", JSONValue.object, read_json({}, doc.prefix))
-    return ActionCatalog(
-        curve=CurveProfile(
-            id=curve.field("id", JSONValue.string),
-            genus=curve.field("genus", JSONValue.integer),
-            hyperelliptic=curve.field("hyperelliptic", JSONValue.boolean, False),
-        ),
-        labels=tuple(
-            ActionLabel(
-                id=lab.field("id", JSONValue.string),
-                space=lab.field("space", JSONValue.string),
-                group_shape=lab.field("group_shape", GroupShape.from_json),
-                faithful=lab.field("faithful", JSONValue.boolean, True),
-                trivial=lab.field("trivial", JSONValue.boolean, False),
-                from_curve=lab.field("from_curve", JSONValue.boolean, False),
-                underlying_curve_action=lab.field("underlying_curve_action", JSONValue.string, None),
-            )
-            for lab in doc.field("labels", JSONValue.items, ())
-        ),
-        induce_rules=tuple(
-            InduceRule(
-                h_factors=normalize_factors(r.field("h", JSONValue.integers)),
-                curve_label=r.field("curve_label", JSONValue.string),
-                weights=r.field("weights", _weight_pattern),
-                target=r.field("target", JSONValue.string),
-            )
-            for r in rules.field("induce", JSONValue.items, ())
-        ),
-        jacobian_rules=tuple(
-            JacobianOfCurveRule(r.field("source", JSONValue.string), r.field("target", JSONValue.string))
-            for r in rules.field("jacobian_of_curve", JSONValue.items, ())
-        ),
-        extension_rules=tuple(
-            GenusOneExtensionRule(
-                h_factors=normalize_factors(r.field("h", JSONValue.integers)),
-                source_label=r.field("label", JSONValue.string),
-                trivial_part=r.field("trivial_part", JSONValue.string),
-                target_h_factors=normalize_factors(r.field("target_h", JSONValue.integers)),
-                target_label=r.field("target_label", JSONValue.string),
-            )
-            for r in rules.field("genus_one_extension", JSONValue.items, ())
-        ),
-        name=name or declared_name,
-    )
+    curve, labels, rules, declared_name = read_json(data, "malformed catalog JSON").members(_CATALOG)
+    return ActionCatalog(curve, labels, *rules, name=name or declared_name)
+
+
+def _positive(value: JSONValue) -> int:
+    return value.value if value.integer() > 0 else value.fail("a positive integer")
+
+
+def _factors(value: JSONValue) -> tuple[int, ...]:
+    return normalize_factors(value.integers())
 
 
 def _weight_pattern(weights: JSONValue):
     """An InduceRule's weight pattern: "equal" or {"diff_order": m}."""
-    return "equal" if weights.value == "equal" else weights.field("diff_order", JSONValue.integer)
+    return "equal" if weights.value == "equal" else weights.members(_DIFF_ORDER)[0]
+
+
+# the members of each object of a catalog, in the order of the record each is read into
+_SHAPE = (("abelian", JSONValue.boolean, True), ("order", _positive))
+_DIFF_ORDER = (("diff_order", JSONValue.integer),)
+_CURVE = (("id", JSONValue.string), ("genus", JSONValue.integer), ("hyperelliptic", JSONValue.boolean, False))
+_LABEL = (
+    ("id", JSONValue.string), ("space", JSONValue.string), ("group_shape", GroupShape.from_json),
+    ("faithful", JSONValue.boolean, True), ("trivial", JSONValue.boolean, False),
+    ("from_curve", JSONValue.boolean, False), ("underlying_curve_action", JSONValue.string, None),
+)
+_INDUCE = (("h", _factors), ("curve_label", JSONValue.string), ("weights", _weight_pattern),
+           ("target", JSONValue.string))
+_JACOBIAN = (("source", JSONValue.string), ("target", JSONValue.string))
+_EXTENSION = (("h", _factors), ("label", JSONValue.string), ("trivial_part", JSONValue.string),
+              ("target_h", _factors), ("target_label", JSONValue.string))
+_RULES = (
+    ("induce", records(InduceRule, _INDUCE), ()), ("jacobian_of_curve", records(JacobianOfCurveRule, _JACOBIAN), ()),
+    ("genus_one_extension", records(GenusOneExtensionRule, _EXTENSION), ()),
+)
+_CATALOG = (
+    ("curve", lambda curve: CurveProfile(*curve.members(_CURVE))), ("labels", records(ActionLabel, _LABEL), ()),
+    ("rules", lambda rules: rules.members(_RULES), ((), (), ())), ("name", JSONValue.string, ""),
+)
 
 
 def catalog_to_json(catalog: ActionCatalog) -> dict:

@@ -106,23 +106,19 @@ def load_center(arg: str):
     return center_from_json(data)
 
 
-def _symbol_from_json(symbol: JSONValue, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
-    kind = symbol.field("kind", JSONValue.string)
-    h = symbol.field("h", JSONValue.integers)
-    y_reps = symbol.field("y_reps", JSONValue.integers, (0,))
-    action = symbol.field("action", JSONValue.string)
-    weights = symbol.field("weights", JSONValue.rows, ())
-    y = residual_from_generators(G, h, kind, y_reps, "y_reps")
-    return canonicalize(Symbol(kind, h, y, action, weights), G, catalog)
+_SYMBOL = (("kind", JSONValue.string), ("h", JSONValue.integers), ("y_reps", JSONValue.integers, (0,)),
+           ("action", JSONValue.string), ("weights", JSONValue.rows, ()))
+_TERM = (("coeff", JSONValue.integer, 1), ("symbol", lambda symbol: symbol.members(_SYMBOL)))
+_CLASS = (("terms", JSONValue.items, ()),)
 
 
 def load_class(arg: str, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
-    doc = read_json(_load_json_arg(arg), "malformed class JSON")
+    (terms,) = read_json(_load_json_arg(arg), "malformed class JSON").members(_CLASS)
     total = BurnsideClass.zero()
-    for term in doc.field("terms", JSONValue.items, ()):
-        coeff = term.field("coeff", JSONValue.integer, 1)
-        symbol = _symbol_from_json(term.field("symbol", JSONValue.object), G, catalog)
-        total = total + BurnsideClass.of(symbol, coeff)
+    for term in terms:
+        coeff, (kind, h, y_reps, action, weights) = term.members(_TERM)
+        y = residual_from_generators(G, h, kind, y_reps, "y_reps")
+        total = total + BurnsideClass.of(canonicalize(Symbol(kind, h, y, action, weights), G, catalog), coeff)
     return total
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the strict reader every JSON
-loader reads its input through."""
+loader reads its input through: each loader declares an object's members in one
+table, and `JSONValue.members` reads them and refuses any other member."""
 
 from collections import namedtuple
 
@@ -80,6 +81,23 @@ class JSONValue(namedtuple("JSONValue", "value path prefix")):
         if default is _REQUIRED:
             raise ValidationError(f"{self.prefix}: {path} is missing")
         return default
+
+    def members(self, table) -> list:
+        """The members of this object that `table` declares, read in table order.
+        An entry is (member, reader) or (member, reader, default); a member the
+        table does not declare is refused before any member is read."""
+        declared = [entry[0] for entry in table]
+        for key in self.object().value:
+            if key not in declared:
+                where = f"{self.path}: " if self.path else ""
+                raise ValidationError(
+                    f"{self.prefix}: {where}unknown member {key!r} (expected {', '.join(declared)})")
+        return [self.field(*entry) for entry in table]
+
+
+def records(record, table):
+    """The reader of a list of objects, each read through `table` into `record`."""
+    return lambda value: tuple(record(*item.members(table)) for item in value.items())
 
 
 def read_json(data, prefix: str) -> JSONValue:

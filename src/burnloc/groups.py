@@ -277,32 +277,42 @@ def _perm_table(degree: int, gens: Sequence[Sequence[int]], limit: int) -> list[
     return [[index[_compose(p, q)] for q in ordered] for p in ordered]
 
 
+_KIND, _NAME = ("kind", JSONValue.string), ("name", JSONValue.string, "")
+# each kind's members; a description without a kind is read against all, so a misspelt `kind` is named
+_GROUP_KINDS = {
+    "cyclic": (_KIND, ("n", JSONValue.integer)),
+    "abelian": (_KIND, ("factors", JSONValue.integers)),
+    "table": (_KIND, _NAME, ("mul", JSONValue.rows)),
+    "perm": (_KIND, _NAME, ("degree", JSONValue.integer), ("gens", JSONValue.rows)),
+}
+_ANY_KIND = tuple({entry[0]: entry for table in _GROUP_KINDS.values() for entry in table}.values())
+
+
 def build_group(spec) -> FiniteGroup:
     """Build a validated group from a description.
 
     Supported kinds: {"kind":"cyclic","n":..}, {"kind":"abelian","factors":[..]},
-    {"kind":"table","mul":[[..]]}, {"kind":"perm","degree":k,"gens":[[..]]}.
+    {"kind":"table","mul":[[..]]}, {"kind":"perm","degree":k,"gens":[[..]]};
+    a table or perm group may also carry a "name".
     """
     doc = read_json(spec, "malformed group description")
-    kind = doc.field("kind", JSONValue.string)
+    kind = doc.field("kind", JSONValue.string, None)
+    if kind is not None and kind not in _GROUP_KINDS:
+        raise ValidationError(f"unknown group kind {kind!r}")
     limit = order_bound()
-    if kind in ("cyclic", "abelian"):
-        cyclic = kind == "cyclic"
-        factors = (doc.field("n", JSONValue.integer),) if cyclic else doc.field("factors", JSONValue.integers)
-        if any(d < 1 for d in factors):
-            raise ValidationError(f"{'cyclic group order' if cyclic else 'abelian factors'} must be positive")
-        n = prod(factors)
-        if n > limit:
-            raise ValidationError(f"group order {n} exceeds bound {limit}")
-        name = f"C{n}" if cyclic else "x".join(f"C{d}" for d in factors) or "C1"
-        return FiniteGroup(_abelian_table(factors or (1,)), name=name)
-    name = doc.field("name", JSONValue.string, "")
-    if kind == "table":
-        return FiniteGroup(doc.field("mul", JSONValue.rows), name=name)
-    if kind == "perm":
-        table = _perm_table(doc.field("degree", JSONValue.integer), doc.field("gens", JSONValue.rows), limit)
-        return FiniteGroup(table, name=name)
-    raise ValidationError(f"unknown group kind {kind!r}")
+    _, *values = doc.members(_GROUP_KINDS.get(kind, _ANY_KIND))
+    if kind in ("table", "perm"):
+        name, *table = values
+        return FiniteGroup(_perm_table(*table, limit) if kind == "perm" else table[0], name=name)
+    cyclic = kind == "cyclic"
+    factors = tuple(values) if cyclic else values[0]
+    if any(d < 1 for d in factors):
+        raise ValidationError(f"{'cyclic group order' if cyclic else 'abelian factors'} must be positive")
+    n = prod(factors)
+    if n > limit:
+        raise ValidationError(f"group order {n} exceeds bound {limit}")
+    name = f"C{n}" if cyclic else "x".join(f"C{d}" for d in factors) or "C1"
+    return FiniteGroup(_abelian_table(factors or (1,)), name=name)
 
 
 class Subgroup(namedtuple("Subgroup", "ambient elements")):

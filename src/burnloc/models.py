@@ -15,9 +15,9 @@ from functools import cached_property
 from operator import neg, sub
 
 from .abelian import abelian_structure
-from .catalog import CURVE, ActionCatalog, ensure_valid_catalog
-from .errors import JSONValue, ValidationError, read_json
-from .groups import FiniteGroup, Subgroup
+from .catalog import CURVE, ActionCatalog, catalog_from_json, ensure_valid_catalog
+from .errors import JSONValue, ValidationError, read_json, records
+from .groups import FiniteGroup, Subgroup, build_group
 from .relations import (
     NO_OBSTRUCTION, OBSTRUCTED, FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations,
     invariant_I, phi_G, relation_lattice,
@@ -378,55 +378,39 @@ def verdict(m: ModelDescription) -> VerdictReport:
 def model_from_json(data, catalog_loader, name: str = "") -> ModelDescription:
     """A model from its JSON form; its catalog is a name, which `catalog_loader`
     maps to an ActionCatalog, or an inline catalog object."""
-    from .catalog import catalog_from_json
-    from .groups import build_group
-
-    doc = read_json(data, "malformed model JSON")
-    declared_name = doc.field("name", JSONValue.string, "")
-    group = doc.field("group", build_group)
-    catalog = doc.field(
-        "catalog", lambda ref: catalog_loader(ref.value) if isinstance(ref.value, str) else catalog_from_json(ref),
-    )
-    declared_curve = doc.field("curve", lambda curve: curve.field("id", JSONValue.string), None)
+    declared_name, group, catalog, declared_curve, strata, factors, counts = read_json(
+        data, "malformed model JSON").members(_MODEL)
+    if isinstance(catalog, str):
+        catalog = catalog_loader(catalog)
     if declared_curve is not None and declared_curve != catalog.curve.id:
         raise ValidationError(
             f"model curve {declared_curve!r} does not match the catalog's curve {catalog.curve.id!r}"
         )
-    strata = tuple(
-        StratumDatum(
-            kind=d.field("kind", JSONValue.string),
-            stabilizer=d.field("stabilizer", JSONValue.integers),
-            residual=d.field("residual", JSONValue.string),
-            weights=d.field("weights", JSONValue.rows),
-            residual_group=d.field("residual_group", JSONValue.integers, None),
-        )
-        for d in doc.field("strata", JSONValue.items, ())
-    )
-    factors = tuple(
-        JacobianFactorDatum(
-            stabilizer=d.field("stabilizer", JSONValue.integers),
-            residual=d.field("residual", JSONValue.string),
-            residual_group=d.field("residual_group", JSONValue.integers, None),
-        )
-        for d in doc.field("jacobian_factors", JSONValue.items, ())
-    )
-    counts = doc.field("counts", JSONValue.integers, None)
     if counts is not None and len(counts) != 3:
         raise ValidationError("counts must be a triple [I1, I2, I3]")
-    return ModelDescription(
-        group=group, catalog=catalog, strata=strata, jacobian_factors=factors,
-        counts=counts, name=name or declared_name,
-    )
+    return ModelDescription(group, catalog, strata, factors, counts, name or declared_name)
 
 
 def center_from_json(data) -> BlowupCenter:
-    doc = read_json(data, "malformed blow-up center JSON")
-    context = doc.field("context", JSONValue.object, read_json({}, doc.prefix))
-    return BlowupCenter(
-        case=doc.field("case", JSONValue.integer),
-        stratum=doc.field("stratum", JSONValue.integer, None),
-        curve_label=doc.field("curve_label", JSONValue.string, None),
-        y_reps=doc.field("y_reps", JSONValue.integers, ()),
-        context_stabilizer=context.field("stabilizer", JSONValue.integers, None),
-        context_weight=context.field("weight", JSONValue.integers, None),
-    )
+    *head, context = read_json(data, "malformed blow-up center JSON").members(_CENTER)
+    return BlowupCenter(*head, *context)
+
+
+# the members of each object of a model or center, in the order of the record each is read into;
+# `build_group` and `catalog_from_json` are looked up when called, so a wrapper set on them is called
+_STRATUM = (("kind", JSONValue.string), ("stabilizer", JSONValue.integers), ("residual", JSONValue.string),
+            ("weights", JSONValue.rows), ("residual_group", JSONValue.integers, None))
+_FACTOR = (("stabilizer", JSONValue.integers), ("residual", JSONValue.string),
+           ("residual_group", JSONValue.integers, None))
+_CURVE_ID = (("id", JSONValue.string),)
+_MODEL = (
+    ("name", JSONValue.string, ""), ("group", lambda group: build_group(group)),
+    ("catalog", lambda ref: ref.value if isinstance(ref.value, str) else catalog_from_json(ref)),
+    ("curve", lambda curve: curve.members(_CURVE_ID)[0], None), ("strata", records(StratumDatum, _STRATUM), ()),
+    ("jacobian_factors", records(JacobianFactorDatum, _FACTOR), ()), ("counts", JSONValue.integers, None),
+)
+_CONTEXT = (("stabilizer", JSONValue.integers, None), ("weight", JSONValue.integers, None))
+_CENTER = (
+    ("case", JSONValue.integer), ("stratum", JSONValue.integer, None), ("curve_label", JSONValue.string, None),
+    ("y_reps", JSONValue.integers, ()), ("context", lambda context: context.members(_CONTEXT), (None, None)),
+)

@@ -267,17 +267,32 @@ def order_128():
 
 def blowup_chain():
     """The only blow-ups at order 64: a seeded chain of 1000 blow-ups of all three cases on D32 and on one
-    relabelled copy, each step's class equal to the first model's modulo the relation lattice; a blow-up's
-    result starts from its source's checked symbols and checks only the data the move adds (about 2 s a
-    chain); re-checking every earlier datum at every step makes the checks grow with the square of the chain's
-    length (24-30 s on a 2-vCPU host), and past the timeout this gate's child is killed (see GATES)."""
+    relabelled copy, each step's class equal to the first model's modulo the relation lattice.  A blow-up's
+    result starts from its source's checked symbols and checks only the data the move adds, so the datum
+    checks (calls of `models._datum_symbol`) after each step must number the first model's data plus the
+    data the steps so far added (2 + 2144 over the D32 chain, about 2 s); re-checking every earlier datum at
+    every step makes them grow with the square of the chain's length (about 10^6 checks, 24-30 s on a 2-vCPU
+    host) and fails the count at the first step.  The timeout (see GATES) stays as a bound on wall time."""
     import random
 
+    import burnloc.models
     import generate
     from burnloc.groups import build_group
     from burnloc.models import blowup, class_of_action
     from burnloc.relations import classes_equal, relation_lattice
     from scenarios import ScenarioPool, generated_catalog
+
+    checks = [0]
+    datum_symbol = burnloc.models._datum_symbol
+
+    def counted(*args):
+        checks[0] += 1
+        return datum_symbol(*args)
+
+    burnloc.models._datum_symbol = counted
+
+    def data(m):
+        return len(m.strata) + len(m.jacobian_factors)
 
     table = generate.GROUPS["D32"]()
     for name, mul in (("D32", table), ("D32 relabelled", generate.relabel(table, random.Random("chain")))):
@@ -286,17 +301,21 @@ def blowup_chain():
         lattice = relation_lattice(G, catalog)
         pool = ScenarioPool(G, catalog)
         rng = random.Random(1000)
+        checks[0] = 0
         m = pool.random_model(rng)
         base = class_of_action(m)
+        first = expected = data(m)
         cases = set()
         for step in range(1000):
             center = pool.random_center(rng, m)
-            m = blowup(m, center)
+            before, m = data(m), blowup(m, center)
+            expected += data(m) - before + (center.case == 3)  # a case-3 blow-up replaces the stratum it drops
             cases.add(center.case)
             check(classes_equal(base, class_of_action(m), lattice), f"{name}: blow-up {step} changed the class")
+            check(checks[0] == expected, f"{name}: {checks[0]} datum checks after blow-up {step}, expected {expected}")
         check(cases == {1, 2, 3}, f"{name}: the chain met only the blow-up cases {sorted(cases)}")
         print(f"{name}: 1000 blow-ups, class unchanged; {len(m.strata)} strata, "
-              f"{len(m.jacobian_factors)} jacobian factors")
+              f"{len(m.jacobian_factors)} jacobian factors; {first} + {expected - first} datum checks")
 
 
 GATES = {"cli-usage": cli_usage, "pinned": pinned, "traced": traced, "hash-seed": hash_seed, "order-64": order_64,

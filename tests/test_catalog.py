@@ -158,6 +158,15 @@ def test_group_shape_matching():
     assert not coarse.matches(full_subgroup(build_group({"kind": "cyclic", "n": 6})))
     with pytest.raises(ValidationError):
         GroupShape.from_json("junk")
+    # a nonabelian shape's order is positive, as an abelian factor is; the error names the order's path
+    for order in (0, -4):
+        refused = f"order: expected a positive integer, got {order}$"
+        with pytest.raises(ValidationError, match=f"^bad group_shape: {refused}"):
+            GroupShape.from_json({"order": order, "abelian": False})
+        data = base_json()
+        data["labels"][0]["group_shape"] = {"order": order, "abelian": False}
+        with pytest.raises(ValidationError, match=rf"^malformed catalog JSON: labels\[0\]\.group_shape\.{refused}"):
+            catalog_from_json(data)
     # a shape is kept once asked for; a subgroup of another order is refused before its shape is built
     assert z4.shapes == {(0, 1, 2, 3): shape4} and s3.shapes == {tuple(range(6)): coarse}
     assert GroupShape.of(Subgroup(z4, (0,))) == GroupShape.abelian([1]) == GroupShape.abelian([])

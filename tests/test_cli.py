@@ -241,6 +241,30 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, content, path):
         assert re.search(rf": {re.escape(path)}(: expected | is missing)", err), err
 
 
+def _member_tables():
+    """Every member table of the loaders: a module-level tuple of (member, reader[, default])
+    entries, or such a tuple among the values of a module-level dict."""
+    import burnloc.models
+
+    def is_table(value):
+        return type(value) is tuple and value and all(
+            type(e) is tuple and len(e) in (2, 3) and type(e[0]) is str and callable(e[1]) for e in value)
+
+    for module in (burnloc.groups, burnloc.catalog, burnloc.models, burnloc.cli):
+        for value in vars(module).values():
+            yield from filter(is_table, value.values() if isinstance(value, dict) else (value,))
+
+
+def test_readme_input_schemas_name_every_declared_member():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("## Input schemas")
+    section = readme[start:readme.index("\n## ", start)]
+    members = {entry[0] for table in _member_tables() for entry in table}
+    # the scan reaches the tables of every loader: group, catalog, model, center and class
+    assert {"gens", "diff_order", "target_h", "jacobian_factors", "context", "weight", "coeff"} <= members
+    assert [m for m in sorted(members) if f'"{m}"' not in section and f"`{m}`" not in section] == []
+
+
 @pytest.mark.parametrize("context", ["x", [], [["stabilizer", [0, 1]]], 3, None])
 def test_center_context_must_be_an_object(context):
     # `"stabilizer" in "x"` is False, so a string or a list must be refused, not read as no context

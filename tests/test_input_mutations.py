@@ -1,4 +1,5 @@
-"""A seeded sample of single-leaf mutations of every JSON input, run through `main`.
+"""Mutations of every JSON input, run through `main`: a seeded sample of
+single-leaf mutations, and every member of every object misspelt.
 
 The inputs are every fixture model, center and catalog, one class file and one
 group description of each kind.  A mutant replaces one leaf (a scalar or an
@@ -13,11 +14,17 @@ and center inputs, whose mutants reach the symbol check and the class
 difference, are not outnumbered by the larger catalogs; the test counts the
 calls of both references and asserts that each is reached: the symbol check
 at least 30 times, the class difference at least 5.
+
+A misspelt member (any member of any object renamed with a trailing `_`) must
+exit 2 and name the object's path, the misspelt member and, among the declared
+members, the one it was renamed from: an optional member misspelt is not read
+as absent.
 """
 
 import copy
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -142,3 +149,61 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
     assert named > 0
     # a uniform sample of the 3,641 cases with the same seed reaches them 17 and 0 times
     assert calls["validated_form"] >= 30 and calls["difference"] >= 5, dict(calls)
+
+
+def _objects(value, path="", chain=()):
+    """(path, key chain, object) of every JSON object in value, value itself included."""
+    if isinstance(value, dict):
+        yield path, chain, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        step = f"[{key}]" if isinstance(value, list) else (f".{key}" if path else key)
+        yield from _objects(child, path + step, (*chain, key))
+
+
+def _misspelt(doc, chain, member):
+    out = copy.deepcopy(doc)
+    obj = out
+    for key in chain:
+        obj = obj[key]
+    renamed = {f"{key}_" if key == member else key: child for key, child in obj.items()}
+    obj.clear()
+    obj.update(renamed)
+    return out
+
+
+def _member_inputs():
+    """`_inputs()`, and a catalog that also holds the two object forms no fixture holds: a
+    nonabelian `group_shape` and a `{"diff_order": m}` weight pattern."""
+    yield from _inputs()
+    catalog = _fixture("catalogs", "hyperelliptic-Z2")
+    catalog["labels"] += [
+        {"id": "coarse-CxP1", "space": "ruled_surface", "group_shape": {"order": 6, "abelian": False}},
+        {"id": "c2-CxP1", "space": "ruled_surface", "group_shape": [2]},
+    ]
+    catalog["rules"]["induce"].append({"h": [2], "curve_label": "triv-C", "weights": {"diff_order": 2},
+                                       "target": "c2-CxP1"})
+    yield "catalog with object forms", ("structure", "--group", Z2, "--catalog", "{file}"), catalog
+
+
+def test_every_misspelt_member_exits_2_naming_its_path_and_member(capsys, tmp_path):
+    file = tmp_path / "input.json"
+    cases = set()
+    for name, argv, doc in _member_inputs():
+        file.write_text(json.dumps(doc))
+        assert main([str(file) if a == "{file}" else a for a in argv]) == 0, name
+        capsys.readouterr()
+        for path, chain, obj in _objects(doc):
+            for member in obj:
+                case = f"{name}: {path or '(document)'}: {member!r} misspelt"
+                file.write_text(json.dumps(_misspelt(doc, chain, member)))
+                code = main([str(file) if a == "{file}" else a for a in argv])
+                err = capsys.readouterr()[1]
+                assert code == 2 and "Traceback" not in err, f"{case}: exit {code}, {err!r}"
+                where = re.escape(f": {path}: " if path else ": ")
+                assert re.search(rf"{where}unknown member '{member}_' \(expected (\w+, )*{member}\b", err), \
+                    f"{case}: {err!r}"
+                cases.add(member)
+    # every kind of object is reached: catalog, curve, label, shape, rules, model, stratum, center, class, group
+    assert {"hyperelliptic", "faithful", "abelian", "diff_order", "genus_one_extension", "target_h", "counts",
+            "weights", "residual_group", "context", "coeff", "y_reps", "n", "factors", "mul", "gens"} <= cases, cases

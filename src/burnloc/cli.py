@@ -52,7 +52,7 @@ from .relations import (
     relation_lattice,
     structure,
 )
-from .symbols import BurnsideClass, Symbol, canonicalize, residual_from_generators, text_form
+from .symbols import BurnsideClass, declared_symbol, text_form
 
 
 def _load_json_arg(arg: str, kind: str = "", names=None) -> dict:
@@ -117,8 +117,9 @@ def load_class(arg: str, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClas
     total = BurnsideClass.zero()
     for term in terms:
         coeff, (kind, h, y_reps, action, weights) = term.members(_TERM)
-        y = residual_from_generators(G, h, kind, y_reps, "y_reps")
-        total = total + BurnsideClass.of(canonicalize(Symbol(kind, h, y, action, weights), G, catalog), coeff)
+        sym = declared_symbol(G, catalog, kind, h, action, y_reps, weights, "y_reps",
+                              "cannot canonicalize invalid symbol")
+        total = total + BurnsideClass.of(sym, coeff)
     return total
 
 

@@ -21,11 +21,12 @@ are trusted.
 Each group owns the facts computed from it, built on first use and dropped
 with it (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005,
 ch. 4): its checked element sets, its conjugacy classes of subgroups with
-transporters (one sweep over G per class), its subgroup lattice, abelian class
-representatives and quotients N/H, and an intern map from quotient table to
-one group, seeded with G itself, so equal quotient tables share one group and
-one lattice.  The abelian, catalog and symbol layers keep their abelian
-structures, subgroup shapes, stabilizer records and canonical frames on G.  All
+transporters (one sweep over G per class), its subgroup lattice and abelian
+class representatives, and an intern map from quotient table to one group,
+seeded with G itself, so equal quotient tables share one group and one
+lattice; `quotient` builds a new N/H on each call.  The abelian, catalog and
+symbol layers keep their abelian structures, subgroup shapes, stabilizer
+records (each holding its carrier quotient) and canonical frames on G.  All
 are keyed by checked subgroups, so they are bounded by the subgroup lattice.
 """
 
@@ -69,7 +70,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "mul", "name", "_inv", "_abelian", "_hash", "_conj", "_checked", "_classes", "_lattice",
-                 "_abelian_reps", "_quotients", "_interned", "structures", "shapes", "carriers", "frames")
+                 "_abelian_reps", "_interned", "structures", "shapes", "carriers", "frames")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str = ""):
         table = tuple(map(tuple, mul))
@@ -127,7 +128,6 @@ class FiniteGroup:
         self._checked = set()  # element tuples that passed the Subgroup check
         self._classes = {}  # element tuple -> (least conjugate, transporter to it)
         self._lattice = self._abelian_reps = None
-        self._quotients = {}  # (N, H) element tuples -> QuotientGroup N/H
         self._interned = {table: self}  # quotient table -> the one group with it
         self.structures, self.shapes, self.carriers, self.frames = {}, {}, {}, {}
 
@@ -435,15 +435,12 @@ def _extend(G: FiniteGroup, base: tuple[int, ...], gens: tuple[int, ...]) -> set
     return elems
 
 
-def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All subgroups of G whose elements lie inside the given closed subset,
-    ordered by (order, elements)."""
+def subgroups_within(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """All subgroups of G as element tuples, ordered by (order, elements)."""
     # breadth-first over the lattice from the trivial group: every subgroup is
     # some <H, g> with H found one level up, and <H, h*g> = <H, g> for h in H,
     # so one g per right coset Hg outside H is tried
     mul = G.mul
-    allowed = frozenset(universe)
-    order = sorted(allowed)
     trivial = frozenset({0})
     found = {trivial: ()}  # subgroup -> a generator tuple
     frontier = [trivial]
@@ -453,12 +450,12 @@ def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[i
             base = tuple(H)
             gens = found[H]
             covered = set(H)
-            for g in order:
+            for g in G.elements():
                 if g in covered:
                     continue
                 covered.update(mul[h][g] for h in base)
                 K = frozenset(_extend(G, base, gens + (g,)))
-                if K not in found and K <= allowed:
+                if K not in found:
                     found[K] = gens + (g,)
                     nxt.append(K)
         frontier = nxt
@@ -468,7 +465,7 @@ def subgroups_within(G: FiniteGroup, universe: tuple[int, ...]) -> tuple[tuple[i
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, ordered by (order, elements); built once per group."""
     if G._lattice is None:
-        G._lattice = tuple(Subgroup.trusted(G, s) for s in subgroups_within(G, tuple(G.elements())))
+        G._lattice = tuple(Subgroup.trusted(G, s) for s in subgroups_within(G))
     return G._lattice
 
 
@@ -500,13 +497,10 @@ class QuotientGroup:
 
     `group` is the quotient as a FiniteGroup; coset 0 is H itself.  `coset_of`
     maps an N-element to its coset index and `reps` picks the minimal
-    representative of each coset.  `resolved` is the symbol layer's memo of
-    the residual groups `resolve_residual_group` has resolved from declared
-    data in this quotient, keyed by (declared shape, declared generators or
-    None); only successes are kept.
+    representative of each coset.
     """
 
-    __slots__ = ("group", "coset_of", "reps", "resolved")
+    __slots__ = ("group", "coset_of", "reps")
 
     def __init__(self, N: Subgroup, H: Subgroup):
         G = N.ambient
@@ -532,7 +526,6 @@ class QuotientGroup:
         self.group = G._interned.get(table) or G._interned.setdefault(table, FiniteGroup.trusted(table))
         self.coset_of = coset_of
         self.reps = tuple(reps)
-        self.resolved = {}
 
     def image(self, elements: Iterable[int]) -> tuple[int, ...]:
         """Coset indices of the given N-elements (sorted, deduplicated)."""
@@ -545,9 +538,6 @@ class QuotientGroup:
 
 
 def quotient(N: Subgroup, H: Subgroup) -> QuotientGroup:
-    """N/H, built once per (N, H) in their ambient group's quotient table."""
-    table = N.ambient._quotients
-    Q = table.get((N.elements, H.elements))
-    if Q is None or H.ambient != N.ambient:
-        Q = table[N.elements, H.elements] = QuotientGroup(N, H)
-    return Q
+    """N/H, built on every call: the symbol layer keeps each carrier quotient in
+    the stabilizer record that asked for it."""
+    return QuotientGroup(N, H)

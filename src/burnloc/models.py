@@ -4,6 +4,10 @@ three blow-up moves, and the linearizability verdict.
 A model records one datum per orbit: fixed curves (two nontrivial normal
 weights), ruled divisors over the curve (one weight), and Jacobian-type factors
 of the intermediate Jacobian.  Geometry enters only through this declared data.
+
+A datum reaches its canonical symbol by the route of every declared symbol,
+`symbols.declared_symbol`, which also checks its weight count; a blow-up reads
+its center's residual group off the stabilizer record the same way.
 """
 
 from __future__ import annotations
@@ -29,14 +33,15 @@ from .symbols import (
     BurnsideClass,
     BurnsideContext,
     Symbol,
-    datum_form,
-    resolved_in,
+    declared_symbol,
     stabilizer,
     text_form,
 )
 
 FIXED_CURVE = "fixed_curve"
 RULED_DIVISOR = "ruled_divisor"
+
+_STRATUM_KINDS = {FIXED_CURVE: KIND_CURVE, RULED_DIVISOR: KIND_SURFACE}
 
 StratumDatum = namedtuple("StratumDatum", "kind stabilizer residual weights residual_group", defaults=(None,))
 JacobianFactorDatum = namedtuple("JacobianFactorDatum", "stabilizer residual residual_group", defaults=(None,))
@@ -60,16 +65,10 @@ class ModelDescription:
 
 
 def _datum_symbol(m: ModelDescription, kind: str, datum, weights: tuple = ()) -> Symbol:
-    """The canonical symbol of a stratum or Jacobian factor datum, its label and record looked up once."""
-    label = m.catalog.label(datum.residual)
-    record = stabilizer(m.group, datum.stabilizer, kind)
-    y = resolved_in(record, datum.stabilizer, kind, label, datum.residual_group)
-    sym = Symbol(kind, datum.stabilizer, y, datum.residual, tuple(map(tuple, weights)))
-    form, problems = datum_form(sym, m.group, m.catalog, label, record)
-    if problems:
-        what = "jacobian factor" if kind == KIND_JAC else "stratum"
-        raise ValidationError(f"invalid {what} datum: {'; '.join(problems)}")
-    return form
+    """The canonical symbol of a stratum or Jacobian factor datum, by the route of every declared symbol."""
+    what = "jacobian factor" if kind == KIND_JAC else "stratum"
+    return declared_symbol(m.group, m.catalog, kind, datum.stabilizer, datum.residual, datum.residual_group,
+                           weights, "residual_group", f"invalid {what} datum")
 
 
 def _data_symbols(m: ModelDescription, strata: Sequence[StratumDatum], factors: Sequence[JacobianFactorDatum],
@@ -81,14 +80,10 @@ def _data_symbols(m: ModelDescription, strata: Sequence[StratumDatum], factors: 
     factor_symbols: list[Symbol] = []
     problems: list[str] = []
     for i, datum in enumerate(strata, first_stratum):
-        expected = 2 if datum.kind == FIXED_CURVE else 1
-        if len(datum.weights) != expected:
-            problems.append(f"stratum {i}: {datum.kind} data carry exactly {expected} weight(s)")
-            continue
         try:
-            if datum.kind not in (FIXED_CURVE, RULED_DIVISOR):
+            kind = _STRATUM_KINDS.get(datum.kind)
+            if kind is None:
                 raise ValidationError(f"unknown stratum kind {datum.kind!r}")
-            kind = KIND_CURVE if datum.kind == FIXED_CURVE else KIND_SURFACE
             stratum_symbols.append(_datum_symbol(m, kind, datum, datum.weights))
         except ValidationError as exc:
             problems.append(f"stratum {i}: {exc}")
@@ -231,7 +226,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         if label.space != CURVE:
             raise ValidationError("case-2 centers need a curve-space action label")
         record = stabilizer(G, H.elements, KIND_CURVE)
-        y = resolved_in(record, H.elements, KIND_CURVE, label, c.y_reps or None)
+        y = record.residual(H.elements, label, c.y_reps or None)
         Y = Subgroup.trusted(record.quotient.group, y)
         if not label.group_shape.matches(Y):
             raise ValidationError(
@@ -252,10 +247,9 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         datum = m.strata[c.stratum]
         if datum.kind != FIXED_CURVE:
             raise ValidationError("case-3 centers must reference a fixed_curve stratum")
-        H, struct, Q = record = stabilizer(G, datum.stabilizer, KIND_CURVE)
+        H, struct, Q, _ = record = stabilizer(G, datum.stabilizer, KIND_CURVE)
         b1, b2 = map(struct.reduce, datum.weights)  # checked with the model
-        upstairs = Q.preimage(resolved_in(record, H.elements, KIND_CURVE, catalog.label(datum.residual),
-                                          datum.residual_group))
+        upstairs = Q.preimage(record.residual(H.elements, catalog.label(datum.residual), datum.residual_group))
         added = []
         diff = struct.reduce(map(sub, b1, b2))
         if any(diff):

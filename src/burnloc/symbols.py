@@ -9,9 +9,12 @@ jacobian symbols), an action label id, and character coordinate tuples.
 G's `carriers` table keeps a stabilizer record per (h's checked sorted tuple,
 carrier), h written in any order: the checked `Subgroup` H, the
 `AbelianStructure` of a nontrivial H in the centralizer's record, which curve
-and surface symbols share (jacobian ones read the normalizer's), and the
-carrier quotient.  Validation reads the record, handed over by model data
-(`datum_form`), and Y's kept shape, and checks each element set once per group.
+and surface symbols share (jacobian ones read the normalizer's), the carrier
+quotient, which the record alone holds, and the Ys resolved in it from
+declared data.  Declared data, a class term or a model datum, take one route
+(`declared_symbol`): the kind is checked, the label and the record are looked
+up, Y is resolved on the record (`Stabilizer.residual`), and the check reads
+the record and Y's kept shape, so each element set is checked once per group.
 The canonical form reads H's least conjugate and its transporter from G's class
 table.  G's `frames` table keeps, per stabilizer (kind, h), one g of the
 transporter per distinct pair (map of carrier cosets, action on H); a Y costs
@@ -22,13 +25,12 @@ The enumerators read a stabilizer's Y options off the labels' shapes: a
 trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
 in the carrier quotient, and only another shape (noncyclic abelian, or
 nonabelian by order) filters the quotient's lattice.  Declared data whose Y is
-left to its shape read the same options (`resolve_residual_group`), and what
-they resolve is kept in the carrier quotient's `resolved` memo.  Weights are
-coordinate tuples on H's `AbelianStructure`; validation and the enumerators
-both ask its `generates_dual`, which reads the kernel memo: a pair generates
-the dual when their kernels meet only in the identity, one character when its
-kernel is trivial.  A curve stabilizer with a p-rank above 2, read off its
-element orders, is skipped before any abelian structure is built for it.
+left to its shape read the same options.  Weights are coordinate tuples on
+H's `AbelianStructure`; validation and the enumerators both ask its
+`generates_dual`, which reads the kernel memo: a pair generates the dual when
+their kernels meet only in the identity, one character when its kernel is
+trivial.  A curve stabilizer with a p-rank above 2, read off its element
+orders, is skipped before any abelian structure is built for it.
 
 A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
 checked once, the enumerated symbols, and a memo of the canonical form of
@@ -64,7 +66,6 @@ KIND_SURFACE = "surface"
 KIND_JAC = "jac"
 _KIND_RANK = {KIND_CURVE: 0, KIND_SURFACE: 1, KIND_JAC: 2}
 _KIND_SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
-Stabilizer = namedtuple("Stabilizer", "subgroup structure quotient")  # h's record (see above)
 
 
 class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
@@ -88,6 +89,42 @@ class Symbol(namedtuple("Symbol", "kind h y action weights", defaults=((),))):
         return self.key() >= other.key()
 
 
+class Stabilizer(namedtuple("Stabilizer", "subgroup structure quotient resolved")):
+    """h's record (see above): the checked H, its structure or None, the carrier
+    quotient and the Ys resolved from declared data in it, keyed by the declared
+    generators or, for Y left to its shape, by the shape; only successes are kept."""
+
+    __slots__ = ()
+
+    def residual(self, h: tuple[int, ...], label, gens, field: str = "residual_group") -> tuple[int, ...]:
+        """Y as coset indices: generated by the images of the ambient elements
+        `gens`, or, with gens None, the one Y of the label's shape among the
+        enumerators' options.  An element outside G or outside the carrier is
+        refused under the name of the input's `field`; h is named as declared."""
+        key = label.group_shape if gens is None else tuple(gens)
+        y = self.resolved.get(key)
+        if y is None:
+            Q = self.quotient
+            if gens is None:
+                ys = [y for y, _ in _y_options(lambda: Q.group, (label,))]
+                if not ys:
+                    raise ValidationError(
+                        f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}")
+                if len(ys) > 1:
+                    raise ValidationError(f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
+                                          "declare residual_group explicitly")
+                (y,) = ys
+            else:
+                bad = [x for x in gens if x not in Q.coset_of]
+                outside = [x for x in bad if not 0 <= x < self.subgroup.ambient.order]
+                if bad:
+                    raise ValidationError(f"{field} elements {outside} outside the ambient group" if outside else
+                                          f"{field} elements {bad} do not centralize/normalize the stabilizer {h}")
+                y = Subgroup.generated(Q.group, Q.image(gens)).elements
+            self.resolved[key] = y
+        return y
+
+
 def stabilizer(G: FiniteGroup, h: tuple[int, ...], kind: str) -> Stabilizer:
     """h's record; Y's carrier is Z_G(H) for curve and surface symbols, which holds H only
     when H is abelian (a nonabelian H is refused as such), and N_G(H) for jacobian ones."""
@@ -101,7 +138,7 @@ def stabilizer(G: FiniteGroup, h: tuple[int, ...], kind: str) -> Stabilizer:
                 raise ValidationError("stabilizer must be abelian")
             struct = None if jac or H.is_trivial() else abelian_structure(H)
             ambient = normalizer(G, H) if jac else centralizer(G, H)
-            record = G.carriers[H.elements, jac] = Stabilizer(H, struct, quotient(ambient, H))
+            record = G.carriers[H.elements, jac] = Stabilizer(H, struct, quotient(ambient, H), {})
     return record
 
 
@@ -142,7 +179,7 @@ def _check_record(sym: Symbol, catalog: ActionCatalog, label, record: Stabilizer
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     if record is None:  # before Y: Z_G(H) holds H only for abelian H
         return problems + ["stabilizer must be abelian"], None
-    H, struct, Q = record
+    H, struct, Q, _ = record
     try:
         Y = Subgroup(Q.group, sym.y)
     except ValidationError as exc:
@@ -195,7 +232,25 @@ def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple
     return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
 
 
-def datum_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog, label, record: Stabilizer):
+def declared_symbol(G: FiniteGroup, catalog: ActionCatalog, kind: str, h: tuple[int, ...], action: str, gens,
+                    weights, field: str, invalid: str) -> Symbol:
+    """The canonical symbol of declared data, a class term or a model datum: the
+    kind is checked, the label and h's `stabilizer` record are looked up and Y
+    is resolved (`Stabilizer.residual`, gens None for Y left to its shape),
+    each refusal raised as is; then the symbol is checked, its diagnostics
+    raised after `invalid`, and its least conjugate returned."""
+    if kind not in _KIND_RANK:
+        raise ValidationError(f"unknown symbol kind {kind!r}")
+    label = catalog.label(action)
+    record = stabilizer(G, h, kind)
+    sym = Symbol(kind, h, record.residual(h, label, gens, field), action, tuple(map(tuple, weights)))
+    form, problems = _record_form(sym, G, catalog, label, record)
+    if problems:
+        raise ValidationError(f"{invalid}: {'; '.join(problems)}")
+    return form
+
+
+def _record_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog, label, record: Stabilizer):
     """`validated_form` of a symbol whose label and `stabilizer` record are looked up."""
     problems, checked = _check_record(sym, catalog, label, record)
     return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
@@ -255,67 +310,23 @@ def _frame(G: FiniteGroup, kind: str | None, h: tuple[int, ...]):
     return frame
 
 
-def _y_options(G: FiniteGroup, h: tuple[int, ...], kind: str, labels) -> list:
-    """(Y, the labels of Y's shape) for each Y in h's carrier quotient that
-    some label's shape matches, in (order, elements) order (see above)."""
+def _y_options(carrier, labels) -> list:
+    """(Y, the labels of Y's shape) for each Y in a carrier quotient that some
+    label's shape matches, in (order, elements) order (see above); `carrier()`
+    gives the quotient's group, asked only for a shape that is not trivial."""
     matched: dict[tuple[int, ...], set] = {}
     for shape in {label.group_shape for label in labels}:
         if shape.factors == ():  # no quotient needed
             ys = [(0,)]
         elif shape.factors is not None and len(shape.factors) == 1:
-            Q = carrier_quotient(G, h, kind).group
+            Q = carrier()
             ys = {Subgroup.generated(Q, (q,)).elements for q in Q.elements() if Q.element_order(q) == shape.order}
         else:
-            ys = [Y.elements for Y in all_subgroups(carrier_quotient(G, h, kind).group) if shape.matches(Y)]
+            ys = [Y.elements for Y in all_subgroups(carrier()) if shape.matches(Y)]
         for y in ys:
             matched.setdefault(y, set()).add(shape)
     return [(y, [label for label in labels if label.group_shape in matched[y]])
             for y in sorted(matched, key=lambda y: (len(y), y))]
-
-
-def residual_from_generators(G: FiniteGroup, h: tuple[int, ...], kind: str, gens, field: str) -> tuple[int, ...]:
-    """Y generated by the images of the ambient elements `gens` in h's carrier
-    quotient; an element outside G or outside the carrier is refused under the
-    name of the input's `field`."""
-    Q = carrier_quotient(G, h, kind)
-    bad = [x for x in gens if x not in Q.coset_of]
-    if bad:
-        outside = [x for x in bad if not 0 <= x < G.order]
-        if outside:
-            raise ValidationError(f"{field} elements {outside} outside the ambient group")
-        raise ValidationError(f"{field} elements {bad} do not centralize/normalize the stabilizer {h}")
-    return Subgroup.generated(Q.group, Q.image(gens)).elements
-
-
-def resolve_residual_group(G: FiniteGroup, h: tuple[int, ...], kind: str, label, gens) -> tuple[int, ...]:
-    """Concrete Y of declared data as coset indices: generated by the declared
-    residual_group `gens`, or, with gens None, the one Y of the label's shape
-    among the enumerators' options.  It is kept in the quotient's `resolved`
-    memo, keyed by (shape, generators or None); a failure is not kept."""
-    return resolved_in(stabilizer(G, h, kind), h, kind, label, gens)
-
-
-def resolved_in(record: Stabilizer, h: tuple[int, ...], kind: str, label, gens) -> tuple[int, ...]:
-    """`resolve_residual_group` given h's `stabilizer` record."""
-    Q = record.quotient
-    key = (label.group_shape, None if gens is None else tuple(gens))
-    y = Q.resolved.get(key)
-    if y is None:
-        G = record.subgroup.ambient
-        if gens is not None:
-            y = residual_from_generators(G, h, kind, gens, "residual_group")
-        else:
-            ys = [y for y, _ in _y_options(G, h, kind, (label,))]
-            if not ys:
-                raise ValidationError(f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}")
-            if len(ys) > 1:
-                raise ValidationError(
-                    f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
-                    "declare residual_group explicitly"
-                )
-            (y,) = ys
-        Q.resolved[key] = y
-    return y
 
 
 def _dual_pairs(struct: AbelianStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -345,7 +356,7 @@ def iter_curve_data(G: FiniteGroup, catalog: ActionCatalog):
         if H.is_trivial() or not _rank_at_most_two(H):
             continue  # the dual cannot be generated by two characters
         pairs = _dual_pairs(abelian_structure(H))
-        for y, matching in _y_options(G, H.elements, KIND_CURVE, labels):
+        for y, matching in _y_options(lambda: carrier_quotient(G, H.elements, KIND_CURVE).group, labels):
             for label in matching:
                 for weights in pairs:
                     yield Symbol(KIND_CURVE, H.elements, y, label.id, weights)
@@ -357,7 +368,7 @@ def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
         if H.is_trivial() or not H.is_cyclic():
             continue
         generators = _dual_generators(abelian_structure(H))
-        for y, matching in _y_options(G, H.elements, KIND_SURFACE, labels):
+        for y, matching in _y_options(lambda: carrier_quotient(G, H.elements, KIND_SURFACE).group, labels):
             for label in matching:
                 for b in generators:
                     yield Symbol(KIND_SURFACE, H.elements, y, label.id, (b,))
@@ -368,7 +379,7 @@ def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
     labels = [label for label in catalog.labels_in(JACOBIAN)
               if (genus < 2 or label.faithful) and (genus != 1 or label.from_curve)]
     for H in subgroups_up_to_conjugacy(G):
-        for y, matching in _y_options(G, H.elements, KIND_JAC, labels):
+        for y, matching in _y_options(lambda: carrier_quotient(G, H.elements, KIND_JAC).group, labels):
             for label in matching:
                 yield Symbol(KIND_JAC, H.elements, y, label.id)
 

@@ -140,12 +140,18 @@ def traced():
 
 def hash_seed():
     """The benchmark harness pins PYTHONHASHSEED=0 for its children, so no pinned answer covers another seed:
-    every model's verdict, every fixture catalog's relation dump over its group and the structure of a
-    generated C4xC4 catalog must print the same bytes (and exit codes) under hash seeds 0-3 (a few seconds)."""
+    every model's verdict, every fixture catalog's relation dump over its group, the structure of a
+    generated C4xC4 catalog, and `equal` and `phi` over README's class example (hyperelliptic-Z2 on C2, whose
+    class terms take the route of every declared symbol) must print the same bytes (and exit codes) under
+    hash seeds 0-3 (a few seconds)."""
     group, fixtures = '{"kind":"abelian","factors":[4,4]}', Path(SRC, "burnloc", "fixtures")
     commands = [["verdict", "--model", f.stem, "--json"] for f in sorted(fixtures.glob("models/*.json"))]
     commands += [["relations", "--group", f'{{"kind":"cyclic","n":{3 if f.stem == "Z3-basic" else 2}}}',
                   "--catalog", f.stem, "--dump", "--json"] for f in sorted(fixtures.glob("catalogs/*.json"))]
+    readme = Path(ROOT, "README.md").read_text(encoding="utf-8")
+    example = json.dumps(json.loads(readme.split("**Class**", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]))
+    hyper = ["--group", '{"kind":"cyclic","n":2}', "--catalog", "hyperelliptic-Z2", "--json"]
+    commands += [["equal", *hyper, "--a", example, "--b", example], ["phi", *hyper, "--class", example]]
     with tempfile.TemporaryDirectory() as tmp:
         in_child(catalog_file, group, f"{tmp}/catalog.json")
         commands.append(["structure", "--group", group, "--catalog", f"{tmp}/catalog.json", "--json"])

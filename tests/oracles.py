@@ -802,8 +802,9 @@ def reference_validated_form(sym, G, catalog):
 
 
 def reference_datum_form(sym, G, catalog, label, record):
-    """`symbols.datum_form` by `reference_validated_form`, which looks the
-    label and the stabilizer up itself instead of reading those handed in."""
+    """`symbols._record_form`, the check of every declared symbol, by
+    `reference_validated_form`, which looks the label and the stabilizer up
+    itself instead of reading those handed in."""
     return reference_validated_form(sym, G, catalog)
 
 

@@ -213,7 +213,7 @@ def assert_tables_bounded(G, catalog=None):
     """Every subgroup table of G and of its carrier quotients is keyed by checked
     subgroups only: the check, class, abelian structure, shape, quotient and
     stabilizer record tables by members of G's lattice (each record holding
-    its own subgroup, the kept structure when it has one, and a kept
+    its own subgroup, the kept structure when it has one, and its carrier
     quotient), the frame memo by (kind, h)
     with h in the lattice and a carrier quotient for that kind, or kind None
     for a trivial Y, each frame holding one g per distinct pair (coset map of
@@ -221,23 +221,25 @@ def assert_tables_bounded(G, catalog=None):
     and its Y memo keyed by members of the carrier quotient's lattice.
     The memos of derived objects stay bounded too: each abelian structure's
     kernel memo keyed by its characters and holding members of G's lattice
-    inside its host, and each carrier quotient's resolved residual groups by
-    members of its lattice, keyed by shapes the catalog declares (when a
-    catalog is given)."""
+    inside its host, and each stabilizer record's resolved residual groups by
+    members of its quotient's lattice, each keyed by declared generators or
+    by a shape the catalog declares (when a catalog is given)."""
     lattice = {H.elements for H in all_subgroups(G)}
+    shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
     assert set(G._checked) <= lattice
     assert set(G._classes) <= lattice
     assert set(G.structures) <= lattice and set(G.shapes) <= lattice and {h for h, _ in G.carriers} <= lattice
-    for (h, jac), (H, struct, Q) in G.carriers.items():
+    for (h, jac), (H, struct, Q, resolved) in G.carriers.items():
         assert H.elements == h and struct is (None if jac or len(h) == 1 else G.structures[h])
-        assert Q in G._quotients.values()
-    assert all(n in lattice and k in lattice for n, k in G._quotients)
+        assert Q.image(h) == (0,) and len(Q.reps) == Q.group.order
+        y_lattice = {Y.elements for Y in all_subgroups(Q.group)}
+        assert set(resolved.values()) <= y_lattice
+        assert shapes is None or all(key in shapes or all(type(x) is int for x in key) for key in resolved)
     for H in all_subgroups(G):
         if H.is_abelian():
             struct = abelian_structure(H)
             assert set(struct._kernels) <= set(product(*map(range, struct.invariant_factors)))
             assert all(k in lattice and set(k) <= set(H.elements) for k in struct._kernels.values())
-    shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
     frame_bound = len(lattice)  # the frames of kind None
     for (kind, h), (_, moves, per_y) in G.frames.items():
         assert len({(cosets, action) for _, cosets, action in moves}) == len(moves)
@@ -255,8 +257,6 @@ def assert_tables_bounded(G, catalog=None):
                 _, moves, per_y = G.frames[kind, h]
                 assert all(sorted(cosets) == list(Q.group.elements()) for _, cosets, _ in moves)
                 assert set(per_y) <= y_lattice
-            assert set(Q.resolved.values()) <= y_lattice
-            assert shapes is None or {shape for shape, _ in Q.resolved} <= shapes
     assert all(h in lattice for _, h in G.frames)
     assert len(G.frames) <= frame_bound
 

@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 import burnloc.fixtures
-import burnloc.models
 import burnloc.symbols
 from burnloc.cli import main
 from oracles import reference_datum_form, reference_difference, reference_validated_form
@@ -138,7 +137,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
         out, err = capsys.readouterr()
         with monkeypatch.context() as patch:
             patch.setattr(burnloc.symbols, "validated_form", validated_form)
-            patch.setattr(burnloc.models, "datum_form", datum_form)
+            patch.setattr(burnloc.symbols, "_record_form", datum_form)
             patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", difference)
             assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case

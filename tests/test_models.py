@@ -552,7 +552,7 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
     # or the group; one weight too few or too many; a nonabelian or trivial
     # stabilizer), checked by the engine and by the reference check on a
     # second group of the same table, so that neither warms the other's tables
-    import burnloc.models
+    import burnloc.symbols
     from burnloc.groups import Subgroup, build_group
     from burnloc.models import FIXED_CURVE, RULED_DIVISOR, StratumDatum, _datum_symbol
     from burnloc.symbols import KIND_CURVE, KIND_JAC, KIND_SURFACE, carrier_quotient
@@ -607,7 +607,7 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
         return out
 
     engine = outcomes(G)
-    monkeypatch.setattr(burnloc.models, "datum_form", reference_datum_form)
+    monkeypatch.setattr(burnloc.symbols, "_record_form", reference_datum_form)
     assert outcomes(G_ref) == engine
     assert {type(x) for x in engine} == {Symbol, str}
     problems = "\n".join(x for x in engine if type(x) is str)

@@ -3,7 +3,7 @@ the conjugacy class table and the canonical frame memo that `canonicalize`
 reads, the quotient intern map that lets equal quotient tables share one
 lattice, and the associativity test of the checked group constructor; the
 facts derived objects own: each abelian structure's kernel memo, which
-answers dual generation, and each carrier quotient's resolved residual
+answers dual generation, and each stabilizer record's resolved residual
 groups; and that all of them are freed with the group."""
 
 import gc
@@ -39,7 +39,6 @@ from burnloc.symbols import (
     iter_curve_data,
     iter_jac_data,
     iter_surface_data,
-    resolve_residual_group,
     stabilizer,
     validate_symbol,
 )
@@ -151,7 +150,7 @@ def test_carrier_quotients_are_kept_once_per_subgroup_whatever_its_element_order
     quotients = {id(carrier_quotient(G, h, KIND_CURVE)) for h in orderings}
     assert len(orderings) == 24 and len(records) == len(quotients) == 1
     assert len(G.carriers) == 1 and len(G._checked) == 1
-    H, struct, Q = stabilizer(G, (3, 2, 1, 0), KIND_SURFACE)
+    H, struct, Q, _ = stabilizer(G, (3, 2, 1, 0), KIND_SURFACE)
     assert H.elements == (0, 1, 2, 3) and struct is abelian_structure(H) and Q is carrier_quotient(G, H.elements, KIND_CURVE)
     assert stabilizer(G, H.elements, KIND_JAC).structure is None and len(G.carriers) == 2
     assert stabilizer(G, (0,), KIND_CURVE).structure is None
@@ -264,6 +263,10 @@ def test_dual_memo_matches_span_oracle_cold_warm_and_relabelled(name):
         assert_tables_bounded(G)
 
 
+def _resolve(G, h, kind, label, gens):
+    return stabilizer(G, h, kind).residual(h, label, gens)
+
+
 def _resolved_ys(G, catalog):
     """((raw symbol, generators), Y) for every raw symbol, with Y resolved from
     its datum's explicit generators and, where the label's shape matches
@@ -274,7 +277,7 @@ def _resolved_ys(G, catalog):
         label = catalog.label(sym.action)
         for gens in (datum.residual_group, None):
             try:
-                y = resolve_residual_group(G, sym.h, sym.kind, label, gens)
+                y = _resolve(G, sym.h, sym.kind, label, gens)
             except ValidationError as exc:
                 assert gens is None and "ambiguous" in str(exc)
                 continue
@@ -291,8 +294,8 @@ def test_resolved_residual_groups_agree_cold_and_warm():
     for (sym, gens), y in warm_ys:
         clear_engine_caches()
         cold = build_group(spec)
-        assert not carrier_quotient(cold, sym.h, sym.kind).resolved
-        assert resolve_residual_group(cold, sym.h, sym.kind, catalog.label(sym.action), gens) == y
+        assert not stabilizer(cold, sym.h, sym.kind).resolved
+        assert _resolve(cold, sym.h, sym.kind, catalog.label(sym.action), gens) == y
         assert y == sym.y or gens is None
     assert_tables_bounded(warm, catalog)
 
@@ -314,8 +317,8 @@ def _shape_resolutions(G, catalog, resolve):
 
 def _assert_shape_resolution_matches_the_lattice_scan(G, catalog):
     expected = _shape_resolutions(G, catalog, reference_resolve_residual)
-    for _ in range(2):  # cold, then from the quotients' memos
-        assert _shape_resolutions(G, catalog, lambda *a: resolve_residual_group(*a, None)) == expected
+    for _ in range(2):  # cold, then from the records' memos
+        assert _shape_resolutions(G, catalog, lambda *a: _resolve(*a, None)) == expected
     messages = [y for *_, y in expected if isinstance(y, str)]
     assert any(m.startswith("no residual subgroup of shape") for m in messages)
     assert any(m.endswith("is ambiguous; declare residual_group explicitly") for m in messages)
@@ -355,13 +358,13 @@ def test_resolve_failures_repeat_their_message_and_are_never_recorded():
          "residual group for label 'c2-C' over stabilizer (0,) is ambiguous; declare residual_group explicitly"),
     ]
     for h, label, gens, message in cases:
-        Q = carrier_quotient(G, h, KIND_CURVE)
-        before = dict(Q.resolved)
+        record = stabilizer(G, h, KIND_CURVE)
+        before = dict(record.resolved)
         for _ in range(3):
             with pytest.raises(ValidationError) as exc:
-                resolve_residual_group(G, h, KIND_CURVE, label, gens)
+                record.residual(h, label, gens)
             assert str(exc.value) == message
-        assert Q.resolved == before
+        assert record.resolved == before
 
 
 def _lattice_runs(monkeypatch, name, make_catalog):
@@ -373,9 +376,9 @@ def _lattice_runs(monkeypatch, name, make_catalog):
     runs = []
     real = burnloc.groups.subgroups_within
 
-    def counting(group, universe):
+    def counting(group):
         runs.append(group.mul)
-        return real(group, universe)
+        return real(group)
 
     monkeypatch.setattr(burnloc.groups, "subgroups_within", counting)
     structure(G, catalog)
@@ -427,7 +430,7 @@ def test_a_pass_over_an_equal_group_keeps_its_facts_off_the_first_group():
     clear_engine_caches()
     G1 = build_group(LADDER_GROUPS["D6xC2"])
     subgroups_up_to_conjugacy(G1)
-    tables = ("_checked", "_classes", "_quotients", "_interned", "structures", "shapes", "carriers", "frames")
+    tables = ("_checked", "_classes", "_interned", "structures", "shapes", "carriers", "frames")
     before = {name: set(getattr(G1, name)) for name in tables}
     G2 = build_group(LADDER_GROUPS["D6xC2"])
     structure(G2, catalog)

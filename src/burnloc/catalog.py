@@ -93,16 +93,21 @@ class InduceRule(namedtuple("InduceRule", "h_factors curve_label weights target"
 
     Matches a stabilizer shape, a curve action, and a weight pattern `weights`:
     "equal" (the two weights coincide) or a diff order, an int >= 2 (the order
-    of their difference in the dual).
+    of their difference in the dual).  Its `str` names it in messages.
     """
 
     __slots__ = ()
 
-    def pattern_str(self) -> str:
-        return "equal" if self.weights == "equal" else f"diff_order={self.weights}"
+    def __str__(self) -> str:
+        pattern = "equal" if self.weights == "equal" else f"diff_order={self.weights}"
+        return f"InduceRule({shape_name(self.h_factors)},{self.curve_label},{pattern})"
 
 
-JacobianOfCurveRule = namedtuple("JacobianOfCurveRule", "source target")
+class JacobianOfCurveRule(namedtuple("JacobianOfCurveRule", "source target")):
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"JacobianOfCurveRule({self.source})"
 
 
 class GenusOneExtensionRule(namedtuple(
@@ -115,6 +120,9 @@ class GenusOneExtensionRule(namedtuple(
     """
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"GenusOneExtensionRule({shape_name(self.h_factors)},{self.source_label})"
 
 
 class ActionCatalog(namedtuple(
@@ -149,20 +157,21 @@ class ActionCatalog(namedtuple(
     def labels_in(self, space: str) -> tuple[ActionLabel, ...]:
         return tuple(lab for lab in self.labels if lab.space == space)
 
-    def jacobian_of_curve_action(self, curve_label: str) -> ActionLabel:
-        """The declared J(C)-action label induced by a curve action."""
+    def jacobian_of_curve_action(self, curve_label: str) -> JacobianOfCurveRule:
+        """The declared rule whose target labels the J(C)-action a curve action induces."""
         for rule in self.jacobian_rules:
             if rule.source == curve_label:
-                return self.label(rule.target)
+                return rule
         raise CatalogIncompleteError("JacobianOfCurveRule", curve_label=curve_label)
 
     def induced_surface_action(self, h_factors: tuple[int, ...], curve_label: str,
-                               diff_order: int) -> ActionLabel:
-        """The declared ruled-surface label for a (stabilizer, curve action, weight pattern)."""
+                               diff_order: int) -> InduceRule:
+        """The declared rule whose target labels the ruled-surface action of a
+        (stabilizer, curve action, weight pattern)."""
         pattern = "equal" if diff_order == 1 else diff_order
         for rule in self.induce_rules:
             if rule.h_factors == h_factors and rule.curve_label == curve_label and rule.weights == pattern:
-                return self.label(rule.target)
+                return rule
         raise CatalogIncompleteError(
             "InduceRule",
             h=shape_name(h_factors),
@@ -214,68 +223,63 @@ def validate_catalog(catalog: ActionCatalog) -> list[str]:
                     if not catalog.has_label(lab.underlying_curve_action):
                         problems.append(f"label {lab.id!r}: dangling underlying_curve_action")
 
-    def check_label(rule_desc: str, label_id: str, space: str):
+    def check_label(rule, label_id: str, space: str):
         if not catalog.has_label(label_id):
-            problems.append(f"{rule_desc}: dangling label {label_id!r}")
+            problems.append(f"{rule}: dangling label {label_id!r}")
             return None
         lab = catalog.label(label_id)
         if lab.space != space:
-            problems.append(f"{rule_desc}: label {label_id!r} must live on {space}, not {lab.space}")
+            problems.append(f"{rule}: label {label_id!r} must live on {space}, not {lab.space}")
             return None
         return lab
 
     for rule in catalog.induce_rules:
-        desc = f"InduceRule({shape_name(rule.h_factors)},{rule.curve_label},{rule.pattern_str()})"
-        src = check_label(desc, rule.curve_label, CURVE)
-        tgt = check_label(desc, rule.target, RULED_SURFACE)
+        src = check_label(rule, rule.curve_label, CURVE)
+        tgt = check_label(rule, rule.target, RULED_SURFACE)
         if rule.weights != "equal" and (not isinstance(rule.weights, int) or rule.weights < 2):
-            problems.append(f"{desc}: weight pattern must be 'equal' or an integer diff order >= 2")
+            problems.append(f"{rule}: weight pattern must be 'equal' or an integer diff order >= 2")
             continue
         if src is not None and tgt is not None:
             index = 1 if rule.weights == "equal" else rule.weights
             h_order = prod(rule.h_factors)
             if h_order % index != 0:
-                problems.append(f"{desc}: diff order {index} does not divide |H| = {h_order}")
+                problems.append(f"{rule}: diff order {index} does not divide |H| = {h_order}")
             expected = src.group_shape.order * index
             if tgt.group_shape.order != expected:
-                problems.append(
-                    f"{desc}: target group order {tgt.group_shape.order} != |Y|*[H:ker] = {expected}"
-                )
+                problems.append(f"{rule}: target group order {tgt.group_shape.order} != |Y|*[H:ker] = {expected}")
     for rule in catalog.jacobian_rules:
-        desc = f"JacobianOfCurveRule({rule.source})"
-        src = check_label(desc, rule.source, CURVE)
-        tgt = check_label(desc, rule.target, JACOBIAN)
+        src = check_label(rule, rule.source, CURVE)
+        tgt = check_label(rule, rule.target, JACOBIAN)
         if src is None or tgt is None:
             continue
         if src.group_shape != tgt.group_shape:
-            problems.append(f"{desc}: target shape {tgt.group_shape} != source shape {src.group_shape}")
+            problems.append(f"{rule}: target shape {tgt.group_shape} != source shape {src.group_shape}")
         if not tgt.from_curve:
-            problems.append(f"{desc}: target {tgt.id!r} must be flagged from_curve")
+            problems.append(f"{rule}: target {tgt.id!r} must be flagged from_curve")
         if catalog.curve.genus == 1 and tgt.underlying_curve_action != rule.source:
-            problems.append(f"{desc}: genus-1 target must record {rule.source!r} as its underlying curve action")
+            problems.append(f"{rule}: genus-1 target must record {rule.source!r} as its underlying curve action")
     for rule in catalog.extension_rules:
-        desc = f"GenusOneExtensionRule({shape_name(rule.h_factors)},{rule.source_label})"
         if catalog.curve.genus != 1:
-            problems.append(f"{desc}: genus-1 extension rules need a genus-1 curve")
+            problems.append(f"{rule}: genus-1 extension rules need a genus-1 curve")
             continue
-        src = check_label(desc, rule.source_label, JACOBIAN)
-        tgt = check_label(desc, rule.target_label, JACOBIAN)
+        src = check_label(rule, rule.source_label, JACOBIAN)
+        tgt = check_label(rule, rule.target_label, JACOBIAN)
         if rule.trivial_part not in ("all", "none"):
-            problems.append(f"{desc}: trivial_part must be 'all' or 'none'")
+            problems.append(f"{rule}: trivial_part must be 'all' or 'none'")
             continue
         if src is None or tgt is None:
             continue
         if rule.trivial_part == "all" and not src.trivial:
-            problems.append(f"{desc}: trivial_part='all' needs a label declared trivial")
+            problems.append(f"{rule}: trivial_part='all' needs a label declared trivial")
         if rule.trivial_part == "none" and not src.faithful:
-            problems.append(f"{desc}: trivial_part='none' needs a faithful label")
+            problems.append(f"{rule}: trivial_part='none' needs a faithful label")
         y1_order = src.group_shape.order if rule.trivial_part == "all" else 1
         h_order = prod(rule.h_factors)
         h1_order = prod(rule.target_h_factors)
         if h1_order != h_order * y1_order:
-            problems.append(f"{desc}: |H1| = {h1_order} != |H|*|Y1| = {h_order * y1_order}")
+            problems.append(f"{rule}: |H1| = {h1_order} != |H|*|Y1| = {h_order * y1_order}")
         if rule.trivial_part == "all" and not tgt.group_shape.is_trivial():
-            problems.append(f"{desc}: Y/Y1 is trivial, so the target label must have trivial shape")
+            problems.append(f"{rule}: Y/Y1 is trivial, so the target label must have trivial shape")
     return problems
 
 

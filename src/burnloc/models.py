@@ -207,8 +207,8 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             raise ValidationError(
                 f"case-1 residual group of order {Y.order} does not match {label.group_shape}"
             )
-        jac = catalog.jacobian_of_curve_action(c.curve_label)
-        appended = JacobianFactorDatum(stabilizer=(0,), residual=jac.id, residual_group=Y.elements)
+        jac = catalog.jacobian_of_curve_action(c.curve_label).target
+        appended = JacobianFactorDatum(stabilizer=(0,), residual=jac, residual_group=Y.elements)
         return _blown_up(m, None, (), (appended,))
 
     if c.case == 2:
@@ -233,12 +233,12 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
                 f"case-2 residual group of order {Y.order} does not match {label.group_shape}"
             )
         upstairs = record.quotient.preimage(y)
-        jac = catalog.jacobian_of_curve_action(c.curve_label)
+        jac = catalog.jacobian_of_curve_action(c.curve_label).target
         new_stratum = StratumDatum(
             kind=FIXED_CURVE, stabilizer=H.elements, residual=c.curve_label,
             weights=(b, struct.reduce(map(neg, b))), residual_group=upstairs,
         )
-        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)
+        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac, residual_group=upstairs)
         return _blown_up(m, None, (new_stratum,), (new_factor,))
 
     if c.case == 3:
@@ -262,14 +262,14 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         if len(kernel) > 1:
             surface_label = catalog.induced_surface_action(
                 struct.invariant_factors, datum.residual, H.order // len(kernel),
-            )
+            ).target
             weight = struct.restrict(b1, Subgroup.trusted(G, kernel))
             added.append(StratumDatum(
-                kind=RULED_DIVISOR, stabilizer=kernel, residual=surface_label.id,
+                kind=RULED_DIVISOR, stabilizer=kernel, residual=surface_label,
                 weights=(weight,), residual_group=upstairs,
             ))
-        jac = catalog.jacobian_of_curve_action(datum.residual)
-        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac.id, residual_group=upstairs)
+        jac = catalog.jacobian_of_curve_action(datum.residual).target
+        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac, residual_group=upstairs)
         return _blown_up(m, c.stratum, tuple(added), (new_factor,))
 
     raise ValidationError(f"blow-up case must be 1, 2 or 3, got {c.case}")

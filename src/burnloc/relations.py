@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from itertools import groupby
 from operator import add, neg, sub
 
-from .abelian import AbelianStructure, abelian_structure, shape_name
+from .abelian import AbelianStructure, abelian_structure
 from .catalog import ActionCatalog, GroupShape
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
@@ -69,24 +69,24 @@ class GroupStructure(namedtuple("GroupStructure", "free_rank torsion")):
 def _jac_partner(context: BurnsideContext, sym: Symbol) -> Symbol:
     """(H, J(C) <- Y) for the curve symbol's residual action, via the catalog;
     Y moves from Z_G(H)/H into N_G(H)/H (the same subgroup of G upstairs)."""
-    jac_label = context.catalog.jacobian_of_curve_action(sym.action)
+    jac_label = context.catalog.jacobian_of_curve_action(sym.action).target
     y = sym.y
     if y != (0,):
         reps = carrier_quotient(context.group, sym.h, sym.kind).reps
         y = carrier_quotient(context.group, sym.h, KIND_JAC).image(reps[i] for i in y)
-    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label.id))
+    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label))
 
 
 def _theta2(context: BurnsideContext, struct: AbelianStructure, h, y, action, diff):
-    """(kernel of b1 - b2, induced label id, Y bar) of B2's Theta2 term, or None
-    when b1 - b2 has order |H|; Y bar is (preimage of Y in Z_G(H)) / kernel,
-    inside Z_G(kernel)/kernel."""
+    """(kernel of b1 - b2, the InduceRule whose target labels it, Y bar) of
+    B2's Theta2 term, or None when b1 - b2 has order |H|; Y bar is (preimage
+    of Y in Z_G(H)) / kernel, inside Z_G(kernel)/kernel."""
     kernel = struct.kernel(diff)
     if len(kernel) == 1:
         return None
-    label = context.catalog.induced_surface_action(struct.invariant_factors, action, len(h) // len(kernel))
+    rule = context.catalog.induced_surface_action(struct.invariant_factors, action, len(h) // len(kernel))
     upstairs = h if y == (0,) else carrier_quotient(context.group, h, KIND_CURVE).preimage(y)
-    return kernel, label.id, carrier_quotient(context.group, kernel, KIND_SURFACE).image(upstairs)
+    return kernel, rule, carrier_quotient(context.group, kernel, KIND_SURFACE).image(upstairs)
 
 
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
@@ -132,9 +132,12 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                 terms[context.canonicalize(Symbol(KIND_CURVE, h, y, action, tuple(sorted((first, second)))))] -= 1
         data = kept(theta2, (h, y, action, diff), lambda: _theta2(context, struct, h, y, action, diff))
         if data is not None:
-            kernel, label, y_bar = data
+            kernel, rule, y_bar = data
             weight = kept(restricted, (h, b1, kernel), lambda: struct.restrict(b1, Subgroup.trusted(G, kernel)))
-            terms[context.canonicalize(Symbol(KIND_SURFACE, kernel, y_bar, label, (weight,)))] -= 1
+            try:  # the catalog check compares an induced target's order, not its shape
+                terms[context.canonicalize(Symbol(KIND_SURFACE, kernel, y_bar, rule.target, (weight,)))] -= 1
+            except ValidationError as exc:
+                raise ValidationError(f"B2(symbol={text}): {rule}: {exc}") from None
         terms[kept(partners, sym[1:4], lambda: _jac_partner(context, sym))] -= 1
         emit(terms, "B2", symbol=text)
 
@@ -159,18 +162,13 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
         h_shape = GroupShape.abelian(rule.h_factors)
         target_shape = GroupShape.abelian(rule.target_h_factors)
         for sym in jac_syms:
-            if sym.action != rule.source_label:
-                continue
-            H = Subgroup(G, sym.h)
-            if not h_shape.matches(H):
+            if sym.action != rule.source_label or not h_shape.matches(Subgroup.trusted(G, sym.h)):
                 continue
             Q = carrier_quotient(G, sym.h, KIND_JAC)
-            h1 = Subgroup(G, Q.preimage(sym.y))  # extension of Y1 = Y by H
+            h1 = Subgroup.trusted(G, Q.preimage(sym.y))  # extension of Y1 = Y by H
             if not target_shape.matches(h1):
                 raise ValidationError(
-                    f"GenusOneExtensionRule({shape_name(rule.h_factors)},{rule.source_label}): "
-                    f"computed extension has order {h1.order}, expected shape {target_shape}"
-                )
+                    f"{rule}: computed extension has order {h1.order}, expected shape {target_shape}")
             terms = Counter({sym: 1})
             terms[context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))] -= 1
             emit(terms, "B4", symbol=text_form(sym, G))

@@ -11,10 +11,13 @@ carrier), h written in any order: the checked `Subgroup` H, the
 `AbelianStructure` of a nontrivial H in the centralizer's record, which curve
 and surface symbols share (jacobian ones read the normalizer's), the carrier
 quotient, which the record alone holds, and the Ys resolved in it from
-declared data.  Declared data, a class term or a model datum, take one route
-(`declared_symbol`): the kind is checked, the label and the record are looked
-up, Y is resolved on the record (`Stabilizer.residual`), and the check reads
-the record and Y's kept shape, so each element set is checked once per group.
+declared data.  Every symbol the enumerators did not build, a relation term,
+a library call's or declared data (a class term or a model datum, through
+`declared_symbol`, which resolves Y on the record by `Stabilizer.residual`),
+takes the route of `canonicalize`: the catalog is checked (by the caller that
+loads declared data), then the kind, the label and the record are looked up,
+and the one check, `_check_record`, reads the record and Y's kept shape, so
+each element set is checked once per group.
 The canonical form reads H's least conjugate and its transporter from G's class
 table.  G's `frames` table keeps, per stabilizer (kind, h), one g of the
 transporter per distinct pair (map of carrier cosets, action on H); a Y costs
@@ -152,33 +155,55 @@ def y_subgroup(G: FiniteGroup, sym: Symbol) -> Subgroup:
 
 
 def validate_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> list[str]:
-    """Diagnostics for the kind-specific invariants; an empty list means valid."""
-    return _check_symbol(sym, G, catalog)[0]
-
-
-def _check_symbol(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog):
-    """(diagnostics, (h sorted, y sorted, h's structure or None, reduced weights) or None)."""
-    if sym.kind not in _KIND_RANK:
-        return [f"unknown symbol kind {sym.kind!r}"], None
+    """The diagnostics on `canonicalize`'s route, a lookup's refusal as the only one; an empty list means valid."""
     try:
-        H = Subgroup(G, sym.h)
+        label, record = _lookups(G, ensure_valid_catalog(catalog), sym.kind, sym.h, sym.action)
     except ValidationError as exc:
-        return [f"stabilizer: {exc}"], None
-    try:
-        label = catalog.label(sym.action)
-    except ValidationError:
-        return [f"unknown action label {sym.action!r}"], None
-    record = stabilizer(G, H.elements, sym.kind) if sym.kind == KIND_JAC or H.is_abelian() else None
-    return _check_record(sym, catalog, label, record)
+        return [str(exc)]
+    return _check_record(sym, label, record)[0]
 
 
-def _check_record(sym: Symbol, catalog: ActionCatalog, label, record: Stabilizer | None):
-    """`_check_symbol` past the lookups; record None: a nonabelian curve or surface h."""
+def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
+    """Weight-sorted form, minimized over all conjugations, of a symbol the enumerators did not
+    build; a lookup's refusal is raised as is, the check's diagnostics after "cannot canonicalize
+    invalid symbol".  Idempotent, and constant on orbits of the weight-permutation and conjugation moves."""
+    label, record = _lookups(G, ensure_valid_catalog(catalog), sym.kind, sym.h, sym.action)
+    return _record_form(sym, G, label, record, "cannot canonicalize invalid symbol")
+
+
+def declared_symbol(G: FiniteGroup, catalog: ActionCatalog, kind: str, h: tuple[int, ...], action: str, gens,
+                    weights, field: str, invalid: str) -> Symbol:
+    """The canonical symbol of declared data, a class term or a model datum, over a catalog its caller
+    checked: the lookups of `canonicalize`, then Y resolved on the record (`Stabilizer.residual`, gens
+    None for Y left to its shape), each refusal raised as is; then the check, its diagnostics raised
+    after `invalid`."""
+    label, record = _lookups(G, catalog, kind, h, action)
+    sym = Symbol(kind, h, record.residual(h, label, gens, field), action, tuple(map(tuple, weights)))
+    return _record_form(sym, G, label, record, invalid)
+
+
+def _lookups(G: FiniteGroup, catalog: ActionCatalog, kind: str, h: tuple[int, ...], action: str):
+    """(label, h's `stabilizer` record), the kind checked first."""
+    if kind not in _KIND_RANK:
+        raise ValidationError(f"unknown symbol kind {kind!r}")
+    return catalog.label(action), stabilizer(G, h, kind)
+
+
+def _record_form(sym: Symbol, G: FiniteGroup, label, record: Stabilizer, invalid: str) -> Symbol:
+    """The least conjugate of a symbol past its lookups after the one check, whose diagnostics follow `invalid`."""
+    problems, checked = _check_record(sym, label, record)
+    if problems:
+        raise ValidationError(f"{invalid}: {'; '.join(problems)}")
+    return _least_conjugate(sym, G, *checked)
+
+
+def _check_record(sym: Symbol, label, record: Stabilizer):
+    """The one check, past the lookups: (diagnostics, (h sorted, y sorted, h's structure or None,
+    reduced weights) or None).  The catalog is checked before any route reaches it, so a Jacobian
+    label is faithful (genus >= 2) or comes from a curve action (genus 1)."""
     problems: list[str] = []
     if label.space != _KIND_SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
-    if record is None:  # before Y: Z_G(H) holds H only for abelian H
-        return problems + ["stabilizer must be abelian"], None
     H, struct, Q, _ = record
     try:
         Y = Subgroup(Q.group, sym.y)
@@ -190,10 +215,6 @@ def _check_record(sym: Symbol, catalog: ActionCatalog, label, record: Stabilizer
     if sym.kind == KIND_JAC:
         if sym.weights:
             problems.append("jacobian symbols carry no weights")
-        if catalog.curve.genus >= 2 and not label.faithful:
-            problems.append("genus >= 2 jacobian actions must be faithful")
-        if catalog.curve.genus == 1 and not label.from_curve:
-            problems.append("genus-1 jacobian actions must come from a curve action")
         return problems, (H.elements, Y.elements, None, sym.weights)
 
     if struct is None:
@@ -212,48 +233,6 @@ def _check_record(sym: Symbol, catalog: ActionCatalog, label, record: Stabilizer
     if sym.kind == KIND_SURFACE and len(struct.invariant_factors) > 1:
         problems.append("surface symbols need a cyclic stabilizer")
     return problems, (H.elements, Y.elements, struct, weights)
-
-
-def canonicalize(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> Symbol:
-    """Weight-sorted form, minimized over all conjugations.
-
-    Idempotent, and constant on orbits of the weight-permutation and
-    conjugation moves."""
-    form, problems = validated_form(sym, G, catalog)
-    if problems:
-        raise ValidationError(f"cannot canonicalize invalid symbol: {'; '.join(problems)}")
-    return form
-
-
-def validated_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog) -> tuple[Symbol | None, list[str]]:
-    """(canonical form, []) for a valid symbol and (None, diagnostics) for an
-    invalid one; the form reads h, y, h's structure and the weights off the check."""
-    problems, checked = _check_symbol(sym, G, catalog)
-    return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
-
-
-def declared_symbol(G: FiniteGroup, catalog: ActionCatalog, kind: str, h: tuple[int, ...], action: str, gens,
-                    weights, field: str, invalid: str) -> Symbol:
-    """The canonical symbol of declared data, a class term or a model datum: the
-    kind is checked, the label and h's `stabilizer` record are looked up and Y
-    is resolved (`Stabilizer.residual`, gens None for Y left to its shape),
-    each refusal raised as is; then the symbol is checked, its diagnostics
-    raised after `invalid`, and its least conjugate returned."""
-    if kind not in _KIND_RANK:
-        raise ValidationError(f"unknown symbol kind {kind!r}")
-    label = catalog.label(action)
-    record = stabilizer(G, h, kind)
-    sym = Symbol(kind, h, record.residual(h, label, gens, field), action, tuple(map(tuple, weights)))
-    form, problems = _record_form(sym, G, catalog, label, record)
-    if problems:
-        raise ValidationError(f"{invalid}: {'; '.join(problems)}")
-    return form
-
-
-def _record_form(sym: Symbol, G: FiniteGroup, catalog: ActionCatalog, label, record: Stabilizer):
-    """`validated_form` of a symbol whose label and `stabilizer` record are looked up."""
-    problems, checked = _check_record(sym, catalog, label, record)
-    return (None, problems) if problems else (_least_conjugate(sym, G, *checked), problems)
 
 
 def canonical_form(sym: Symbol, G: FiniteGroup) -> Symbol:
@@ -375,9 +354,7 @@ def iter_surface_data(G: FiniteGroup, catalog: ActionCatalog):
 
 
 def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
-    genus = catalog.curve.genus
-    labels = [label for label in catalog.labels_in(JACOBIAN)
-              if (genus < 2 or label.faithful) and (genus != 1 or label.from_curve)]
+    labels = catalog.labels_in(JACOBIAN)
     for H in subgroups_up_to_conjugacy(G):
         for y, matching in _y_options(lambda: carrier_quotient(G, H.elements, KIND_JAC).group, labels):
             for label in matching:
@@ -403,8 +380,8 @@ def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
 class BurnsideContext:
     """The state of one pass over (G, catalog), built by the call that
     runs the pass.  The constructor checks the catalog; `canonicalize` looks up
-    a raw symbol it has met before and sends a new one through the module-level
-    `canonicalize`, which validates it in full; `enumerated_form` fills the
+    a raw symbol it has met before and sends a new one, a relation term, along
+    the route of the module-level `canonicalize`; `enumerated_form` fills the
     same memo for a raw symbol the enumerators built, straight from
     `canonical_form`; `symbols` runs `enumerate_symbols` once, on first use."""
 

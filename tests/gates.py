@@ -60,6 +60,14 @@ def catalog_file(group: str, path: str):
     return G, catalog
 
 
+def wrong_shape_catalog_file(group: str, path: str):
+    """(In a child.)  tests/scenarios.wrong_shape_catalog of the group with JSON `group`, written to path."""
+    from burnloc.groups import build_group
+    from scenarios import wrong_shape_catalog
+
+    Path(path).write_text(json.dumps(wrong_shape_catalog(build_group(json.loads(group)))))
+
+
 def bench(workload: str, seed: int, trace: int) -> dict:
     """The report of a 1-s harness run, its last stdout line read as JSON; the gate fails unless it says that
     every answer matched the pins."""
@@ -143,7 +151,8 @@ def hash_seed():
     every model's verdict, every fixture catalog's relation dump over its group, the structure of a
     generated C4xC4 catalog, and `equal` and `phi` over README's class example (hyperelliptic-Z2 on C2, whose
     class terms take the route of every declared symbol) must print the same bytes (and exit codes) under
-    hash seeds 0-3 (a few seconds)."""
+    hash seeds 0-3 (a few seconds).  So must `structure` over the C2xC4 catalog with an induce target of the
+    wrong shape, which must exit 2: its message names the first refused relation term's source symbol."""
     group, fixtures = '{"kind":"abelian","factors":[4,4]}', Path(SRC, "burnloc", "fixtures")
     commands = [["verdict", "--model", f.stem, "--json"] for f in sorted(fixtures.glob("models/*.json"))]
     commands += [["relations", "--group", f'{{"kind":"cyclic","n":{3 if f.stem == "Z3-basic" else 2}}}',
@@ -155,7 +164,11 @@ def hash_seed():
     with tempfile.TemporaryDirectory() as tmp:
         in_child(catalog_file, group, f"{tmp}/catalog.json")
         commands.append(["structure", "--group", group, "--catalog", f"{tmp}/catalog.json", "--json"])
+        c2xc4 = '{"kind":"abelian","factors":[2,4]}'
+        in_child(wrong_shape_catalog_file, c2xc4, f"{tmp}/wrong-shape.json")
+        commands.append(["structure", "--group", c2xc4, "--catalog", f"{tmp}/wrong-shape.json", "--json"])
         reports = [[burnloc(*argv, env={"PYTHONHASHSEED": str(seed)}) for argv in commands] for seed in range(4)]
+    check(all(report[-1].returncode == 2 for report in reports), "wrong-shape structure: exit code is not 2")
     for seed in (1, 2, 3):
         for argv, first, other in zip(commands, reports[0], reports[seed]):  # exit code, stdout and stderr
             check(vars(first) == vars(other), f"burnloc {' '.join(argv)}: report under PYTHONHASHSEED={seed} differs")

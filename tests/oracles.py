@@ -64,17 +64,18 @@ residual group of a label's shape is found by a scan of the carrier
 quotient's whole subgroup lattice (`reference_resolve_residual`); the engine
 reads the enumerators' Y options.
 
-The symbol check of the model data is kept as it was before a checked
-element tuple was taken as is (`reference_check_symbol`): every stabilizer
-and residual tuple is sorted again, the label is tested before it is looked
-up, and a surface stabilizer's cyclicity comes from its element orders, not
-from its abelian structure.  Its Y lives in a carrier quotient of its own
-(`reference_carrier_group`: the centralizer or normalizer found element by
-element, then the cosets of H) and its shape test is its own
+The one symbol check is kept as it was before a checked element tuple was
+taken as is (`reference_check_record`): every stabilizer and residual tuple
+is sorted again, and a surface stabilizer's cyclicity comes from its element
+orders, not from its abelian structure.  Its Y lives in a carrier quotient of
+its own (`reference_carrier_group`: the centralizer or normalizer found
+element by element, then the cosets of H) and its shape test is its own
 (`reference_shape_matches`: the order, commutativity by brute force and the
-invariant factors of `reference_abelian_basis`), so it calls neither the
-engine's stabilizer records nor its kept shapes.  A difference of classes is
-the sum with the negation.
+invariant factors of `reference_abelian_basis`), so it reads nothing but G
+off the engine's stabilizer record and none of its kept shapes.  The form of
+a checked symbol is the least one transported over all of G
+(`reference_record_form`).  A difference of classes is the sum with the
+negation.
 
 The reference blow-up result is the model the move builds, made afresh and
 checked from scratch, datum by datum, with none of its source's checked
@@ -707,59 +708,49 @@ def reference_canonicalize(sym, G, catalog):
 _SPACE = {KIND_CURVE: CURVE, KIND_SURFACE: RULED_SURFACE, KIND_JAC: JACOBIAN}
 
 
-def reference_check_symbol(sym, G, catalog):
-    """The diagnostics of a symbol, found as the engine found them before a
-    checked element tuple was taken as is: H and Y are passed as lists, so
-    they are sorted again, the label is tested and then looked up, and a
-    surface stabilizer is cyclic when one of its elements has order |H|.
-    Y lives in `reference_carrier_group` and its shape is tested by
+def reference_check_record(sym, label, record):
+    """`symbols._check_record`, the one check of a symbol past its lookups
+    (the kind, the label and the stabilizer record, which refuses a
+    nonabelian curve or surface h), found as the engine found it before a
+    checked element tuple was taken as is: (diagnostics, (h, y, h's structure
+    or None, reduced weights) or None).  It reads only G off the record: H
+    and Y are passed as lists, so they are sorted again, and a surface
+    stabilizer is cyclic when one of its elements has order |H|.  Y lives in
+    `reference_carrier_group` and its shape is tested by
     `reference_shape_matches`, so the check calls neither the engine's
     carrier quotients nor its shapes."""
+    G = record.subgroup.ambient
     problems = []
-    if sym.kind not in _SPACE:
-        return [f"unknown symbol kind {sym.kind!r}"]
-    try:
-        H = Subgroup(G, list(sym.h))
-    except ValidationError as exc:
-        return [f"stabilizer: {exc}"]
-    if not catalog.has_label(sym.action):
-        return [f"unknown action label {sym.action!r}"]
-    label = catalog.label(sym.action)
+    H = Subgroup(G, list(sym.h))
     if label.space != _SPACE[sym.kind]:
         problems.append(f"label {label.id!r} lives on {label.space}, not {_SPACE[sym.kind]}")
-    if sym.kind != KIND_JAC and not H.is_abelian():
-        return problems + ["stabilizer must be abelian"]
     try:
         Y = Subgroup(reference_carrier_group(G, H.elements, sym.kind), list(sym.y))
     except ValidationError as exc:
-        return problems + [f"residual group: {exc}"]
+        return problems + [f"residual group: {exc}"], None
     if not reference_shape_matches(label.group_shape, Y):
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
     if sym.kind == KIND_JAC:
         if sym.weights:
             problems.append("jacobian symbols carry no weights")
-        if catalog.curve.genus >= 2 and not label.faithful:
-            problems.append("genus >= 2 jacobian actions must be faithful")
-        if catalog.curve.genus == 1 and not label.from_curve:
-            problems.append("genus-1 jacobian actions must come from a curve action")
-        return problems
+        return problems, (H.elements, Y.elements, None, sym.weights)
     if H.is_trivial():
-        return problems + ["stabilizer must be nontrivial"]
+        return problems + ["stabilizer must be nontrivial"], None
     struct = abelian_structure(H)
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
-        return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"]
+        return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"], None
     try:
         weights = tuple(map(struct.character, sym.weights))
     except ValidationError as exc:
-        return problems + [f"weights: {exc}"]
+        return problems + [f"weights: {exc}"], None
     if not all(map(any, weights)):
-        return problems + ["weights must be nontrivial characters"]
+        return problems + ["weights must be nontrivial characters"], None
     if not struct.generates_dual(*weights):
         problems.append("weights must generate the full character group of the stabilizer")
     if sym.kind == KIND_SURFACE and not H.is_cyclic():
         problems.append("surface symbols need a cyclic stabilizer")
-    return problems
+    return problems, (H.elements, Y.elements, struct, weights)
 
 
 def reference_carrier_group(G, h, kind):
@@ -792,20 +783,14 @@ def reference_shape_matches(shape, Y):
     return not abelian or reference_abelian_basis(Y)[0] == shape.factors
 
 
-def reference_validated_form(sym, G, catalog):
-    """`symbols.validated_form` by `reference_check_symbol`, with the least
-    transported symbol over all of G as the form."""
-    problems = reference_check_symbol(sym, G, catalog)
+def reference_record_form(sym, G, label, record, invalid):
+    """`symbols._record_form`, the check and canonical form of a symbol past
+    its lookups, by `reference_check_record`, with the least transported
+    symbol over all of G as the form."""
+    problems, _ = reference_check_record(sym, label, record)
     if problems:
-        return None, problems
-    return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key), problems
-
-
-def reference_datum_form(sym, G, catalog, label, record):
-    """`symbols._record_form`, the check of every declared symbol, by
-    `reference_validated_form`, which looks the label and the stabilizer up
-    itself instead of reading those handed in."""
-    return reference_validated_form(sym, G, catalog)
+        raise ValidationError(f"{invalid}: {'; '.join(problems)}")
+    return min((reference_transport_symbol(sym, g, G) for g in G.elements()), key=Symbol.key)
 
 
 def reference_difference(a, b):
@@ -986,8 +971,8 @@ def _reference_jac_partner(context, sym):
     G = context.group
     Qc = carrier_quotient(G, sym.h, sym.kind)
     y = carrier_quotient(G, sym.h, KIND_JAC).image(Qc.reps[i] for i in sym.y)
-    jac_label = context.catalog.jacobian_of_curve_action(sym.action)
-    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label.id))
+    jac_label = context.catalog.jacobian_of_curve_action(sym.action).target
+    return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label))
 
 
 def _reference_b2_terms(context, sym):
@@ -1005,10 +990,10 @@ def _reference_b2_terms(context, sym):
     if order == struct.subgroup.order:
         return theta1, BurnsideClass.zero()
     h_bar = Subgroup(G, reference_kernel(struct, diff))
-    label = catalog.induced_surface_action(struct.invariant_factors, sym.action, order)
+    label = catalog.induced_surface_action(struct.invariant_factors, sym.action, order).target
     upstairs = carrier_quotient(G, sym.h, sym.kind).preimage(sym.y)
     y_bar = carrier_quotient(G, h_bar.elements, KIND_SURFACE).image(upstairs)
-    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label.id, (reference_restrict(struct, b1, h_bar),))
+    term = Symbol(KIND_SURFACE, h_bar.elements, y_bar, label, (reference_restrict(struct, b1, h_bar),))
     return theta1, BurnsideClass.of(context.canonicalize(term))
 
 

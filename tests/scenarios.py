@@ -1,7 +1,7 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups (and with extra labels of noncyclic or nonabelian
-shapes), multiplication tables of a few group families
+shapes, or with a target of the wrong shape), multiplication tables of a few group families
 with seeded relabellings, the specs of the benchmark ladder's groups, a reset
 of the engine caches, and a check that the tables a group and its derived
 objects own stay bounded."""
@@ -200,6 +200,27 @@ def catalog_with_shapes(G, shapes, spaces=("ruled_surface", "jacobian")):
             data["labels"].append({"id": f"extra{i}-{space}", "space": space, "group_shape": shape,
                                    "faithful": True, "trivial": False})
     return ensure_valid_catalog(catalog_from_json(data, name="extra-shapes"))
+
+
+def wrong_shape_catalog(G):
+    """G's generated catalog as JSON with a C2xC2 surface label `v4-CxP1` that
+    every diff_order 4 induce rule targets.  The catalog check compares orders
+    only, so it passes; over C2xC4 a Theta2 term of B2 has a cyclic Y bar of
+    order 4, and the relation pass refuses it (`WRONG_SHAPE_REFUSAL`)."""
+    data = catalog_to_json(generated_catalog(G))
+    data["labels"].append(
+        {"id": "v4-CxP1", "space": "ruled_surface", "group_shape": [2, 2], "faithful": True, "trivial": False})
+    for rule in data["rules"]["induce"]:
+        if rule["weights"] == {"diff_order": 4}:
+            rule["target"] = "v4-CxP1"
+    return data
+
+
+WRONG_SHAPE_REFUSAL = (
+    "B2(symbol=curve[H=C2xC4{0,1,2,3,4,5,6,7};Y=1{0};act=triv-C;w=(0,1),(1,0)]): "
+    "InduceRule(C2xC4,triv-C,diff_order=4): "
+    "cannot canonicalize invalid symbol: residual group of order 4 does not match declared shape C2xC2"
+)
 
 
 def clear_engine_caches():

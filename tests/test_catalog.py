@@ -102,8 +102,8 @@ def test_trivial_action_of_nontrivial_group_is_not_faithful():
 
 
 def test_induced_surface_action_lookup(hyper_cat, z3_cat):
-    assert hyper_cat.induced_surface_action((2,), "triv-C", 1).id == "triv-CxP1"
-    assert z3_cat.induced_surface_action((3,), "triv-C", 1).id == "triv-CxP1"
+    assert hyper_cat.induced_surface_action((2,), "triv-C", 1).target == "triv-CxP1"
+    assert z3_cat.induced_surface_action((3,), "triv-C", 1).target == "triv-CxP1"
     with pytest.raises(CatalogIncompleteError, match="InduceRule"):
         hyper_cat.induced_surface_action((4,), "triv-C", 1)
     with pytest.raises(CatalogIncompleteError, match="diff_order=2"):
@@ -111,9 +111,9 @@ def test_induced_surface_action_lookup(hyper_cat, z3_cat):
 
 
 def test_jacobian_of_curve_lookup(hyper_cat, elliptic_cat):
-    assert hyper_cat.jacobian_of_curve_action("triv-C").id == "triv-J"
-    assert hyper_cat.jacobian_of_curve_action("inv-C").id == "inv-J"
-    assert elliptic_cat.jacobian_of_curve_action("transl-C").id == "trivG-J"
+    assert hyper_cat.jacobian_of_curve_action("triv-C").target == "triv-J"
+    assert hyper_cat.jacobian_of_curve_action("inv-C").target == "inv-J"
+    assert elliptic_cat.jacobian_of_curve_action("transl-C").target == "trivG-J"
     with pytest.raises(CatalogIncompleteError, match="JacobianOfCurveRule"):
         hyper_cat.jacobian_of_curve_action("no-such-action")
 
@@ -185,11 +185,11 @@ def test_induced_surface_action_full_signature(z2, z3, z3_cat, hyper_cat):
         Y = Subgroup(Q.group, (0,))
         struct = abelian_structure(H)
         order = reference_order(struct, reference_sum(struct, (1, (1,)), (-1, (1,))))
-        label = catalog.induced_surface_action(struct.invariant_factors, "triv-C", order)
+        label = catalog.label(catalog.induced_surface_action(struct.invariant_factors, "triv-C", order).target)
         assert label.id == "triv-CxP1"
         # the declared target order is the constructed group order |Y| * ord(b1 - b2)
         assert label.group_shape.order == Y.order * order
-    assert hyper_cat.jacobian_of_curve_action("inv-C").id == "inv-J"
+    assert hyper_cat.jacobian_of_curve_action("inv-C").target == "inv-J"
 
 
 def test_validate_catalog_runs_once_per_catalog_object(monkeypatch):

@@ -7,19 +7,26 @@ import json
 
 import pytest
 
+import burnloc.symbols
 from burnloc.catalog import catalog_from_json
 from burnloc.cli import load_class, main
 from burnloc.errors import ValidationError
 from burnloc.fixtures import fixture_catalog
 from burnloc.groups import build_group
-from burnloc.models import ModelDescription, class_of_action
+from burnloc.models import ModelDescription, StratumDatum, class_of_action, validate_model
+from burnloc.relations import structure
 from burnloc.symbols import (
+    KIND_CURVE,
     KIND_JAC,
     BurnsideContext,
+    Symbol,
+    canonicalize,
     carrier_quotient,
     iter_curve_data,
     iter_jac_data,
     iter_surface_data,
+    stabilizer,
+    validate_symbol,
 )
 from scenarios import _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, relabel
 
@@ -207,3 +214,50 @@ def test_a_class_term_of_unknown_kind_is_refused_before_any_lookup(group, h, y_r
         load_class(json.dumps({"terms": [{"symbol": term}]}), G, fixture_catalog("hyperelliptic-Z2"))
     assert str(exc.value) == "unknown symbol kind 'foo'"
     assert not G.carriers
+
+
+def test_every_symbol_the_enumerators_did_not_build_reaches_the_one_check(monkeypatch):
+    # over D4 x C2 a relation term that misses the pass's memo, a class term, a
+    # model datum and a library call of canonicalize or validate_symbol each
+    # reach `_check_record` with the label and stabilizer record of their
+    # symbol, and every route looks the label up before the stabilizer
+    G = build_group({"kind": "table", "mul": direct_product(D4, cyclic_table(2))})
+    catalog = generated_catalog(G)
+    check, canon = burnloc.symbols._check_record, burnloc.symbols.canonicalize
+    checks, misses = [], []
+
+    def counted_check(sym, label, record):
+        assert label is catalog.label(sym.action) and record is stabilizer(G, sym.h, sym.kind)
+        checks.append(sym)
+        return check(sym, label, record)
+
+    def counted_canon(sym, *args):
+        misses.append(sym)
+        return canon(sym, *args)
+
+    monkeypatch.setattr(burnloc.symbols, "_check_record", counted_check)
+    monkeypatch.setattr(burnloc.symbols, "canonicalize", counted_canon)
+    structure(G, catalog)
+    assert misses and checks == misses
+    sym = next(iter_curve_data(G, catalog))
+    routes = {
+        "class term": lambda: load_class(json.dumps({"terms": [{"symbol": _term(sym, G)}]}), G, catalog),
+        "model datum": lambda: class_of_action(ModelDescription(G, catalog, strata=(_datum(G, sym),))),
+        "canonicalize": lambda: canonicalize(sym, G, catalog),
+        "validate_symbol": lambda: validate_symbol(sym, G, catalog),
+    }
+    for name, route in routes.items():
+        checks.clear()
+        route()
+        assert checks == [sym], name
+
+    # (0, 2) is not a subgroup (2 has order 4), and the label is unknown
+    bad = Symbol(KIND_CURVE, (0, 2), (0,), "nope", ((1,), (1,)))
+    term = {"kind": "curve", "h": [0, 2], "y_reps": [0], "action": "nope", "weights": [[1], [1]]}
+    for refuse in (lambda: canonicalize(bad, G, catalog),
+                   lambda: load_class(json.dumps({"terms": [{"symbol": term}]}), G, catalog)):
+        with pytest.raises(ValidationError, match="^unknown action label 'nope'$"):
+            refuse()
+    assert validate_symbol(bad, G, catalog) == ["unknown action label 'nope'"]
+    datum = StratumDatum("fixed_curve", (0, 2), "nope", ((1,), (1,)))
+    assert validate_model(ModelDescription(G, catalog, strata=(datum,))) == ["stratum 0: unknown action label 'nope'"]

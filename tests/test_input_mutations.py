@@ -7,8 +7,9 @@ empty list or object) by another JSON value, or deletes it.  Every mutant must
 exit 0, 2 or 3 without a traceback.  Every leaf of these inputs that holds an
 integer sits where the schema wants one, so a mutant that puts a non-integer
 there must exit 2 and name the leaf's JSON path.  Every mutant also runs with
-the reference symbol check and class difference of `oracles` in place of the
-engine's, and must give the same exit code, stdout and stderr byte for byte.
+the reference of the one symbol check (`symbols._check_record`) and of the
+class difference from `oracles` in place of the engine's, and must give the
+same exit code, stdout and stderr byte for byte.
 The sample is stratified: every input gets an equal share of it, so the model
 and center inputs, whose mutants reach the symbol check and the class
 difference, are not outnumbered by the larger catalogs; the test counts the
@@ -33,7 +34,7 @@ import pytest
 import burnloc.fixtures
 import burnloc.symbols
 from burnloc.cli import main
-from oracles import reference_datum_form, reference_difference, reference_validated_form
+from oracles import reference_check_record, reference_difference
 
 FIXTURES = Path(burnloc.fixtures.__file__).parent
 Z2 = '{"kind":"cyclic","n":2}'
@@ -121,8 +122,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
             return reference(*args)
         return call
 
-    validated_form = counted("validated_form", reference_validated_form)
-    datum_form = counted("validated_form", reference_datum_form)
+    check_record = counted("_check_record", reference_check_record)
     difference = counted("difference", reference_difference)
     file = tmp_path / "input.json"
     named = 0
@@ -136,8 +136,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
             pytest.fail(f"{case}: raised {exc!r}")
         out, err = capsys.readouterr()
         with monkeypatch.context() as patch:
-            patch.setattr(burnloc.symbols, "validated_form", validated_form)
-            patch.setattr(burnloc.symbols, "_record_form", datum_form)
+            patch.setattr(burnloc.symbols, "_check_record", check_record)
             patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", difference)
             assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case
@@ -147,7 +146,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
             named += 1
     assert named > 0
     # a uniform sample of the 3,641 cases with the same seed reaches them 17 and 0 times
-    assert calls["validated_form"] >= 30 and calls["difference"] >= 5, dict(calls)
+    assert calls["_check_record"] >= 30 and calls["difference"] >= 5, dict(calls)
 
 
 def _objects(value, path="", chain=()):

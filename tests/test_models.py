@@ -556,7 +556,7 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
     from burnloc.groups import Subgroup, build_group
     from burnloc.models import FIXED_CURVE, RULED_DIVISOR, StratumDatum, _datum_symbol
     from burnloc.symbols import KIND_CURVE, KIND_JAC, KIND_SURFACE, carrier_quotient
-    from oracles import reference_datum_form
+    from oracles import reference_record_form
     from scenarios import (
         ScenarioPool, _datum, cyclic_table, dihedral_table, direct_product, generated_catalog, relabel,
         symmetric_table,
@@ -607,7 +607,7 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
         return out
 
     engine = outcomes(G)
-    monkeypatch.setattr(burnloc.symbols, "_record_form", reference_datum_form)
+    monkeypatch.setattr(burnloc.symbols, "_record_form", reference_record_form)
     assert outcomes(G_ref) == engine
     assert {type(x) for x in engine} == {Symbol, str}
     problems = "\n".join(x for x in engine if type(x) is str)

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,7 +6,8 @@ import pytest
 
 import burnloc.relations
 import burnloc.symbols
-from burnloc.catalog import catalog_from_json, catalog_to_json, ensure_valid_catalog
+from burnloc.catalog import catalog_from_json, ensure_valid_catalog
+from burnloc.cli import main
 from burnloc.errors import CatalogIncompleteError, ValidationError
 from burnloc.groups import Subgroup, build_group
 from burnloc.normalforms import IntegerLattice
@@ -24,12 +26,14 @@ from burnloc.relations import (
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
 from oracles import filter_from_subgroups, filtered_relation_vectors, kernel_basis
 from scenarios import (
+    WRONG_SHAPE_REFUSAL,
     clear_engine_caches,
     cyclic_table,
     dihedral_table,
     direct_product,
     generated_catalog,
     relabel,
+    wrong_shape_catalog,
 )
 
 
@@ -400,21 +404,23 @@ def test_generate_relations_without_context_matches_the_structure_pass(monkeypat
 
 def test_induce_target_of_the_wrong_shape_fails_structure():
     # the catalog check only compares orders, so a C2xC2 target for a C4 quotient
-    # passes it; the induced surface term must still be refused when first seen
+    # passes it; the induced surface term must still be refused when first seen,
+    # naming its relation, its source symbol and the rule
     G = build_group({"kind": "abelian", "factors": [2, 4]})
-    data = catalog_to_json(generated_catalog(G))
-    data["labels"].append(
-        {"id": "v4-CxP1", "space": "ruled_surface", "group_shape": [2, 2], "faithful": True, "trivial": False}
-    )
-    for rule in data["rules"]["induce"]:
-        if rule["weights"] == {"diff_order": 4}:
-            rule["target"] = "v4-CxP1"
-    catalog = ensure_valid_catalog(catalog_from_json(data, name="wrong-shape"))
+    catalog = ensure_valid_catalog(catalog_from_json(wrong_shape_catalog(G), name="wrong-shape"))
     with pytest.raises(ValidationError) as info:
         structure(G, catalog)
-    assert str(info.value) == (
-        "cannot canonicalize invalid symbol: residual group of order 4 does not match declared shape C2xC2"
-    )
+    assert str(info.value) == WRONG_SHAPE_REFUSAL
+
+
+def test_a_refused_relation_term_exits_2_through_main(capsys, tmp_path):
+    G = build_group({"kind": "abelian", "factors": [2, 4]})
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(wrong_shape_catalog(G)))
+    for argv in (["structure"], ["structure", "--json"], ["relations", "--dump"]):
+        assert main([*argv, "--group", '{"kind":"abelian","factors":[2,4]}', "--catalog", str(catalog)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {WRONG_SHAPE_REFUSAL}\n")
 
 
 def test_relabelled_structure_is_the_same_with_cold_and_warm_caches():

@@ -4,7 +4,7 @@ import pytest
 
 from burnloc.abelian import abelian_structure
 from burnloc.cli import main
-from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE
+from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, catalog_from_json, catalog_to_json
 from burnloc.errors import ValidationError
 from burnloc.groups import all_subgroups, build_group
 from burnloc.models import BlowupCenter, ModelDescription, blowup
@@ -20,6 +20,22 @@ from burnloc.symbols import (
 from oracles import all_coordinates, character_span, reference_difference, reference_transport_symbol
 
 S1 = Symbol("curve", (0, 1), (0,), "triv-C", ((1,), (1,)))
+
+
+@pytest.mark.parametrize("catalog, label, problem", [
+    ("hyper_cat", {"faithful": False, "trivial": True}, "genus >= 2 jacobian actions must be faithful"),
+    ("elliptic_cat", {"faithful": True, "trivial": False},
+     "genus-1 jacobian actions must come from a declared curve action"),
+])
+def test_enumeration_refuses_a_jacobian_label_the_catalog_check_refuses(request, z2, catalog, label, problem):
+    # the enumerators read every Jacobian label; the catalog check, which runs
+    # first, refuses one that is not faithful (genus >= 2) or not from a curve
+    # action (genus 1)
+    data = catalog_to_json(request.getfixturevalue(catalog))
+    data["labels"].append({"id": "bad-J", "space": "jacobian", "group_shape": [2], **label})
+    with pytest.raises(ValidationError) as exc:
+        enumerate_symbols(z2, catalog_from_json(data))
+    assert str(exc.value) == f"invalid catalog:\n  label 'bad-J': {problem}"
 
 
 def test_involution_fixed_curve_symbol_is_valid(z2, hyper_cat):

@@ -9,8 +9,10 @@ BURNLOC_ORDER_BOUND sets another.
 Subgroups are generated by one closure routine, Dimino's coset step (Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): <H, g> is
 found by a breadth-first search of the Cayley graph over the right cosets of H,
-stepping by H's generators and g.  The lattice search keeps a generator tuple
-for every subgroup it finds and adjoins one g per right coset Hg.
+stepping by H's generators and g.  The lattice is walked depth first by
+canonical augmentation (McKay, *Isomorph-free exhaustive generation*, J.
+Algorithms 26, 1998): each subgroup is closed from the one parent its greedy
+generators name and kept once, with no table of the subgroups found.
 
 A table from outside is checked once, when its `FiniteGroup` is built; its
 associativity by Light's test over a greedy generating set.  An element set
@@ -437,29 +439,24 @@ def _extend(G: FiniteGroup, base: tuple[int, ...], gens: tuple[int, ...]) -> set
 
 def subgroups_within(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All subgroups of G as element tuples, ordered by (order, elements)."""
-    # breadth-first over the lattice from the trivial group: every subgroup is
-    # some <H, g> with H found one level up, and <H, h*g> = <H, g> for h in H,
-    # so one g per right coset Hg outside H is tried
+    # canonical augmentation: K's greedy generators g1 = min(K - {0}) and
+    # g(i+1) = min(K - <g1..gi>) make <g1..g(m-1)> its one parent, so from H with
+    # greedy generators gens, <H, g> is closed for the least g of each right
+    # coset Hg with g > gens[-1], and kept exactly when g = min(<H, g> - H)
     mul = G.mul
-    trivial = frozenset({0})
-    found = {trivial: ()}  # subgroup -> a generator tuple
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            base = tuple(H)
-            gens = found[H]
-            covered = set(H)
-            for g in G.elements():
-                if g in covered:
-                    continue
+    found, stack = [], [((0,), ())]
+    while stack:
+        base, gens = stack.pop()
+        found.append(base)
+        covered, last = set(base), gens[-1] if gens else 0
+        for g in G.elements():
+            if g not in covered:
                 covered.update(mul[h][g] for h in base)
-                K = frozenset(_extend(G, base, gens + (g,)))
-                if K not in found:
-                    found[K] = gens + (g,)
-                    nxt.append(K)
-        frontier = nxt
-    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
+                if g > last:
+                    K = _extend(G, base, gens + (g,))
+                    if min(K.difference(base)) == g:
+                        stack.append((tuple(sorted(K)), gens + (g,)))
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -190,6 +190,23 @@ def _blown_up(m: ModelDescription, drop: int | None, added_strata: tuple[Stratum
     return ensure_valid_model(out)
 
 
+def _center_residual(G: FiniteGroup, catalog: ActionCatalog, c: BlowupCenter, h: tuple[int, ...],
+                     gens) -> tuple[int, ...]:
+    """Y's preimage in Z_G(H), for a case-1 or case-2 center whose curve has
+    stabilizer h: Y is resolved on h's curve record from `gens`, the center's
+    `y_reps`, or with gens None from the label's shape; a refusal names
+    `y_reps`, and Y must match the label's shape."""
+    label = catalog.label(c.curve_label)
+    if label.space != CURVE:
+        raise ValidationError(f"case-{c.case} centers need a curve-space action label")
+    record = stabilizer(G, h, KIND_CURVE)
+    y = record.residual(h, label, gens, "y_reps")
+    Y = Subgroup.trusted(record.quotient.group, y)
+    if not label.group_shape.matches(Y):
+        raise ValidationError(f"case-{c.case} residual group of order {Y.order} does not match {label.group_shape}")
+    return record.quotient.preimage(y)
+
+
 def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
     """The model after blowing up the given center (orbit of a copy of the curve)."""
     ensure_valid_model(m)
@@ -199,16 +216,9 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
     if c.case == 1:
         if c.curve_label is None:
             raise ValidationError("case-1 centers carry the curve action label")
-        label = catalog.label(c.curve_label)
-        if label.space != CURVE:
-            raise ValidationError("case-1 centers need a curve-space action label")
-        Y = Subgroup.generated(G, c.y_reps)
-        if not label.group_shape.matches(Y):
-            raise ValidationError(
-                f"case-1 residual group of order {Y.order} does not match {label.group_shape}"
-            )
+        upstairs = _center_residual(G, catalog, c, (0,), c.y_reps)  # no y_reps: Y trivial
         jac = catalog.jacobian_of_curve_action(c.curve_label).target
-        appended = JacobianFactorDatum(stabilizer=(0,), residual=jac, residual_group=Y.elements)
+        appended = JacobianFactorDatum(stabilizer=(0,), residual=jac, residual_group=upstairs)
         return _blown_up(m, None, (), (appended,))
 
     if c.case == 2:
@@ -222,17 +232,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         b = struct.character(weight)
         if not struct.generates_dual(b):
             raise ValidationError("case-2 weight must generate the stabilizer's character group")
-        label = catalog.label(c.curve_label)
-        if label.space != CURVE:
-            raise ValidationError("case-2 centers need a curve-space action label")
-        record = stabilizer(G, H.elements, KIND_CURVE)
-        y = record.residual(H.elements, label, c.y_reps or None)
-        Y = Subgroup.trusted(record.quotient.group, y)
-        if not label.group_shape.matches(Y):
-            raise ValidationError(
-                f"case-2 residual group of order {Y.order} does not match {label.group_shape}"
-            )
-        upstairs = record.quotient.preimage(y)
+        upstairs = _center_residual(G, catalog, c, H.elements, c.y_reps or None)  # no y_reps: Y by its shape
         jac = catalog.jacobian_of_curve_action(c.curve_label).target
         new_stratum = StratumDatum(
             kind=FIXED_CURVE, stabilizer=H.elements, residual=c.curve_label,

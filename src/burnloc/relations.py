@@ -166,12 +166,13 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
                 continue
             Q = carrier_quotient(G, sym.h, KIND_JAC)
             h1 = Subgroup.trusted(G, Q.preimage(sym.y))  # extension of Y1 = Y by H
-            if not target_shape.matches(h1):
-                raise ValidationError(
-                    f"{rule}: computed extension has order {h1.order}, expected shape {target_shape}")
+            text = text_form(sym, G)
+            if not target_shape.matches(h1):  # of the declared order, which the catalog check fixes
+                raise ValidationError(f"B4(symbol={text}): {rule}: computed extension {_group_display(h1)} "
+                                      f"does not match declared shape {target_shape}")
             terms = Counter({sym: 1})
             terms[context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))] -= 1
-            emit(terms, "B4", symbol=text_form(sym, G))
+            emit(terms, "B4", symbol=text)
 
     return tuple(instances)
 

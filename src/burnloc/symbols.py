@@ -115,7 +115,7 @@ class Stabilizer(namedtuple("Stabilizer", "subgroup structure quotient resolved"
                         f"no residual subgroup of shape {label.group_shape} exists for stabilizer {h}")
                 if len(ys) > 1:
                     raise ValidationError(f"residual group for label {label.id!r} over stabilizer {h} is ambiguous; "
-                                          "declare residual_group explicitly")
+                                          f"declare {field} explicitly")
                 (y,) = ys
             else:
                 bad = [x for x in gens if x not in Q.coset_of]

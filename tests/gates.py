@@ -184,9 +184,11 @@ def equal_sides(group: str, directory: str):
     G, catalog = catalog_file(group, f"{directory}/catalog.json")
     context = BurnsideContext(G, catalog)
     relations = generate_relations(G, catalog, context)
-    relation = next(r for r in relations if len({c > 0 for _, c in r.vector.terms()}) == 2)
+    relation = next((r for r in relations if len({c > 0 for _, c in r.vector.terms()}) == 2), None)
+    check(relation is not None, f"{group}: no generated relation has terms of both signs")
     covered = set().union(*(r.vector.support() for r in relations))
-    lone = next(s for s in context.symbols if s not in covered)
+    lone = next((s for s in context.symbols if s not in covered), None)
+    check(lone is not None, f"{group}: every symbol lies in some generated relation")
 
     def term(s, coeff):
         y_reps = [carrier_quotient(G, s.h, s.kind).reps[i] for i in s.y]
@@ -271,12 +273,29 @@ def peak_memory():
             in_child(peak_children, json.dumps(cases), ceiling, "120")
 
 
+def lattice_against_oracle(group: str):
+    """(In a child.)  The subgroup lattice of the group with JSON `group`, and of one relabelled copy, must
+    equal the breadth-first walk of tests/oracles.bfs_subgroups tuple for tuple."""
+    from burnloc.groups import build_group, subgroups_within
+    from oracles import bfs_subgroups
+    from scenarios import relabel
+
+    G = build_group(json.loads(group))
+    for name, H in ((group, G), (f"{group} relabelled", build_group({"kind": "table", "mul": relabel(G.mul, 128)}))):
+        lattice = subgroups_within(H)
+        print(f"lattice of {name}: {len(lattice)} subgroups")
+        check(lattice == bfs_subgroups(H), f"{name}: the lattice differs from the breadth-first walk's")
+
+
 def order_128():
     """Headroom above the default order bound: with BURNLOC_ORDER_BOUND=128, which any user may set,
     `structure --json` on C2^7 (45,468 symbols and 8256 relations over a generated catalog, itself built in a
     child under the same bound in about 5 s) must exit 0 within 60 s with its pinned answer and peak at most
-    150 MB (about 4 s and 73 MB).  A dense |relations| x |symbols| matrix ran out of memory here (exit 1)."""
+    150 MB (about 1.5 s and 61 MB).  A dense |relations| x |symbols| matrix ran out of memory here (exit 1).
+    The lattice of C2^7 (29,212 subgroups) and of one relabelled copy must equal the breadth-first oracle's,
+    checked in a child under the same bound (about 5 s)."""
     group, bound = '{"kind":"abelian","factors":[2,2,2,2,2,2,2]}', {"BURNLOC_ORDER_BOUND": "128"}
+    in_child(lattice_against_oracle, group, env=bound)
     with tempfile.TemporaryDirectory() as tmp:
         in_child(catalog_file, group, f"{tmp}/catalog.json", env=bound)
         case = [["structure", "--group", group, "--catalog", f"{tmp}/catalog.json", "--json"],

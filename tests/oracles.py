@@ -50,7 +50,11 @@ constructor reports them and tests associativity on all n**3 triples, in
 lexicographic order, so it names the first failing triple.
 
 The reference subgroup lattice closes every candidate <H, g> by multiplying all
-pairs of its elements until nothing new appears, for every g outside H, and the
+pairs of its elements until nothing new appears, for every g outside H; it
+cannot reach order 64.  The breadth-first lattice (`bfs_subgroups`) is the
+reference there: it closes <H, g> by the engine's coset step once per right
+coset Hg of every subgroup H found and drops each subgroup already found, so it
+shares the coset step with the engine's canonical augmentation and nothing else.  The
 reference abelian basis takes as complement of each peeled cyclic factor the
 first subgroup of the right order, in (order, elements) order, that meets it
 trivially.
@@ -92,7 +96,7 @@ from burnloc.abelian import abelian_structure, shape_name
 from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, GroupShape
 from burnloc.errors import ValidationError
 from burnloc.groups import (
-    FiniteGroup, Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy,
+    FiniteGroup, Subgroup, _extend, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy,
 )
 from burnloc.models import ensure_valid_model
 from burnloc.relations import FilterSpec, RelationInstance, _filter_pass, generate_relations
@@ -831,6 +835,30 @@ def reference_subgroups_within(G, universe):
     return tuple(sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)))
 
 
+def bfs_subgroups(G):
+    """All subgroups of G as element tuples, ordered by (order, elements):
+    breadth-first from the trivial group, each new <H, g> closed by the coset
+    step for one g per right coset Hg outside H and kept if not yet found."""
+    mul = G.mul
+    trivial = frozenset({0})
+    found = {trivial: ()}  # subgroup -> a generator tuple
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            base, gens, covered = tuple(H), found[H], set(H)
+            for g in G.elements():
+                if g in covered:
+                    continue
+                covered.update(mul[h][g] for h in base)
+                K = frozenset(_extend(G, base, gens + (g,)))
+                if K not in found:
+                    found[K] = gens + (g,)
+                    nxt.append(K)
+        frontier = nxt
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
+
+
 def reference_abelian_basis(H):
     """(invariant_factors, basis) of the abelian subgroup H: repeatedly peel off
     the least element h of largest order m, continuing in the least complement
@@ -1038,9 +1066,11 @@ def reference_generate_relations(G, catalog):
             h1 = Subgroup(G, carrier_quotient(G, sym.h, KIND_JAC).preimage(sym.y))
             target_shape = GroupShape.abelian(rule.target_h_factors)
             if not target_shape.matches(h1):
+                found = shape_name(abelian_structure(h1).invariant_factors) if h1.is_abelian() else f"ord{h1.order}"
                 raise ValidationError(
+                    f"B4(symbol={text_form(sym, G)}): "
                     f"GenusOneExtensionRule({shape_name(rule.h_factors)},{rule.source_label}): "
-                    f"computed extension has order {h1.order}, expected shape {target_shape}"
+                    f"computed extension {found} does not match declared shape {target_shape}"
                 )
             new_sym = context.canonicalize(Symbol(KIND_JAC, h1.elements, (0,), rule.target_label))
             emit(BurnsideClass.of(sym) - BurnsideClass.of(new_sym), "B4", symbol=text_form(sym, G))

@@ -1,7 +1,8 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups (and with extra labels of noncyclic or nonabelian
-shapes, or with a target of the wrong shape), multiplication tables of a few group families
+shapes, or with a target of the wrong shape), a genus-1 catalog whose
+extension rule declares the wrong shape, multiplication tables of a few group families
 with seeded relabellings, the specs of the benchmark ladder's groups, a reset
 of the engine caches, and a check that the tables a group and its derived
 objects own stay bounded."""
@@ -13,6 +14,7 @@ from itertools import permutations, product
 from burnloc.abelian import abelian_structure
 from burnloc.catalog import CURVE, catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
+from burnloc.fixtures import fixture_catalog
 from burnloc.groups import abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy
 from burnloc.models import (
     BlowupCenter,
@@ -220,6 +222,30 @@ WRONG_SHAPE_REFUSAL = (
     "B2(symbol=curve[H=C2xC4{0,1,2,3,4,5,6,7};Y=1{0};act=triv-C;w=(0,1),(1,0)]): "
     "InduceRule(C2xC4,triv-C,diff_order=4): "
     "cannot canonicalize invalid symbol: residual group of order 4 does not match declared shape C2xC2"
+)
+
+
+def wrong_extension_catalog():
+    """`elliptic-Z2` as JSON, completed for C4, with a genus-one extension rule
+    from `trivG-J` over H = C2 that declares the extension C2xC2.  Its order,
+    |H| * |Y1| = 4, passes the catalog check; over C4 the extension of Y1 = C2
+    by H is C4, and the relation pass refuses B4 (`WRONG_EXTENSION_REFUSAL`)."""
+    data = catalog_to_json(fixture_catalog("elliptic-Z2"))
+    data["labels"].append(
+        {"id": "c2-CxP1", "space": "ruled_surface", "group_shape": [2], "faithful": True, "trivial": False})
+    data["rules"]["induce"] += [
+        *({"h": [2], "curve_label": label, "weights": "equal", "target": "c2-CxP1"} for label in ("inv-C", "transl-C")),
+        {"h": [4], "curve_label": "triv-C", "weights": "equal", "target": "triv-CxP1"},
+        {"h": [4], "curve_label": "triv-C", "weights": {"diff_order": 2}, "target": "c2-CxP1"},
+    ]
+    data["rules"]["genus_one_extension"] = [
+        {"h": [2], "label": "trivG-J", "trivial_part": "all", "target_h": [2, 2], "target_label": "triv-J"}]
+    return data
+
+
+WRONG_EXTENSION_REFUSAL = (
+    "B4(symbol=jac[H=C2{0,2};Y=C2{0,1};act=trivG-J]): GenusOneExtensionRule(C2,trivG-J): "
+    "computed extension C4 does not match declared shape C2xC2"
 )
 
 

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import burnloc.groups
 from burnloc.abelian import abelian_structure
 from burnloc.errors import ValidationError
 from burnloc.groups import (
@@ -14,8 +15,15 @@ from burnloc.groups import (
     normalizer,
     quotient,
     subgroups_up_to_conjugacy,
+    subgroups_within,
 )
-from oracles import all_coordinates, reference_abelian_basis, reference_subgroups_within, trivial_subgroup
+from oracles import (
+    all_coordinates,
+    bfs_subgroups,
+    reference_abelian_basis,
+    reference_subgroups_within,
+    trivial_subgroup,
+)
 from scenarios import cyclic_table, dihedral_table, direct_product, relabel, symmetric_table
 
 
@@ -194,6 +202,79 @@ def test_lattice_and_abelian_bases_match_reference(name, seed):
         if H.is_abelian():
             s = abelian_structure(H)
             assert (s.invariant_factors, s.basis) == reference_abelian_basis(H)
+
+
+def _abelian(*factors):
+    table = [[0]]
+    for d in factors:
+        table = direct_product(table, cyclic_table(d))
+    return table
+
+
+# every ladder rung, D16 and S4xC2, and the larger groups the breadth-first oracle reaches;
+# C3^4 (order 81) is built under a raised order bound
+LARGE_LATTICES = {
+    **LATTICE_FAMILY,
+    "C2^6": _abelian(2, 2, 2, 2, 2, 2),
+    "C4^3": _abelian(4, 4, 4),
+    "C2xC4xC8": _abelian(2, 4, 8),
+    "C3^4": _abelian(3, 3, 3, 3),
+    "D32": dihedral_table(32),
+    "D4xD4": direct_product(dihedral_table(4), dihedral_table(4)),
+}
+
+
+def _group(monkeypatch, table):
+    monkeypatch.setenv("BURNLOC_ORDER_BOUND", "128")
+    return build_group({"kind": "table", "mul": table})
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+@pytest.mark.parametrize("name", LARGE_LATTICES)
+def test_lattice_matches_the_breadth_first_walk(monkeypatch, name, relabelled):
+    # canonical augmentation against the walk that closes <H, g> once per right
+    # coset of every subgroup found and drops the subgroups it has seen
+    table = LARGE_LATTICES[name]
+    G = _group(monkeypatch, relabel(table, name) if relabelled else table)
+    assert subgroups_within(G) == bfs_subgroups(G)
+
+
+@pytest.mark.parametrize("name", LARGE_LATTICES)
+def test_lattice_closes_each_subgroup_about_once(monkeypatch, name):
+    # each subgroup is accepted from its one greedy parent; the breadth-first
+    # walk closed 23,562 candidates on C2^6 and 1,422 on D32
+    G = _group(monkeypatch, LARGE_LATTICES[name])
+    calls = []
+    extend = burnloc.groups._extend
+    monkeypatch.setattr(burnloc.groups, "_extend", lambda *args: calls.append(1) or extend(*args))
+    lattice = subgroups_within(G)
+    assert len(calls) <= 4 * len(lattice)
+    assert name != "C2^6" or len(calls) == len(lattice) - 1 == 2824
+
+
+def _gaussian_binomial(k, j, p):
+    # the number of j-dimensional subspaces of F_p^k
+    count = 1
+    for i in range(j):
+        count = count * (p ** (k - i) - 1) // (p ** (i + 1) - 1)
+    return count
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2)])
+def test_elementary_abelian_subgroup_counts_are_sums_of_gaussian_binomials(monkeypatch, p, k):
+    expected = sum(_gaussian_binomial(k, j, p) for j in range(k + 1))
+    assert {(2, 6): 2825, (3, 4): 212}.get((p, k), expected) == expected
+    assert len(subgroups_within(_group(monkeypatch, _abelian(*[p] * k)))) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 32])
+def test_dihedral_subgroup_counts_are_tau_plus_sigma(n):
+    # D_n of order 2n: per divisor d of n, the cyclic <r^d> and the d subgroups
+    # <r^d, r^i s> with 0 <= i < d, so tau(n) + sigma(n) in all
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    expected = len(divisors) + sum(divisors)
+    assert {16: 36, 32: 69}.get(n, expected) == expected
+    assert len(subgroups_within(build_group({"kind": "table", "mul": dihedral_table(n)}))) == expected
 
 
 def test_trivial_and_full_for_cyclic_groups(z2, z3):

@@ -1,10 +1,13 @@
+import json
 from dataclasses import replace
 
 import pytest
 
+from burnloc.catalog import catalog_to_json
+from burnloc.cli import main
 from burnloc.errors import ValidationError
 from burnloc.fixtures import fixture_center, fixture_model, model_names
-from burnloc.groups import all_subgroups
+from burnloc.groups import all_subgroups, build_group
 from burnloc.models import (
     BlowupCenter,
     JacobianFactorDatum,
@@ -20,6 +23,7 @@ from burnloc.models import (
 from burnloc.relations import classes_equal, relation_lattice
 from burnloc.symbols import BurnsideClass, Symbol, text_form
 from oracles import blown_up_from_scratch
+from scenarios import PERM_GROUPS, generated_catalog
 
 
 def test_builtin_model_fixtures_validate():
@@ -130,6 +134,93 @@ def test_blowup_case_shape_mismatches_rejected():
         blowup(m1, BlowupCenter(case=4))
     with pytest.raises(ValidationError, match="does not match"):
         blowup(m1, BlowupCenter(case=1, curve_label="transl-C", y_reps=()))
+
+
+def _c2_cubed_with_an_involution():
+    """A model with no data on C2^3 over its generated catalog plus a curve label
+    `inv-C` of shape C2 and the rules that keep the catalog complete: over
+    H = {0, 1} the centralizer quotient C2xC2 holds three Ys of that shape."""
+    spec = {"kind": "abelian", "factors": [2, 2, 2]}
+    data = catalog_to_json(generated_catalog(build_group(spec)))
+    data["labels"] += [
+        {"id": "inv-C", "space": "curve", "group_shape": [2], "faithful": True, "trivial": False},
+        {"id": "inv-J", "space": "jacobian", "group_shape": [2], "faithful": True, "trivial": False,
+         "from_curve": True, "underlying_curve_action": "inv-C"},
+        {"id": "v4-CxP1", "space": "ruled_surface", "group_shape": [2, 2], "faithful": True, "trivial": False},
+    ]
+    data["rules"]["jacobian_of_curve"].append({"source": "inv-C", "target": "inv-J"})
+    data["rules"]["induce"] += [
+        {"h": [2], "curve_label": "inv-C", "weights": "equal", "target": "c2-CxP1"},
+        {"h": [2, 2], "curve_label": "inv-C", "weights": {"diff_order": 2}, "target": "v4-CxP1"},
+    ]
+    return {"group": spec, "catalog": data}
+
+
+def _s3():
+    """A model with no data on S3 over its generated catalog; element 1 is the
+    transposition (0 2 1), and the 3-cycle 3 does not centralize it."""
+    return {"group": PERM_GROUPS["S3"], "catalog": catalog_to_json(generated_catalog(build_group(PERM_GROUPS["S3"])))}
+
+
+C2_CONTEXT = {"stabilizer": [0, 1], "weight": [1]}
+FIXED = "elliptic-fixed-curve"
+CENTER_REFUSALS = [  # (model, center, the one error line); a model is a fixture name or a function returning its JSON
+    (FIXED, {"case": 4}, "blow-up case must be 1, 2 or 3, got 4"),
+    (FIXED, {"case": 1}, "case-1 centers carry the curve action label"),
+    (FIXED, {"case": 1, "curve_label": "nope"}, "unknown action label 'nope'"),
+    (FIXED, {"case": 1, "curve_label": "neg-J"}, "case-1 centers need a curve-space action label"),
+    (FIXED, {"case": 1, "curve_label": "inv-C", "y_reps": [99]}, "y_reps elements [99] outside the ambient group"),
+    (FIXED, {"case": 1, "curve_label": "inv-C", "y_reps": [-1]}, "y_reps elements [-1] outside the ambient group"),
+    (FIXED, {"case": 1, "curve_label": "inv-C"}, "case-1 residual group of order 1 does not match C2"),
+    (FIXED, {"case": 1, "curve_label": "triv-C", "y_reps": [1]}, "case-1 residual group of order 2 does not match 1"),
+    (FIXED, {"case": 2, "curve_label": "inv-C"},
+     "case-2 centers name either a ruled stratum or an explicit divisor context"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "stratum": 0, "context": C2_CONTEXT},
+     "case-2 centers name either a ruled stratum or an explicit divisor context"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "stratum": 5}, "no stratum with index 5"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "stratum": 0}, "case-2 centers must reference a ruled_divisor stratum"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [0, 1]}},
+     "explicit case-2 context needs both stabilizer and weight"),
+    (FIXED, {"case": 2, "context": C2_CONTEXT}, "case-2 centers carry the residual curve action label"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [1], "weight": [1]}},
+     "subgroup must contain the identity"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [0, 7], "weight": [1]}},
+     "element 7 outside the ambient group"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [0], "weight": [1]}},
+     "case-2 stabilizers are nontrivial"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [0, 1], "weight": [0]}},
+     "case-2 weight must generate the stabilizer's character group"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": {"stabilizer": [0, 1], "weight": [1, 1]}},
+     "character coordinates do not match the structure"),
+    (FIXED, {"case": 2, "curve_label": "neg-J", "context": C2_CONTEXT},
+     "case-2 centers need a curve-space action label"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "y_reps": [99], "context": C2_CONTEXT},
+     "y_reps elements [99] outside the ambient group"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "y_reps": [1], "context": C2_CONTEXT},
+     "case-2 residual group of order 1 does not match C2"),
+    (FIXED, {"case": 2, "curve_label": "inv-C", "context": C2_CONTEXT},
+     "no residual subgroup of shape C2 exists for stabilizer (0, 1)"),
+    ("sxp1-involution", {"case": 2, "curve_label": "triv-C", "stratum": 0, "y_reps": [5]},
+     "y_reps elements [5] outside the ambient group"),
+    (_s3, {"case": 2, "curve_label": "triv-C", "y_reps": [3], "context": C2_CONTEXT},
+     "y_reps elements [3] do not centralize/normalize the stabilizer (0, 1)"),
+    (_c2_cubed_with_an_involution, {"case": 2, "curve_label": "inv-C", "context": C2_CONTEXT},
+     "residual group for label 'inv-C' over stabilizer (0, 1) is ambiguous; declare y_reps explicitly"),
+    (FIXED, {"case": 3}, "no stratum with index None"),
+    (FIXED, {"case": 3, "stratum": 1}, "no stratum with index 1"),
+    ("sxp1-involution", {"case": 3, "stratum": 0}, "case-3 centers must reference a fixed_curve stratum"),
+]
+
+
+@pytest.mark.parametrize("model,center,message", CENTER_REFUSALS)
+def test_every_center_refusal_exits_2_through_main(capsys, tmp_path, model, center, message):
+    # a center's Y is read from its y_reps, which every refusal of Y names
+    if callable(model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model()))
+        model = str(path)
+    assert main(["verify-blowup", "--model", model, "--center", json.dumps(center)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_invariant_counts_examples():

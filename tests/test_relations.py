@@ -24,8 +24,9 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from oracles import filter_from_subgroups, filtered_relation_vectors, kernel_basis
+from oracles import filter_from_subgroups, filtered_relation_vectors, kernel_basis, reference_generate_relations
 from scenarios import (
+    WRONG_EXTENSION_REFUSAL,
     WRONG_SHAPE_REFUSAL,
     clear_engine_caches,
     cyclic_table,
@@ -33,6 +34,7 @@ from scenarios import (
     direct_product,
     generated_catalog,
     relabel,
+    wrong_extension_catalog,
     wrong_shape_catalog,
 )
 
@@ -421,6 +423,21 @@ def test_a_refused_relation_term_exits_2_through_main(capsys, tmp_path):
         assert main([*argv, "--group", '{"kind":"abelian","factors":[2,4]}', "--catalog", str(catalog)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {WRONG_SHAPE_REFUSAL}\n")
+
+
+def test_an_extension_of_the_wrong_shape_exits_2_through_main_naming_b4(capsys, tmp_path):
+    # the catalog check fixes the extension's order |H| * |Y1|, not its shape: over C4
+    # the extension of Y1 = C2 by H = C2 is C4, so B4 refuses the declared C2xC2,
+    # naming its source symbol and the rule, and the reference pass agrees
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(wrong_extension_catalog()))
+    for argv in (["structure"], ["structure", "--json"], ["relations", "--dump"]):
+        assert main([*argv, "--group", '{"kind":"cyclic","n":4}', "--catalog", str(catalog)]) == 2
+        assert capsys.readouterr() == ("", f"error: {WRONG_EXTENSION_REFUSAL}\n")
+    G = build_group({"kind": "cyclic", "n": 4})
+    with pytest.raises(ValidationError) as info:
+        reference_generate_relations(G, ensure_valid_catalog(catalog_from_json(wrong_extension_catalog())))
+    assert str(info.value) == WRONG_EXTENSION_REFUSAL
 
 
 def test_relabelled_structure_is_the_same_with_cold_and_warm_caches():

@@ -21,7 +21,7 @@ from itertools import product
 from operator import mod, mul
 
 from .errors import ValidationError
-from .groups import Subgroup
+from .groups import Subgroup, _extend
 from .normalforms import divisor_chain
 
 
@@ -40,8 +40,8 @@ class AbelianStructure:
     The basis is found by peeling off cyclic direct factors: take h, the least
     element of largest order m (the exponent of what remains), and a complement
     C of <h>, then continue in C.  C is built greedily: scan the remaining
-    elements in ascending order and adjoin x whenever <C, x>, the union of the
-    cosets C*x^k, still meets <h> only in the identity, until |C| = |remaining|/m.
+    elements in ascending order and adjoin x whenever <C, x>, closed by
+    `groups._extend`, still meets <h> only in the identity, until |C| = |remaining|/m.
     Such a maximal C is a complement because <h> = Z/m is an injective
     Z/m-module, and adjoining in ascending order gives the lexicographically
     least complement, so the basis does not depend on how the search runs."""
@@ -59,19 +59,13 @@ class AbelianStructure:
         while len(remaining) > 1:
             m, h = max((G.element_order(a), -a) for a in remaining)
             h = -h  # minimal element among those of maximal order
-            cyc = frozenset(G.power(h, k) for k in range(m))
+            cyc = _extend(mul, (0,), (h,))
             target = len(remaining) // m
             complement = {0}
             for x in remaining:
                 if len(complement) == target:
                     break
-                if x in complement:
-                    continue
-                grown = set(complement)
-                p = x
-                while p not in complement:
-                    grown.update(mul[c][p] for c in complement)
-                    p = mul[p][x]
+                grown = _extend(mul, complement, (x,))
                 if len(grown & cyc) == 1:
                     complement = grown
             if len(complement) != target:

@@ -233,6 +233,11 @@ def validate_catalog(catalog: ActionCatalog) -> list[str]:
             return None
         return lab
 
+    looked_up = set()  # an induce or jacobian rule is looked up by all it holds but its target
+    for rule in (*catalog.induce_rules, *catalog.jacobian_rules):
+        if rule[:-1] in looked_up:
+            problems.append(f"duplicate rule {rule}")
+        looked_up.add(rule[:-1])
     for rule in catalog.induce_rules:
         src = check_label(rule, rule.curve_label, CURVE)
         tgt = check_label(rule, rule.target, RULED_SURFACE)

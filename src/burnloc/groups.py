@@ -6,7 +6,7 @@ conjugacy.
 Elements are indices 0..order-1 and element 0 is always the identity.  Groups
 are capped at an order bound: 64, unless the environment variable
 BURNLOC_ORDER_BOUND sets another.
-Subgroups are generated by one closure routine, Dimino's coset step (Butler,
+Every closure runs one routine, `_extend`, Dimino's coset step (Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): <H, g> is
 found by a breadth-first search of the Cayley graph over the right cosets of H,
 stepping by H's generators and g.  The lattice is walked depth first by
@@ -203,32 +203,13 @@ def _light_associative(table: tuple[tuple[int, ...], ...]) -> bool:
     (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2): the
     s with (x*s)*y = x*(s*y) for all x, y are closed under products, so it is
     enough to test every s of a set S that generates the table.  S is found
-    greedily: an x not yet reached as a product s1*s2*...*sk, taken from the
-    left, joins S.  That is n*n*|S| comparisons instead of n**3."""
-    n = len(table)
-    reached = [False] * n
-    reached[0] = True
-    found = [0]
-    gens: list[int] = []
-    for x in range(n):
-        if reached[x]:
-            continue
-        gens.append(x)
-        start = len(found)
-        for r in found[:start]:
-            y = table[r][x]
-            if not reached[y]:
-                reached[y] = True
-                found.append(y)
-        i = start
-        while i < len(found):  # grows while it is read
-            row = table[found[i]]
-            i += 1
-            for s in gens:
-                y = row[s]
-                if not reached[y]:
-                    reached[y] = True
-                    found.append(y)
+    greedily: an x not yet reached from S by `_extend` (products taken from the
+    left) joins S.  That is n*n*|S| comparisons instead of n**3."""
+    gens, reached = (), {0}
+    for x in range(len(table)):
+        if x not in reached:
+            gens += (x,)
+            reached = _extend(table, (0,), gens)
     for s in gens:
         # row x of the table, read at the columns s*y, is x*(s*y) for every y
         through_s = itemgetter(*table[s])
@@ -365,7 +346,7 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
         for g in gens:
             if not 0 <= g < G.order:
                 raise ValidationError(f"generator {g} outside the ambient group")
-        return cls.trusted(G, tuple(sorted(_extend(G, (0,), gens))))
+        return cls.trusted(G, tuple(sorted(_extend(G.mul, (0,), gens))))
 
     @property
     def order(self) -> int:
@@ -418,13 +399,12 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup.trusted(G, tuple(elems))
 
 
-def _extend(G: FiniteGroup, base: tuple[int, ...], gens: tuple[int, ...]) -> set[int]:
-    """The elements of <base, gens>, for a subgroup `base` generated by some of
-    `gens`: the union of the right cosets base*r, where each new representative
-    r*s (r a representative, s in gens) that lies in no coset found so far
-    adds its coset.  The union is closed under right multiplication by gens,
-    since (base*r)*s = base*(r*s)."""
-    mul = G.mul
+def _extend(mul: Sequence[Sequence[int]], base, gens: tuple[int, ...]) -> set[int]:
+    """<base, gens> over the table `mul`, for a subgroup `base` that products of
+    `gens` normalize (some of `gens` generate it, or the group is abelian): the
+    union of the right cosets base*r, each new r*s (r a representative, s in
+    gens) in no coset so far adding its coset; (base*r)*s = base*(r*s) closes it
+    under gens.  Over any table with identity 0 it holds only their products."""
     elems = set(base)
     reps = [0]
     for r in reps:  # grows while it is read
@@ -453,7 +433,7 @@ def subgroups_within(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             if g not in covered:
                 covered.update(mul[h][g] for h in base)
                 if g > last:
-                    K = _extend(G, base, gens + (g,))
+                    K = _extend(mul, base, gens + (g,))
                     if min(K.difference(base)) == g:
                         stack.append((tuple(sorted(K)), gens + (g,)))
     return tuple(sorted(found, key=lambda t: (len(t), t)))

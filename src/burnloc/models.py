@@ -102,13 +102,14 @@ def _model_symbols(m: ModelDescription) -> tuple[tuple[Symbol, ...], tuple[str, 
     except ValidationError as exc:
         return (), (str(exc),)
     stratum_symbols, factor_symbols, problems = _data_symbols(m, m.strata, m.jacobian_factors)
+    symbols = tuple(stratum_symbols + factor_symbols)
     if m.counts is not None and not problems:
-        computed = _counts_from_data(m)
+        computed = _fixed_counts(m.group, symbols)
         if tuple(m.counts) != computed:
             problems.append(
                 f"declared fixed-locus counts {tuple(m.counts)} disagree with model data {computed}"
             )
-    return tuple(stratum_symbols + factor_symbols), tuple(problems)
+    return symbols, tuple(problems)
 
 
 def validate_model(m: ModelDescription) -> list[str]:
@@ -283,22 +284,19 @@ def verify_blowup_invariance(m: ModelDescription, c: BlowupCenter,
     return classes_equal(class_of_action(m), class_of_action(blowup(m, c)), lattice)
 
 
-def _counts_from_data(m: ModelDescription) -> tuple[int, int, int]:
-    full = tuple(m.group.elements())
-    i1 = sum(1 for d in m.strata if d.kind == FIXED_CURVE and d.stabilizer == full)
-    i2 = sum(1 for d in m.strata if d.kind == RULED_DIVISOR and d.stabilizer == full)
-    i3 = sum(1 for d in m.jacobian_factors if d.stabilizer == full)
-    return (i1, i2, i3)
+def _fixed_counts(G: FiniteGroup, symbols: Sequence[Symbol]) -> tuple[int, int, int]:
+    """(I1, I2, I3): how many of these checked symbols have stabilizer G, by kind (curve, surface, jac)."""
+    kinds = Counter(s.kind for s in symbols if len(s.h) == G.order)
+    return kinds[KIND_CURVE], kinds[KIND_SURFACE], kinds[KIND_JAC]
 
 
 def invariant_counts(m: ModelDescription) -> tuple[int, int, int]:
-    """(I1, I2, I3): declared counts when present (validated), else counted from the data."""
+    """(I1, I2, I3) counted from the checked data, which declared counts must equal."""
     if not m.group.is_abelian():
         raise ValidationError("fixed-locus counts require an abelian group")
     if m.catalog.curve.genus < 2:
         raise ValidationError("fixed-locus counts require a curve of genus >= 2")
-    ensure_valid_model(m)
-    return tuple(m.counts) if m.counts is not None else _counts_from_data(m)
+    return _fixed_counts(m.group, ensure_valid_model(m)._checked[0])
 
 
 class VerdictReport(namedtuple(

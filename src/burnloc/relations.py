@@ -251,15 +251,17 @@ class FilterSpec(namedtuple("FilterSpec", "pairs")):
         return cls(pairs=((full, full),))
 
     def admits(self, sym: Symbol, G: FiniteGroup) -> bool:
+        carrier_quotient(G, sym.h, sym.kind)  # an h that is no subgroup is refused, not dropped
         return sym in _admitted(self, G, (sym,))
 
 
 def _admitted(f: FilterSpec, G: FiniteGroup, symbols) -> set[Symbol]:
-    """The symbols among `symbols` that f admits."""
+    """The symbols among `symbols` that f admits; no carrier quotient is read for an H no pair has."""
     conjugates = {(frozenset(row[x] for x in h), frozenset(row[x] for x in p))
                   for row in G.conj_table() for h, p in f.pairs}
-    return {s for s in symbols
-            if (frozenset(s.h), frozenset(carrier_quotient(G, s.h, s.kind).preimage(s.y))) in conjugates}
+    stabilizers = {h for h, _ in conjugates}
+    return {s for s in symbols if (h := frozenset(s.h)) in stabilizers
+            and (h, frozenset(carrier_quotient(G, s.h, s.kind).preimage(s.y))) in conjugates}
 
 
 def _filter_pass(f: FilterSpec, G: FiniteGroup, relations, symbols=()):

@@ -7,7 +7,8 @@ quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
 G's `carriers` table keeps a stabilizer record per (h's checked sorted tuple,
-carrier), h written in any order: the checked `Subgroup` H, the
+carrier), h written in any order, and one for the trivial h, whose carriers
+are both G: the checked `Subgroup` H, the
 `AbelianStructure` of a nontrivial H in the centralizer's record, which curve
 and surface symbols share (jacobian ones read the normalizer's), the carrier
 quotient, which the record alone holds, and the Ys resolved in it from
@@ -135,6 +136,7 @@ def stabilizer(G: FiniteGroup, h: tuple[int, ...], kind: str) -> Stabilizer:
     record = G.carriers.get((h, jac))
     if record is None:
         H = Subgroup(G, h)
+        jac = jac and not H.is_trivial()  # both carriers of the trivial group are G
         record = G.carriers.get((H.elements, jac))
         if record is None:
             if not jac and not H.is_abelian():

@@ -851,7 +851,7 @@ def bfs_subgroups(G):
                 if g in covered:
                     continue
                 covered.update(mul[h][g] for h in base)
-                K = frozenset(_extend(G, base, gens + (g,)))
+                K = frozenset(_extend(mul, base, gens + (g,)))
                 if K not in found:
                     found[K] = gens + (g,)
                     nxt.append(K)

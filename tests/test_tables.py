@@ -159,6 +159,9 @@ def test_carrier_quotients_are_kept_once_per_subgroup_whatever_its_element_order
     assert H.elements == (0, 1, 2, 3) and struct is abelian_structure(H) and Q is carrier_quotient(G, H.elements, KIND_CURVE)
     assert stabilizer(G, H.elements, KIND_JAC).structure is None and len(G.carriers) == 2
     assert stabilizer(G, (0,), KIND_CURVE).structure is None
+    # both carriers of the trivial group are G, so every kind reads its one record
+    assert {id(stabilizer(G, (0,), kind)) for kind in (KIND_CURVE, KIND_SURFACE, KIND_JAC)} == {
+        id(stabilizer(G, (0,), KIND_CURVE))} and len(G.carriers) == 3
     assert_tables_bounded(G)
 
 

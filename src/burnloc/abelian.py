@@ -8,16 +8,16 @@ Q/Z is ever formed.  `character` checks coordinates from outside and reduces
 them; the engine's own coordinates go through `reduce`.
 
 Each structure is built once per subgroup and kept in its ambient group's
-`structures` table by element tuple; it owns two memos over its host,
-`transport_matrix` per conjugating g and `kernel` per character coordinates.
-A character's order is |H| / |kernel|, and characters generate the dual
-exactly when their kernels meet only in the identity (`generates_dual`), so
-validation, the enumerators and the blow-ups all read both off the kernel memo.
+`structures` table by element tuple; it owns three memos over its host,
+`transport_matrix` per conjugating g, `transport_character` per (g, character
+coordinates) and `kernel` per character coordinates.  A character's order is
+|H| / |kernel|, and characters generate the dual exactly when their kernels
+meet only in the identity (`generates_dual`), so validation, the enumerators
+and the blow-ups all read both off the kernel memo.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from operator import mod, mul
 
 from .errors import ValidationError
@@ -46,7 +46,7 @@ class AbelianStructure:
     Z/m-module, and adjoining in ascending order gives the lexicographically
     least complement, so the basis does not depend on how the search runs."""
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "_transport", "_kernels")
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "_transport", "_characters", "_kernels")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -75,21 +75,24 @@ class AbelianStructure:
             remaining = tuple(sorted(complement))
         factors.reverse()
         basis.reverse()
-        coords: dict[int, tuple[int, ...]] = {}
-        for tup in product(*map(range, factors)):
-            x = 0
-            for a, h in zip(tup, basis):
-                x = G.mul[x][G.power(h, a)]
-            if x in coords:
-                raise ValidationError("coordinate map is not a bijection")
-            coords[x] = tup
-        if len(coords) != H.order:
-            raise ValidationError("coordinate map does not cover the subgroup")
+        # x = h1^a1 ... hk^ak for every coordinate tuple, in lexicographic order: each
+        # prefix's element steps along the cyclic closure of the next basis element
+        coords: dict[int, tuple[int, ...]] = {0: ()}
+        for h, d in zip(basis, factors):
+            walked: dict[int, tuple[int, ...]] = {}
+            for x, tup in coords.items():
+                for a in range(d):
+                    walked[x] = tup + (a,)
+                    x = mul[x][h]
+            coords = walked
+        if len(coords) != H.order:  # fewer when two coordinate tuples reach one element
+            raise ValidationError("coordinate map is not a bijection onto the subgroup")
         self.subgroup = H
         self.invariant_factors = tuple(factors)
         self.basis = tuple(basis)
         self.coords = coords
         self._transport: dict = {}  # g -> transport_matrix(g)
+        self._characters: dict = {}  # (g, character coordinates) -> transport_character(g, self, coords)
         self._kernels: dict = {}  # character coordinates -> kernel(coords)
 
     def transport_matrix(self, g: int) -> tuple["AbelianStructure", tuple[tuple[int, ...], ...]]:
@@ -164,9 +167,15 @@ def _scaled(struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[tuple[in
 
 def transport_character(g: int, struct: AbelianStructure, coords: tuple[int, ...]) -> tuple[int, ...]:
     """The coordinates, on the structure of gHg^-1, of the character with these
-    coordinates on H precomposed with conjugation by g^-1."""
-    target, rows = struct.transport_matrix(g)
-    return _on_basis(target, coords, rows, struct.invariant_factors[-1] if struct.invariant_factors else 1)
+    coordinates on H precomposed with conjugation by g^-1; kept on H's
+    structure once built, while a refusal is raised on every call."""
+    key = (g, tuple(coords))  # coordinates from a library caller may come as a list
+    moved = struct._characters.get(key)
+    if moved is None:
+        target, rows = struct.transport_matrix(g)
+        moved = struct._characters[key] = _on_basis(
+            target, coords, rows, struct.invariant_factors[-1] if struct.invariant_factors else 1)
+    return moved
 
 
 def _on_basis(target: AbelianStructure, row, columns, e: int) -> tuple[int, ...]:

@@ -6,7 +6,9 @@ relation engine consumes only group shape, faithfulness, from-curve provenance
 and the declared rule identifications.  Labels are equal exactly when their ids
 are equal -- the engine never guesses geometric isomorphisms, and a missing
 rule is a hard error rather than a silent invention.  A subgroup's `GroupShape`
-is kept in its group's `shapes` table once asked for.
+is kept in its group's `shapes` table once asked for; a catalog keeps its
+rules by key, an induce rule's (stabilizer factors, curve label, weight
+pattern) and a Jacobian rule's source label.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class ActionCatalog(namedtuple(
     "ActionCatalog", "curve labels induce_rules jacobian_rules extension_rules name",
     defaults=((), (), (), ""),
 )):
-    """The ledger itself.  It is immutable, so its label index and its
-    violations are computed once per object, on first use (kept in the
+    """The ledger itself.  It is immutable, so its label index, its rule index
+    and its violations are computed once per object, on first use (kept in the
     instance `__dict__`, which is why the class declares no `__slots__`)."""
 
     @cached_property
@@ -139,6 +141,15 @@ class ActionCatalog(namedtuple(
         index: dict[str, ActionLabel] = {}
         for lab in self.labels:
             index.setdefault(lab.id, lab)
+        return index
+
+    @cached_property
+    def _rule_index(self) -> dict[tuple, InduceRule | JacobianOfCurveRule]:
+        # the first induce or jacobian rule of each key, all it holds but its target, as a scan
+        # finds it; an induce key has three members and a jacobian key one, so none collide
+        index: dict[tuple, InduceRule | JacobianOfCurveRule] = {}
+        for rule in (*self.induce_rules, *self.jacobian_rules):
+            index.setdefault(rule[:-1], rule)
         return index
 
     @cached_property
@@ -159,25 +170,21 @@ class ActionCatalog(namedtuple(
 
     def jacobian_of_curve_action(self, curve_label: str) -> JacobianOfCurveRule:
         """The declared rule whose target labels the J(C)-action a curve action induces."""
-        for rule in self.jacobian_rules:
-            if rule.source == curve_label:
-                return rule
-        raise CatalogIncompleteError("JacobianOfCurveRule", curve_label=curve_label)
+        rule = self._rule_index.get((curve_label,))
+        if rule is None:
+            raise CatalogIncompleteError("JacobianOfCurveRule", curve_label=curve_label)
+        return rule
 
     def induced_surface_action(self, h_factors: tuple[int, ...], curve_label: str,
                                diff_order: int) -> InduceRule:
         """The declared rule whose target labels the ruled-surface action of a
         (stabilizer, curve action, weight pattern)."""
         pattern = "equal" if diff_order == 1 else diff_order
-        for rule in self.induce_rules:
-            if rule.h_factors == h_factors and rule.curve_label == curve_label and rule.weights == pattern:
-                return rule
-        raise CatalogIncompleteError(
-            "InduceRule",
-            h=shape_name(h_factors),
-            curve_label=curve_label,
-            weights="equal" if diff_order == 1 else f"diff_order={diff_order}",
-        )
+        rule = self._rule_index.get((tuple(h_factors), curve_label, pattern))  # factors may come as a list
+        if rule is None:
+            raise CatalogIncompleteError("InduceRule", h=shape_name(h_factors), curve_label=curve_label,
+                                         weights="equal" if diff_order == 1 else f"diff_order={diff_order}")
+        return rule
 
 
 def validate_catalog(catalog: ActionCatalog) -> list[str]:

@@ -12,7 +12,8 @@ found by a breadth-first search of the Cayley graph over the right cosets of H,
 stepping by H's generators and g.  The lattice is walked depth first by
 canonical augmentation (McKay, *Isomorph-free exhaustive generation*, J.
 Algorithms 26, 1998): each subgroup is closed from the one parent its greedy
-generators name and kept once, with no table of the subgroups found.
+generators name and kept once, with no table of the subgroups found, and a
+candidate is skipped unclosed when one of its powers shows it would be refused.
 
 A table from outside is checked once, when its `FiniteGroup` is built; its
 associativity by Light's test over a greedy generating set.  An element set
@@ -26,10 +27,11 @@ ch. 4): its checked element sets, its conjugacy classes of subgroups with
 transporters (one sweep over G per class), its subgroup lattice and abelian
 class representatives, and an intern map from quotient table to one group,
 seeded with G itself, so equal quotient tables share one group and one
-lattice; `quotient` builds a new N/H on each call.  The abelian, catalog and
-symbol layers keep their abelian structures, subgroup shapes, stabilizer
-records (each holding its carrier quotient) and canonical frames on G.  All
-are keyed by checked subgroups, so they are bounded by the subgroup lattice.
+lattice; `quotient` builds a new N/H, which keeps its cosets' members for
+`preimage`, on each call.  The abelian, catalog and symbol layers keep their
+abelian structures (each with its transported characters), subgroup shapes,
+stabilizer records (each holding its carrier quotient) and canonical frames on
+G.  All are keyed by checked subgroups, so they are bounded by the lattice.
 """
 
 from __future__ import annotations
@@ -422,20 +424,28 @@ def subgroups_within(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     # canonical augmentation: K's greedy generators g1 = min(K - {0}) and
     # g(i+1) = min(K - <g1..gi>) make <g1..g(m-1)> its one parent, so from H with
     # greedy generators gens, <H, g> is closed for the least g of each right
-    # coset Hg with g > gens[-1], and kept exactly when g = min(<H, g> - H)
+    # coset Hg with g > gens[-1], and kept exactly when g = min(<H, g> - H).
+    # g is skipped unclosed when the first of g^2, g^3, ... to fall in H or in a
+    # coset passed so far falls in such a coset, whose least element, below g,
+    # then lies in <H, g> - H
     mul = G.mul
     found, stack = [], [((0,), ())]
     while stack:
         base, gens = stack.pop()
         found.append(base)
-        covered, last = set(base), gens[-1] if gens else 0
+        inside = frozenset(base)
+        covered, last = set(inside), gens[-1] if gens else 0
         for g in G.elements():
             if g not in covered:
-                covered.update(mul[h][g] for h in base)
                 if g > last:
-                    K = _extend(mul, base, gens + (g,))
-                    if min(K.difference(base)) == g:
-                        stack.append((tuple(sorted(K)), gens + (g,)))
+                    x = mul[g][g]
+                    while x not in covered:
+                        x = mul[x][g]
+                    if x in inside:
+                        K = _extend(mul, base, gens + (g,))
+                        if min(K.difference(base)) == g:
+                            stack.append((tuple(sorted(K)), gens + (g,)))
+                covered.update(mul[h][g] for h in base)
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
@@ -474,10 +484,10 @@ class QuotientGroup:
 
     `group` is the quotient as a FiniteGroup; coset 0 is H itself.  `coset_of`
     maps an N-element to its coset index and `reps` picks the minimal
-    representative of each coset.
+    representative of each coset; each coset's members are kept for `preimage`.
     """
 
-    __slots__ = ("group", "coset_of", "reps")
+    __slots__ = ("group", "coset_of", "reps", "_members")
 
     def __init__(self, N: Subgroup, H: Subgroup):
         G = N.ambient
@@ -490,28 +500,33 @@ class QuotientGroup:
             raise ValidationError("kernel is not normal in the given subgroup")
         coset_of: dict[int, int] = {}
         reps: list[int] = []
+        members: dict[int, tuple[int, ...]] = {}  # coset index -> the coset xH
         for x in N.elements:  # ascending, so coset reps are minimal and H comes first
             if x in coset_of:
                 continue
             idx = len(reps)
             reps.append(x)
-            for h in H.elements:
-                coset_of[G.mul[x][h]] = idx
+            row = G.mul[x]
+            members[idx] = coset = tuple(row[h] for h in H.elements)
+            for y in coset:
+                coset_of[y] = idx
         k = len(reps)
         table = tuple(tuple(coset_of[G.mul[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
         # equal quotient tables share one group object, and with it one lattice
         self.group = G._interned.get(table) or G._interned.setdefault(table, FiniteGroup.trusted(table))
         self.coset_of = coset_of
         self.reps = tuple(reps)
+        self._members = members
 
     def image(self, elements: Iterable[int]) -> tuple[int, ...]:
         """Coset indices of the given N-elements (sorted, deduplicated)."""
         return tuple(sorted({self.coset_of[x] for x in elements}))
 
     def preimage(self, cosets: Iterable[int]) -> tuple[int, ...]:
-        """All N-elements lying in the given cosets."""
-        wanted = set(cosets)
-        return tuple(sorted(x for x, c in self.coset_of.items() if c in wanted))
+        """All N-elements lying in the given cosets, ascending; an index that
+        names no coset adds nothing."""
+        members = self._members
+        return tuple(sorted(x for c in set(cosets) for x in members.get(c, ())))
 
 
 def quotient(N: Subgroup, H: Subgroup) -> QuotientGroup:

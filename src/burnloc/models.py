@@ -7,14 +7,17 @@ of the intermediate Jacobian.  Geometry enters only through this declared data.
 
 A datum reaches its canonical symbol by the route of every declared symbol,
 `symbols.declared_symbol`, which also checks its weight count; a blow-up reads
-its center's residual group off the stabilizer record the same way.
+its center's residual group off the stabilizer record the same way.  A warm
+blow-up reads the tables their owners keep: transported characters on each
+abelian structure, rules by key on the catalog, coset members on each carrier
+quotient.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import neg, sub
 
@@ -132,7 +135,10 @@ def class_of_action(m: ModelDescription) -> BurnsideClass:
     symbols, problems = m._checked
     if problems:
         raise _invalid_model(problems)
-    return BurnsideClass(Counter(symbols))
+    counts: dict[Symbol, int] = {}
+    for s in symbols:
+        counts[s] = counts.get(s, 0) + 1
+    return BurnsideClass(counts)
 
 
 class BlowupCenter(namedtuple(
@@ -174,13 +180,13 @@ def _blown_up(m: ModelDescription, drop: int | None, added_strata: tuple[Stratum
     m's checked symbols stand one per datum in datum order, over the same group
     and catalog, so the result starts from them and runs one check per added
     datum, under the result's own indices.  The state lives on the result
-    only: `replace(out)` is a fresh object, checked from scratch."""
+    only: `dataclasses.replace(out)` is a fresh object, checked anew."""
     symbols = m._checked[0]
     n = len(m.strata)
     kept = [i for i in range(n) if i != drop]
     strata = tuple(m.strata[i] for i in kept)
-    out = replace(m, strata=strata + added_strata, jacobian_factors=m.jacobian_factors + added_factors,
-                  counts=None)
+    out = ModelDescription(m.group, m.catalog, strata + added_strata, m.jacobian_factors + added_factors, None,
+                           m.name)
     stratum_symbols, factor_symbols, problems = _data_symbols(
         out, added_strata, added_factors, len(strata), len(m.jacobian_factors),
     )

@@ -110,17 +110,34 @@ def cli_usage():
             check(expected != "error:" or done.stderr.startswith("error:"), f"{label}: expected one 'error:' message")
 
 
+def mutant_tallies():
+    """(In a child.)  blowup-queries' set-up and one pass, in this process, at every seed whose mutant tally
+    perfbench/pins.MUTANTS pins: every invariance query must hold and the tally must match its pin."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # the harness's `scenarios`, not the tests'
+    import pins
+    import workloads
+
+    queries = workloads.BlowupQueries()
+    for seed in sorted(pins.MUTANTS):
+        queries.setup(seed)
+        failed = [outcome.detail for outcome in queries.run_pass() if not outcome.ok] + queries.check_pass()
+        check(not failed, f"blowup-queries (seed {seed}): {'; '.join(failed)}")
+    print(f"blowup-queries: {len(pins.MUTANTS)} mutant tallies match their pins")
+
+
 def pinned():
     """A short run of every workload; its last line reports whether each answer, fixture report and mutant
     tally matched perfbench/pins.py.  Seed 1 relabels every group table: the structures' kernel memos, which
     answer dual generation, and the quotients' resolved residual groups are keyed by coordinates and element
-    labels, which one labelling alone would not test.  Seeds 2-9 also run blowup-queries (about 13 s), whose
-    mutant tallies are pinned per seed for seeds 0-63.  They do not guard the enumerators' yield order, which
-    the queries are drawn in: reversing the order of `symbols._y_options` left every pin matched at seeds
-    0-9.  Tier-1 `test_cold_pass.py::test_enumerators_yield_the_lattice_path_symbols_in_order` guards it
-    (all 31 of its cases fail under that reversal)."""
-    for workload, seed in [(w, s) for s in (0, 1) for w in WORKLOADS] + [("blowup-queries", s) for s in range(2, 10)]:
+    labels, which one labelling alone would not test.  The mutant tallies of blowup-queries are pinned per
+    seed for seeds 0-63, and one child checks them all, a set-up and a pass per seed under the harness's hash
+    seed (about 7 s).  They do not guard the enumerators' yield order, which the queries are drawn in:
+    reversing the order of `symbols._y_options` left every pin matched at seeds 0-9.  Tier-1
+    `test_cold_pass.py::test_enumerators_yield_the_lattice_path_symbols_in_order` guards it (all 31 of its
+    cases fail under that reversal)."""
+    for workload, seed in [(w, s) for s in (0, 1) for w in WORKLOADS]:
         bench(workload, seed, 0)
+    in_child(mutant_tallies, env={"PYTHONHASHSEED": "0"})
 
 
 def traced():

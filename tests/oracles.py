@@ -880,6 +880,20 @@ def reference_abelian_basis(H):
     return tuple(reversed(factors)), tuple(reversed(basis))
 
 
+def reference_coordinates(struct):
+    """The element h1^a1 ... hk^ak of every coordinate tuple (a1, ..., ak) of the
+    structure's basis, each power taken by `FiniteGroup.power`, in lexicographic
+    order of the tuples: {element: coordinates}."""
+    G = struct.subgroup.ambient
+    coords = {}
+    for tup in product(*map(range, struct.invariant_factors)):
+        x = 0
+        for a, h in zip(tup, struct.basis):
+            x = G.mul[x][G.power(h, a)]
+        coords[x] = tup
+    return coords
+
+
 def reference_group_problem(table):
     """The message `FiniteGroup(table)` must raise for a square table of element
     indices, or None if the table is a group: identity, then two-sided inverses,

@@ -268,9 +268,11 @@ def assert_tables_bounded(G, catalog=None):
     and its Y memo keyed by members of the carrier quotient's lattice.
     The memos of derived objects stay bounded too: each abelian structure's
     kernel memo keyed by its characters and holding members of G's lattice
-    inside its host, and each stabilizer record's resolved residual groups by
-    members of its quotient's lattice, each keyed by declared generators or
-    by a shape the catalog declares (when a catalog is given)."""
+    inside its host, its transported characters keyed by (element of G, its
+    character), each stabilizer record's carrier quotient holding the members
+    of its cosets, which partition the carrier, and its resolved residual
+    groups by members of its quotient's lattice, each keyed by declared
+    generators or by a shape the catalog declares (when a catalog is given)."""
     lattice = {H.elements for H in all_subgroups(G)}
     shapes = None if catalog is None else {label.group_shape for label in catalog.labels}
     assert set(G._checked) <= lattice
@@ -279,13 +281,18 @@ def assert_tables_bounded(G, catalog=None):
     for (h, jac), (H, struct, Q, resolved) in G.carriers.items():
         assert H.elements == h and struct is (None if jac or len(h) == 1 else G.structures[h])
         assert Q.image(h) == (0,) and len(Q.reps) == Q.group.order
+        assert sorted(Q._members) == list(Q.group.elements())
+        assert sorted(x for xs in Q._members.values() for x in xs) == sorted(Q.coset_of)
+        assert all(Q.coset_of[x] == i for i, xs in Q._members.items() for x in xs)
         y_lattice = {Y.elements for Y in all_subgroups(Q.group)}
         assert set(resolved.values()) <= y_lattice
         assert shapes is None or all(key in shapes or all(type(x) is int for x in key) for key in resolved)
     for H in all_subgroups(G):
         if H.is_abelian():
             struct = abelian_structure(H)
-            assert set(struct._kernels) <= set(product(*map(range, struct.invariant_factors)))
+            chars = set(product(*map(range, struct.invariant_factors)))
+            assert set(struct._kernels) <= chars
+            assert all(g in G.elements() and b in chars for g, b in struct._characters)
             assert all(k in lattice and set(k) <= set(H.elements) for k in struct._kernels.values())
     frame_bound = len(lattice)  # the frames of kind None
     for (kind, h), (_, moves, per_y) in G.frames.items():

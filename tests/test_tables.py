@@ -3,27 +3,32 @@ the conjugacy class table and the canonical frame memo that `canonicalize`
 reads, the quotient intern map that lets equal quotient tables share one
 lattice, and the associativity test of the checked group constructor; the
 facts derived objects own: each abelian structure's kernel memo, which
-answers dual generation, and each stabilizer record's resolved residual
-groups; and that all of them are freed with the group."""
+answers dual generation, and its transported characters, each stabilizer
+record's resolved residual groups, each quotient's coset members, which
+answer `preimage`, and each catalog's rule index; and that all of them are
+freed with the group."""
 
 import gc
 import random
 import sys
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 
 import burnloc.cli  # with burnloc.models below, loads every package module for the cache scan
 import burnloc.groups
-from burnloc.abelian import abelian_structure
+from burnloc.abelian import abelian_structure, shape_name, transport_character
 from burnloc.catalog import ActionLabel, GroupShape
-from burnloc.errors import ValidationError
+from burnloc.errors import CatalogIncompleteError, ValidationError
+from burnloc.fixtures import catalog_names, fixture_catalog
 from burnloc.groups import (
     FiniteGroup,
     Subgroup,
     abelian_subgroups_up_to_conjugacy,
     all_subgroups,
     build_group,
+    full_subgroup,
     subgroups_up_to_conjugacy,
 )
 from burnloc.relations import relation_lattice, structure
@@ -48,6 +53,7 @@ from oracles import (
     reference_canonicalize,
     reference_group_problem,
     reference_resolve_residual,
+    reference_transport_character,
 )
 from scenarios import (
     LADDER_GROUPS,
@@ -444,3 +450,119 @@ def test_a_pass_over_an_equal_group_keeps_its_facts_off_the_first_group():
     structure(G2, catalog)
     assert G2 == G1 and G2.structures and G2.shapes
     assert {name: set(getattr(G1, name)) for name in tables} == before
+
+
+# relabelled, so that no table below is read in the order the elements were built
+KEPT_TABLE_GROUPS = {
+    "D4xC2": lambda: relabel(TABLES["D4xC2"](), "D4xC2"),
+    "S3xS3": lambda: relabel(TABLES["S3xS3"](), "S3xS3"),
+    "D32": lambda: relabel(dihedral_table(32), "D32"),
+}
+
+
+@pytest.mark.parametrize("name", KEPT_TABLE_GROUPS)
+def test_transported_characters_match_the_reference_first_and_kept(name):
+    G = build_group({"kind": "table", "mul": KEPT_TABLE_GROUPS[name]()})
+    for H in all_subgroups(G):
+        if not H.is_abelian():
+            continue
+        struct = abelian_structure(H)
+        chars = all_coordinates(struct)
+        for g in G.elements():
+            target = abelian_structure(H.conjugate(g))
+            for b in chars:
+                moved = transport_character(g, struct, b)
+                assert moved == reference_transport_character(g, struct, b)
+                assert transport_character(g, struct, b) is moved  # read from the structure's table
+                assert transport_character(g, struct, list(b)) is moved
+                assert transport_character(G.inv(g), target, moved) == b
+        assert set(struct._characters) == set(product(G.elements(), chars))
+    assert_tables_bounded(G)
+
+
+def test_a_refused_transport_is_raised_on_every_call_and_never_kept():
+    G = build_group({"kind": "cyclic", "n": 4})
+    struct = abelian_structure(full_subgroup(G))
+    # a transport matrix that gives the basis element of C2 the value 1/4
+    struct._transport[1] = (abelian_structure(Subgroup(G, (0, 2))), ((1,),))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="values do not define a character"):
+            transport_character(1, struct, (1,))
+    assert struct._characters == {}
+
+
+def _scanned_preimage(Q, cosets):
+    wanted = set(cosets)
+    return tuple(sorted(x for x, c in Q.coset_of.items() if c in wanted))
+
+
+@pytest.mark.parametrize("name", KEPT_TABLE_GROUPS)
+def test_preimage_reads_the_kept_cosets_like_the_element_scan(name):
+    # every subgroup Y of every carrier quotient, as given, unsorted and repeated,
+    # and mixed with indices that name no coset, which `FilterSpec.admits` may pass
+    G = build_group({"kind": "table", "mul": KEPT_TABLE_GROUPS[name]()})
+    rng = random.Random(name)
+    for H in all_subgroups(G):
+        for kind in (KIND_CURVE, KIND_JAC):
+            try:
+                Q = carrier_quotient(G, H.elements, kind)
+            except ValidationError:
+                continue  # no centralizer quotient over a nonabelian h
+            k = Q.group.order
+            for Y in all_subgroups(Q.group):
+                shuffled = list(Y.elements) * 2 + [-1, k, k + 3]
+                rng.shuffle(shuffled)
+                for cosets in (Y.elements, shuffled, [k], ()):
+                    expected = _scanned_preimage(Q, cosets)
+                    assert Q.preimage(cosets) == expected and Q.preimage(iter(cosets)) == expected
+    assert_tables_bounded(G)
+
+
+def _scanned_jacobian_rule(catalog, curve_label):
+    return next((rule for rule in catalog.jacobian_rules if rule.source == curve_label), None)
+
+
+def _scanned_induce_rule(catalog, h_factors, curve_label, pattern):
+    return next((rule for rule in catalog.induce_rules
+                 if (rule.h_factors, rule.curve_label, rule.weights) == (h_factors, curve_label, pattern)), None)
+
+
+def _generated_catalog(spec):
+    return generated_catalog(build_group(spec))
+
+
+RULE_CATALOGS = {
+    **{name: partial(fixture_catalog, name) for name in catalog_names()},
+    "generated-C12": partial(_generated_catalog, {"kind": "cyclic", "n": 12}),
+    "generated-D4xC2": partial(_generated_catalog, {"kind": "table", "mul": TABLES["D4xC2"]()}),
+    "generated-C2^6": partial(_generated_catalog, {"kind": "abelian", "factors": [2] * 6}),
+}
+
+
+@pytest.mark.parametrize("name", RULE_CATALOGS)
+def test_rule_lookups_match_a_scan_of_the_rule_lists(name):
+    # every key a rule declares, and keys next to them that none declares
+    catalog = RULE_CATALOGS[name]()
+    labels = sorted({lab.id for lab in catalog.labels} | {"no-such-label"})
+    for curve_label in labels:
+        rule = _scanned_jacobian_rule(catalog, curve_label)
+        if rule is not None:
+            assert catalog.jacobian_of_curve_action(curve_label) is rule
+            continue
+        with pytest.raises(CatalogIncompleteError) as refused:
+            catalog.jacobian_of_curve_action(curve_label)
+        assert str(refused.value) == f"catalog incomplete: missing JacobianOfCurveRule(curve_label={curve_label})"
+    shapes = {rule.h_factors for rule in catalog.induce_rules} | {(5,), (2, 2)}
+    diff_orders = {1, 7} | {rule.weights for rule in catalog.induce_rules if rule.weights != "equal"}
+    for h_factors, curve_label, diff_order in product(sorted(shapes), labels, sorted(diff_orders)):
+        pattern = "equal" if diff_order == 1 else diff_order
+        rule = _scanned_induce_rule(catalog, h_factors, curve_label, pattern)
+        if rule is not None:
+            assert catalog.induced_surface_action(h_factors, curve_label, diff_order) is rule
+            assert catalog.induced_surface_action(list(h_factors), curve_label, diff_order) is rule
+            continue
+        with pytest.raises(CatalogIncompleteError) as refused:
+            catalog.induced_surface_action(h_factors, curve_label, diff_order)
+        weights = "equal" if diff_order == 1 else f"diff_order={diff_order}"
+        assert str(refused.value) == (f"catalog incomplete: missing InduceRule(curve_label={curve_label}, "
+                                      f"h={shape_name(h_factors)}, weights={weights})")

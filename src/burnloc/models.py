@@ -7,10 +7,11 @@ of the intermediate Jacobian.  Geometry enters only through this declared data.
 
 A datum reaches its canonical symbol by the route of every declared symbol,
 `symbols.declared_symbol`, which also checks its weight count; a blow-up reads
-its center's residual group off the stabilizer record the same way.  A warm
-blow-up reads the tables their owners keep: transported characters on each
-abelian structure, rules by key on the catalog, coset members on each carrier
-quotient.
+its center's residual group off the stabilizer record the same way.  Case 3
+adds B2's exceptional terms from `relations._blowup_terms`, the routine B2
+reads.  A warm blow-up reads the tables their owners keep: transported
+characters on each abelian structure, rules by key on the catalog, coset
+members on each carrier quotient.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg, sub
+from operator import neg
 
 from .abelian import abelian_structure
 from .catalog import CURVE, ActionCatalog, catalog_from_json, ensure_valid_catalog
 from .errors import JSONValue, ValidationError, read_json, records
 from .groups import FiniteGroup, Subgroup, build_group
 from .relations import (
-    NO_OBSTRUCTION, OBSTRUCTED, FilterSpec, RelationLattice, classes_equal, filter_project, generate_relations,
-    invariant_I, phi_G, relation_lattice,
+    NO_OBSTRUCTION, OBSTRUCTED, FilterSpec, RelationLattice, _blowup_terms, classes_equal, filter_project,
+    generate_relations, invariant_I, phi_G, relation_lattice,
 )
 from .symbols import (
     KIND_CURVE,
@@ -157,19 +158,30 @@ class BlowupCenter(namedtuple(
     __slots__ = ()
 
 
+def _center_stratum(m: ModelDescription, c: BlowupCenter, kind: str) -> StratumDatum:
+    """The stratum of m that a case-2 or case-3 center names by index, which must be of the given kind."""
+    if c.stratum is None or not (0 <= c.stratum < len(m.strata)):
+        raise ValidationError(f"no stratum with index {c.stratum}")
+    datum = m.strata[c.stratum]
+    if datum.kind != kind:
+        raise ValidationError(f"case-{c.case} centers must reference a {kind} stratum")
+    return datum
+
+
 def _case2_divisor_data(m: ModelDescription, c: BlowupCenter) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if (c.stratum is None) == (c.context_stabilizer is None):
         raise ValidationError("case-2 centers name either a ruled stratum or an explicit divisor context")
     if c.stratum is not None:
-        if not (0 <= c.stratum < len(m.strata)):
-            raise ValidationError(f"no stratum with index {c.stratum}")
-        datum = m.strata[c.stratum]
-        if datum.kind != RULED_DIVISOR:
-            raise ValidationError("case-2 centers must reference a ruled_divisor stratum")
+        datum = _center_stratum(m, c, RULED_DIVISOR)
         return datum.stabilizer, datum.weights[0]
     if c.context_weight is None:
         raise ValidationError("explicit case-2 context needs both stabilizer and weight")
     return tuple(c.context_stabilizer), tuple(c.context_weight)
+
+
+def _partner(catalog: ActionCatalog, h: tuple[int, ...], label: str, upstairs) -> JacobianFactorDatum:
+    """The Jacobian factor every blow-up adds: the catalog's J(C) action for the curve's, over its h and Y."""
+    return JacobianFactorDatum(h, catalog.jacobian_of_curve_action(label).target, upstairs)
 
 
 def _blown_up(m: ModelDescription, drop: int | None, added_strata: tuple[StratumDatum, ...],
@@ -224,9 +236,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         if c.curve_label is None:
             raise ValidationError("case-1 centers carry the curve action label")
         upstairs = _center_residual(G, catalog, c, (0,), c.y_reps)  # no y_reps: Y trivial
-        jac = catalog.jacobian_of_curve_action(c.curve_label).target
-        appended = JacobianFactorDatum(stabilizer=(0,), residual=jac, residual_group=upstairs)
-        return _blown_up(m, None, (), (appended,))
+        return _blown_up(m, None, (), (_partner(catalog, (0,), c.curve_label, upstairs),))
 
     if c.case == 2:
         h, weight = _case2_divisor_data(m, c)
@@ -240,44 +250,20 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
         if not struct.generates_dual(b):
             raise ValidationError("case-2 weight must generate the stabilizer's character group")
         upstairs = _center_residual(G, catalog, c, H.elements, c.y_reps or None)  # no y_reps: Y by its shape
-        jac = catalog.jacobian_of_curve_action(c.curve_label).target
-        new_stratum = StratumDatum(
-            kind=FIXED_CURVE, stabilizer=H.elements, residual=c.curve_label,
-            weights=(b, struct.reduce(map(neg, b))), residual_group=upstairs,
-        )
-        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac, residual_group=upstairs)
+        new_factor = _partner(catalog, H.elements, c.curve_label, upstairs)
+        new_stratum = StratumDatum(FIXED_CURVE, H.elements, c.curve_label, (b, struct.reduce(map(neg, b))), upstairs)
         return _blown_up(m, None, (new_stratum,), (new_factor,))
 
     if c.case == 3:
-        if c.stratum is None or not (0 <= c.stratum < len(m.strata)):
-            raise ValidationError(f"no stratum with index {c.stratum}")
-        datum = m.strata[c.stratum]
-        if datum.kind != FIXED_CURVE:
-            raise ValidationError("case-3 centers must reference a fixed_curve stratum")
+        datum = _center_stratum(m, c, FIXED_CURVE)
         H, struct, Q, _ = record = stabilizer(G, datum.stabilizer, KIND_CURVE)
-        b1, b2 = map(struct.reduce, datum.weights)  # checked with the model
         upstairs = Q.preimage(record.residual(H.elements, catalog.label(datum.residual), datum.residual_group))
-        added = []
-        diff = struct.reduce(map(sub, b1, b2))
-        if any(diff):
-            for first, second in ((b1, struct.reduce(map(neg, diff))), (b2, diff)):
-                added.append(StratumDatum(
-                    kind=FIXED_CURVE, stabilizer=H.elements, residual=datum.residual,
-                    weights=(first, second), residual_group=upstairs,
-                ))
-        kernel = struct.kernel(diff)
-        if len(kernel) > 1:
-            surface_label = catalog.induced_surface_action(
-                struct.invariant_factors, datum.residual, H.order // len(kernel),
-            ).target
-            weight = struct.restrict(b1, Subgroup.trusted(G, kernel))
-            added.append(StratumDatum(
-                kind=RULED_DIVISOR, stabilizer=kernel, residual=surface_label,
-                weights=(weight,), residual_group=upstairs,
-            ))
-        jac = catalog.jacobian_of_curve_action(datum.residual).target
-        new_factor = JacobianFactorDatum(stabilizer=H.elements, residual=jac, residual_group=upstairs)
-        return _blown_up(m, c.stratum, tuple(added), (new_factor,))
+        theta1, theta2 = _blowup_terms(catalog, struct, datum.residual, *map(struct.reduce, datum.weights))  # checked
+        added = [StratumDatum(FIXED_CURVE, H.elements, datum.residual, pair, upstairs) for pair in theta1]
+        if theta2 is not None:
+            kernel, rule, weight = theta2
+            added.append(StratumDatum(RULED_DIVISOR, kernel, rule.target, (weight,), upstairs))
+        return _blown_up(m, c.stratum, tuple(added), (_partner(catalog, H.elements, datum.residual, upstairs),))
 
     raise ValidationError(f"blow-up case must be 1, 2 or 3, got {c.case}")
 

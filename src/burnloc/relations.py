@@ -10,8 +10,9 @@ they build a `BurnsideContext`, enumerate the symbols once through it and
 generate the relations over those symbols, canonicalizing every relation term
 through its memo.  `generate_relations` called without a context builds its
 own, so it gives the same instances either way.  B1 and B2 work on weight
-coordinates; the pass keeps each Theta2's data per (h, y, action, b1 - b2),
-each restricted weight, and each curve (h, y, action)'s text head and partner.
+coordinates; B2's Theta1 and Theta2 come from `_blowup_terms`, which the case-3
+blow-up reads too, and the pass keeps each Theta2's Y bar per (h, y, kernel)
+and each curve (h, y, action)'s text head and partner.
 """
 
 from __future__ import annotations
@@ -77,16 +78,20 @@ def _jac_partner(context: BurnsideContext, sym: Symbol) -> Symbol:
     return context.canonicalize(Symbol(KIND_JAC, sym.h, y, jac_label))
 
 
-def _theta2(context: BurnsideContext, struct: AbelianStructure, h, y, action, diff):
-    """(kernel of b1 - b2, the InduceRule whose target labels it, Y bar) of
-    B2's Theta2 term, or None when b1 - b2 has order |H|; Y bar is (preimage
-    of Y in Z_G(H)) / kernel, inside Z_G(kernel)/kernel."""
+def _blowup_terms(catalog: ActionCatalog, struct: AbelianStructure, action: str, b1, b2):
+    """The exceptional terms of blowing up a curve that H fixes, with residual action `action`
+    and reduced normal weights (b1, b2) on H's structure, which B2 and the case-3 blow-up
+    read: Theta1's weight pairs, (b1, -(b1 - b2)) then (b2, b1 - b2), none when b1 = b2, and
+    Theta2's (kernel of b1 - b2, the InduceRule whose target labels it, b1 restricted to the
+    kernel), or None when b1 - b2 has order |H|."""
+    diff = struct.reduce(map(sub, b1, b2))
+    theta1 = ((b1, struct.reduce(map(neg, diff))), (b2, diff)) if any(diff) else ()
     kernel = struct.kernel(diff)
     if len(kernel) == 1:
-        return None
-    rule = context.catalog.induced_surface_action(struct.invariant_factors, action, len(h) // len(kernel))
-    upstairs = h if y == (0,) else carrier_quotient(context.group, h, KIND_CURVE).preimage(y)
-    return kernel, rule, carrier_quotient(context.group, kernel, KIND_SURFACE).image(upstairs)
+        return theta1, None
+    H = struct.subgroup
+    rule = catalog.induced_surface_action(struct.invariant_factors, action, H.order // len(kernel))
+    return theta1, (kernel, rule, struct.restrict(b1, Subgroup.trusted(H.ambient, kernel)))
 
 
 def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
@@ -99,7 +104,7 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
     symbols = context.symbols
     instances: list[RelationInstance] = []
     seen: set[frozenset] = set()  # the (symbol, coefficient) pairs of each instance
-    heads, partners, theta2, restricted = {}, {}, {}, {}
+    heads, partners, y_bars = {}, {}, {}
 
     def emit(terms: dict[Symbol, int], rule: str, **params):
         pairs = frozenset((s, c) for s, c in terms.items() if c)
@@ -124,16 +129,15 @@ def generate_relations(G: FiniteGroup, catalog: ActionCatalog,
             curves.append((sym, struct, text))
 
     for sym, struct, text in curves:  # sym - Theta1 - Theta2 - partner
-        _, h, y, action, (b1, b2) = sym
+        _, h, y, action, weights = sym
         terms = Counter({sym: 1})
-        diff = struct.reduce(map(sub, b1, b2))
-        if any(diff):  # Theta1
-            for first, second in ((b1, struct.reduce(map(neg, diff))), (b2, diff)):
-                terms[context.canonicalize(Symbol(KIND_CURVE, h, y, action, tuple(sorted((first, second)))))] -= 1
-        data = kept(theta2, (h, y, action, diff), lambda: _theta2(context, struct, h, y, action, diff))
-        if data is not None:
-            kernel, rule, y_bar = data
-            weight = kept(restricted, (h, b1, kernel), lambda: struct.restrict(b1, Subgroup.trusted(G, kernel)))
+        theta1, theta2 = _blowup_terms(catalog, struct, action, *weights)  # its input repeats only over Ys
+        for pair in theta1:
+            terms[context.canonicalize(Symbol(KIND_CURVE, h, y, action, tuple(sorted(pair))))] -= 1
+        if theta2 is not None:
+            kernel, rule, weight = theta2
+            y_bar = kept(y_bars, (h, y, kernel), lambda: carrier_quotient(G, kernel, KIND_SURFACE).image(
+                h if y == (0,) else carrier_quotient(G, h, KIND_CURVE).preimage(y)))  # Y's preimage in Z_G(H)
             try:  # the catalog check compares an induced target's order, not its shape
                 terms[context.canonicalize(Symbol(KIND_SURFACE, kernel, y_bar, rule.target, (weight,)))] -= 1
             except ValidationError as exc:

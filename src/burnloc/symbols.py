@@ -7,8 +7,8 @@ quotient (centralizer mod H for curve/surface symbols, normalizer mod H for
 jacobian symbols), an action label id, and character coordinate tuples.
 
 G's `carriers` table keeps a stabilizer record per (h's checked sorted tuple,
-carrier), h written in any order, and one for the trivial h, whose carriers
-are both G: the checked `Subgroup` H, the
+carrier), h written in any order, as a tuple or a list, and one for the
+trivial h, whose carriers are both G: the checked `Subgroup` H, the
 `AbelianStructure` of a nontrivial H in the centralizer's record, which curve
 and surface symbols share (jacobian ones read the normalizer's), the carrier
 quotient, which the record alone holds, and the Ys resolved in it from
@@ -132,8 +132,8 @@ class Stabilizer(namedtuple("Stabilizer", "subgroup structure quotient resolved"
 def stabilizer(G: FiniteGroup, h: tuple[int, ...], kind: str) -> Stabilizer:
     """h's record; Y's carrier is Z_G(H) for curve and surface symbols, which holds H only
     when H is abelian (a nonabelian H is refused as such), and N_G(H) for jacobian ones."""
-    jac = kind == KIND_JAC
-    record = G.carriers.get((h, jac))
+    jac = kind == KIND_JAC and h != (0,)  # the trivial group's one record is kept under False
+    record = G.carriers.get((h, jac)) if type(h) is tuple else None  # a list is no key
     if record is None:
         H = Subgroup(G, h)
         jac = jac and not H.is_trivial()  # both carriers of the trivial group are G

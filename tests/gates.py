@@ -325,12 +325,15 @@ def order_128():
 
 def blowup_chain():
     """The only blow-ups at order 64: a seeded chain of 1000 blow-ups of all three cases on D32 and on one
-    relabelled copy, each step's class equal to the first model's modulo the relation lattice.  A blow-up's
-    result starts from its source's checked symbols and checks only the data the move adds, so the datum
-    checks (calls of `models._datum_symbol`) after each step must number the first model's data plus the
-    data the steps so far added (2 + 2144 over the D32 chain, about 2 s); re-checking every earlier datum at
-    every step makes them grow with the square of the chain's length (about 10^6 checks, 24-30 s on a 2-vCPU
-    host) and fails the count at the first step.  The timeout (see GATES) stays as a bound on wall time."""
+    relabelled copy, each step's class equal to the first model's modulo the relation lattice.  Each case-3
+    step must also change the class by exactly minus relation B2's vector of the dropped stratum's symbol,
+    sym - Theta1 - Theta2 - partner, as `tests/oracles` builds it without the engine's blow-up formula, which
+    B2 and case 3 share.  A blow-up's result starts from its source's checked symbols and checks only the
+    data the move adds, so the datum checks (calls of `models._datum_symbol`) after each step must number
+    the first model's data plus the data the steps so far added (2 + 2144 over the D32 chain, about 3 s);
+    re-checking every earlier datum at every step makes them grow with the square of the chain's length
+    (about 10^6 checks, 24-30 s on a 2-vCPU host) and fails the count at the first step.  The timeout (see
+    GATES) stays as a bound on wall time."""
     import random
 
     import burnloc.models
@@ -338,6 +341,8 @@ def blowup_chain():
     from burnloc.groups import build_group
     from burnloc.models import blowup, class_of_action
     from burnloc.relations import classes_equal, relation_lattice
+    from burnloc.symbols import BurnsideClass, BurnsideContext
+    from oracles import _reference_b2_terms, _reference_jac_partner
     from scenarios import ScenarioPool, generated_catalog
 
     checks = [0]
@@ -357,23 +362,34 @@ def blowup_chain():
         G = build_group({"kind": "table", "name": name, "mul": mul})
         catalog = generated_catalog(G)
         lattice = relation_lattice(G, catalog)
+        context, b2 = BurnsideContext(G, catalog), {}  # reference B2 vector per curve symbol
         pool = ScenarioPool(G, catalog)
         rng = random.Random(1000)
         checks[0] = 0
         m = pool.random_model(rng)
         base = class_of_action(m)
         first = expected = data(m)
-        cases = set()
+        cases, b2_steps = set(), 0
         for step in range(1000):
             center = pool.random_center(rng, m)
-            before, m = data(m), blowup(m, center)
-            expected += data(m) - before + (center.case == 3)  # a case-3 blow-up replaces the stratum it drops
+            source, m = m, blowup(m, center)
+            expected += data(m) - data(source) + (center.case == 3)  # a case-3 blow-up replaces the stratum it drops
             cases.add(center.case)
             check(classes_equal(base, class_of_action(m), lattice), f"{name}: blow-up {step} changed the class")
+            if center.case == 3:
+                sym = source._checked[0][center.stratum]  # the dropped stratum's checked symbol
+                if sym not in b2:
+                    theta1, theta2 = _reference_b2_terms(context, sym)
+                    b2[sym] = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(
+                        _reference_jac_partner(context, sym))
+                check(class_of_action(m) - class_of_action(source) == -b2[sym],
+                      f"{name}: case-3 blow-up {step} differs from the reference B2 terms")
+                b2_steps += 1
             check(checks[0] == expected, f"{name}: {checks[0]} datum checks after blow-up {step}, expected {expected}")
         check(cases == {1, 2, 3}, f"{name}: the chain met only the blow-up cases {sorted(cases)}")
-        print(f"{name}: 1000 blow-ups, class unchanged; {len(m.strata)} strata, "
-              f"{len(m.jacobian_factors)} jacobian factors; {first} + {expected - first} datum checks")
+        print(f"{name}: 1000 blow-ups, class unchanged, {b2_steps} case-3 steps as the reference B2 terms; "
+              f"{len(m.strata)} strata, {len(m.jacobian_factors)} jacobian factors; "
+              f"{first} + {expected - first} datum checks")
 
 
 GATES = {"cli-usage": cli_usage, "pinned": pinned, "traced": traced, "hash-seed": hash_seed, "order-64": order_64,

@@ -3,9 +3,9 @@ plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups (and with extra labels of noncyclic or nonabelian
 shapes, or with a target of the wrong shape), a genus-1 catalog whose
 extension rule declares the wrong shape, multiplication tables of a few group families
-with seeded relabellings, the specs of the benchmark ladder's groups, a reset
-of the engine caches, and a check that the tables a group and its derived
-objects own stay bounded."""
+with seeded relabellings, each fixture catalog's group, the specs of the
+benchmark ladder's groups, a reset of the engine caches, and a check that the
+tables a group and its derived objects own stay bounded."""
 
 import random
 from dataclasses import replace
@@ -365,6 +365,11 @@ PERM_GROUPS = {
 ABELIAN_GROUPS = {
     "C4xC4": {"kind": "abelian", "factors": [4, 4]},
     "C2xC6": {"kind": "abelian", "factors": [2, 6]},
+}
+
+# each fixture catalog and the order of the cyclic group it is declared over
+FIXTURE_PAIRS = {
+    "hyperelliptic-Z2": 2, "nonhyperelliptic-Z2-exotic": 2, "elliptic-Z2": 2, "Z3-basic": 3,
 }
 
 # the rungs of the two benchmark ladders

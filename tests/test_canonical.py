@@ -36,6 +36,7 @@ from oracles import (
 )
 from scenarios import (
     ABELIAN_GROUPS,
+    FIXTURE_PAIRS,
     LADDER_GROUPS,
     PERM_GROUPS,
     _datum,
@@ -54,9 +55,6 @@ def _raw_symbols(G, catalog):
 ORDER_64 = {
     "D32": {"kind": "table", "mul": dihedral_table(32)},
     "D4xD4": {"kind": "table", "mul": direct_product(dihedral_table(4), dihedral_table(4))},
-}
-FIXTURE_PAIRS = {
-    "hyperelliptic-Z2": 2, "nonhyperelliptic-Z2-exotic": 2, "elliptic-Z2": 2, "Z3-basic": 3,
 }
 
 

@@ -6,12 +6,13 @@ import pytest
 from burnloc.catalog import catalog_to_json
 from burnloc.cli import main
 from burnloc.errors import ValidationError
-from burnloc.fixtures import fixture_center, fixture_model, model_names
+from burnloc.fixtures import fixture_catalog, fixture_center, fixture_model, model_names
 from burnloc.groups import all_subgroups, build_group
 from burnloc.models import (
     BlowupCenter,
     JacobianFactorDatum,
     ModelDescription,
+    StratumDatum,
     blowup,
     class_of_action,
     invariant_I,
@@ -21,9 +22,25 @@ from burnloc.models import (
     verify_blowup_invariance,
 )
 from burnloc.relations import classes_equal, relation_lattice
-from burnloc.symbols import BurnsideClass, Symbol, text_form
-from oracles import blown_up_from_scratch
-from scenarios import PERM_GROUPS, generated_catalog
+from burnloc.symbols import (
+    KIND_CURVE,
+    BurnsideClass,
+    BurnsideContext,
+    Symbol,
+    canonicalize,
+    text_form,
+    validate_symbol,
+)
+from oracles import _reference_b2_terms, _reference_jac_partner, blown_up_from_scratch
+from scenarios import (
+    FIXTURE_PAIRS,
+    LADDER_GROUPS,
+    PERM_GROUPS,
+    _datum,
+    dihedral_table,
+    generated_catalog,
+    relabel,
+)
 
 
 def test_builtin_model_fixtures_validate():
@@ -706,3 +723,50 @@ def test_datum_symbols_match_the_reference_check(group, seed, monkeypatch):
                     "stabilizer must be nontrivial"):
         assert message in problems
     assert ("stabilizer must be abelian" in problems) == (group != "C4xC4")
+
+
+def _b2_groups():
+    for catalog, n in FIXTURE_PAIRS.items():
+        yield pytest.param({"kind": "cyclic", "n": n}, catalog, id=catalog)
+    for name, spec in LADDER_GROUPS.items():
+        yield pytest.param(spec, None, id=name)
+    yield pytest.param({"kind": "table", "mul": dihedral_table(32)}, None, id="D32")
+    yield pytest.param({"kind": "table", "mul": relabel(dihedral_table(32), "D32")}, None, id="D32-relabelled")
+
+
+@pytest.mark.parametrize("spec, fixture", _b2_groups())
+def test_case3_blowup_changes_the_class_by_minus_the_reference_b2_vector(spec, fixture):
+    # blowing up a fixed curve replaces its symbol by Theta1, Theta2 and its
+    # Jacobian partner; the oracles build those terms without the engine's
+    # blow-up formula, which both relation B2 and the case-3 blow-up read
+    G = build_group(spec)
+    catalog = fixture_catalog(fixture) if fixture else generated_catalog(G)
+    context = BurnsideContext(G, catalog)
+    curves = [s for s in context.symbols if s.kind == KIND_CURVE]
+    for sym in curves:
+        m = ModelDescription(G, catalog, (_datum(G, sym),))
+        theta1, theta2 = _reference_b2_terms(context, sym)
+        b2 = BurnsideClass.of(sym) - theta1 - theta2 - BurnsideClass.of(_reference_jac_partner(context, sym))
+        out = blowup(m, BlowupCenter(case=3, stratum=0))
+        assert class_of_action(m) == BurnsideClass.of(sym)
+        assert class_of_action(out) - class_of_action(m) == -b2, text_form(sym, G)
+    assert curves
+
+
+def test_a_stabilizer_given_as_a_list_reads_as_its_tuple():
+    # a list is no key of G's stabilizer records: it is read as the subgroup it
+    # lists, on a group that has its record already and on one that has none
+    catalog = fixture_catalog("hyperelliptic-Z2")
+    shared = build_group({"kind": "cyclic", "n": 2})
+
+    def answers(G, h):
+        sym = Symbol("curve", h, (0,), "triv-C", ((1,), (1,)))
+        m = ModelDescription(G, catalog, (StratumDatum("fixed_curve", h, "triv-C", ((1,), (1,))),))
+        out = blowup(m, BlowupCenter(case=3, stratum=0))
+        return (validate_symbol(sym, G, catalog), canonicalize(sym, G, catalog), validate_model(m),
+                class_of_action(m), out.strata, out.jacobian_factors, class_of_action(out))
+
+    expected = answers(shared, (0, 1))
+    assert expected[0] == [] and len(expected[3].terms()) == 1
+    for h in ([0, 1], [1, 0], (1, 0)):
+        assert answers(shared, h) == answers(build_group({"kind": "cyclic", "n": 2}), h) == expected

@@ -171,6 +171,21 @@ def test_carrier_quotients_are_kept_once_per_subgroup_whatever_its_element_order
     assert_tables_bounded(G)
 
 
+def test_the_trivial_stabilizer_record_is_found_on_the_first_lookup():
+    # the trivial group's one record is kept under the curve carrier; a Jacobian
+    # lookup of h = (0,) reads it there at once, with no Subgroup check
+    class Lookups(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return super().get(key, default)
+
+    G = build_group({"kind": "abelian", "factors": [2, 2]})
+    record = stabilizer(G, (0,), KIND_CURVE)
+    G.carriers, keys = Lookups(G.carriers), []
+    assert all(stabilizer(G, (0,), kind) is record for kind in (KIND_JAC, KIND_SURFACE, KIND_CURVE))
+    assert keys == [((0,), False)] * 3
+
+
 def test_class_table_gives_least_conjugate_and_transporter():
     G = build_group({"kind": "table", "mul": relabel(TABLES["S3xS3"](), 4)})
     conj = G.conj_table()

@@ -41,7 +41,6 @@ from .normalforms import (
 )
 from .symbols import (
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     canonicalize,
     enumerate_symbols,
@@ -49,6 +48,7 @@ from .symbols import (
     validate_symbol,
 )
 from .relations import (
+    BurnsideContext,
     FilterSpec,
     GroupStructure,
     RelationInstance,

@@ -42,11 +42,12 @@ from .groups import FiniteGroup, build_group
 from .relations import (
     NO_OBSTRUCTION,
     OBSTRUCTED,
+    BurnsideContext,
     FilterSpec,
+    _phi_domain,
     classes_equal,
     filter_project,
     filtered_structure,
-    generate_relations,
     invariant_I,
     phi_G,
     relation_lattice,
@@ -153,7 +154,7 @@ def _cmd_structure(args) -> int:
 def _cmd_relations(args) -> int:
     G = load_group(args.group)
     catalog = load_catalog(args.catalog)
-    relations = generate_relations(G, catalog)
+    relations = BurnsideContext(G, catalog).relations
     by_rule: dict[str, int] = {}
     for rel in relations:
         by_rule[rel.rule] = by_rule.get(rel.rule, 0) + 1
@@ -254,6 +255,7 @@ def _cmd_phi(args) -> int:
     G = load_group(args.group)
     catalog = load_catalog(args.catalog)
     cls = load_class(getattr(args, "class"), G, catalog)
+    _phi_domain(G, catalog)  # before the pass, which might refuse for another reason
     projected = filter_project(cls, FilterSpec.max_stabilizer(G), G, catalog)
     value = phi_G(projected, G, catalog)
     payload = {"phi": value, "filtered_class": _class_json(projected, G)}

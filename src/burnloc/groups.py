@@ -357,9 +357,6 @@ class Subgroup(namedtuple("Subgroup", "ambient elements")):
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def contains(self, a: int) -> bool:
-        return a in self.elements
-
     def is_abelian(self) -> bool:
         G = self.ambient
         # an AbelianStructure refuses a nonabelian subgroup, so a kept one proves it

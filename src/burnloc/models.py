@@ -27,15 +27,14 @@ from .catalog import CURVE, ActionCatalog, catalog_from_json, ensure_valid_catal
 from .errors import JSONValue, ValidationError, read_json, records
 from .groups import FiniteGroup, Subgroup, build_group
 from .relations import (
-    NO_OBSTRUCTION, OBSTRUCTED, FilterSpec, RelationLattice, _blowup_terms, classes_equal, filter_project,
-    generate_relations, invariant_I, phi_G, relation_lattice,
+    NO_OBSTRUCTION, OBSTRUCTED, BurnsideContext, FilterSpec, _blowup_terms, classes_equal, invariant_I, phi_G,
+    relation_lattice,
 )
 from .symbols import (
     KIND_CURVE,
     KIND_JAC,
     KIND_SURFACE,
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     declared_symbol,
     stabilizer,
@@ -268,11 +267,9 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
     raise ValidationError(f"blow-up case must be 1, 2 or 3, got {c.case}")
 
 
-def verify_blowup_invariance(m: ModelDescription, c: BlowupCenter,
-                             lattice: RelationLattice | None = None) -> bool:
+def verify_blowup_invariance(m: ModelDescription, c: BlowupCenter) -> bool:
     """Does the class survive the blow-up, modulo the relation lattice?"""
-    if lattice is None:
-        lattice = relation_lattice(m.group, m.catalog)
+    lattice = relation_lattice(m.group, m.catalog)
     return classes_equal(class_of_action(m), class_of_action(blowup(m, c)), lattice)
 
 
@@ -330,9 +327,8 @@ def verdict(m: ModelDescription) -> VerdictReport:
     counts = invariant_counts(m)
     value = invariant_I(*counts)
     cls = class_of_action(m)
-    context = BurnsideContext(m.group, m.catalog)
-    relations = generate_relations(m.group, m.catalog, context)  # one pass serves the filter and the lattice
-    projected = filter_project(cls, FilterSpec.max_stabilizer(m.group), m.group, m.catalog, relations)
+    context = BurnsideContext(m.group, m.catalog)  # one pass serves the filter and the lattice
+    projected = context.project(cls, FilterSpec.max_stabilizer(m.group))
     phi = phi_G(projected, m.group, m.catalog)
     consistent = phi == value
     notes: list[str] = []
@@ -341,7 +337,7 @@ def verdict(m: ModelDescription) -> VerdictReport:
         if s.kind == KIND_JAC and not m.catalog.label(s.action).from_curve
     ]
     if exotic and m.catalog.curve.genus >= 2:
-        reduced = RelationLattice(context.symbols, [r.vector for r in relations]).reduce(cls)
+        reduced = context.lattice.reduce(cls)
         zero = "zero" if reduced.is_zero() else "nonzero"
         names = ", ".join(text_form(s, m.group) for s in exotic)
         notes.append(f"exotic Jacobian symbol present ({names}); class is {zero} after reduction")

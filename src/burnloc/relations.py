@@ -5,24 +5,25 @@ All linear algebra is exact; relation vectors are canonicalized and
 deduplicated before the lattice is built (deduplication is cosmetic, the
 lattice is unchanged).
 
-`structure`, `filtered_structure` and `relation_lattice` are each one pass:
-they build a `BurnsideContext`, enumerate the symbols once through it and
-generate the relations over those symbols, canonicalizing every relation term
-through its memo.  `generate_relations` called without a context builds its
-own, so it gives the same instances either way.  B1 and B2 work on weight
-coordinates; B2's Theta1 and Theta2 come from `_blowup_terms`, which the case-3
-blow-up reads too, and the pass keeps each Theta2's Y bar per (h, y, kernel)
-and each curve (h, y, action)'s text head and partner.
+A `BurnsideContext` is one pass over a pair (G, catalog): `structure`,
+`relation_lattice` and `filter_project` read a fresh one, `filtered_structure`
+and `models.verdict` one for all they ask.  `generate_relations` called
+without a context builds its own, so it gives the same instances either way.
+B1 and B2 work on weight coordinates; B2's Theta1 and Theta2 come from
+`_blowup_terms`, which the case-3 blow-up reads too, and the pass keeps each
+Theta2's Y bar per (h, y, kernel) and each curve (h, y, action)'s text head
+and partner.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import cached_property
 from itertools import groupby
 from operator import add, neg, sub
 
 from .abelian import AbelianStructure, abelian_structure
-from .catalog import ActionCatalog, GroupShape
+from .catalog import ActionCatalog, GroupShape, ensure_valid_catalog
 from .errors import ValidationError
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_conjugacy
 from .normalforms import IntegerLattice, cokernel_structure
@@ -31,12 +32,13 @@ from .symbols import (
     KIND_JAC,
     KIND_SURFACE,
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     _group_display,
     _text_head,
     _text_tail,
+    canonicalize,
     carrier_quotient,
+    enumerate_symbols,
     text_form,
 )
 
@@ -188,8 +190,8 @@ class RelationLattice:
 
     def __init__(self, index: tuple[Symbol, ...], vectors):
         self.index = tuple(index)
-        self.position, rows = _rows(self.index, vectors)
-        self.lattice = IntegerLattice.from_rows(rows, len(self.index))
+        self.position = {s: i for i, s in enumerate(self.index)}
+        self.lattice = IntegerLattice.from_rows([v.columns(self.position) for v in vectors], len(self.index))
 
     def class_from_row(self, row) -> BurnsideClass:
         return BurnsideClass({s: c for s, c in zip(self.index, row)})
@@ -205,28 +207,59 @@ class RelationLattice:
         return self.lattice.basis
 
 
+class BurnsideContext:
+    """The state of one pass over (G, catalog), kept while its caller keeps it.  The
+    constructor checks the catalog; `symbols`, `relations`, `lattice` and `structure`
+    are each built on first use.  The memo of canonical forms holds every raw symbol
+    the enumerators built (`enumerate_symbols` fills it) and every relation term
+    `canonicalize` met, which a miss sends along the route of `symbols.canonicalize`."""
+
+    def __init__(self, G: FiniteGroup, catalog: ActionCatalog):
+        ensure_valid_catalog(catalog)
+        self.group = G
+        self.catalog = catalog
+        self._forms: dict[Symbol, Symbol] = {}
+
+    def canonicalize(self, sym: Symbol) -> Symbol:
+        form = self._forms.get(sym)
+        if form is None:
+            form = self._forms[sym] = canonicalize(sym, self.group, self.catalog)
+        return form
+
+    @cached_property
+    def symbols(self) -> tuple[Symbol, ...]:
+        return enumerate_symbols(self.group, self.catalog, self._forms)
+
+    @cached_property
+    def relations(self) -> tuple[RelationInstance, ...]:
+        return generate_relations(self.group, self.catalog, self)
+
+    @cached_property
+    def lattice(self) -> RelationLattice:
+        return RelationLattice(self.symbols, [r.vector for r in self.relations])
+
+    @cached_property
+    def structure(self) -> GroupStructure:
+        return structure_from(self.symbols, [r.vector for r in self.relations])
+
+    def project(self, a: BurnsideClass, f: FilterSpec) -> BurnsideClass:
+        """Drop all symbols of `a` outside the filter, after the closure check over the relations."""
+        admitted, _ = _filter_pass(f, self.group, self.relations, a.support())
+        return BurnsideClass({s: c for s, c in a.terms() if s in admitted})
+
+
 def relation_lattice(G: FiniteGroup, catalog: ActionCatalog) -> RelationLattice:
-    context = BurnsideContext(G, catalog)
-    relations = generate_relations(G, catalog, context)
-    return RelationLattice(context.symbols, [r.vector for r in relations])
+    return BurnsideContext(G, catalog).lattice
 
 
 def structure(G: FiniteGroup, catalog: ActionCatalog) -> GroupStructure:
     """Free rank and torsion of the symbol group modulo all generated relations."""
-    context = BurnsideContext(G, catalog)
-    relations = generate_relations(G, catalog, context)
-    return structure_from(context.symbols, [r.vector for r in relations])
+    return BurnsideContext(G, catalog).structure
 
 
 def structure_from(index, vectors) -> GroupStructure:
-    index = tuple(index)
-    return GroupStructure(*cokernel_structure(_rows(index, vectors)[1], len(index)))
-
-
-def _rows(index: tuple[Symbol, ...], vectors):
-    """({symbol: its position in the index}, the vectors as sparse rows over the index)."""
     position = {s: i for i, s in enumerate(index)}
-    return position, [v.columns(position) for v in vectors]
+    return GroupStructure(*cokernel_structure([v.columns(position) for v in vectors], len(position)))
 
 
 def classes_equal(a: BurnsideClass, b: BurnsideClass, lattice: RelationLattice) -> bool:
@@ -285,35 +318,35 @@ def _filter_pass(f: FilterSpec, G: FiniteGroup, relations, symbols=()):
     return admitted, tuple(kept)
 
 
-def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog,
-                   relations=None) -> BurnsideClass:
-    """Drop all symbols outside the filter (after the closure check, over
-    `relations` when the caller has generated them)."""
-    if relations is None:
-        relations = generate_relations(G, catalog)
-    admitted, _ = _filter_pass(f, G, relations, a.support())
-    return BurnsideClass({s: c for s, c in a.terms() if s in admitted})
+def filter_project(a: BurnsideClass, f: FilterSpec, G: FiniteGroup, catalog: ActionCatalog) -> BurnsideClass:
+    """Drop all symbols outside the filter, after the closure check."""
+    return BurnsideContext(G, catalog).project(a, f)
 
 
 def filtered_structure(G: FiniteGroup, catalog: ActionCatalog, f: FilterSpec) -> GroupStructure:
     context = BurnsideContext(G, catalog)
-    admitted, vectors = _filter_pass(f, G, generate_relations(G, catalog, context), context.symbols)
+    admitted, vectors = _filter_pass(f, G, context.relations, context.symbols)
     return structure_from((s for s in context.symbols if s in admitted), vectors)
 
 
 _PHI_WEIGHTS = {KIND_CURVE: -1, KIND_SURFACE: -2, KIND_JAC: 1}
 
 
-def phi_G(a: BurnsideClass, G: FiniteGroup, catalog: ActionCatalog) -> int:
-    """Degree map to Z on classes supported on maximal-stabilizer symbols.
-
-    Curve symbols count -1, ruled-surface symbols -2, jacobian symbols +1.
-    Defined for abelian G and genus >= 2 only.
-    """
+def _phi_domain(G: FiniteGroup, catalog: ActionCatalog) -> None:
+    """Refuse a pair (G, catalog) outside the degree map's domain."""
     if not G.is_abelian():
         raise ValidationError("the degree map requires an abelian group")
     if catalog.curve.genus < 2:
         raise ValidationError("the degree map requires a curve of genus >= 2")
+
+
+def phi_G(a: BurnsideClass, G: FiniteGroup, catalog: ActionCatalog) -> int:
+    """Degree map to Z on classes supported on maximal-stabilizer symbols.
+
+    Curve symbols count -1, ruled-surface symbols -2, jacobian symbols +1.
+    Defined for abelian G and genus >= 2 only (`_phi_domain`).
+    """
+    _phi_domain(G, catalog)
     full = tuple(G.elements())
     total = 0
     for sym, coeff in a.terms():

@@ -36,13 +36,13 @@ their kernels meet only in the identity, one character when its kernel is
 trivial.  A curve stabilizer with a p-rank above 2, read off its element
 orders, is skipped before any abelian structure is built for it.
 
-A `BurnsideContext` carries one pass over a pair (G, catalog): the catalog
-checked once, the enumerated symbols, and a memo of the canonical form of
-every raw symbol the pass has met; over abelian G an enumerated raw symbol is
-already canonical and enters the memo as itself.  The call that runs the pass
-builds it and drops it on return, so the memo holds only the finitely many raw
-symbols of that one pair.  Library calls of `canonicalize` outside a pass are
-not memoized.
+`enumerate_symbols` fills a memo of the canonical form of each raw symbol it
+builds, its own or the one a pass (`relations.BurnsideContext`) hands it, so
+that a relation term equal to a raw symbol is not checked again; over abelian
+G an enumerated raw symbol is already canonical and enters the memo as itself.
+The memo lives as long as its pass, so it holds only the finitely many raw
+symbols of one pair (G, catalog).  Library calls of `canonicalize` outside a
+pass are not memoized.
 """
 
 from __future__ import annotations
@@ -364,56 +364,25 @@ def iter_jac_data(G: FiniteGroup, catalog: ActionCatalog):
 
 
 def enumerate_symbols(G: FiniteGroup, catalog: ActionCatalog,
-                      context: BurnsideContext | None = None) -> tuple[Symbol, ...]:
+                      forms: dict[Symbol, Symbol] | None = None) -> tuple[Symbol, ...]:
     """Every valid symbol for (G, catalog), canonicalized, deduplicated, in total order.
 
     Each raw symbol is valid by construction (a nontrivial abelian stabilizer,
     cyclic for surfaces; a Y of the label's shape; nontrivial weights that
     generate the dual), so it goes straight to `canonical_form` without
-    `validate_symbol`'s checks."""
-    if context is None:
-        context = BurnsideContext(G, catalog)
+    `validate_symbol`'s checks, and its form enters `forms`, a pass's memo of
+    raw symbol to canonical form; with none given, the catalog is checked."""
+    if forms is None:
+        ensure_valid_catalog(catalog)
+        forms = {}
+    abelian = G.is_abelian()  # then a raw symbol is canonical: h, y and its weights come sorted
     seen: set[Symbol] = set()
     for raw in (*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)):
-        seen.add(context.enumerated_form(raw))
+        form = forms.get(raw)
+        if form is None:
+            form = forms[raw] = raw if abelian else canonical_form(raw, G)
+        seen.add(form)
     return tuple(sorted(seen, key=Symbol.key))
-
-
-class BurnsideContext:
-    """The state of one pass over (G, catalog), built by the call that
-    runs the pass.  The constructor checks the catalog; `canonicalize` looks up
-    a raw symbol it has met before and sends a new one, a relation term, along
-    the route of the module-level `canonicalize`; `enumerated_form` fills the
-    same memo for a raw symbol the enumerators built, straight from
-    `canonical_form`; `symbols` runs `enumerate_symbols` once, on first use."""
-
-    __slots__ = ("group", "catalog", "_forms", "_symbols")
-
-    def __init__(self, G: FiniteGroup, catalog: ActionCatalog):
-        ensure_valid_catalog(catalog)
-        self.group = G
-        self.catalog = catalog
-        self._forms: dict[Symbol, Symbol] = {}
-        self._symbols: tuple[Symbol, ...] | None = None
-
-    def canonicalize(self, sym: Symbol) -> Symbol:
-        form = self._forms.get(sym)
-        if form is None:
-            form = self._forms[sym] = canonicalize(sym, self.group, self.catalog)
-        return form
-
-    def enumerated_form(self, sym: Symbol) -> Symbol:
-        form = self._forms.get(sym)
-        if form is None:
-            # on abelian G a raw symbol is canonical: h, y and its weights come sorted
-            form = self._forms[sym] = sym if self.group.is_abelian() else canonical_form(sym, self.group)
-        return form
-
-    @property
-    def symbols(self) -> tuple[Symbol, ...]:
-        if self._symbols is None:
-            self._symbols = enumerate_symbols(self.group, self.catalog, self)
-        return self._symbols
 
 
 def _group_display(sub: Subgroup) -> str:

@@ -195,12 +195,12 @@ def hash_seed():
 def equal_sides(group: str, directory: str):
     """(In a child.)  catalog.json; a.json and b.json, the positive and negative sides of the first generated
     relation with terms of both signs; c.json, b plus one symbol in no generated relation."""
-    from burnloc.relations import generate_relations
-    from burnloc.symbols import BurnsideContext, carrier_quotient
+    from burnloc.relations import BurnsideContext
+    from burnloc.symbols import carrier_quotient
 
     G, catalog = catalog_file(group, f"{directory}/catalog.json")
     context = BurnsideContext(G, catalog)
-    relations = generate_relations(G, catalog, context)
+    relations = context.relations
     relation = next((r for r in relations if len({c > 0 for _, c in r.vector.terms()}) == 2), None)
     check(relation is not None, f"{group}: no generated relation has terms of both signs")
     covered = set().union(*(r.vector.support() for r in relations))
@@ -340,8 +340,8 @@ def blowup_chain():
     import generate
     from burnloc.groups import build_group
     from burnloc.models import blowup, class_of_action
-    from burnloc.relations import classes_equal, relation_lattice
-    from burnloc.symbols import BurnsideClass, BurnsideContext
+    from burnloc.relations import BurnsideContext, classes_equal
+    from burnloc.symbols import BurnsideClass
     from oracles import _reference_b2_terms, _reference_jac_partner
     from scenarios import ScenarioPool, generated_catalog
 
@@ -361,8 +361,8 @@ def blowup_chain():
     for name, mul in (("D32", table), ("D32 relabelled", generate.relabel(table, random.Random("chain")))):
         G = build_group({"kind": "table", "name": name, "mul": mul})
         catalog = generated_catalog(G)
-        lattice = relation_lattice(G, catalog)
         context, b2 = BurnsideContext(G, catalog), {}  # reference B2 vector per curve symbol
+        lattice = context.lattice
         pool = ScenarioPool(G, catalog)
         rng = random.Random(1000)
         checks[0] = 0

@@ -99,13 +99,12 @@ from burnloc.groups import (
     FiniteGroup, Subgroup, _extend, abelian_subgroups_up_to_conjugacy, all_subgroups, subgroups_up_to_conjugacy,
 )
 from burnloc.models import ensure_valid_model
-from burnloc.relations import FilterSpec, RelationInstance, _filter_pass, generate_relations
+from burnloc.relations import BurnsideContext, FilterSpec, RelationInstance, _filter_pass, generate_relations
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
     KIND_SURFACE,
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     carrier_quotient,
     text_form,

@@ -131,7 +131,7 @@ def test_criterion_4_elliptic_vanishing():
     m0 = fixture_model("elliptic-empty")
     scenarios = [("elliptic-bullet1", m1)] + [(f"elliptic-bullet{i}", m0) for i in range(2, 6)]
     for cname, m in scenarios:
-        assert verify_blowup_invariance(m, fixture_center(cname), lattice)
+        assert verify_blowup_invariance(m, fixture_center(cname))
     print("ACCEPTANCE 4: PASS - trivial group, all five blow-up scenarios verify, symbols vanish")
 
 

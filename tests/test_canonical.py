@@ -10,10 +10,9 @@ from burnloc.cli import load_class
 from burnloc.fixtures import fixture_catalog
 from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, build_group
 from burnloc.models import JacobianFactorDatum, ModelDescription, StratumDatum, class_of_action
-from burnloc.relations import structure
+from burnloc.relations import BurnsideContext, structure
 from burnloc.symbols import (
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     canonical_form,
     canonicalize,

@@ -123,6 +123,21 @@ def test_phi_subcommand_projects_first(capsys, tmp_path):
     assert len(report["filtered_class"]) == 1
 
 
+@pytest.mark.parametrize("group, catalog, message", [
+    ('{"kind":"perm","degree":3,"gens":[[1,0,2],[1,2,0]]}', "hyperelliptic-Z2",
+     "the degree map requires an abelian group"),
+    (Z2, "elliptic-Z2", "the degree map requires a curve of genus >= 2"),
+])
+def test_phi_refuses_outside_its_domain_before_the_pass(capsys, tmp_path, group, catalog, message):
+    # the pass would refuse first for another reason: over S3 the catalog lacks
+    # an induce rule (exit 3), and the elliptic catalog's B4 relation mixes
+    # stabilizers, which refuses the max-stabilizer filter
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"terms": []}')
+    code, out, err = run(capsys, "phi", "--group", group, "--catalog", catalog, "--class", str(zero))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_relations_summary_and_dump(capsys):
     code, out, _ = run(capsys, "relations", "--group", Z2, "--catalog", "hyperelliptic-Z2", "--json")
     assert code == 0

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import burnloc.relations
 import burnloc.symbols
 from burnloc.catalog import catalog_from_json
 from burnloc.cli import load_class, main
@@ -18,10 +19,10 @@ from burnloc.relations import structure
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
-    BurnsideContext,
     Symbol,
     canonicalize,
     carrier_quotient,
+    enumerate_symbols,
     iter_curve_data,
     iter_jac_data,
     iter_surface_data,
@@ -49,17 +50,18 @@ def test_a_symbol_as_model_datum_and_as_class_term_gives_one_canonical_symbol(na
     # each route on a group of its own, so that neither reads the other's resolved residual groups
     G, G_model, G_class = (build_group({"kind": "table", "mul": table}) for _ in range(3))
     catalog = generated_catalog(G)
-    context = BurnsideContext(G, catalog)
+    forms = {}  # the enumerator's memo: each raw symbol's canonical form
+    symbols = enumerate_symbols(G, catalog, forms)
     raws = [*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)]
     assert len({sym.kind for sym in raws}) == 3
     for sym in raws:
-        expected = context.enumerated_form(sym)
+        expected = forms[sym]
         datum = _datum(G, sym)
         data = {"jacobian_factors": (datum,)} if sym.kind == KIND_JAC else {"strata": (datum,)}
         assert class_of_action(ModelDescription(G_model, catalog, **data)).support() == (expected,), sym
         terms = json.dumps({"terms": [{"symbol": _term(sym, G)}]})
         assert load_class(terms, G_class, catalog).support() == (expected,), sym
-    assert set(map(context.enumerated_form, raws)) == set(context.symbols)
+    assert set(map(forms.get, raws)) == set(symbols)
 
 
 # a genus-2 catalog over D4; it declares no rule for c2-C, so a class over it reaches no relation
@@ -223,7 +225,7 @@ def test_every_symbol_the_enumerators_did_not_build_reaches_the_one_check(monkey
     # symbol, and every route looks the label up before the stabilizer
     G = build_group({"kind": "table", "mul": direct_product(D4, cyclic_table(2))})
     catalog = generated_catalog(G)
-    check, canon = burnloc.symbols._check_record, burnloc.symbols.canonicalize
+    check, canon = burnloc.symbols._check_record, burnloc.relations.canonicalize
     checks, misses = [], []
 
     def counted_check(sym, label, record):
@@ -236,9 +238,12 @@ def test_every_symbol_the_enumerators_did_not_build_reaches_the_one_check(monkey
         return canon(sym, *args)
 
     monkeypatch.setattr(burnloc.symbols, "_check_record", counted_check)
-    monkeypatch.setattr(burnloc.symbols, "canonicalize", counted_canon)
+    monkeypatch.setattr(burnloc.relations, "canonicalize", counted_canon)  # the name the pass calls
     structure(G, catalog)
     assert misses and checks == misses
+    # a relation term the enumerators built raw is read off the pass's memo
+    raws = {*iter_curve_data(G, catalog), *iter_surface_data(G, catalog), *iter_jac_data(G, catalog)}
+    assert raws.isdisjoint(misses)
     sym = next(iter_curve_data(G, catalog))
     routes = {
         "class term": lambda: load_class(json.dumps({"terms": [{"symbol": _term(sym, G)}]}), G, catalog),

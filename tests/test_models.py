@@ -21,11 +21,10 @@ from burnloc.models import (
     verdict,
     verify_blowup_invariance,
 )
-from burnloc.relations import classes_equal, relation_lattice
+from burnloc.relations import BurnsideContext, classes_equal, relation_lattice
 from burnloc.symbols import (
     KIND_CURVE,
     BurnsideClass,
-    BurnsideContext,
     Symbol,
     canonicalize,
     text_form,
@@ -294,7 +293,6 @@ def test_exotic_model_reports_note_without_obstruction():
 @pytest.mark.parametrize("name", [n for n in model_names() if fixture_model(n).catalog.curve.genus >= 2])
 def test_verdict_generates_the_relations_once(monkeypatch, name):
     # the filter's closure check and the exotic note's lattice read one relation pass
-    import burnloc.models
     import burnloc.relations
 
     calls = []
@@ -304,10 +302,9 @@ def test_verdict_generates_the_relations_once(monkeypatch, name):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (burnloc.models, burnloc.relations):  # wherever the name is bound
-        monkeypatch.setattr(module, "generate_relations", counting, raising=False)
+    monkeypatch.setattr(burnloc.relations, "generate_relations", counting)  # the pass's one caller
     report = verdict(fixture_model(name))
-    assert len(calls) <= 1, name
+    assert len(calls) == 1, name
     assert bool(report.notes) == (name == "conic-bundle-exotic")
 
 

@@ -13,8 +13,8 @@ import burnloc.fixtures
 from burnloc.cli import main
 from burnloc.fixtures import fixture_catalog
 from burnloc.groups import build_group
-from burnloc.relations import generate_relations
-from burnloc.symbols import BurnsideContext, carrier_quotient
+from burnloc.relations import BurnsideContext, generate_relations
+from burnloc.symbols import carrier_quotient
 
 FIXTURES = Path(burnloc.fixtures.__file__).parent
 GROUPS = {"Z3-basic": '{"kind":"cyclic","n":3}'}  # every other fixture catalog acts through C2

@@ -31,12 +31,11 @@ from burnloc.groups import (
     full_subgroup,
     subgroups_up_to_conjugacy,
 )
-from burnloc.relations import relation_lattice, structure
+from burnloc.relations import BurnsideContext, relation_lattice, structure
 from burnloc.symbols import (
     KIND_CURVE,
     KIND_JAC,
     KIND_SURFACE,
-    BurnsideContext,
     Symbol,
     canonicalize,
     carrier_quotient,

@@ -4,16 +4,16 @@ An AbelianStructure fixes, once per subgroup, a decomposition H = C_{d1} x ... x
 with d1 | d2 | ... | dk and an explicit coordinate bijection.  A character of H
 is a tuple of coordinates against that structure, reduced mod the invariant
 factors, so all character arithmetic is componentwise modular and no value in
-Q/Z is ever formed.  `character` checks coordinates from outside and reduces
-them; the engine's own coordinates go through `reduce`.
+Q/Z is ever formed.  `character` checks the length of coordinates from outside
+and reduces them; coordinates of a checked length go through `reduce`.
 
 Each structure is built once per subgroup and kept in its ambient group's
-`structures` table by element tuple; it owns three memos over its host,
+`structures` table by element tuple; it owns four memos over its host,
 `transport_matrix` per conjugating g, `transport_character` per (g, character
-coordinates) and `kernel` per character coordinates.  A character's order is
-|H| / |kernel|, and characters generate the dual exactly when their kernels
-meet only in the identity (`generates_dual`), so validation, the enumerators
-and the blow-ups all read both off the kernel memo.
+coordinates), `kernel` per character coordinates and `kept_generates_dual`, for
+the symbol check, per one or two of them (at most |H|**2 + |H| answers).
+Characters generate the dual exactly when their kernels meet only in the
+identity (`generates_dual`), and a character's order is |H| / |kernel|.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class AbelianStructure:
     Z/m-module, and adjoining in ascending order gives the lexicographically
     least complement, so the basis does not depend on how the search runs."""
 
-    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "_transport", "_characters", "_kernels")
+    __slots__ = ("subgroup", "invariant_factors", "basis", "coords", "_transport", "_characters", "_kernels",
+                 "_duals")
 
     def __init__(self, H: Subgroup):
         if not H.is_abelian():
@@ -94,6 +95,7 @@ class AbelianStructure:
         self._transport: dict = {}  # g -> transport_matrix(g)
         self._characters: dict = {}  # (g, character coordinates) -> transport_character(g, self, coords)
         self._kernels: dict = {}  # character coordinates -> kernel(coords)
+        self._duals: dict = {}  # one or two characters' coordinates -> kept_generates_dual(*chars)
 
     def transport_matrix(self, g: int) -> tuple["AbelianStructure", tuple[tuple[int, ...], ...]]:
         """The structure of gHg^-1, and per basis element x of it the coordinates
@@ -136,6 +138,12 @@ class AbelianStructure:
         kernel, lies in all their kernels."""
         first, *rest = map(self.kernel, chars)
         return not set(first[1:]).intersection(*rest)
+
+    def kept_generates_dual(self, *chars: tuple[int, ...]) -> bool:
+        """`generates_dual`, kept per tuple of characters for the checks that meet them again."""
+        if chars not in self._duals:
+            self._duals[chars] = self.generates_dual(*chars)
+        return self._duals[chars]
 
     def restrict(self, coords: tuple[int, ...], K: Subgroup) -> tuple[int, ...]:
         """The coordinates, on K's structure, of the character with these

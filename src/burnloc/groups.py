@@ -168,14 +168,6 @@ class FiniteGroup:
             entry = self._classes[h]
         return entry
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self._inv[a], -k)
-        x = 0
-        for _ in range(k):
-            x = self.mul[x][a]
-        return x
-
     def element_order(self, a: int) -> int:
         x, n = a, 1
         while x != 0:

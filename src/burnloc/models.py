@@ -10,8 +10,8 @@ A datum reaches its canonical symbol by the route of every declared symbol,
 its center's residual group off the stabilizer record the same way.  Case 3
 adds B2's exceptional terms from `relations._blowup_terms`, the routine B2
 reads.  A warm blow-up reads the tables their owners keep: transported
-characters on each abelian structure, rules by key on the catalog, coset
-members on each carrier quotient.
+characters and dual-generation answers on each abelian structure, rules by
+key on the catalog, coset members on each carrier quotient.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def blowup(m: ModelDescription, c: BlowupCenter) -> ModelDescription:
             raise ValidationError("case-2 stabilizers are nontrivial")
         struct = abelian_structure(H)
         b = struct.character(weight)
-        if not struct.generates_dual(b):
+        if not struct.kept_generates_dual(b):
             raise ValidationError("case-2 weight must generate the stabilizer's character group")
         upstairs = _center_residual(G, catalog, c, H.elements, c.y_reps or None)  # no y_reps: Y by its shape
         new_factor = _partner(catalog, H.elements, c.curve_label, upstairs)

@@ -3,7 +3,8 @@ equality, filter quotients, and the degree map to Z.
 
 All linear algebra is exact; relation vectors are canonicalized and
 deduplicated before the lattice is built (deduplication is cosmetic, the
-lattice is unchanged).
+lattice is unchanged).  `classes_equal` asks the lattice about the columns of
+a - b, read off both classes' terms in one pass.
 
 A `BurnsideContext` is one pass over a pair (G, catalog): `structure`,
 `relation_lattice` and `filter_project` read a fresh one, `filtered_structure`
@@ -262,8 +263,20 @@ def structure_from(index, vectors) -> GroupStructure:
     return GroupStructure(*cokernel_structure([v.columns(position) for v in vectors], len(position)))
 
 
+def _difference(a: BurnsideClass, b: BurnsideClass, position: dict[Symbol, int]) -> dict[int, int]:
+    """a - b as {position: coefficient}, read in one pass; `BurnsideClass.columns` names a stray not cancelled."""
+    try:
+        out = {position[s]: c for s, c in a._terms.items()}
+        for s, c in b._terms.items():
+            p = position[s]
+            out[p] = out.get(p, 0) - c
+    except KeyError:
+        return (a - b).columns(position)
+    return out
+
+
 def classes_equal(a: BurnsideClass, b: BurnsideClass, lattice: RelationLattice) -> bool:
-    return lattice.contains(a - b)
+    return lattice.lattice.contains(_difference(a, b, lattice.position))
 
 
 def reduce(a: BurnsideClass, lattice: RelationLattice) -> BurnsideClass:

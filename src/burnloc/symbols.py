@@ -17,8 +17,8 @@ a library call's or declared data (a class term or a model datum, through
 `declared_symbol`, which resolves Y on the record by `Stabilizer.residual`),
 takes the route of `canonicalize`: the catalog is checked (by the caller that
 loads declared data), then the kind, the label and the record are looked up,
-and the one check, `_check_record`, reads the record and Y's kept shape, so
-each element set is checked once per group.
+and the one check, `_check_record`, reads the record, the shape its quotient
+keeps for a Y checked before and the structure's kept answer on the weights.
 The canonical form reads H's least conjugate and its transporter from G's class
 table.  G's `frames` table keeps, per stabilizer (kind, h), one g of the
 transporter per distinct pair (map of carrier cosets, action on H); a Y costs
@@ -30,11 +30,11 @@ trivial shape gives Y = {0}, a cyclic shape (m) the <q> for the q of order m
 in the carrier quotient, and only another shape (noncyclic abelian, or
 nonabelian by order) filters the quotient's lattice.  Declared data whose Y is
 left to its shape read the same options.  Weights are coordinate tuples on
-H's `AbelianStructure`; validation and the enumerators both ask its
-`generates_dual`, which reads the kernel memo: a pair generates the dual when
-their kernels meet only in the identity, one character when its kernel is
-trivial.  A curve stabilizer with a p-rank above 2, read off its element
-orders, is skipped before any abelian structure is built for it.
+H's `AbelianStructure`; the enumerators ask its `generates_dual`, and the
+check its kept answer: a pair generates the dual when their kernels meet
+only in the identity, one character when its kernel is trivial.  A curve
+stabilizer with a p-rank above 2, read off its element orders, is skipped
+before any abelian structure is built for it.
 
 `enumerate_symbols` fills a memo of the canonical form of each raw symbol it
 builds, its own or the one a pass (`relations.BurnsideContext`) hands it, so
@@ -208,10 +208,13 @@ def _check_record(sym: Symbol, label, record: Stabilizer):
         problems.append(f"label {label.id!r} lives on {label.space}, not {_KIND_SPACE[sym.kind]}")
     H, struct, Q, _ = record
     try:
-        Y = Subgroup(Q.group, sym.y)
+        Y = Subgroup(Q.group, sym.y)  # a tuple in the group's check table is taken as is
     except ValidationError as exc:
         return problems + [f"residual group: {exc}"], None
-    if not label.group_shape.matches(Y):
+    shape = Q.group.shapes.get(Y.elements)  # kept once any route asked for this Y's shape
+    if shape is None and Y.order == label.group_shape.order:
+        shape = GroupShape.of(Y)
+    if shape != label.group_shape:
         problems.append(f"residual group of order {Y.order} does not match declared shape {label.group_shape}")
 
     if sym.kind == KIND_JAC:
@@ -224,13 +227,15 @@ def _check_record(sym: Symbol, label, record: Stabilizer):
     expected = 2 if sym.kind == KIND_CURVE else 1
     if len(sym.weights) != expected:
         return problems + [f"{sym.kind} symbols carry exactly {expected} weight(s)"], None
-    try:
-        weights = tuple(map(struct.character, sym.weights))
+    first, last = sym.weights[0], sym.weights[-1]  # all of the one or two weights
+    try:  # weights of the structure's length are reduced directly; `character` refuses another length
+        weights = tuple(map(struct.reduce if len(first) == len(last) == len(struct.invariant_factors)
+                            else struct.character, sym.weights))
     except ValidationError as exc:
         return problems + [f"weights: {exc}"], None
     if not all(map(any, weights)):
         return problems + ["weights must be nontrivial characters"], None
-    if not struct.generates_dual(*weights):
+    if not struct.kept_generates_dual(*weights):
         problems.append("weights must generate the full character group of the stabilizer")
     if sym.kind == KIND_SURFACE and len(struct.invariant_factors) > 1:
         problems.append("surface symbols need a cyclic stabilizer")
@@ -463,13 +468,10 @@ class BurnsideClass:
 
     def columns(self, index: dict[Symbol, int]) -> dict[int, int]:
         """{position of the symbol in `index`: coefficient} over the support."""
-        out = {}
-        for s, c in self._terms.items():
-            pos = index.get(s)
-            if pos is None:
-                raise ValidationError(f"symbol outside index: {s}")
-            out[pos] = c
-        return out
+        try:
+            return {index[s]: c for s, c in self._terms.items()}
+        except KeyError as exc:
+            raise ValidationError(f"symbol outside index: {exc.args[0]}") from None
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -801,6 +801,11 @@ def reference_difference(a, b):
     return a + (-b)
 
 
+def reference_classes_equal(a, b, lattice):
+    """`relations.classes_equal` as the lattice's membership of the class a - b."""
+    return lattice.contains(a - b)
+
+
 def _pair_closure(G, seed):
     elems = set(seed) | {0}
     changed = True
@@ -858,6 +863,14 @@ def bfs_subgroups(G):
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 
 
+def power(G, a, k):
+    """a**k in G, for k >= 0, by k products."""
+    x = 0
+    for _ in range(k):
+        x = G.mul[x][a]
+    return x
+
+
 def reference_abelian_basis(H):
     """(invariant_factors, basis) of the abelian subgroup H: repeatedly peel off
     the least element h of largest order m, continuing in the least complement
@@ -868,7 +881,7 @@ def reference_abelian_basis(H):
     while len(remaining) > 1:
         m, h = max((G.element_order(a), -a) for a in remaining)
         h = -h
-        cyc = frozenset(G.power(h, k) for k in range(m))
+        cyc = frozenset(power(G, h, k) for k in range(m))
         target = len(remaining) // m
         remaining = next(
             cand for cand in reference_subgroups_within(G, remaining)
@@ -881,14 +894,14 @@ def reference_abelian_basis(H):
 
 def reference_coordinates(struct):
     """The element h1^a1 ... hk^ak of every coordinate tuple (a1, ..., ak) of the
-    structure's basis, each power taken by `FiniteGroup.power`, in lexicographic
+    structure's basis, each power taken by `power`, in lexicographic
     order of the tuples: {element: coordinates}."""
     G = struct.subgroup.ambient
     coords = {}
     for tup in product(*map(range, struct.invariant_factors)):
         x = 0
         for a, h in zip(tup, struct.basis):
-            x = G.mul[x][G.power(h, a)]
+            x = G.mul[x][power(G, h, a)]
         coords[x] = tup
     return coords
 

@@ -1,17 +1,18 @@
 """Random (model, blow-up center) scenario generation over a fixture catalog,
 plus the mutation harness that drops single appended terms, generated
 catalogs for larger groups (and with extra labels of noncyclic or nonabelian
-shapes, or with a target of the wrong shape), a genus-1 catalog whose
-extension rule declares the wrong shape, multiplication tables of a few group families
-with seeded relabellings, each fixture catalog's group, the specs of the
-benchmark ladder's groups, a reset of the engine caches, and a check that the
-tables a group and its derived objects own stay bounded."""
+shapes, or with a target of the wrong shape), a genus-1 recipe over the
+generated one, a genus-1 catalog whose extension rule declares the wrong
+shape, multiplication tables of a few group families with seeded
+relabellings, each fixture catalog's group, the specs of the benchmark
+ladder's groups, a reset of the engine caches, and a check that the tables a
+group and its derived objects own stay bounded."""
 
 import random
 from dataclasses import replace
 from itertools import permutations, product
 
-from burnloc.abelian import abelian_structure
+from burnloc.abelian import abelian_structure, normalize_factors, shape_name
 from burnloc.catalog import CURVE, catalog_from_json, catalog_to_json, ensure_valid_catalog
 from burnloc.errors import ValidationError
 from burnloc.fixtures import fixture_catalog
@@ -191,6 +192,36 @@ def generated_catalog(G):
     return ensure_valid_catalog(catalog_from_json(data, name="generated"))
 
 
+def genus_one_catalog(G):
+    """G's generated catalog moved to `elliptic-Z2`'s curve E of genus 1, with
+    that catalog's labels `inv-C`, `transl-C`, `neg-J` and `trivG-J`, its
+    Jacobian rules and its genus-one extension rule.  Each generated induce key
+    gets a twin for `inv-C` and for `transl-C`, whose Y is C2; its target is
+    the surface label `c<..>-CxP1` named by the shape C2 x C_m, m the key's diff
+    order (1 for "equal"), added where missing.  Y bar has that shape over an
+    elementary abelian 2-group, where the catalog is complete; elsewhere a key
+    can meet two shapes (C4 and C2xC2 over C2xC4), and B2 refuses its target."""
+    data = catalog_to_json(generated_catalog(G))
+    elliptic = catalog_to_json(fixture_catalog("elliptic-Z2"))
+    data["curve"] = elliptic["curve"]
+    ids = {label["id"] for label in data["labels"]}
+    data["labels"] += [label for label in elliptic["labels"] if label["id"] not in ids]
+    rules = data["rules"]
+    rules["jacobian_of_curve"] = elliptic["rules"]["jacobian_of_curve"]
+    rules["genus_one_extension"] = elliptic["rules"]["genus_one_extension"]
+    twins = []
+    for rule in rules["induce"]:
+        shape = normalize_factors((2, 1 if rule["weights"] == "equal" else rule["weights"]["diff_order"]))
+        target = f"{shape_name(shape).lower()}-CxP1"
+        if target not in ids:
+            ids.add(target)
+            data["labels"].append({"id": target, "space": "ruled_surface", "group_shape": list(shape),
+                                   "faithful": True, "trivial": False})
+        twins += [{**rule, "curve_label": label, "target": target} for label in ("inv-C", "transl-C")]
+    rules["induce"] += twins
+    return ensure_valid_catalog(catalog_from_json(data, name="genus-one"))
+
+
 def catalog_with_shapes(G, shapes, spaces=("ruled_surface", "jacobian")):
     """The generated catalog plus one faithful, nontrivial label per given shape
     (JSON, e.g. `[2, 2]` or `{"order": 8, "abelian": False}`) in each given
@@ -268,7 +299,8 @@ def assert_tables_bounded(G, catalog=None):
     and its Y memo keyed by members of the carrier quotient's lattice.
     The memos of derived objects stay bounded too: each abelian structure's
     kernel memo keyed by its characters and holding members of G's lattice
-    inside its host, its transported characters keyed by (element of G, its
+    inside its host, its dual-generation answers keyed by one or two of its
+    characters, its transported characters keyed by (element of G, its
     character), each stabilizer record's carrier quotient holding the members
     of its cosets, which partition the carrier, and its resolved residual
     groups by members of its quotient's lattice, each keyed by declared
@@ -292,6 +324,7 @@ def assert_tables_bounded(G, catalog=None):
             struct = abelian_structure(H)
             chars = set(product(*map(range, struct.invariant_factors)))
             assert set(struct._kernels) <= chars
+            assert all(1 <= len(key) <= 2 and set(key) <= chars for key in struct._duals)
             assert all(g in G.elements() and b in chars for g, b in struct._characters)
             assert all(k in lattice and set(k) <= set(H.elements) for k in struct._kernels.values())
     frame_bound = len(lattice)  # the frames of kind None

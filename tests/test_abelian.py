@@ -5,10 +5,11 @@ from math import prod
 
 import pytest
 
-from burnloc.abelian import abelian_structure, normalize_factors, shape_name, transport_character
+from burnloc.abelian import AbelianStructure, abelian_structure, normalize_factors, shape_name, transport_character
 from burnloc.errors import ValidationError
-from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, build_group, full_subgroup
-from oracles import all_coordinates, character_span, reference_evaluate, reference_normalize_factors
+from burnloc.groups import Subgroup, abelian_subgroups_up_to_conjugacy, all_subgroups, build_group, full_subgroup
+from oracles import all_coordinates, character_span, reference_evaluate, reference_kernel, reference_normalize_factors
+from scenarios import cyclic_table, dihedral_table, direct_product, relabel
 
 
 def struct_of(spec):
@@ -164,6 +165,44 @@ def test_dual_generated_check_matches_span_oracle(spec):
             assert (len(struct.kernel(b)) == 1) == generates  # order |H| / |kernel|
         for b1, b2 in product(chars, repeat=2):
             assert struct.generates_dual(b1, b2) == (len(character_span(struct, b1, b2)) == H.order)
+
+
+KEPT_DUALS = {
+    "C4xC4": direct_product(cyclic_table(4), cyclic_table(4)),
+    "C2xC2xC4": direct_product(direct_product(cyclic_table(2), cyclic_table(2)), cyclic_table(4)),
+    "D4xC2": direct_product(dihedral_table(4), cyclic_table(2)),
+}
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+@pytest.mark.parametrize("name", KEPT_DUALS)
+def test_kept_dual_generation_equals_the_kernel_intersection(name, relabelled, monkeypatch):
+    # every single character and every pair on every abelian subgroup: the answer kept
+    # on the first call, then read with no kernel at hand, is whether the reference
+    # kernels meet only in the identity, as `generates_dual` finds it
+    table = KEPT_DUALS[name]
+    G = build_group({"kind": "table", "mul": relabel(table, name) if relabelled else table})
+    structures = [abelian_structure(H) for H in all_subgroups(G) if H.is_abelian()]
+    expected = {}
+    for struct in structures:
+        chars = all_coordinates(struct)
+        kernels = {b: set(reference_kernel(struct, b)) for b in chars}
+        for key in (*((b,) for b in chars), *product(chars, repeat=2)):
+            expected[struct, key] = set.intersection(*(kernels[b] for b in key)) == {0}
+            assert struct.kept_generates_dual(*key) == struct.generates_dual(*key) == expected[struct, key]
+        assert len(struct._duals) == len(chars) ** 2 + len(chars)
+    monkeypatch.setattr(AbelianStructure, "kernel", None)
+    assert all(struct.kept_generates_dual(*key) == answer for (struct, key), answer in expected.items())
+
+
+def test_the_enumerators_keep_no_dual_generation_answer():
+    # they ask every pair of characters once per pass, so keeping the answers would only hold memory
+    from burnloc.symbols import enumerate_symbols
+    from scenarios import generated_catalog
+
+    G = build_group({"kind": "table", "mul": KEPT_DUALS["C4xC4"]})
+    enumerate_symbols(G, generated_catalog(G))
+    assert G.structures and not any(struct._duals for struct in G.structures.values())
 
 
 def test_transport_roundtrip_on_nonabelian_groups(s3, d4):

@@ -8,8 +8,9 @@ exit 0, 2 or 3 without a traceback.  Every leaf of these inputs that holds an
 integer sits where the schema wants one, so a mutant that puts a non-integer
 there must exit 2 and name the leaf's JSON path.  Every mutant also runs with
 the reference of the one symbol check (`symbols._check_record`) and of the
-class difference from `oracles` in place of the engine's, and must give the
-same exit code, stdout and stderr byte for byte.
+class difference that equality reads (`relations._difference`, the columns
+of `reference_difference`) from `oracles` in place of the engine's, and must
+give the same exit code, stdout and stderr byte for byte.
 The sample is stratified: every input gets an equal share of it, so the model
 and center inputs, whose mutants reach the symbol check and the class
 difference, are not outnumbered by the larger catalogs; the test counts the
@@ -32,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import burnloc.fixtures
+import burnloc.relations
 import burnloc.symbols
 from burnloc.cli import main
 from oracles import reference_check_record, reference_difference
@@ -123,7 +125,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
         return call
 
     check_record = counted("_check_record", reference_check_record)
-    difference = counted("difference", reference_difference)
+    difference = counted("difference", lambda a, b, position: reference_difference(a, b).columns(position))
     file = tmp_path / "input.json"
     named = 0
     for name, argv, doc, path, chain, leaf, replacement in sample:
@@ -137,7 +139,7 @@ def test_sampled_single_leaf_mutants_exit_cleanly_and_name_their_path(capsys, tm
         out, err = capsys.readouterr()
         with monkeypatch.context() as patch:
             patch.setattr(burnloc.symbols, "_check_record", check_record)
-            patch.setattr(burnloc.symbols.BurnsideClass, "__sub__", difference)
+            patch.setattr(burnloc.relations, "_difference", difference)
             assert (main(args), *capsys.readouterr()) == (code, out, err), case
         assert code in (0, 2, 3), case
         assert "Traceback" not in err, case

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -555,6 +556,32 @@ def test_scenario_blowups_answer_as_from_scratch(group):
             redrawn = center._replace(y_reps=tuple(rng.sample(range(pool.G.order), rng.randint(0, 2))))
         raised += isinstance(_assert_blowup_as_from_scratch(m, redrawn), str)
     assert cases == {1, 2, 3} and raised
+
+
+@pytest.mark.parametrize("group", ["C4xC4", "D4xC2", "D4xC2-relabelled"])
+def test_class_equality_answers_as_the_lattice_on_the_difference(group):
+    # a seeded stream of blow-ups and their single-term mutants: equality read off both
+    # classes' terms answers as membership of the class a - b, in either order
+    import random
+
+    from oracles import reference_classes_equal
+    from scenarios import single_term_mutations
+
+    pool = _scenario_pool(group)
+    lattice = relation_lattice(pool.G, pool.catalog)
+    rng = random.Random(f"equal-{group}")
+    answers = Counter()
+    for _ in range(40):
+        m = pool.random_model(rng)
+        center = pool.random_center(rng, m)
+        out = blowup(m, center)
+        base = class_of_action(m)
+        for other in (out, *(mutant for _, mutant in single_term_mutations(m, out, center.case))):
+            cls = class_of_action(other)
+            answer = classes_equal(base, cls, lattice)
+            assert answer == classes_equal(cls, base, lattice) == reference_classes_equal(base, cls, lattice)
+            answers[answer] += 1
+    assert answers[True] >= 40 and answers[False] > 0
 
 
 def test_blowup_chain_checks_each_added_datum_once(monkeypatch):

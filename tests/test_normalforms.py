@@ -12,7 +12,7 @@ from burnloc.normalforms import (
     smith_normal_form,
 )
 from burnloc.groups import build_group
-from burnloc.relations import RelationLattice, generate_relations, relation_lattice
+from burnloc.relations import RelationLattice, classes_equal, generate_relations, relation_lattice
 from burnloc.symbols import BurnsideClass, Symbol, enumerate_symbols
 from oracles import (
     SquareLatticeOracle,
@@ -330,10 +330,14 @@ def test_lattice_queries_reject_the_wrong_length():
 def test_relation_lattice_rejects_a_symbol_outside_its_index(z2, hyper_cat):
     lattice = relation_lattice(z2, hyper_cat)
     stray = Symbol("jac", (0,), (0,), "no-such-label")
-    for query in (lattice.contains, lattice.reduce):
+    for query in (lattice.contains, lattice.reduce, lambda a: classes_equal(a, BurnsideClass.zero(), lattice),
+                  lambda a: classes_equal(BurnsideClass.zero(), a, lattice)):
         with pytest.raises(ValidationError) as exc:
             query(BurnsideClass.of(stray))
         assert str(exc.value) == f"symbol outside index: {stray}"
+    # equality refuses only a stray symbol that does not cancel in a - b
+    inside = BurnsideClass.of(lattice.index[0])
+    assert classes_equal(inside + BurnsideClass.of(stray), BurnsideClass.of(stray), lattice) == lattice.contains(inside)
 
 
 def test_kernel_basis_simple():

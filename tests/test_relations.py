@@ -24,7 +24,13 @@ from burnloc.relations import (
     structure_from,
 )
 from burnloc.symbols import BurnsideClass, enumerate_symbols, text_form, y_subgroup
-from oracles import filter_from_subgroups, filtered_relation_vectors, kernel_basis, reference_generate_relations
+from oracles import (
+    dense_smith_diagonal,
+    filter_from_subgroups,
+    filtered_relation_vectors,
+    kernel_basis,
+    reference_generate_relations,
+)
 from scenarios import (
     WRONG_EXTENSION_REFUSAL,
     WRONG_SHAPE_REFUSAL,
@@ -33,6 +39,7 @@ from scenarios import (
     dihedral_table,
     direct_product,
     generated_catalog,
+    genus_one_catalog,
     relabel,
     wrong_extension_catalog,
     wrong_shape_catalog,
@@ -449,3 +456,39 @@ def test_relabelled_structure_is_the_same_with_cold_and_warm_caches():
     cold = structure(R, catalog)
     warm = structure(R, catalog)
     assert cold == warm == expected
+
+
+C2XC2 = direct_product(cyclic_table(2), cyclic_table(2))
+GENUS_ONE = {"C2xC2": C2XC2, "C2^4": direct_product(C2XC2, C2XC2)}
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+@pytest.mark.parametrize("name, counts, expected", [
+    ("C2xC2", {"B1": 9, "B2": 12, "B3": 7, "B4": 3}, (4, (2,) * 5)),
+    ("C2^4", {"B1": 225, "B2": 960, "B3": 31, "B4": 15}, (501, (2,) * 505)),
+])
+def test_genus_one_recipe_fires_b3_and_b4_at_order_16(name, counts, expected, relabelled):
+    # B3 and B4, the Jacobian relations of the genus-1 curve, over 1732 symbols on C2^4;
+    # on C2xC2 the relations equal the reference pass's and the answer the dense Smith form's
+    table = GENUS_ONE[name]
+    G = build_group({"kind": "table", "mul": relabel(table, name) if relabelled else table})
+    catalog = genus_one_catalog(G)
+    context = burnloc.relations.BurnsideContext(G, catalog)
+    assert Counter(r.rule for r in context.relations) == counts
+    assert tuple(context.structure) == expected
+    if name == "C2xC2":
+        assert [r.vector for r in context.relations] == [r.vector for r in reference_generate_relations(G, catalog)]
+        rows = [[r.vector.coefficient(s) for s in context.symbols] for r in context.relations]
+        diagonal = dense_smith_diagonal(rows, len(context.symbols))
+        assert (len(context.symbols) - len(diagonal), tuple(d for d in diagonal if d > 1)) == expected
+
+
+def test_genus_one_recipe_refuses_an_induce_key_of_two_shapes():
+    # over C2xC4 a curve symbol's Theta2 Y bar under (C2xC2, inv-C, diff_order 2) is C4, not
+    # the C2xC2 of the recipe's target, and B2 refuses the term naming its symbol and rule
+    G = build_group({"kind": "abelian", "factors": [2, 4]})
+    with pytest.raises(ValidationError) as info:
+        structure(G, genus_one_catalog(G))
+    assert str(info.value) == (
+        "B2(symbol=curve[H=C2xC2{0,2,4,6};Y=C2{0,1};act=inv-C;w=(0,1),(1,0)]): InduceRule(C2xC2,inv-C,diff_order=2): "
+        "cannot canonicalize invalid symbol: residual group of order 4 does not match declared shape C2xC2")

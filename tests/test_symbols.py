@@ -8,16 +8,25 @@ from burnloc.catalog import CURVE, JACOBIAN, RULED_SURFACE, catalog_from_json, c
 from burnloc.errors import ValidationError
 from burnloc.groups import all_subgroups, build_group
 from burnloc.models import BlowupCenter, ModelDescription, blowup
+from burnloc.relations import structure
 from burnloc.symbols import (
     BurnsideClass,
     Symbol,
     canonicalize,
     carrier_quotient,
     enumerate_symbols,
+    stabilizer,
     text_form,
     validate_symbol,
 )
-from oracles import all_coordinates, character_span, reference_difference, reference_transport_symbol
+from oracles import (
+    all_coordinates,
+    character_span,
+    reference_check_record,
+    reference_difference,
+    reference_transport_symbol,
+)
+from scenarios import generated_catalog
 
 S1 = Symbol("curve", (0, 1), (0,), "triv-C", ((1,), (1,)))
 
@@ -135,6 +144,37 @@ def test_shape_mismatch_is_reported(z2, hyper_cat):
     bad = Symbol("jac", (0,), (0,), "inv-J")  # inv-J wants a C2 residual group
     problems = validate_symbol(bad, z2, hyper_cat)
     assert any("does not match declared shape" in p for p in problems)
+
+
+# over C2xC4 (element 4a + b is (a, b)), with its generated catalog
+ONE_CHECK_REFUSALS = {
+    "a first weight too long": (Symbol("curve", (0, 1, 2, 3), (0,), "triv-C", ((1, 0), (1,))),
+                                "weights: character coordinates do not match the structure"),
+    "a last weight too long": (Symbol("curve", (0, 1, 2, 3), (0,), "triv-C", ((1,), (1, 0))),
+                               "weights: character coordinates do not match the structure"),
+    "a Y that is no subgroup": (Symbol("surface", (0, 4), (0, 1), "c2-CxP1", ((1,),)),
+                                "residual group: subgroup not closed under inverse at 1"),
+    "a Y of another shape": (Symbol("surface", (0, 2), (0, 1, 2, 3), "c4-CxP1", ((1,),)),
+                             "residual group of order 4 does not match declared shape C4"),
+    "a Y of another shape, as a list": (Symbol("surface", (0, 2), [3, 2, 1, 0], "c4-CxP1", ((1,),)),
+                                        "residual group of order 4 does not match declared shape C4"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_CHECK_REFUSALS)
+def test_each_refusal_of_the_one_check_keeps_its_message_cold_and_warm(case):
+    # the first check of a Y keeps its shape and of weights their dual generation; a
+    # later check, and one after a whole pass, reads them and refuses with the same
+    # message as the reference check
+    sym, message = ONE_CHECK_REFUSALS[case]
+    G = build_group({"kind": "abelian", "factors": [2, 4]})
+    catalog = generated_catalog(G)
+    record = stabilizer(G, sym.h, sym.kind)
+    assert reference_check_record(sym, catalog.label(sym.action), record)[0] == [message]
+    assert validate_symbol(sym, G, catalog) == validate_symbol(sym, G, catalog) == [message]
+    structure(G, catalog)
+    assert validate_symbol(sym, G, catalog) == [message]
+    assert (tuple(sorted(sym.y)) in record.quotient.group.shapes) != (case == "a Y that is no subgroup")
 
 
 def test_weight_swap_canonicalizes_identically(z3, z3_cat):
